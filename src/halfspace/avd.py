@@ -24,7 +24,16 @@ from dataclasses import dataclass
 
 from .hyperbolic import NormalizeTransform, normalize
 from .metrics import d2
-from .quadtree import COMPRESSED, LEAF, ORDINARY, QuadNode, QuadTree, shadow_within
+from .quadtree import (
+    COMPRESSED,
+    LEAF,
+    ORDINARY,
+    QuadNode,
+    QuadTree,
+    adjacent_to_region,
+    box_adjacent,
+    shadow_within,
+)
 from .tiling import CellId, HPoint, ancestor_at, cell_of, horizontal_neighbors
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
@@ -71,7 +80,7 @@ def refine(tree: QuadTree) -> QuadTree:
     """
     if not tree.points:
         raise ValueError("refinement needs a nonempty point set")
-    for c in tree._index_of:
+    for c in tree.points:
         if not _within_margin(c):
             raise ValueError(f"{c!r} violates the margin precondition: {_MARGIN_NOTE}")
     refined = QuadTree(tree.dim, tree.points)
@@ -130,28 +139,6 @@ def annotate(tree: QuadTree) -> None:
         node.n2_index = best[1]
 
 
-def _touches_boundary(inner_box: CellId, outer_box: CellId) -> bool:
-    """Does a box nested inside another touch its boundary?"""
-    shift = outer_box.level - inner_box.level
-    for ki, ko in zip(inner_box.coords, outer_box.coords):
-        if ki == (ko << shift) or ki + 1 == ((ko + 1) << shift):
-            return True
-    return False
-
-
-def _adjacent_to_region(box: CellId, outer: CellId, inner: CellId) -> bool:
-    """Adjacency of a box to the annular region between two nested boxes."""
-    from .spanner import box_adjacent
-
-    if box == inner:
-        return True  # fills the hole, touching the region's inner boundary
-    if shadow_within(box, inner):
-        return _touches_boundary(box, inner)
-    if shadow_within(box, outer) or shadow_within(outer, box):
-        return False  # overlaps the annulus interior, or swallows it all
-    return box_adjacent(box, outer)
-
-
 def select_representatives(refined: QuadTree, base: QuadTree) -> None:
     """Attach representative input indices to every refined node.
 
@@ -162,13 +149,15 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
     (the region then sits inside that node's annular gap).  A compressed
     region also keeps its own child's highest input, covering bridges
     that land inside its own gap.
-    """
-    from .spanner import box_adjacent
 
+    Every such node's box meets the boundary of the region's outer box
+    or of its inner box, so candidates come from one pruned descent of
+    the unrefined tree along those boundaries
+    (:meth:`QuadTree.compressed_on_boundary`) and the tests above run on
+    them only.  Per region that costs its ancestor chain plus the nodes
+    along its boundary, instead of a scan of every compressed node.
+    """
     fill_highest(base)
-    base_compressed = [
-        n for n in base.iter_nodes() if n.kind == COMPRESSED and n.count > 0
-    ]
     for node in refined.iter_nodes():
         if node.kind == ORDINARY:
             node.reps = [node.n2_index]
@@ -177,7 +166,8 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
         inner = node.children[0].cell if node.kind == COMPRESSED else None
         if inner is not None and node.children[0].h_index is not None:
             reps.add(node.children[0].h_index)
-        for nu in base_compressed:
+        boxes = (node.cell,) if inner is None else (node.cell, inner)
+        for nu in base.compressed_on_boundary(*boxes):
             if nu.h_index is None:
                 continue
             if shadow_within(node.cell, nu.cell) and node.cell != nu.cell:
@@ -186,7 +176,7 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
             elif inner is None:
                 if box_adjacent(nu.cell, node.cell):
                     reps.add(nu.h_index)
-            elif _adjacent_to_region(nu.cell, node.cell, inner):
+            elif adjacent_to_region(nu.cell, node.cell, inner):
                 reps.add(nu.h_index)
         node.reps = sorted(reps)
 

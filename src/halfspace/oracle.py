@@ -3,8 +3,9 @@
 Everything here recomputes results from definitions: breadth-first
 search over the explicit move graph for ``d1``, a two-state BFS for
 ``d2`` (horizontal move spent or not), exhaustive nearest-neighbor
-scans, and linear scans over stored boxes for quadtree cell queries.
-Not performance tuned; correctness references only.
+scans, linear scans over stored boxes for quadtree cell queries, and
+all-pairs scans for AVD representatives and spanner bridges.  Not
+performance tuned; correctness references only.
 """
 
 from __future__ import annotations
@@ -243,6 +244,85 @@ def cell_query_scan(stored: Sequence[CellId], box: CellId) -> tuple[CellId | Non
         if shadow_within(box, c) and (smallest is None or c.level < smallest.level):
             smallest = c
     return largest, smallest
+
+
+def representatives_scan(refined, base) -> list[list[int]]:
+    """Representatives of every refined node, in preorder, by testing each
+    region against every occupied compressed node of the unrefined tree.
+
+    Reference for :func:`halfspace.avd.select_representatives`; expects
+    ``refined`` to carry the annotation pass (``h`` and ``n2``).
+    """
+    from .avd import fill_highest
+    from .quadtree import COMPRESSED, ORDINARY, adjacent_to_region, box_adjacent, shadow_within
+
+    fill_highest(base)
+    base_compressed = [
+        n for n in base.iter_nodes() if n.kind == COMPRESSED and n.count > 0
+    ]
+    out = []
+    for node in refined.iter_nodes():
+        if node.kind == ORDINARY:
+            out.append([node.n2_index])
+            continue
+        reps = {node.n2_index}
+        inner = node.children[0].cell if node.kind == COMPRESSED else None
+        if inner is not None and node.children[0].h_index is not None:
+            reps.add(node.children[0].h_index)
+        for nu in base_compressed:
+            if nu.h_index is None:
+                continue
+            if shadow_within(node.cell, nu.cell) and node.cell != nu.cell:
+                if not shadow_within(node.cell, nu.children[0].cell):
+                    reps.add(nu.h_index)
+            elif inner is None:
+                if box_adjacent(nu.cell, node.cell):
+                    reps.add(nu.h_index)
+            elif adjacent_to_region(nu.cell, node.cell, inner):
+                reps.add(nu.h_index)
+        out.append(sorted(reps))
+    return out
+
+
+def bridges_scan(tree) -> list:
+    """Bridge enumeration testing every pair of occupied compressed nodes.
+
+    Reference for :func:`halfspace.spanner.enumerate_bridges`, which
+    finds the same pairs by searching each node's boundary instead.
+    """
+    from .metrics import bridge_level_estimate
+    from .quadtree import COMPRESSED, box_adjacent
+    from .spanner import Bridge, _bridge_candidate, _in_root
+    from .tiling import is_ancestor_or_self
+
+    bridges = set()
+    compressed = []
+    for node in tree.iter_nodes():
+        if node.kind == COMPRESSED and node.count > 0:
+            compressed.append(node)
+        if node.count == 0:
+            continue
+        r = node.cell
+        for r2 in horizontal_neighbors(r):
+            if not _in_root(tree, r2):
+                continue
+            if tree.subtree_count(r2) == 0:
+                continue
+            if _bridge_candidate(tree, r, r2):
+                bridges.add(Bridge.of(r, r2))
+    for i, nu in enumerate(compressed):
+        for nu2 in compressed[i + 1 :]:
+            if not box_adjacent(nu.cell, nu2.cell):
+                continue
+            w1 = nu.children[0].cell
+            w2 = nu2.children[0].cell
+            if is_ancestor_or_self(w1, w2) or is_ancestor_or_self(w2, w1):
+                continue
+            est = bridge_level_estimate(w1, w2)
+            path = d2_path(w1, w2)
+            if path.has_bridge and est >= min(w1.level, w2.level) - 1:
+                bridges.add(Bridge.of(path.apex_p, path.apex_q))
+    return sorted(bridges, key=lambda b: (b.left, b.right))
 
 
 def dijkstra(n_vertices: int, adjacency: Sequence[Sequence[tuple[int, float]]], source: int) -> list[float]:

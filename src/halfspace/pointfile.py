@@ -66,13 +66,10 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
             raise PointFileError(f"line {lineno}: invalid JSON") from exc
         try:
             if kind == CONTINUOUS:
-                x = tuple(float(v) for v in obj["x"])
-                z = float(obj["z"])
+                x = tuple(map(float, obj["x"]))
                 if len(x) != dim - 1:
                     raise PointFileError(f"line {lineno}: expected {dim - 1} x-coordinates")
-                if not z > 0:
-                    raise PointFileError(f"line {lineno}: z must be positive")
-                points.append(HPoint(x, z))
+                points.append(HPoint(x, float(obj["z"])))
             else:
                 coords = tuple(int(v) for v in obj["coords"])
                 if len(coords) != dim - 1:

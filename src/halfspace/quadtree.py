@@ -16,6 +16,9 @@ kinds:
 A node whose own box is an input and whose other inputs all fall in one
 child cell does not fit the ordinary/compressed split; it is
 materialized as ordinary (see the build notes in the repo docs).
+
+The predicates on dyadic boxes (containment, adjacency, touching a
+boundary) live here as well, for the spanner and the AVD index.
 """
 
 from __future__ import annotations
@@ -40,6 +43,73 @@ def root_cell(dim: int) -> CellId:
 def shadow_within(inner: CellId, outer: CellId) -> bool:
     """True if the x-projection of ``inner`` lies inside that of ``outer``."""
     return is_ancestor_or_self(outer, inner)
+
+
+def box_adjacent(a: CellId, b: CellId) -> bool:
+    """Closed shadows intersect but neither contains the other.
+
+    Dyadic boxes are nested or interior-disjoint, so this is exactly
+    "touching along the boundary", corners included.
+    """
+    if shadow_within(a, b) or shadow_within(b, a):
+        return False
+    lev = min(a.level, b.level)
+    sa, sb = a.level - lev, b.level - lev
+    for ka, kb in zip(a.coords, b.coords):
+        lo = max(ka << sa, kb << sb)
+        hi = min((ka + 1) << sa, (kb + 1) << sb)
+        if lo > hi:
+            return False
+    return True
+
+
+def touches_boundary(inner_box: CellId, outer_box: CellId) -> bool:
+    """Does a box nested inside another touch its boundary?"""
+    shift = outer_box.level - inner_box.level
+    for ki, ko in zip(inner_box.coords, outer_box.coords):
+        if ki == (ko << shift) or ki + 1 == ((ko + 1) << shift):
+            return True
+    return False
+
+
+def adjacent_to_region(box: CellId, outer: CellId, inner: CellId) -> bool:
+    """Adjacency of a box to the annular region between two nested boxes."""
+    if box == inner:
+        return True  # fills the hole, touching the region's inner boundary
+    if shadow_within(box, inner):
+        return touches_boundary(box, inner)
+    if shadow_within(box, outer) or shadow_within(outer, box):
+        return False  # overlaps the annulus interior, or swallows it all
+    return box_adjacent(box, outer)
+
+
+def meets_boundary(box: CellId, b: CellId) -> bool:
+    """Does the closed shadow of ``box`` meet the boundary of that of ``b``?
+
+    True for boxes containing ``b`` (itself included), for boxes
+    touching ``b`` from outside, and for boxes inside ``b`` that touch
+    its boundary.  The closed intersection of the two shadows, a box
+    inside ``b``, meets that boundary iff one of its faces lies on a
+    face of ``b``.  Intervals are compared in units of the smaller box.
+    """
+    on_face = False
+    s = box.level - b.level
+    if s >= 0:
+        for ka, kb in zip(box.coords, b.coords):
+            lo, hi = ka << s, (ka + 1) << s
+            if lo > kb + 1 or hi < kb:
+                return False
+            if lo <= kb or hi >= kb + 1:
+                on_face = True
+    else:
+        s = -s
+        for ka, kb in zip(box.coords, b.coords):
+            lo, hi = kb << s, (kb + 1) << s
+            if ka > hi or ka + 1 < lo:
+                return False
+            if ka <= lo or ka + 1 >= hi:
+                on_face = True
+    return on_face
 
 
 def meet(a: CellId, b: CellId) -> CellId:
@@ -144,6 +214,33 @@ class QuadTree:
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_nodes())
 
+    def compressed_on_boundary(self, *boxes: CellId) -> list[QuadNode]:
+        """Occupied compressed nodes whose closed box meets the boundary
+        of one of ``boxes``, in no particular order.
+
+        Descends from the root and enters only occupied nodes whose box
+        meets one of the boundaries.  A box that meets a boundary is
+        contained in each of its ancestors' boxes, so they meet it too:
+        the pruning skips no qualifying node.  The work is the number of
+        nodes on the boxes' ancestor chains and along their boundaries,
+        not the size of the tree.
+        """
+        out = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.count == 0:
+                continue
+            for b in boxes:
+                if meets_boundary(node.cell, b):
+                    break
+            else:
+                continue
+            if node.kind == COMPRESSED:
+                out.append(node)
+            stack.extend(node.children)
+        return out
+
     # -- queries ------------------------------------------------------
 
     def _check_in_root(self, box: CellId) -> None:
@@ -220,6 +317,10 @@ class QuadTree:
 
     def node_for(self, box: CellId) -> QuadNode | None:
         return self.nodes_by_cell.get(box)
+
+    def stored_index(self, cell: CellId) -> int | None:
+        """The first input index whose box is ``cell``, if any."""
+        return self._index_of.get(cell)
 
     def subtree_count(self, box: CellId) -> int:
         """Number of inputs whose box lies on or below an arbitrary cell."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize
 from .metrics import bridge_level_estimate, d2_path, lambda_
-from .quadtree import COMPRESSED, QuadTree, build_quadtree, shadow_within
+from .quadtree import COMPRESSED, QuadTree, box_adjacent, build_quadtree, shadow_within
 from .shortcut import shortcut_forest
 from .tiling import CellId, HPoint, ancestor_at, cell_of, center, children, horizontal_neighbors, is_ancestor_or_self
 
@@ -112,26 +112,8 @@ class SpannerGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def box_adjacent(a: CellId, b: CellId) -> bool:
-    """Closed shadows intersect but neither contains the other.
-
-    Dyadic boxes are nested or interior-disjoint, so this is exactly
-    "touching along the boundary", corners included.
-    """
-    if shadow_within(a, b) or shadow_within(b, a):
-        return False
-    lev = min(a.level, b.level)
-    sa, sb = a.level - lev, b.level - lev
-    for ka, kb in zip(a.coords, b.coords):
-        lo = max(ka << sa, kb << sb)
-        hi = min((ka + 1) << sa, (kb + 1) << sb)
-        if lo > hi:
-            return False
-    return True
-
-
 def _stored(tree: QuadTree, cell: CellId) -> bool:
-    return cell in tree._index_of
+    return tree.stored_index(cell) is not None
 
 
 def _in_root(tree: QuadTree, cell: CellId) -> bool:
@@ -157,7 +139,15 @@ def _bridge_candidate(tree: QuadTree, r: CellId, r2: CellId) -> bool:
 
 
 def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
-    """A superset of every bridge used by a d2-path between stored inputs."""
+    """A superset of every bridge used by a d2-path between stored inputs.
+
+    Bridges with a stored endpoint box come from per-node neighbor
+    checks.  Bridges inside compressed gaps come from adjacent pairs of
+    occupied compressed nodes; an adjacent box meets the other's
+    boundary, so each node's partners are found by one pruned descent
+    along its boundary (:meth:`QuadTree.compressed_on_boundary`), not by
+    testing every pair.  Each pair is taken once, in preorder.
+    """
     bridges: set[Bridge] = set()
     compressed: list = []
     for node in tree.iter_nodes():
@@ -175,9 +165,10 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
                 bridges.add(Bridge.of(r, r2))
     # bridges with neither endpoint stored: both endpoints span compressed
     # gaps; the witness d2-path between the gap bottoms finds the bridge
+    order = {nu: i for i, nu in enumerate(compressed)}
     for i, nu in enumerate(compressed):
-        for nu2 in compressed[i + 1 :]:
-            if not box_adjacent(nu.cell, nu2.cell):
+        for nu2 in tree.compressed_on_boundary(nu.cell):
+            if order[nu2] <= i or not box_adjacent(nu.cell, nu2.cell):
                 continue
             w1 = nu.children[0].cell
             w2 = nu2.children[0].cell

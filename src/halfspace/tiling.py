@@ -47,7 +47,8 @@ class CellId:
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point of the halfspace: D-1 horizontal coordinates and height z > 0."""
+    """A point of the halfspace: D-1 finite horizontal coordinates and a
+    finite height z > 0."""
 
     x: tuple[float, ...]
     z: float
@@ -55,8 +56,11 @@ class HPoint:
     def __post_init__(self) -> None:
         if not isinstance(self.x, tuple):
             object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if not self.z > 0:
-            raise ValueError(f"z must be positive, got {self.z}")
+        for v in self.x:
+            if not math.isfinite(v):
+                raise ValueError(f"x coordinates must be finite, got {self.x}")
+        if not 0 < self.z < math.inf:
+            raise ValueError(f"z must be positive and finite, got {self.z}")
 
     @property
     def dim(self) -> int:

@@ -48,6 +48,18 @@ def test_pointfile_rejects_garbage():
         read_points(io.StringIO('{"dim": 2, "kind": "continuous"}\n'))
 
 
+@pytest.mark.parametrize(
+    "line",
+    ['{"x": [NaN], "z": 1.0}', '{"x": [Infinity], "z": 1.0}', '{"x": [0.3], "z": Infinity}', '{"x": [0.3], "z": NaN}'],
+)
+def test_build_rejects_nonfinite_points(tmp_path, capsys, line):
+    pts = tmp_path / "pts.jsonl"
+    pts.write_text('{"dim": 2, "kind": "continuous"}\n{"x": [0.25], "z": 0.5}\n' + line + "\n")
+    code, out, err = run(["build", "--what", "avd", "--in", str(pts)], capsys)
+    assert code == 2
+    assert "line 3" in json.loads(err)["error"]
+
+
 # -- subcommands ------------------------------------------------------------------
 
 

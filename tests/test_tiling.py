@@ -173,6 +173,28 @@ def test_hpoint_rejects_nonpositive_z():
         HPoint((0.0,), -2.0)
 
 
+def test_hpoint_rejects_nan_x():
+    with pytest.raises(ValueError, match="finite"):
+        HPoint((math.nan,), 1.0)
+
+
+def test_hpoint_rejects_inf_x():
+    with pytest.raises(ValueError, match="finite"):
+        HPoint((math.inf,), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        HPoint([0.5, -math.inf], 1.0)
+
+
+def test_hpoint_rejects_inf_z():
+    with pytest.raises(ValueError, match="finite"):
+        HPoint((0.3,), math.inf)
+
+
+def test_hpoint_rejects_nan_z():
+    with pytest.raises(ValueError):
+        HPoint((0.3,), math.nan)
+
+
 @settings(max_examples=40)
 @given(cells)
 def test_neighbors_differ_by_one_per_axis(c):
