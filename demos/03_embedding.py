@@ -3,7 +3,7 @@
 import math
 import random
 
-from halfspace import HPoint, distortion_report, embed, hyperbolic_distance, normalize
+from halfspace import HPoint, distortion_report, hyperbolic_distance, normalize
 from halfspace.hyperbolic import deviation_window_points_d1, embedding_displacement_bound
 from halfspace.tiling import center
 

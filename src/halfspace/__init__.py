@@ -15,7 +15,6 @@ from .hyperbolic import (
     NormalizeTransform,
     DistortionReport,
     hyperbolic_distance,
-    embed,
     normalize,
     distortion_report,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "NormalizeTransform",
     "DistortionReport",
     "hyperbolic_distance",
-    "embed",
     "normalize",
     "distortion_report",
     "QuadTree",

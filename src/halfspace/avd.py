@@ -22,11 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .hyperbolic import NormalizeTransform, normalize
+from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2
 from .quadtree import (
     COMPRESSED,
-    LEAF,
     ORDINARY,
     QuadNode,
     QuadTree,
@@ -56,19 +55,14 @@ def _highest_key(points: list[CellId]):
 
 def fill_highest(tree: QuadTree) -> None:
     """Bottom-up pass: h = highest-level input per subtree, ties by index."""
-    points = tree.points
-    key = _highest_key(points)
-
-    def visit(node: QuadNode) -> int | None:
+    key = _highest_key(tree.points)
+    for node in reversed(list(tree.iter_nodes())):
         best = node.stored_index
         for ch in node.children:
-            sub = visit(ch)
+            sub = ch.h_index
             if sub is not None and (best is None or key(sub) < key(best)):
                 best = sub
         node.h_index = best
-        return best
-
-    visit(tree.root)
 
 
 def refine(tree: QuadTree) -> QuadTree:
@@ -87,7 +81,7 @@ def refine(tree: QuadTree) -> QuadTree:
     targets = [node.cell for node in tree.iter_nodes() if node.count > 0]
     for cell in targets:
         for nb in horizontal_neighbors(cell):
-            if nb.level <= 0 and shadow_within(nb, tree.root_cell):
+            if tree.in_root(nb):
                 refined.insert_box(nb)
     return refined
 
@@ -119,7 +113,7 @@ def annotate(tree: QuadTree) -> None:
 
     def neighbor_candidates(best, cell: CellId, origin: CellId):
         for nb in horizontal_neighbors(cell):
-            if nb.level <= 0 and shadow_within(nb, tree.root_cell):
+            if tree.in_root(nb):
                 best = _candidate(best, tree.highest_under(nb), origin, points)
         return best
 
@@ -195,23 +189,12 @@ class AvdIndex:
         return self.tree.points
 
     def region_of(self, q: CellId) -> QuadNode:
-        """The unique node whose Voronoi region contains the cell center."""
-        node = self.tree.root
-        while True:
-            if node.kind == LEAF:
-                return node
-            if node.kind == COMPRESSED:
-                child = node.children[0]
-                if q.level <= child.cell.level and shadow_within(q, child.cell):
-                    node = child
-                    continue
-                return node
-            if node.cell.level == q.level:
-                return node
-            node = self.tree.nodes_by_cell[ancestor_at(q, node.cell.level - 1)]
+        """The unique node whose Voronoi region contains the cell center:
+        the lowest node whose box contains ``q``."""
+        return self.tree.smallest_containing(q)
 
     def is_out_of_range(self, q: CellId) -> bool:
-        return q.level > 0 or not shadow_within(q, self.tree.root_cell)
+        return not self.tree.in_root(q)
 
     def to_json(self) -> str:
         data = self.tree.to_dict()
@@ -246,8 +229,7 @@ def build_avd(points: list[HPoint] | list[CellId]) -> AvdIndex:
     if not points:
         raise ValueError("cannot index an empty point set")
     if isinstance(points[0], HPoint):
-        transform, moved = normalize(points)
-        cells = [cell_of(p) for p in moved]
+        transform, _, cells = normalize_and_embed(points)
         source = "continuous"
     else:
         transform, cells = None, list(points)

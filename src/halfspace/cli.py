@@ -17,6 +17,7 @@ import sys
 import time
 
 from . import avd as avd_mod
+from .hyperbolic import normalize_and_embed
 from .layouts import SPANNER_DEMO_POINTS
 from .metrics import d2_path
 from .oracle import dijkstra
@@ -24,7 +25,7 @@ from .pointfile import CONTINUOUS, DISCRETE, PointFileError, read_points, write_
 from .quadtree import COMPRESSED, LEAF, build_quadtree
 from .sampling import STRATIFIED, UNIFORM, sample_cells, sample_continuous, sample_margin_cells
 from .spanner import build_embedding_graph, build_hyperbolic_spanner, build_spanner
-from .tiling import CellId, HPoint, cell_of, center
+from .tiling import CellId, HPoint, center
 from .verification import run_verification
 
 
@@ -90,10 +91,7 @@ def _load_points(path: str):
 def _cells_from(kind: str, points) -> list[CellId]:
     if kind == DISCRETE:
         return points
-    from .hyperbolic import normalize
-
-    _, moved = normalize(points)
-    return [cell_of(p) for p in moved]
+    return normalize_and_embed(points)[2]
 
 
 def cmd_build(args) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,20 +32,21 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     gap = math.hypot(*(a - b for a, b in zip(p.x, q.x)), p.z - q.z)
     if gap == 0.0:
         return 0.0
-    return 2.0 * math.asinh(0.5 * gap / math.sqrt(p.z * q.z))
-
-
-def embed(p: HPoint) -> CellId:
-    """The cell whose center stands in for ``p`` in the discrete models.
-
-    The center is within 2*arsinh(sqrt(D)/4) of ``p``, which is below
-    ln(D) for every D >= 2.
-    """
-    return cell_of(p)
+    zz = p.z * q.z
+    # p.z * q.z underflows for tiny heights; the split root avoids that
+    # but differs from sqrt(p.z * q.z) in the last bit for about a third
+    # of height pairs, so it is used only where the product is subnormal
+    root = math.sqrt(zz) if zz >= sys.float_info.min else math.sqrt(p.z) * math.sqrt(q.z)
+    return 2.0 * math.asinh(0.5 * gap / root)
 
 
 def embedding_displacement_bound(dim: int) -> float:
-    """2*arsinh(sqrt(D)/4), the guaranteed bound on d_H(p, center(embed(p)))."""
+    """2*arsinh(sqrt(D)/4), the guaranteed bound on d_H(p, center(cell_of(p))).
+
+    :func:`halfspace.tiling.cell_of` maps a point to the cell whose
+    center stands in for it in the discrete models; that bound is below
+    ln(D) for every D >= 2.
+    """
     return 2.0 * math.asinh(math.sqrt(dim) / 4.0)
 
 
@@ -101,6 +103,16 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
     return t, t.apply_all(points)
 
 
+def normalize_and_embed(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint], list[CellId]]:
+    """Normalize a point set and map each moved point to its cell.
+
+    Returns the transform, the moved points and their cells, in input
+    order; this is how every continuous input enters the discrete models.
+    """
+    transform, moved = normalize(points)
+    return transform, moved, [cell_of(p) for p in moved]
+
+
 def deviation_window_cells(dim: int) -> tuple[float, float]:
     """Bounds on d_H(p,q) - ln(2)*d1(p,q) for two cell centers."""
     return (-7.0 * math.log(2.0), math.log(dim) + 2.0 + 6.0 * math.log(2.0))
@@ -151,7 +163,7 @@ def distortion_report(points: Sequence[HPoint], samples: int, seed: int = 0) -> 
     w1 = deviation_window_points_d1(dim)
     w2 = deviation_window_points_d2(dim)
     rng = random.Random(seed)
-    cells = [embed(p) for p in points]
+    cells = [cell_of(p) for p in points]
     n = len(points)
     dev1: list[float] = []
     dev2: list[float] = []

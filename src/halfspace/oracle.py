@@ -292,7 +292,7 @@ def bridges_scan(tree) -> list:
     """
     from .metrics import bridge_level_estimate
     from .quadtree import COMPRESSED, box_adjacent
-    from .spanner import Bridge, _bridge_candidate, _in_root
+    from .spanner import Bridge, bridge_candidate
     from .tiling import is_ancestor_or_self
 
     bridges = set()
@@ -304,11 +304,11 @@ def bridges_scan(tree) -> list:
             continue
         r = node.cell
         for r2 in horizontal_neighbors(r):
-            if not _in_root(tree, r2):
+            if not tree.in_root(r2):
                 continue
             if tree.subtree_count(r2) == 0:
                 continue
-            if _bridge_candidate(tree, r, r2):
+            if bridge_candidate(tree, r, r2):
                 bridges.add(Bridge.of(r, r2))
     for i, nu in enumerate(compressed):
         for nu2 in compressed[i + 1 :]:

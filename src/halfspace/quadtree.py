@@ -139,6 +139,11 @@ class QuadNode:
         return f"QuadNode({self.cell!r}, {self.kind}, count={self.count})"
 
 
+def _recount(node: QuadNode) -> None:
+    """Inputs under a node from its children's counts and its own box."""
+    node.count = (1 if node.stored_index is not None else 0) + sum(ch.count for ch in node.children)
+
+
 class QuadTree:
     """Compressed quadtree storing input cells as boxes.
 
@@ -155,13 +160,13 @@ class QuadTree:
         for i, c in enumerate(points):
             if c.dim != dim:
                 raise ValueError(f"point {c!r} has dimension {c.dim}, expected {dim}")
-            if c.level > 0 or not shadow_within(c, self.root_cell):
+            if not self.in_root(c):
                 raise ValueError(f"point {c!r} lies outside the root cell's shadow")
             self._index_of.setdefault(c, i)
         distinct = sorted(self._index_of, key=self._index_of.get)
         self.nodes_by_cell: dict[CellId, QuadNode] = {}
         self.root = self._build(self.root_cell, distinct)
-        self._refresh_counts(self.root)
+        self._refresh_counts()
 
     # -- construction -------------------------------------------------
 
@@ -195,11 +200,9 @@ class QuadTree:
             node.children.append(child)
         return node
 
-    def _refresh_counts(self, node: QuadNode) -> int:
-        node.count = (1 if node.stored_index is not None else 0) + sum(
-            self._refresh_counts(ch) for ch in node.children
-        )
-        return node.count
+    def _refresh_counts(self) -> None:
+        for node in reversed(list(self.iter_nodes())):
+            _recount(node)
 
     # -- traversal ----------------------------------------------------
 
@@ -243,10 +246,14 @@ class QuadTree:
 
     # -- queries ------------------------------------------------------
 
+    def in_root(self, cell: CellId) -> bool:
+        """Does the cell lie on or below the root cell, inside its shadow?"""
+        return shadow_within(cell, self.root_cell)
+
     def _check_in_root(self, box: CellId) -> None:
         if box.dim != self.dim:
             raise ValueError(f"box dimension {box.dim} does not match tree dimension {self.dim}")
-        if box.level > 0 or not shadow_within(box, self.root_cell):
+        if not self.in_root(box):
             raise ValueError(f"box {box!r} is outside the root cell's shadow")
 
     def locate(self, x: tuple[float, ...]) -> QuadNode:
@@ -261,7 +268,7 @@ class QuadTree:
                 return node
             if node.kind == COMPRESSED:
                 child = node.children[0]
-                if self._shadow_holds(child.cell, x):
+                if self.shadow_holds(child.cell, x):
                     node = child
                 else:
                     return node  # x is in the annular region
@@ -271,36 +278,24 @@ class QuadTree:
             node = self.nodes_by_cell[key]
 
     @staticmethod
-    def _shadow_holds(cell: CellId, x: tuple[float, ...]) -> bool:
+    def shadow_holds(cell: CellId, x: tuple[float, ...]) -> bool:
+        """Does the half-open shadow of ``cell`` contain the point ``x``?"""
         lev = cell.level
         return all(math.floor(math.ldexp(v, -lev)) == k for v, k in zip(x, cell.coords))
 
     def cell_query(self, box: CellId) -> tuple[QuadNode | None, QuadNode | None]:
         """Largest stored box inside ``box`` and smallest stored box containing it."""
         self._check_in_root(box)
-        return self._largest_contained(box), self._smallest_containing(box)
+        return self._topmost_under(box), self.smallest_containing(box)
 
-    def _largest_contained(self, box: CellId) -> QuadNode | None:
-        node = self.root
-        if shadow_within(node.cell, box):
-            return node
-        while True:
-            if node.kind == LEAF:
-                return None
-            if node.kind == COMPRESSED:
-                child = node.children[0]
-                if shadow_within(child.cell, box):
-                    return child
-                if shadow_within(box, child.cell):
-                    node = child
-                    continue
-                return None  # box lies in the annulus; nothing stored inside
-            key = ancestor_at(box, node.cell.level - 1)
-            node = self.nodes_by_cell[key]
-            if shadow_within(node.cell, box):
-                return node
+    def smallest_containing(self, box: CellId) -> QuadNode:
+        """The lowest node whose box contains ``box`` (point location).
 
-    def _smallest_containing(self, box: CellId) -> QuadNode:
+        Descends from the root: an ordinary node hands over to its child
+        cell containing ``box``, a compressed node to its child if that
+        still contains ``box``.  The descent stops at a leaf, at a
+        compressed node whose gap holds ``box``, or at ``box`` itself.
+        """
         node = self.root
         while True:
             if node.kind == LEAF or node.cell.level == box.level:
@@ -315,6 +310,21 @@ class QuadTree:
 
     # -- subtree content without materialized nodes --------------------
 
+    def _topmost_under(self, box: CellId) -> QuadNode | None:
+        """The topmost node on or below ``box``, if any.
+
+        Either ``box`` is a node, or it is not and lies below a leaf or
+        inside the gap of a compressed node; only that node's child can
+        then lie inside ``box``.
+        """
+        node = self.nodes_by_cell.get(box)
+        if node is not None:
+            return node
+        holder = self.smallest_containing(box)
+        if holder.kind == COMPRESSED and shadow_within(holder.children[0].cell, box):
+            return holder.children[0]
+        return None
+
     def node_for(self, box: CellId) -> QuadNode | None:
         return self.nodes_by_cell.get(box)
 
@@ -325,31 +335,15 @@ class QuadTree:
     def subtree_count(self, box: CellId) -> int:
         """Number of inputs whose box lies on or below an arbitrary cell."""
         self._check_in_root(box)
-        node = self.nodes_by_cell.get(box)
-        if node is not None:
-            return node.count
-        holder = self._smallest_containing(box)
-        if holder.kind != COMPRESSED:
-            return 0
-        child = holder.children[0]
-        if shadow_within(child.cell, box):
-            return child.count
-        return 0
+        node = self._topmost_under(box)
+        return 0 if node is None else node.count
 
     def highest_under(self, box: CellId) -> int | None:
         """Index of the highest-level input on or below ``box`` (smallest
         index among ties); requires the Voronoi pass to have filled h."""
         self._check_in_root(box)
-        node = self.nodes_by_cell.get(box)
-        if node is not None:
-            return node.h_index
-        holder = self._smallest_containing(box)
-        if holder.kind != COMPRESSED:
-            return None
-        child = holder.children[0]
-        if shadow_within(child.cell, box):
-            return child.h_index
-        return None
+        node = self._topmost_under(box)
+        return None if node is None else node.h_index
 
     # -- insertion ----------------------------------------------------
 
@@ -359,7 +353,7 @@ class QuadTree:
         existing = self.nodes_by_cell.get(box)
         if existing is not None:
             return existing
-        holder = self._smallest_containing(box)
+        holder = self.smallest_containing(box)
         if holder.kind == LEAF:
             node = self._attach_chain(holder, box)
         else:  # compressed; ordinary holders always descend further
@@ -383,7 +377,7 @@ class QuadTree:
             node.parent = holder
             node.children = [child]
             child.parent = node
-            node.count = child.count + (1 if node.stored_index is not None else 0)
+            _recount(node)
             return node
         # box lies in the annulus: branch at the meet of box and child
         # (which can be the holder cell itself)
@@ -394,7 +388,6 @@ class QuadTree:
             branch = self._new_node(branch_cell, ORDINARY)
             branch.parent = holder
             holder.children = [branch]
-            branch.count = child.count
         old_child = child
         branch.kind = ORDINARY
         branch.children = []
@@ -416,15 +409,10 @@ class QuadTree:
                 sub = self._new_node(cc, LEAF)
             sub.parent = branch
             branch.children.append(sub)
-        branch.count = (1 if branch.stored_index is not None else 0) + sum(
-            ch.count for ch in branch.children
-        )
         node = branch
-        while node.parent is not None:
+        while node is not None:
+            _recount(node)
             node = node.parent
-            node.count = (1 if node.stored_index is not None else 0) + sum(
-                ch.count for ch in node.children
-            )
         assert target is not None
         return target
 
@@ -435,7 +423,7 @@ class QuadTree:
         node = self._new_node(cell, COMPRESSED)
         node.children = [descendant]
         descendant.parent = node
-        node.count = descendant.count + (1 if node.stored_index is not None else 0)
+        _recount(node)
         return node
 
     # -- serialization -------------------------------------------------
@@ -482,7 +470,7 @@ class QuadTree:
                 node.parent.children.append(node)
             built.append(node)
         tree.root = built[0]
-        tree._refresh_counts(tree.root)
+        tree._refresh_counts()
         return tree
 
 

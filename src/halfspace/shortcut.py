@@ -71,6 +71,11 @@ def _depths_and_children(parent: dict[int, int | None]):
     return roots, children, depth
 
 
+def forest_height(parent: dict[int, int | None]) -> int:
+    """Depth of the deepest vertex of an upward forest (0 when empty)."""
+    return max(_depths_and_children(parent)[2].values(), default=0)
+
+
 def _subtree_sizes(root: int, children: dict[int, list[int]], alive: set[int]) -> dict[int, int]:
     size: dict[int, int] = {}
     order = []

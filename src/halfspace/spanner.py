@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize
+from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
 from .metrics import bridge_level_estimate, d2_path, lambda_
-from .quadtree import COMPRESSED, QuadTree, box_adjacent, build_quadtree, shadow_within
-from .shortcut import shortcut_forest
-from .tiling import CellId, HPoint, ancestor_at, cell_of, center, children, horizontal_neighbors, is_ancestor_or_self
+from .quadtree import COMPRESSED, QuadTree, box_adjacent, build_quadtree
+from .shortcut import forest_height, shortcut_forest
+from .tiling import CellId, HPoint, ancestor_at, center, children, horizontal_neighbors, is_ancestor_or_self
 
 INPUT = "input"
 STEINER = "steiner"
@@ -112,25 +112,17 @@ class SpannerGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _stored(tree: QuadTree, cell: CellId) -> bool:
-    return tree.stored_index(cell) is not None
-
-
-def _in_root(tree: QuadTree, cell: CellId) -> bool:
-    return cell.level <= 0 and shadow_within(cell, tree.root_cell)
-
-
-def _bridge_candidate(tree: QuadTree, r: CellId, r2: CellId) -> bool:
+def bridge_candidate(tree: QuadTree, r: CellId, r2: CellId) -> bool:
     """Can (r, r2) be the bridge of some input pair's d2-path?
 
     True when both sides hold inputs and either side's box is itself an
     input, or some occupied child of one side is not a neighbor of some
     occupied child of the other (that pair's path cannot bridge lower).
     """
-    if _stored(tree, r) or _stored(tree, r2):
+    if tree.stored_index(r) is not None or tree.stored_index(r2) is not None:
         return True
     kids_r = [c for c in children(r) if tree.subtree_count(c) > 0]
-    kids_r2 = [c for c in children(r2) if _in_root(tree, c) and tree.subtree_count(c) > 0]
+    kids_r2 = [c for c in children(r2) if tree.in_root(c) and tree.subtree_count(c) > 0]
     for c in kids_r:
         for c2 in kids_r2:
             if lambda_(c, c2) >= 2:
@@ -157,11 +149,11 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
             continue
         r = node.cell
         for r2 in horizontal_neighbors(r):
-            if not _in_root(tree, r2):
+            if not tree.in_root(r2):
                 continue
             if tree.subtree_count(r2) == 0:
                 continue
-            if _bridge_candidate(tree, r, r2):
+            if bridge_candidate(tree, r, r2):
                 bridges.add(Bridge.of(r, r2))
     # bridges with neither endpoint stored: both endpoints span compressed
     # gaps; the witness d2-path between the gap bottoms finds the bridge
@@ -281,27 +273,12 @@ def build_embedding_graph(points: list[HPoint]) -> tuple[SpannerGraph, dict[int,
     """
     if not points:
         raise ValueError("cannot embed an empty point set")
-    transform, moved = normalize(points)
-    cells = [cell_of(p) for p in moved]
+    transform, _, cells = normalize_and_embed(points)
     graph = build_spanner(cells)
     graph.metric = "ln2-scaled"
     graph.edges = [(u, v, w * math.log(2.0)) for u, v, w in graph.edges]
     mapping = {i: graph.vertex_of_cell[c] for i, c in enumerate(cells)}
     return graph, mapping, transform
-
-
-def _forest_height(parent: dict[int, int | None]) -> int:
-    depth: dict[int, int] = {}
-
-    def get(v: int) -> int:
-        d = depth.get(v)
-        if d is None:
-            p = parent[v]
-            d = 0 if p is None else get(p) + 1
-            depth[v] = d
-        return d
-
-    return max((get(v) for v in parent), default=0)
 
 
 def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
@@ -318,13 +295,12 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
         raise ValueError(f"hop budget must be at least 1, got {k}")
     if not points:
         raise ValueError("cannot build a spanner over an empty point set")
-    transform, moved = normalize(points)
-    cells = [cell_of(p) for p in moved]
+    _, moved, cells = normalize_and_embed(points)
     base = build_spanner(cells)
     parent = up_edge_map(base)
     # beyond the forest height the budget is saturated: spend it on the
     # full closure so every vertical run collapses to a single edge
-    cuts = shortcut_forest(parent, 1 if k >= _forest_height(parent) else k)
+    cuts = shortcut_forest(parent, 1 if k >= forest_height(parent) else k)
 
     graph = SpannerGraph(metric="hyperbolic")
     for v in base.vertices:

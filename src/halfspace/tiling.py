@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 
@@ -155,10 +156,15 @@ def cell_of(p: HPoint) -> CellId:
 
     The level is the maximum one whose slab contains z (so a point on a
     horizontal facet belongs to the bigger cell above it); per axis the
-    box is taken as [k*2^i, (k+1)*2^i).
+    box is taken as [k*2^i, (k+1)*2^i).  The floor of x/2^i is taken in
+    exact integer arithmetic, so subnormal heights (i down to -1074)
+    cannot overflow it.
     """
     i = level_of_height(p.z)
-    return CellId(i, tuple(math.floor(math.ldexp(x, -i)) for x in p.x))
+    ratios = (x.as_integer_ratio() for x in p.x)  # denominators are powers of 2
+    if i <= 0:
+        return CellId(i, tuple((n << -i) // d for n, d in ratios))
+    return CellId(i, tuple(n // (d << i) for n, d in ratios))
 
 
 def ancestor_at(c: CellId, level: int) -> CellId:
@@ -177,8 +183,9 @@ def is_ancestor_or_self(a: CellId, c: CellId) -> bool:
 
 
 def contains_point(c: CellId, p: HPoint) -> bool:
-    """Half-open geometric membership test (used by the oracles)."""
+    """Half-open geometric membership test (used by the oracles), in
+    exact rational arithmetic so it holds at every level."""
     if level_of_height(p.z) != c.level:
         return False
-    w = math.ldexp(1.0, c.level)
-    return all(k * w <= x < (k + 1) * w for k, x in zip(c.coords, p.x))
+    w = Fraction(2) ** c.level
+    return all(k * w <= Fraction(x) < (k + 1) * w for k, x in zip(c.coords, p.x))

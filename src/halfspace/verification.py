@@ -20,7 +20,6 @@ from .hyperbolic import (
     distortion_report,
     embedding_displacement_bound,
     hyperbolic_distance,
-    embed,
 )
 from .layouts import SPANNER_DEMO_DISTANCE_2_5, SPANNER_DEMO_POINTS, TIGHT_GAP_PAIR, TRIANGLE_VIOLATION_TRIPLE
 from .metrics import bridge_level_estimate, d1, d2, d2_path
@@ -29,7 +28,7 @@ from .quadtree import COMPRESSED, LEAF, build_quadtree
 from .sampling import distinct, sample_cells, sample_continuous, sample_margin_cells
 from .shortcut import shortcut_forest
 from .spanner import build_hyperbolic_spanner, build_spanner, realized_path_length
-from .tiling import CellId, center, is_ancestor_or_self
+from .tiling import CellId, cell_of, center, is_ancestor_or_self
 
 
 def _round(x: float) -> float:
@@ -98,7 +97,7 @@ def check_embedding_distortion(rng: random.Random, dim: int, n_samples: int) -> 
     worst = 0.0
     for _ in range(n_samples):
         p = sample_continuous(rng, dim, 1, mode="stratified")[0]
-        got = hyperbolic_distance(p, center(embed(p)))
+        got = hyperbolic_distance(p, center(cell_of(p)))
         worst = max(worst, got)
         if got > bound + 1e-9 or (dim >= 3 and got >= math.log(dim)):
             displacement_violations += 1
@@ -131,9 +130,9 @@ def check_quadtree(rng: random.Random, dim: int, n: int) -> dict:
         owners = 0
         for r in regions:
             if r.kind == LEAF:
-                inside = tree._shadow_holds(r.cell, x)
+                inside = tree.shadow_holds(r.cell, x)
             else:
-                inside = tree._shadow_holds(r.cell, x) and not tree._shadow_holds(
+                inside = tree.shadow_holds(r.cell, x) and not tree.shadow_holds(
                     r.children[0].cell, x
                 )
             owners += inside

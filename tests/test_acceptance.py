@@ -15,7 +15,6 @@ import pytest
 from halfspace.avd import build_avd, query, query_hyperbolic
 from halfspace.hyperbolic import (
     deviation_window_points_d1,
-    embed,
     embedding_displacement_bound,
     hyperbolic_distance,
 )
@@ -25,7 +24,7 @@ from halfspace.oracle import d1_bfs, dijkstra, hop_bounded_distances, nn_brutefo
 from halfspace.sampling import distinct, sample_cells, sample_continuous, sample_margin_cells
 from halfspace.shortcut import shortcut_forest
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner, path_context, realized_path_length
-from halfspace.tiling import CellId, HPoint, center, is_ancestor_or_self
+from halfspace.tiling import CellId, HPoint, cell_of, center, is_ancestor_or_self
 from halfspace.verification import run_verification
 
 SEED = 20240811
@@ -98,7 +97,7 @@ def test_04_embedding_distortion():
         lo, hi = deviation_window_points_d1(dim)
         disp_bound = embedding_displacement_bound(dim)
         pts = sample_continuous(rng, dim, 200, mode="stratified")
-        cells = [embed(p) for p in pts]
+        cells = [cell_of(p) for p in pts]
         w_min, w_max = math.inf, -math.inf
         for _ in range(10_000):
             i, j = rng.randrange(len(pts)), rng.randrange(len(pts))
@@ -107,7 +106,7 @@ def test_04_embedding_distortion():
             assert lo - TOL <= dev <= hi + TOL, (dim, i, j)
         for _ in range(10_000):
             p = sample_continuous(rng, dim, 1, mode="stratified")[0]
-            disp = hyperbolic_distance(p, center(embed(p)))
+            disp = hyperbolic_distance(p, center(cell_of(p)))
             assert disp <= disp_bound + TOL
             if dim >= 3:
                 assert disp < math.log(dim)

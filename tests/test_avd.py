@@ -315,3 +315,13 @@ def test_discrete_index_roundtrip(rng):
     for _ in range(300):
         q = random_query_cell(rng, 2)
         assert query(back, q) == query(ix, q)
+
+
+def test_build_avd_nested_chain_497_levels():
+    # 497 nested input boxes along x = 0.3 overflowed the recursive
+    # subtree counts; the counts and the highest-input pass now loop
+    chain = [C(-lev, math.floor(0.3 * 2**lev)) for lev in range(2, 499)]
+    ix = build_avd(chain)
+    assert ix.tree.root.count == 497
+    assert ix.highest_index == 0
+    assert query(ix, chain[-1]) == 496

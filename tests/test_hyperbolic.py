@@ -10,13 +10,12 @@ from halfspace.hyperbolic import (
     deviation_window_points_d1,
     deviation_window_points_d2,
     distortion_report,
-    embed,
     embedding_displacement_bound,
     hyperbolic_distance,
     normalize,
 )
 from halfspace.metrics import d1
-from halfspace.tiling import CellId, HPoint, center, is_ancestor_or_self
+from halfspace.tiling import CellId, HPoint, cell_of, center, is_ancestor_or_self
 
 from conftest import random_cell
 
@@ -57,6 +56,17 @@ def test_distance_symmetric_and_triangle(rng):
         assert hyperbolic_distance(p, r) <= hyperbolic_distance(p, q) + hyperbolic_distance(q, r) + 1e-9
 
 
+def test_distance_heights_1e_170():
+    # z(p) * z(q) = 1e-340 underflows to 0
+    got = hyperbolic_distance(H(1e-170, 0.1), H(1e-170, 0.2))
+    assert got == pytest.approx(2.0 * math.asinh(0.05e170), rel=1e-12)
+    # homotheties are isometries
+    s = 1e-170
+    assert hyperbolic_distance(H(s, 0.1 * s), H(2 * s, 0.3 * s)) == pytest.approx(
+        hyperbolic_distance(H(1.0, 0.1), H(2.0, 0.3)), rel=1e-12
+    )
+
+
 def test_distance_rejects_bad_input():
     with pytest.raises(ValueError):
         hyperbolic_distance(H(1.0, 0.0), H(1.0, 0.0, 0.0))
@@ -74,13 +84,13 @@ def test_arsinh_log_upper_bound():
 def test_embed_center_is_fixed():
     for c in [CellId(0, (0,)), CellId(-3, (5,)), CellId(2, (-1, 4))]:
         b = center(c)
-        assert embed(b) == c
-        assert hyperbolic_distance(b, center(embed(b))) == 0.0
+        assert cell_of(b) == c
+        assert hyperbolic_distance(b, center(cell_of(b))) == 0.0
 
 
 def test_embed_known_cell_and_distance():
     p = H(1.5, 0.3)
-    c = embed(p)
+    c = cell_of(p)
     assert c == CellId(0, (0,))
     got = hyperbolic_distance(p, center(c))
     assert got == pytest.approx(0.13323476491110579, abs=1e-12)
@@ -94,7 +104,7 @@ def test_embed_displacement_bound(rng):
         bound = embedding_displacement_bound(dim)
         for _ in range(2000):
             p = random_hpoint(rng, dim)
-            got = hyperbolic_distance(p, center(embed(p)))
+            got = hyperbolic_distance(p, center(cell_of(p)))
             assert got <= bound + 1e-9
             if dim >= 3:
                 assert got < math.log(dim)
@@ -184,7 +194,7 @@ def test_vertical_dyadic_pairs_have_zero_deviation():
     # two points one above the other with a power-of-two height ratio sit
     # in cells on one ancestor chain; scaled d1 matches d_H exactly
     p, q = H(1.2, 0.3), H(2.4, 0.3)
-    cp, cq = embed(p), embed(q)
+    cp, cq = cell_of(p), cell_of(q)
     assert is_ancestor_or_self(cq, cp)
     dev = hyperbolic_distance(p, q) - math.log(2.0) * d1(cp, cq)
     assert abs(dev) <= 1e-12

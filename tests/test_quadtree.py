@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from halfspace.avd import fill_highest
 from halfspace.oracle import cell_query_scan
 from halfspace.quadtree import (
     COMPRESSED,
@@ -165,9 +166,9 @@ def test_node_count_linear(rng):
 def region_holds(tree: QuadTree, node, x):
     """Geometric membership of x in the node's box or annular region."""
     if node.kind == LEAF:
-        return QuadTree._shadow_holds(node.cell, x)
+        return QuadTree.shadow_holds(node.cell, x)
     if node.kind == COMPRESSED:
-        return QuadTree._shadow_holds(node.cell, x) and not QuadTree._shadow_holds(
+        return QuadTree.shadow_holds(node.cell, x) and not QuadTree.shadow_holds(
             node.children[0].cell, x
         )
     return False
@@ -234,16 +235,20 @@ def test_cell_query_matches_linear_scan(rng):
 
 
 def test_subtree_count_and_highest(rng):
-    pts = [random_box_in_root(rng, 2) for _ in range(25)]
-    tree = build_quadtree(pts)
-    for _ in range(400):
-        q = random_box_in_root(rng, 2)
-        expected = sum(
-            1
-            for c in tree._index_of
-            if shadow_within(c, q) and c.level <= q.level
-        )
-        assert tree.subtree_count(q) == expected
+    for dim in (2, 3):
+        for trial in range(8):
+            pts = [random_box_in_root(rng, dim) for _ in range(rng.randint(1, 25))]
+            tree = build_quadtree(pts)
+            if trial % 2:
+                for _ in range(rng.randint(1, 12)):
+                    tree.insert_box(random_box_in_root(rng, dim))
+            fill_highest(tree)
+            for _ in range(200):
+                q = random_box_in_root(rng, dim)
+                under = [i for i, c in enumerate(tree.points) if shadow_within(c, q)]
+                assert tree.subtree_count(q) == len({tree.points[i] for i in under})
+                highest = min(under, key=lambda i: (-tree.points[i].level, i), default=None)
+                assert tree.highest_under(q) == highest
 
 
 # -- insertion -------------------------------------------------------------

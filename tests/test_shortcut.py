@@ -3,12 +3,19 @@ import random
 
 import pytest
 
-from halfspace.shortcut import ShortcutSet, reference_size, shortcut_forest
+from halfspace.shortcut import ShortcutSet, forest_height, reference_size, shortcut_forest
 
 
 def path_parent(n):
     """Upward path 0 -> 1 -> ... -> n-1 (n-1 is the root)."""
     return {i: (i + 1 if i + 1 < n else None) for i in range(n)}
+
+
+def test_forest_height_path_5000():
+    # deeper than the interpreter's recursion limit
+    assert forest_height(path_parent(5000)) == 4999
+    assert forest_height({}) == 0
+    assert forest_height({0: None, 1: 0, 2: 0, 3: 2}) == 2
 
 
 def random_tree_parent(rng, n):

@@ -237,6 +237,18 @@ def test_hyperbolic_spanner_rejects_bad_k():
         build_hyperbolic_spanner([HPoint((0.0,), 1.0)], k=0)
 
 
+def test_hyperbolic_spanner_heights_1_and_1e_200():
+    # the product of the two lowest heights underflowed to 0 in the
+    # distance formula, which then divided by zero
+    g = build_hyperbolic_spanner([HPoint((0.1,), 1.0), HPoint((0.2,), 1e-200)], 2)
+    for u, v, w in g.edges:
+        assert 0.0 < w < math.inf
+    vids = [v.id for v in g.vertices if v.kind == "input"]
+    dist = dijkstra(len(g.vertices), g.adjacency(), vids[0])[vids[1]]
+    p, q = (g.vertices[i].point for i in vids)
+    assert dist >= hyperbolic_distance(p, q) - 1e-9
+
+
 def test_point_anchor_edges_below_log_d(rng):
     for dim in (2, 3):
         pts = [random_hpoint(rng, dim) for _ in range(20)]

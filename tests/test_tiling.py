@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,16 @@ def test_cell_of_random_points_contained(rng):
             rng.uniform(1e-3, 60.0),
         )
         assert contains_point(cell_of(p), p)
+
+
+def test_cell_of_subnormal_height():
+    # x / 2^-1074 overflowed a float
+    p = HPoint((0.3,), 5e-324)
+    c = cell_of(p)
+    assert c == CellId(-1074, (int(Fraction(0.3) * 2**1074),))
+    assert contains_point(c, p)
+    q = HPoint((-0.7, 0.25), 1e-310)
+    assert contains_point(cell_of(q), q)
 
 
 def test_ancestor_at_and_is_ancestor(rng):
