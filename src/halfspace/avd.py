@@ -4,7 +4,12 @@ Construction: build the compressed quadtree of the input cells, refine
 it by inserting the horizontal neighbors of every occupied box (for
 compressed nodes both the outer and the inner box contribute), then
 annotate the refined tree bottom-up with the highest input per subtree
-and top-down with the nearest input to every box center.  Each node's
+and top-down with the nearest input to every box center.  The top-down
+pass reads the nodes under each box's horizontal neighbors from
+:meth:`QuadTree.neighbor_rows`, which derives them from the parent
+level's neighbors in O(3^(D-1)) per level instead of locating each
+neighbor from the root, so annotation is linear in the refined tree's
+nodes plus their compressed-gap levels.  Each node's
 region is: the box center alone (ordinary), everything on or below the
 box (leaf), or everything on or below the outer box but not the inner
 one (compressed).  Representatives are the node's nearest input plus,
@@ -33,7 +38,7 @@ from .quadtree import (
     box_adjacent,
     shadow_within,
 )
-from .tiling import CellId, HPoint, ancestor_at, cell_of, horizontal_neighbors
+from .tiling import CellId, HPoint, cell_of, horizontal_neighbors
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
 
@@ -86,15 +91,6 @@ def refine(tree: QuadTree) -> QuadTree:
     return refined
 
 
-def _candidate(best, idx: int | None, origin: CellId, points: list[CellId]):
-    if idx is None:
-        return best
-    dist = d2(origin, points[idx])
-    if best is None or (dist, idx) < best:
-        return (dist, idx)
-    return best
-
-
 def annotate(tree: QuadTree) -> None:
     """Fill h and n2 on every node of a refined tree.
 
@@ -102,7 +98,12 @@ def annotate(tree: QuadTree) -> None:
     groups: the parent's n2, the subtree's highest input, the highest
     inputs under the box's horizontal neighbors, and - when the parent
     sits more than one level up - the highest inputs under neighbors of
-    every ancestor inside the compressed gap.
+    every ancestor inside the compressed gap.  The nodes under those
+    neighbor boxes come from one preorder pass
+    (:meth:`QuadTree.neighbor_rows`) that derives each level's row from
+    the row above, so a node costs O(3^(D-1)) per level of its gap and
+    d2 is evaluated once per distinct candidate; the argmin over
+    ``(d2, index)`` does not depend on the order.
     """
     fill_highest(tree)
     points = tree.points
@@ -110,27 +111,15 @@ def annotate(tree: QuadTree) -> None:
     if root.h_index is None:
         raise ValueError("annotate needs at least one stored input")
     root.n2_index = root.h_index  # every input lies on or below the root
-
-    def neighbor_candidates(best, cell: CellId, origin: CellId):
-        for nb in horizontal_neighbors(cell):
-            if tree.in_root(nb):
-                best = _candidate(best, tree.highest_under(nb), origin, points)
-        return best
-
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for ch in reversed(node.children):
-            stack.append(ch)
+    for node, rows in tree.neighbor_rows():
         if node is root:
             continue
+        candidates = {node.parent.n2_index, node.h_index}
+        for row in rows:
+            candidates.update(t.h_index for t in row if t is not None)
+        candidates.discard(None)
         origin = node.cell
-        best = _candidate(None, node.parent.n2_index, origin, points)
-        best = _candidate(best, node.h_index, origin, points)
-        best = neighbor_candidates(best, origin, origin)
-        for lev in range(origin.level + 1, node.parent.cell.level):
-            best = neighbor_candidates(best, ancestor_at(origin, lev), origin)
-        node.n2_index = best[1]
+        node.n2_index = min((d2(origin, points[i]), i) for i in candidates)[1]
 
 
 def select_representatives(refined: QuadTree, base: QuadTree) -> None:

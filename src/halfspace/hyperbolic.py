@@ -37,7 +37,13 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     # but differs from sqrt(p.z * q.z) in the last bit for about a third
     # of height pairs, so it is used only where the product is subnormal
     root = math.sqrt(zz) if zz >= sys.float_info.min else math.sqrt(p.z) * math.sqrt(q.z)
-    return 2.0 * math.asinh(0.5 * gap / root)
+    arg = 0.5 * gap / root
+    if math.isinf(arg):
+        # asinh(a) = ln(2a) to double precision once a exceeds 1e8, so
+        # take the log of the ratio's parts; finite arguments keep the
+        # closed form bit for bit
+        return 2.0 * (math.log(gap) - 0.5 * (math.log(p.z) + math.log(q.z)))
+    return 2.0 * math.asinh(arg)
 
 
 def embedding_displacement_bound(dim: int) -> float:

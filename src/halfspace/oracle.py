@@ -3,8 +3,9 @@
 Everything here recomputes results from definitions: breadth-first
 search over the explicit move graph for ``d1``, a two-state BFS for
 ``d2`` (horizontal move spent or not), exhaustive nearest-neighbor
-scans, linear scans over stored boxes for quadtree cell queries, and
-all-pairs scans for AVD representatives and spanner bridges.  Not
+scans, linear scans over stored boxes for quadtree cell queries,
+all-pairs scans for AVD representatives and spanner bridges, and a
+lookup from the root per neighbor box for the AVD annotation.  Not
 performance tuned; correctness references only.
 """
 
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 from .metrics import d1 as d1_fast
 from .metrics import d2 as d2_fast
-from .metrics import d2_path
+from .metrics import d2_path, lambda_
 from .tiling import CellId, ancestor_at, children, horizontal_neighbors, parent
 
 
@@ -246,6 +247,55 @@ def cell_query_scan(stored: Sequence[CellId], box: CellId) -> tuple[CellId | Non
     return largest, smallest
 
 
+def _candidate(best, idx: int | None, origin: CellId, points: list[CellId]):
+    if idx is None:
+        return best
+    dist = d2_fast(origin, points[idx])
+    if best is None or (dist, idx) < best:
+        return (dist, idx)
+    return best
+
+
+def annotate_scan(tree) -> list[int]:
+    """n2 of every node of a refined tree, in preorder, with one
+    root-to-leaf lookup (:meth:`QuadTree.highest_under`) per horizontal
+    neighbor of the node's box and of every box in its compressed gap.
+
+    Reference for :func:`halfspace.avd.annotate`; fills h and n2 on the
+    tree as that does.
+    """
+    from .avd import fill_highest
+
+    fill_highest(tree)
+    points = tree.points
+    root = tree.root
+    if root.h_index is None:
+        raise ValueError("annotate needs at least one stored input")
+    root.n2_index = root.h_index  # every input lies on or below the root
+
+    def neighbor_candidates(best, cell: CellId, origin: CellId):
+        for nb in horizontal_neighbors(cell):
+            if tree.in_root(nb):
+                best = _candidate(best, tree.highest_under(nb), origin, points)
+        return best
+
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for ch in reversed(node.children):
+            stack.append(ch)
+        if node is root:
+            continue
+        origin = node.cell
+        best = _candidate(None, node.parent.n2_index, origin, points)
+        best = _candidate(best, node.h_index, origin, points)
+        best = neighbor_candidates(best, origin, origin)
+        for lev in range(origin.level + 1, node.parent.cell.level):
+            best = neighbor_candidates(best, ancestor_at(origin, lev), origin)
+        node.n2_index = best[1]
+    return [node.n2_index for node in tree.iter_nodes()]
+
+
 def representatives_scan(refined, base) -> list[list[int]]:
     """Representatives of every refined node, in preorder, by testing each
     region against every occupied compressed node of the unrefined tree.
@@ -284,15 +334,35 @@ def representatives_scan(refined, base) -> list[list[int]]:
     return out
 
 
+def _bridge_candidate(tree, r: CellId, r2: CellId) -> bool:
+    """Can (r, r2) be the bridge of some input pair's d2-path?
+
+    True when both sides hold inputs and either side's box is itself an
+    input, or some occupied child of one side is not a neighbor of some
+    occupied child of the other (that pair's path cannot bridge lower).
+    """
+    if tree.stored_index(r) is not None or tree.stored_index(r2) is not None:
+        return True
+    kids_r = [c for c in children(r) if tree.subtree_count(c) > 0]
+    kids_r2 = [c for c in children(r2) if tree.in_root(c) and tree.subtree_count(c) > 0]
+    for c in kids_r:
+        for c2 in kids_r2:
+            if lambda_(c, c2) >= 2:
+                return True
+    return False
+
+
 def bridges_scan(tree) -> list:
-    """Bridge enumeration testing every pair of occupied compressed nodes.
+    """Bridge enumeration testing every pair of occupied compressed nodes,
+    with a root-to-leaf lookup per neighbor box and child box.
 
     Reference for :func:`halfspace.spanner.enumerate_bridges`, which
-    finds the same pairs by searching each node's boundary instead.
+    finds the same pairs by searching each node's boundary instead and
+    reads the neighbors' nodes from :meth:`QuadTree.neighbor_rows`.
     """
     from .metrics import bridge_level_estimate
     from .quadtree import COMPRESSED, box_adjacent
-    from .spanner import Bridge, bridge_candidate
+    from .spanner import Bridge
     from .tiling import is_ancestor_or_self
 
     bridges = set()
@@ -308,7 +378,7 @@ def bridges_scan(tree) -> list:
                 continue
             if tree.subtree_count(r2) == 0:
                 continue
-            if bridge_candidate(tree, r, r2):
+            if _bridge_candidate(tree, r, r2):
                 bridges.add(Bridge.of(r, r2))
     for i, nu in enumerate(compressed):
         for nu2 in compressed[i + 1 :]:

@@ -23,10 +23,11 @@ boundary) live here as well, for the spanner and the AVD index.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
+from operator import add
 
-from .tiling import CellId, ancestor_at, children, is_ancestor_or_self, parent
+from .tiling import CellId, ancestor_at, children, floor_scaled, is_ancestor_or_self, parent
 
 ORDINARY = "ordinary"
 COMPRESSED = "compressed"
@@ -214,6 +215,73 @@ class QuadTree:
             yield node
             stack.extend(reversed(node.children))
 
+    def neighbor_rows(self):
+        """Preorder pass yielding each node with the nodes beside it.
+
+        Yields ``(node, rows)`` in :meth:`iter_nodes` order.  ``rows[0]``
+        holds, in :func:`~halfspace.tiling.horizontal_neighbors` order,
+        the topmost node on or below each horizontal neighbor box of
+        ``node.cell`` (None outside the root shadow or where no node
+        lies under the box); ``rows[j]`` holds the same for the
+        ancestor box ``j`` levels up, for every level of the compressed
+        gap between the node and its parent.  The root's neighbors all
+        leave the root shadow.
+
+        Neighbor finding as in Samet (1982): each row comes from the
+        row one level up.  The parent box ``up`` of a neighbor box
+        ``nb`` is either the box one level up or one of its neighbors,
+        so the row above, with the box one level up as its center,
+        gives ``t``, the topmost node on or below ``up``.  If ``t`` is
+        ``up`` itself, ``nb`` is ``t``'s child when ``t`` is ordinary,
+        ``t``'s compressed child if that lies in ``nb``, and empty under
+        a leaf; if ``t`` lies lower, ``nb`` holds ``t`` or nothing.  A
+        row costs O(3^(D-1)) with at most one ``nodes_by_cell`` lookup
+        per neighbor, so the pass is linear in the nodes plus the levels
+        of their compressed gaps; nothing descends from the root.
+        """
+        nodes = self.nodes_by_cell
+        offsets = [o for o in itertools.product((-1, 0, 1), repeat=self.dim - 1) if any(o)]
+        # per parity of the current box's coordinates: the position of
+        # each neighbor's parent box in the row above, -1 for the center
+        up_pos = {}
+        for bits in itertools.product((0, 1), repeat=self.dim - 1):
+            ups = [tuple((b + o) >> 1 for b, o in zip(bits, off)) for off in offsets]
+            up_pos[bits] = [offsets.index(u) if any(u) else -1 for u in ups]
+
+        def step(row, center, coords, lev):
+            out = []
+            for off, u in zip(offsets, up_pos[tuple([k & 1 for k in coords])]):
+                t = row[u] if u >= 0 else center
+                if t is not None:
+                    nbc = tuple(map(add, coords, off))
+                    if t.cell.level > lev:  # t is the parent box of nb
+                        if t.kind == ORDINARY:
+                            out.append(nodes[CellId(lev, nbc)])
+                            continue
+                        t = t.children[0] if t.kind == COMPRESSED else None
+                    if t is not None:
+                        s = lev - t.cell.level
+                        if tuple([k >> s for k in t.cell.coords]) != nbc:
+                            t = None  # t lies in another child of the parent box
+                out.append(t)
+            return out
+
+        stack = [(self.root, [[None] * len(offsets)])]
+        while stack:
+            node, rows = stack.pop()
+            yield node, rows
+            for child in reversed(node.children):
+                # the box one level up is the node, then gap boxes whose
+                # topmost node is the child itself
+                row, center, below = rows[0], node, []
+                for lev in range(node.cell.level - 1, child.cell.level - 1, -1):
+                    s = lev - child.cell.level
+                    row = step(row, center, tuple(k >> s for k in child.cell.coords), lev)
+                    center = child
+                    below.append(row)
+                below.reverse()
+                stack.append((child, below))
+
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_nodes())
 
@@ -274,14 +342,13 @@ class QuadTree:
                     return node  # x is in the annular region
                 continue
             lev = node.cell.level - 1
-            key = CellId(lev, tuple(math.floor(math.ldexp(v, -lev)) for v in x))
-            node = self.nodes_by_cell[key]
+            node = self.nodes_by_cell[CellId(lev, tuple(floor_scaled(v, lev) for v in x))]
 
     @staticmethod
     def shadow_holds(cell: CellId, x: tuple[float, ...]) -> bool:
         """Does the half-open shadow of ``cell`` contain the point ``x``?"""
         lev = cell.level
-        return all(math.floor(math.ldexp(v, -lev)) == k for v, k in zip(x, cell.coords))
+        return all(floor_scaled(v, lev) == k for v, k in zip(x, cell.coords))
 
     def cell_query(self, box: CellId) -> tuple[QuadNode | None, QuadNode | None]:
         """Largest stored box inside ``box`` and smallest stored box containing it."""

@@ -10,8 +10,11 @@ edge-for-edge, so graph distances sit between d1 and d1 + 2.
 Bridges are enumerated from the compressed quadtree: per-node neighbor
 checks catch every bridge with a stored endpoint box, and witness
 d2-paths between the children of adjacent compressed nodes catch
-bridges whose endpoints fall inside compressed gaps.  The enumeration
-is deliberately conservative; extra bridges only add Steiner vertices.
+bridges whose endpoints fall inside compressed gaps.  The neighbor
+checks read the nodes under each neighbor box, and their occupied child
+boxes, from one pass (:meth:`QuadTree.neighbor_rows`) with no descent.
+The enumeration is deliberately conservative; extra bridges only add
+Steiner vertices.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass, field
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
 from .metrics import bridge_level_estimate, d2_path, lambda_
-from .quadtree import COMPRESSED, QuadTree, box_adjacent, build_quadtree
+from .quadtree import COMPRESSED, QuadNode, QuadTree, box_adjacent, build_quadtree
 from .shortcut import forest_height, shortcut_forest
-from .tiling import CellId, HPoint, ancestor_at, center, children, horizontal_neighbors, is_ancestor_or_self
+from .tiling import CellId, HPoint, ancestor_at, center, horizontal_neighbors, is_ancestor_or_self
 
 INPUT = "input"
 STEINER = "steiner"
@@ -112,48 +115,54 @@ class SpannerGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def bridge_candidate(tree: QuadTree, r: CellId, r2: CellId) -> bool:
+def _occupied_children(box: CellId, top: QuadNode) -> list[CellId]:
+    """Child boxes of ``box`` holding inputs; ``top`` is the topmost node on or below ``box``."""
+    if top.cell != box:
+        return [ancestor_at(top.cell, box.level - 1)]
+    return [ancestor_at(ch.cell, box.level - 1) for ch in top.children if ch.count > 0]
+
+
+def bridge_candidate(r: CellId, top: QuadNode, r2: CellId, top2: QuadNode) -> bool:
     """Can (r, r2) be the bridge of some input pair's d2-path?
 
-    True when both sides hold inputs and either side's box is itself an
-    input, or some occupied child of one side is not a neighbor of some
-    occupied child of the other (that pair's path cannot bridge lower).
+    ``top`` and ``top2`` are the topmost nodes on or below the two
+    boxes, both holding inputs.  True when either side's box is itself
+    an input, or some occupied child of one side is not a neighbor of
+    some occupied child of the other (that pair's path cannot bridge
+    lower).
     """
-    if tree.stored_index(r) is not None or tree.stored_index(r2) is not None:
-        return True
-    kids_r = [c for c in children(r) if tree.subtree_count(c) > 0]
-    kids_r2 = [c for c in children(r2) if tree.in_root(c) and tree.subtree_count(c) > 0]
-    for c in kids_r:
-        for c2 in kids_r2:
-            if lambda_(c, c2) >= 2:
-                return True
-    return False
+    for box, node in ((r, top), (r2, top2)):
+        if node.cell == box and node.stored_index is not None:
+            return True
+    kids_r2 = _occupied_children(r2, top2)
+    return any(lambda_(c, c2) >= 2 for c in _occupied_children(r, top) for c2 in kids_r2)
 
 
 def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     """A superset of every bridge used by a d2-path between stored inputs.
 
     Bridges with a stored endpoint box come from per-node neighbor
-    checks.  Bridges inside compressed gaps come from adjacent pairs of
-    occupied compressed nodes; an adjacent box meets the other's
-    boundary, so each node's partners are found by one pruned descent
-    along its boundary (:meth:`QuadTree.compressed_on_boundary`), not by
-    testing every pair.  Each pair is taken once, in preorder.
+    checks, which read the nodes under each neighbor box from one
+    preorder pass (:meth:`QuadTree.neighbor_rows`, O(3^(D-1)) per level
+    of a node's gap, no descent from the root).  Bridges inside
+    compressed gaps come from adjacent pairs of occupied compressed
+    nodes; an adjacent box meets the other's boundary, so each node's
+    partners are found by one pruned descent along its boundary
+    (:meth:`QuadTree.compressed_on_boundary`), not by testing every
+    pair.  Each pair is taken once, in preorder.
     """
     bridges: set[Bridge] = set()
     compressed: list = []
-    for node in tree.iter_nodes():
+    for node, rows in tree.neighbor_rows():
         if node.kind == COMPRESSED and node.count > 0:
             compressed.append(node)
         if node.count == 0:
             continue
         r = node.cell
-        for r2 in horizontal_neighbors(r):
-            if not tree.in_root(r2):
+        for r2, top2 in zip(horizontal_neighbors(r), rows[0]):
+            if top2 is None or top2.count == 0:
                 continue
-            if tree.subtree_count(r2) == 0:
-                continue
-            if bridge_candidate(tree, r, r2):
+            if bridge_candidate(r, node, r2, top2):
                 bridges.add(Bridge.of(r, r2))
     # bridges with neither endpoint stored: both endpoints span compressed
     # gaps; the witness d2-path between the gap bottoms finds the bridge

@@ -156,15 +156,20 @@ def cell_of(p: HPoint) -> CellId:
 
     The level is the maximum one whose slab contains z (so a point on a
     horizontal facet belongs to the bigger cell above it); per axis the
-    box is taken as [k*2^i, (k+1)*2^i).  The floor of x/2^i is taken in
-    exact integer arithmetic, so subnormal heights (i down to -1074)
-    cannot overflow it.
+    box is taken as [k*2^i, (k+1)*2^i), with k from :func:`floor_scaled`.
     """
     i = level_of_height(p.z)
-    ratios = (x.as_integer_ratio() for x in p.x)  # denominators are powers of 2
-    if i <= 0:
-        return CellId(i, tuple((n << -i) // d for n, d in ratios))
-    return CellId(i, tuple(n // (d << i) for n, d in ratios))
+    return CellId(i, tuple(floor_scaled(x, i) for x in p.x))
+
+
+def floor_scaled(x: float, level: int) -> int:
+    """floor(x / 2^level), exactly: the index of the level's dyadic
+    interval holding ``x``.  Float scaling by ``ldexp`` would overflow
+    at subnormal levels (down to -1074)."""
+    n, d = x.as_integer_ratio()  # d is a power of 2
+    if level <= 0:
+        return (n << -level) // d
+    return n // (d << level)
 
 
 def ancestor_at(c: CellId, level: int) -> CellId:

@@ -1,4 +1,5 @@
-"""The pruned boundary descent against the all-pairs reference scans."""
+"""The pruned boundary descent and the neighbor pass against the
+reference scans."""
 
 import random
 
@@ -6,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfspace.avd import annotate, refine, select_representatives
-from halfspace.oracle import bridges_scan, representatives_scan
+from halfspace.oracle import annotate_scan, bridges_scan, representatives_scan
 from halfspace.quadtree import (
     COMPRESSED,
+    QuadTree,
     box_adjacent,
     build_quadtree,
     meets_boundary,
     shadow_within,
     touches_boundary,
 )
+from halfspace.sampling import sample_margin_cells
 from halfspace.spanner import enumerate_bridges
-from halfspace.tiling import CellId
+from halfspace.tiling import CellId, ancestor_at, horizontal_neighbors
 
 from conftest import random_cell_in_root
 
@@ -61,6 +64,74 @@ def _check_representatives(cells):
 def _check_bridges(cells):
     tree = build_quadtree(cells)
     assert enumerate_bridges(tree) == bridges_scan(tree)
+
+
+def _check_neighbor_rows(tree):
+    """Every entry is the topmost node under its box, by point location."""
+    nodes = []
+    for node, rows in tree.neighbor_rows():
+        nodes.append(node)
+        gap = 1 if node.parent is None else node.parent.cell.level - node.cell.level
+        assert len(rows) == gap
+        for j, row in enumerate(rows):
+            box = ancestor_at(node.cell, node.cell.level + j)
+            expected = [
+                tree.cell_query(nb)[0] if tree.in_root(nb) else None
+                for nb in horizontal_neighbors(box)
+            ]
+            assert row == expected, (node, j)
+    assert nodes == list(tree.iter_nodes())
+
+
+def _check_annotate(cells):
+    base = build_quadtree(cells)
+    _check_neighbor_rows(base)
+    refined = refine(base)
+    _check_neighbor_rows(refined)
+    expected = annotate_scan(refined)
+    annotate(refined)
+    assert [node.n2_index for node in refined.iter_nodes()] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_sets(2, margin=True))
+def test_annotate_matches_scan_d2(cells):
+    _check_annotate(cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacked_sets(3, margin=True))
+def test_annotate_matches_scan_d3(cells):
+    _check_annotate(cells)
+
+
+def test_neighbor_rows_match_cell_query(rng):
+    for dim in (2, 3):
+        for _ in range(30):
+            tree = build_quadtree([random_cell_in_root(rng, dim, min_level=-12) for _ in range(rng.randint(1, 25))])
+            _check_neighbor_rows(tree)
+            for _ in range(6):
+                tree.insert_box(random_cell_in_root(rng, dim, min_level=-14))
+            _check_neighbor_rows(tree)
+
+
+def test_annotate_and_bridges_never_descend_from_root(monkeypatch):
+    """Cost guard: the neighbor checks read the pass, not point location."""
+    base = build_quadtree(sample_margin_cells(random.Random(11), 3, 128, min_level=-20))
+    refined = refine(base)
+    calls = []
+    descend = QuadTree.smallest_containing
+
+    def counted(self, box):
+        calls.append(box)
+        return descend(self, box)
+
+    monkeypatch.setattr(QuadTree, "smallest_containing", counted)
+    annotate(refined)
+    enumerate_bridges(base)
+    assert calls == []
+    annotate_scan(refined)  # the reference descends, so the patch is live
+    assert calls
 
 
 @settings(max_examples=60, deadline=None)

@@ -56,6 +56,14 @@ def test_distance_symmetric_and_triangle(rng):
         assert hyperbolic_distance(p, r) <= hyperbolic_distance(p, q) + hyperbolic_distance(q, r) + 1e-9
 
 
+def test_distance_subnormal_heights_gap_1():
+    # 0.5 * gap / sqrt(z(p) z(q)) overflows; the true distance is
+    # 2 * ln(1 / 5e-324), about 1489
+    got = hyperbolic_distance(HPoint((0.0,), 5e-324), HPoint((1.0,), 5e-324))
+    assert math.isfinite(got)
+    assert got == pytest.approx(-2.0 * math.log(5e-324), rel=1e-12)
+
+
 def test_distance_heights_1e_170():
     # z(p) * z(q) = 1e-340 underflows to 0
     got = hyperbolic_distance(H(1e-170, 0.1), H(1e-170, 0.2))

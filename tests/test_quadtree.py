@@ -16,7 +16,7 @@ from halfspace.quadtree import (
     root_cell,
     shadow_within,
 )
-from halfspace.tiling import CellId, ancestor_at, children
+from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children
 
 from conftest import random_cell_in_root
 
@@ -193,6 +193,16 @@ def test_locate_partition_montecarlo(rng):
             assert region_holds(tree, node, x)
             owners = sum(1 for r in regions if region_holds(tree, r, x))
             assert owners == 1
+
+
+def test_locate_subnormal_level():
+    # a unit of x holds 2^1074 cells of level -1074; scaling x by that overflows a float
+    p = HPoint((0.3,), 5e-324)
+    tree = build_quadtree([cell_of(p)])
+    node = tree.locate((0.3,))
+    assert node.cell == cell_of(p)
+    assert QuadTree.shadow_holds(node.cell, (0.3,))
+    assert not QuadTree.shadow_holds(node.cell, (0.3000000000000001,))
 
 
 def test_locate_rejects_outside():
