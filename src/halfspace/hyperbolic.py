@@ -30,19 +30,30 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     if not (p.z > 0 and q.z > 0):
         raise ValueError("heights must be positive")
     gap = math.hypot(*(a - b for a, b in zip(p.x, q.x)), p.z - q.z)
+    scale = 0
+    if math.isinf(gap):
+        # a difference or the hypot overflowed: use the gap times 2^-8,
+        # whose rounding is far below the result's last bit; finite
+        # gaps keep the plain difference bit for bit
+        scale = 8
+        gap = math.hypot(
+            *(math.ldexp(a, -scale) - math.ldexp(b, -scale) for a, b in zip(p.x, q.x)),
+            math.ldexp(p.z, -scale) - math.ldexp(q.z, -scale),
+        )
     if gap == 0.0:
         return 0.0
     zz = p.z * q.z
-    # p.z * q.z underflows for tiny heights; the split root avoids that
-    # but differs from sqrt(p.z * q.z) in the last bit for about a third
-    # of height pairs, so it is used only where the product is subnormal
-    root = math.sqrt(zz) if zz >= sys.float_info.min else math.sqrt(p.z) * math.sqrt(q.z)
-    arg = 0.5 * gap / root
+    # p.z * q.z underflows for tiny heights and overflows for huge ones;
+    # the split root avoids both but differs from sqrt(p.z * q.z) in the
+    # last bit for about a third of height pairs, so it is used only
+    # where the product is subnormal or infinite
+    root = math.sqrt(zz) if sys.float_info.min <= zz < math.inf else math.sqrt(p.z) * math.sqrt(q.z)
+    arg = math.ldexp(0.5 * gap / root, scale)
     if math.isinf(arg):
         # asinh(a) = ln(2a) to double precision once a exceeds 1e8, so
         # take the log of the ratio's parts; finite arguments keep the
         # closed form bit for bit
-        return 2.0 * (math.log(gap) - 0.5 * (math.log(p.z) + math.log(q.z)))
+        return 2.0 * (math.log(gap) + scale * math.log(2.0) - 0.5 * (math.log(p.z) + math.log(q.z)))
     return 2.0 * math.asinh(arg)
 
 

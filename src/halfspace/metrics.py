@@ -6,13 +6,37 @@ most one horizontal move; it is only a semi-metric (the triangle
 inequality can fail) but never exceeds ``d1 + 2``, and between any two
 cells there is a unique d2-path: an up-run, at most one horizontal
 "bridge" move, and a down-run.
+
+Both are computed in closed form on the raw coordinates.  The lower
+cell is lifted to the other's level L (one shift per coordinate); with
+``a`` and ``b`` the two coordinate tuples there, the ancestors ``s``
+levels further up are ``a >> s`` and ``b >> s``, at horizontal distance
+
+    lambda(s) = max_j |(a_j >> s) - (b_j >> s)|.
+
+The d2-path climbs to the smallest ``s`` with lambda(s) <= 1 and d1's
+normal form (up-run, at most four horizontal moves, down-run) to the
+smallest ``s`` with lambda(s) <= 4; both lengths then follow from the
+level gap, ``s`` and lambda(s).  Shifting halves a difference up to
+rounding, lambda(s+1) <= (lambda(s) + 1) // 2, so once a threshold
+t >= 1 holds it keeps holding and the smallest ``s`` can be searched
+from any lower bound upwards.  With Delta = max_j |a_j - b_j| every
+lambda(s) lies between floor(Delta / 2^s) and ceil(Delta / 2^s).  The
+search starts at the smallest ``s`` with floor(Delta / 2^s) <= t,
+which is the bit length of Delta // (t + 1).  There Delta is below
+(t + 1) * 2^s, so one level higher ceil(Delta / 2^(s+1)) <= t for
+every t >= 1: at most one fix-up shift follows.  This is the shift-and-compare trick of Chan,
+"Closest-point problems simplified on the RAM" (SODA 2002): a metric
+evaluation is a constant number of big-integer operations however many
+levels apart the cells are, and builds no cell except the apexes a
+:class:`D2Path` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tiling import CellId, ancestor_at, is_ancestor_or_self, parent
+from .tiling import CellId, is_ancestor_or_self, lift_pair, parent
 
 
 @dataclass(frozen=True)
@@ -71,27 +95,40 @@ def lambda_(p: CellId, q: CellId) -> int:
     return max(abs(a - b) for a, b in zip(p.coords, q.coords))
 
 
+def _climb(a: tuple[int, ...], b: tuple[int, ...], t: int) -> tuple[int, int]:
+    """The smallest shift s >= 0 with lambda(s) <= t, and lambda(s).
+
+    Starts at the lower bound from Delta (see the module docstring) and
+    shifts up while the threshold fails, at most once.
+    """
+    delta = 0
+    for x, y in zip(a, b):
+        v = abs(x - y)
+        if v > delta:
+            delta = v
+    s = (delta // (t + 1)).bit_length()
+    while True:
+        lam = 0
+        for x, y in zip(a, b):
+            v = abs((x >> s) - (y >> s))
+            if v > lam:
+                lam = v
+        if lam <= t:
+            return s, lam
+        s += 1
+
+
 def d1(p: CellId, q: CellId) -> int:
     """Minimum number of moves between two cell centers.
 
     A shortest path can be normalized to up-moves, then horizontal
-    moves, then down-moves; this makes the distance computable by
-    lifting the lower endpoint and then recursing on parents while the
-    horizontal distance exceeds 4.  Iterative so deep level gaps never
-    hit the recursion limit.
+    moves, then down-moves: lift the lower endpoint, then climb both in
+    lockstep (two moves per level) while the horizontal distance
+    exceeds 4, and cross the rest horizontally.
     """
-    _check_same_dim(p, q)
-    total = 0
-    if p.level != q.level:
-        lo, hi = (p, q) if p.level < q.level else (q, p)
-        total = hi.level - lo.level
-        p, q = ancestor_at(lo, hi.level), hi
-    while True:
-        lam = lambda_(p, q)
-        if lam <= 4:
-            return total + lam
-        total += 2
-        p, q = parent(p), parent(q)
+    _, a, b = lift_pair(p, q)
+    s, lam = _climb(a, b, 4)
+    return abs(p.level - q.level) + 2 * s + lam
 
 
 def d2_path(p: CellId, q: CellId) -> D2Path:
@@ -101,30 +138,32 @@ def d2_path(p: CellId, q: CellId) -> D2Path:
     two ancestors are equal (ancestor/descendant case, no bridge) or
     horizontal neighbors (the bridge, found at the lowest such level).
     """
-    _check_same_dim(p, q)
-    a, b = p, q
-    if a.level < b.level:
-        a = ancestor_at(a, b.level)
-    elif b.level < a.level:
-        b = ancestor_at(b, a.level)
-    if a == b:
-        return D2Path(p, q, a, b, has_bridge=False)
-    while lambda_(a, b) >= 2:
-        a, b = parent(a), parent(b)
-    # distinct children of one cell are horizontal neighbors, so the
-    # climb stops at lambda == 1 before the chains can merge
-    return D2Path(p, q, a, b, has_bridge=True)
+    level, a, b = lift_pair(p, q)
+    s, lam = _climb(a, b, 1)
+    if lam == 0:
+        # only at s == 0: above it lambda(s - 1) >= 2 forces
+        # lambda(s) >= 1 (distinct children of one cell are horizontal
+        # neighbors), so a climb stops at 1 before the chains can merge
+        top = p if p.level >= q.level else q
+        return D2Path(p, q, top, top, has_bridge=False)
+    apex_p = CellId(level + s, tuple([x >> s for x in a]))
+    apex_q = CellId(level + s, tuple([y >> s for y in b]))
+    return D2Path(p, q, apex_p, apex_q, has_bridge=True)
 
 
 def d2(p: CellId, q: CellId) -> int:
-    """Length of the d2-path between p and q."""
-    return d2_path(p, q).length
+    """Length of the d2-path between p and q: up to the apex level, one
+    bridge move if the apexes differ, and down."""
+    level, a, b = lift_pair(p, q)
+    s, lam = _climb(a, b, 1)
+    return 2 * (level + s) - p.level - q.level + lam
 
 
 def bridge_level(p: CellId, q: CellId) -> int:
     """Level of the bridge of the d2-path, with the convention that an
     ancestor/descendant (or equal) pair reports the upper cell's level."""
-    return d2_path(p, q).bridge_level
+    level, a, b = lift_pair(p, q)
+    return level + _climb(a, b, 1)[0]
 
 
 def bridge_level_estimate(p: CellId, q: CellId) -> int:

@@ -4,9 +4,11 @@ Everything here recomputes results from definitions: breadth-first
 search over the explicit move graph for ``d1``, a two-state BFS for
 ``d2`` (horizontal move spent or not), exhaustive nearest-neighbor
 scans, linear scans over stored boxes for quadtree cell queries,
-all-pairs scans for AVD representatives and spanner bridges, and a
-lookup from the root per neighbor box for the AVD annotation.  Not
-performance tuned; correctness references only.
+all-pairs scans for AVD representatives and spanner bridges, a
+lookup from the root per neighbor box for the AVD annotation, and
+level-by-level climbs and descents, one cell per level, for ``d1``,
+the d2-path, ``meet`` and point location.  Not performance tuned;
+correctness references only.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 
 from .metrics import d1 as d1_fast
 from .metrics import d2 as d2_fast
-from .metrics import d2_path, lambda_
+from .metrics import D2Path, d2_path, lambda_
 from .tiling import CellId, ancestor_at, children, horizontal_neighbors, parent
 
 
@@ -198,6 +200,78 @@ def d2_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
     if best is not None:
         return best
     raise RuntimeError("window clipped every path; widen the slack")
+
+
+def d1_climb(p: CellId, q: CellId) -> int:
+    """d1 by lifting the lower endpoint and then climbing one level at a
+    time while the horizontal distance exceeds 4.
+
+    Reference for :func:`halfspace.metrics.d1`.
+    """
+    total = 0
+    if p.level != q.level:
+        lo, hi = (p, q) if p.level < q.level else (q, p)
+        total = hi.level - lo.level
+        p, q = ancestor_at(lo, hi.level), hi
+    while True:
+        lam = lambda_(p, q)
+        if lam <= 4:
+            return total + lam
+        total += 2
+        p, q = parent(p), parent(q)
+
+
+def d2_path_climb(p: CellId, q: CellId) -> D2Path:
+    """The d2-path by climbing both endpoints one level at a time until
+    their ancestors are equal or horizontal neighbors.
+
+    Reference for :func:`halfspace.metrics.d2_path`.
+    """
+    a, b = p, q
+    if a.level < b.level:
+        a = ancestor_at(a, b.level)
+    elif b.level < a.level:
+        b = ancestor_at(b, a.level)
+    if a == b:
+        return D2Path(p, q, a, b, has_bridge=False)
+    while lambda_(a, b) >= 2:
+        a, b = parent(a), parent(b)
+    return D2Path(p, q, a, b, has_bridge=True)
+
+
+def meet_climb(a: CellId, b: CellId) -> CellId:
+    """The lowest common box, climbing one level at a time.
+
+    Reference for :func:`halfspace.quadtree.meet`.
+    """
+    if a.level < b.level:
+        a = ancestor_at(a, b.level)
+    elif b.level < a.level:
+        b = ancestor_at(b, a.level)
+    while a != b:
+        a, b = parent(a), parent(b)
+    return a
+
+
+def smallest_containing_climb(tree, box: CellId):
+    """The lowest node containing ``box``, descending with one
+    ``nodes_by_cell`` lookup per ordinary node.
+
+    Reference for :meth:`halfspace.quadtree.QuadTree.smallest_containing`.
+    """
+    from .quadtree import COMPRESSED, LEAF, shadow_within
+
+    node = tree.root
+    while True:
+        if node.kind == LEAF or node.cell.level == box.level:
+            return node
+        if node.kind == COMPRESSED:
+            child = node.children[0]
+            if shadow_within(box, child.cell):
+                node = child
+                continue
+            return node
+        node = tree.nodes_by_cell[ancestor_at(box, node.cell.level - 1)]
 
 
 _METRICS: dict[str, Callable] = {}

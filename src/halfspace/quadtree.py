@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add
 
-from .tiling import CellId, ancestor_at, children, floor_scaled, is_ancestor_or_self, parent
+from .tiling import CellId, ancestor_at, children, floor_scaled, is_ancestor_or_self, lift_pair
 
 ORDINARY = "ordinary"
 COMPRESSED = "compressed"
@@ -114,14 +114,21 @@ def meets_boundary(box: CellId, b: CellId) -> bool:
 
 
 def meet(a: CellId, b: CellId) -> CellId:
-    """The lowest box whose shadow contains the shadows of both cells."""
-    if a.level < b.level:
-        a = ancestor_at(a, b.level)
-    elif b.level < a.level:
-        b = ancestor_at(b, a.level)
-    while a != b:
-        a, b = parent(a), parent(b)
-    return a
+    """The lowest box whose shadow contains the shadows of both cells.
+
+    After lifting the lower cell, the ancestors ``s`` levels up agree
+    iff every ``x >> s == y >> s``, i.e. iff no coordinate pair differs
+    in a bit at or above ``s``: the highest differing bit gives ``s``.
+    Cells on opposite sides of zero in some axis have no common box.
+    """
+    level, ka, kb = lift_pair(a, b)
+    s = 0
+    for x, y in zip(ka, kb):
+        diff = x ^ y
+        if diff < 0:
+            raise ValueError(f"{a!r} and {b!r} share no ancestor")
+        s = max(s, diff.bit_length())
+    return CellId(level + s, tuple([x >> s for x in ka]))
 
 
 @dataclass(eq=False)
@@ -362,10 +369,18 @@ class QuadTree:
         cell containing ``box``, a compressed node to its child if that
         still contains ``box``.  The descent stops at a leaf, at a
         compressed node whose gap holds ``box``, or at ``box`` itself.
+
+        An ordinary node keeps its children in :func:`children` order,
+        where the first axis is the most significant bit of the index,
+        so the child holding ``box`` is read off the coordinates' bits
+        at the child's level.  The descent builds no cell and hashes
+        nothing: one shift and one mask per coordinate and node passed.
+        ``box`` must pass :meth:`in_root`; the callers check that first.
         """
         node = self.root
+        level, coords = box.level, box.coords
         while True:
-            if node.kind == LEAF or node.cell.level == box.level:
+            if node.kind == LEAF or node.cell.level == level:
                 return node
             if node.kind == COMPRESSED:
                 child = node.children[0]
@@ -373,7 +388,11 @@ class QuadTree:
                     node = child
                     continue
                 return node
-            node = self.nodes_by_cell[ancestor_at(box, node.cell.level - 1)]
+            s = node.cell.level - 1 - level
+            i = 0
+            for k in coords:
+                i = (i << 1) | ((k >> s) & 1)
+            node = node.children[i]
 
     # -- subtree content without materialized nodes --------------------
 
@@ -536,6 +555,9 @@ class QuadTree:
                 node.parent = built[spec["parent"]]
                 node.parent.children.append(node)
             built.append(node)
+        for node in built:
+            if node.kind == ORDINARY and [ch.cell for ch in node.children] != children(node.cell):
+                raise ValueError(f"ordinary node {node.cell!r} must list its child cells in children() order")
         tree.root = built[0]
         tree._refresh_counts()
         return tree

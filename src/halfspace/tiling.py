@@ -183,8 +183,35 @@ def ancestor_at(c: CellId, level: int) -> CellId:
 
 
 def is_ancestor_or_self(a: CellId, c: CellId) -> bool:
-    """True if ``a`` is ``c`` or an ancestor of it."""
-    return a.level >= c.level and ancestor_at(c, a.level) == a
+    """True if ``a`` is ``c`` or an ancestor of it.
+
+    Compares the shifted coordinates of ``c`` with those of ``a`` one by
+    one, so no ancestor cell is built.
+    """
+    shift = a.level - c.level
+    if shift < 0 or len(a.coords) != len(c.coords):
+        return False
+    for k, x in zip(c.coords, a.coords):
+        if k >> shift != x:
+            return False
+    return True
+
+
+def lift_pair(p: CellId, q: CellId) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The higher of the two cells' levels and both cells' coordinates there.
+
+    The lower cell's ancestor at that level is taken with one shift per
+    coordinate, and no cell is built.  Raises ``ValueError`` when the
+    dimensions differ.
+    """
+    if len(p.coords) != len(q.coords):
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    s = q.level - p.level
+    if s > 0:
+        return q.level, tuple([k >> s for k in p.coords]), q.coords
+    if s < 0:
+        return p.level, p.coords, tuple([k >> -s for k in q.coords])
+    return p.level, p.coords, q.coords
 
 
 def contains_point(c: CellId, p: HPoint) -> bool:

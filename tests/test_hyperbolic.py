@@ -75,6 +75,25 @@ def test_distance_heights_1e_170():
     )
 
 
+def test_distance_x_1e308_apart():
+    # the coordinate difference 2e308 overflows; the true distance is
+    # 2 * asinh(1e308) = 2 * ln(2e308), about 1420
+    got = hyperbolic_distance(H(1.0, 1e308), H(1.0, -1e308))
+    assert got == pytest.approx(2.0 * (math.log(2.0) + math.log(1e308)), rel=1e-12)
+    # an overflowing gap over huge heights is not in the log regime
+    got = hyperbolic_distance(H(1e308, 1e308), H(1e308, -1e308))
+    assert got == pytest.approx(2.0 * math.asinh(1.0), rel=1e-12)
+    # nor is a gap that overflows only inside hypot
+    got = hyperbolic_distance(H(1.0, 1.5e308, 1.5e308), H(1.0, 0.0, 0.0))
+    assert got == pytest.approx(2.0 * (math.log(1.5e308) + 0.5 * math.log(2.0)), rel=1e-12)
+
+
+def test_distance_heights_1e200_and_1e300():
+    # z(p) * z(q) = 1e500 overflows to inf
+    got = hyperbolic_distance(H(1e200, 0.0), H(1e300, 0.0))
+    assert got == pytest.approx(100.0 * math.log(10.0), rel=1e-12)
+
+
 def test_distance_rejects_bad_input():
     with pytest.raises(ValueError):
         hyperbolic_distance(H(1.0, 0.0), H(1.0, 0.0, 0.0))

@@ -47,7 +47,8 @@ def check_structure(tree: QuadTree):
             assert len(node.children) == 1
         elif node.kind == ORDINARY:
             assert len(node.children) == (1 << (tree.dim - 1))
-            assert {ch.cell for ch in node.children} == set(children(node.cell))
+            # in children() order: point location indexes them by bits
+            assert [ch.cell for ch in node.children] == children(node.cell)
         assert node.count == (1 if node.stored_index is not None else 0) + sum(
             ch.count for ch in node.children
         )
@@ -347,3 +348,15 @@ def test_serialization_roundtrip(rng):
     assert json.dumps(back.to_dict(), sort_keys=True) == blob
     assert [n.cell for n in back.iter_nodes()] == [n.cell for n in tree.iter_nodes()]
     assert [n.kind for n in back.iter_nodes()] == [n.kind for n in tree.iter_nodes()]
+
+
+def test_from_dict_rejects_misordered_children():
+    data = build_quadtree([C(-1, 0), C(-1, 1)]).to_dict()
+    assert [spec["parent"] for spec in data["nodes"]] == [None, 0, 0]
+    QuadTree.from_dict(data)
+    swapped = dict(data, nodes=[data["nodes"][0], data["nodes"][2], data["nodes"][1]])
+    with pytest.raises(ValueError, match="children"):
+        QuadTree.from_dict(swapped)
+    stranger = dict(data, nodes=[data["nodes"][0], data["nodes"][1], dict(data["nodes"][2], cell=[-2, [3]])])
+    with pytest.raises(ValueError, match="children"):
+        QuadTree.from_dict(stranger)

@@ -18,6 +18,7 @@ from halfspace.tiling import (
     horizontal_neighbors,
     is_ancestor_or_self,
     level_of_height,
+    lift_pair,
     parent,
 )
 
@@ -151,6 +152,26 @@ def test_ancestor_at_and_is_ancestor(rng):
         assert not is_ancestor_or_self(c, a) or a == c
     with pytest.raises(ValueError):
         ancestor_at(CellId(0, (0,)), -1)
+
+
+def test_is_ancestor_or_self_matches_ancestor_at(rng):
+    for _ in range(500):
+        dim = rng.choice([2, 3, 4])
+        c = CellId(rng.randint(-40, 2), tuple(rng.randint(-(1 << 40), 1 << 40) for _ in range(dim - 1)))
+        a = CellId(rng.randint(-42, 4), tuple(rng.randint(-3, 3) for _ in range(dim - 1)))
+        if a.level >= c.level and rng.random() < 0.5:
+            a = ancestor_at(c, a.level)
+        expected = a.level >= c.level and ancestor_at(c, a.level) == a
+        assert is_ancestor_or_self(a, c) == expected
+    assert not is_ancestor_or_self(CellId(1, (0,)), CellId(0, (0, 0)))
+
+
+def test_lift_pair():
+    assert lift_pair(CellId(-3, (5, 9)), CellId(-1, (1, 2))) == (-1, (1, 2), (1, 2))
+    assert lift_pair(CellId(2, (-1,)), CellId(-2, (-7,))) == (2, (-1,), (-1,))
+    assert lift_pair(CellId(0, (3,)), CellId(0, (4,))) == (0, (3,), (4,))
+    with pytest.raises(ValueError):
+        lift_pair(CellId(0, (0,)), CellId(0, (0, 0)))
 
 
 def test_move_validation():
