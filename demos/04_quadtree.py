@@ -30,8 +30,9 @@ print("query box", q)
 print("  largest stored inside: ", largest.cell if largest else None)
 print("  smallest stored around:", smallest.cell if smallest else None)
 
-# Inserting a box splits compressed gaps as needed and keeps the
-# partition intact; re-querying the same box returns it on both sides.
+# Inserting a box rebuilds the tree over its nodes plus the box (new
+# node objects, same shape rule) and keeps the partition intact;
+# re-querying the same box returns it on both sides.
 box = CellId(-2, (2,))
 tree.insert_box(box)
 largest, smallest = tree.cell_query(box)

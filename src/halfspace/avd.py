@@ -1,8 +1,9 @@
 """Voronoi-style index answering exact d2 nearest-neighbor queries.
 
 Construction: build the compressed quadtree of the input cells, refine
-it by inserting the horizontal neighbors of every occupied box (for
-compressed nodes both the outer and the inner box contribute), then
+it by building a second tree whose nodes also include the horizontal
+neighbors of every occupied box (for compressed nodes both the outer
+and the inner box contribute; one Z-order build, no insertions), then
 annotate the refined tree bottom-up with the highest input per subtree
 and top-down with the nearest input to every box center.  The top-down
 pass reads the nodes under each box's horizontal neighbors from
@@ -71,9 +72,10 @@ def fill_highest(tree: QuadTree) -> None:
 
 
 def refine(tree: QuadTree) -> QuadTree:
-    """Insert the horizontal neighbors of every occupied box.
+    """A new tree over the same points whose nodes include the
+    horizontal neighbors of every occupied box.
 
-    Returns a new tree over the same points; the input tree is left
+    One build over the inputs plus those boxes; the input tree is left
     untouched.  Boxes that would leave the root shadow are skipped: the
     [1/4, 1/2] margin precondition makes them empty anyway.
     """
@@ -82,13 +84,8 @@ def refine(tree: QuadTree) -> QuadTree:
     for c in tree.points:
         if not _within_margin(c):
             raise ValueError(f"{c!r} violates the margin precondition: {_MARGIN_NOTE}")
-    refined = QuadTree(tree.dim, tree.points)
-    targets = [node.cell for node in tree.iter_nodes() if node.count > 0]
-    for cell in targets:
-        for nb in horizontal_neighbors(cell):
-            if tree.in_root(nb):
-                refined.insert_box(nb)
-    return refined
+    boxes = {nb for node in tree.iter_nodes() if node.count > 0 for nb in horizontal_neighbors(node.cell)}
+    return QuadTree(tree.dim, tree.points, [nb for nb in boxes if tree.in_root(nb)])
 
 
 def annotate(tree: QuadTree) -> None:

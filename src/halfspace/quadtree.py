@@ -2,20 +2,26 @@
 
 Cells of the tiling at level <= 0 inside the root cell [0,1]^(D-1) x
 [1,2] project to dyadic boxes of [0,1]^(D-1); the tree stores a set of
-such boxes (not raw points), so one input can sit above another.  Node
-kinds:
+such boxes (not raw points), so one input can sit above another.
 
-* ordinary  -- two or more occupied child cells; all 2^(D-1) child cells
-  are materialized so that leaf boxes and compressed regions exactly
-  partition the root shadow,
-* compressed -- one occupied child cell; the single tree child jumps to
-  the lowest box whose subtree holds the same inputs, and the node owns
-  the annular region between the two boxes,
-* leaf -- no tree children; holds at most one input (the box itself).
+A tree is made from its *keys*: the input boxes, any boxes that must be
+nodes without storing an input (the AVD refinement's neighbor boxes),
+the root, and the ``meet`` of every two of them.  One rule gives each
+key its kind from the keys right below it (its key children):
 
-A node whose own box is an input and whose other inputs all fall in one
-child cell does not fit the ordinary/compressed split; it is
-materialized as ordinary (see the build notes in the repo docs).
+* ordinary -- two or more key children, or an input box with another
+  input strictly below it.  All 2^(D-1) child cells are nodes, in
+  :func:`~halfspace.tiling.children` order, so that leaf boxes and
+  compressed regions exactly partition the root shadow: a child cell
+  without keys is a leaf, one whose topmost key lies lower a
+  compressed node over that key,
+* compressed -- one key child, the single tree child; the node owns the
+  annular region between the two boxes,
+* leaf -- no key children; holds at most one input (the box itself).
+
+Every tree (base, refined, or grown by :meth:`QuadTree.insert_box`)
+comes from one iterative pass over its keys in Z-order, so its shape
+depends on the set of keys alone.
 
 The predicates on dyadic boxes (containment, adjacency, touching a
 boundary) live here as well, for the spanner and the AVD index.
@@ -26,8 +32,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import add
+from typing import Iterable
 
-from .tiling import CellId, ancestor_at, children, floor_scaled, is_ancestor_or_self, lift_pair
+from .tiling import CellId, children, floor_scaled, is_ancestor_or_self, lift_pair
 
 ORDINARY = "ordinary"
 COMPRESSED = "compressed"
@@ -131,6 +138,23 @@ def meet(a: CellId, b: CellId) -> CellId:
     return CellId(level + s, tuple([x >> s for x in ka]))
 
 
+def _zorder_key(low: int, axes: int):
+    """Sort key putting cells at or above level ``low`` in preorder of
+    the dyadic tree, children in :func:`children` order: the Morton
+    interleave of the lower corner lifted to ``low`` (first axis most
+    significant), ties to the higher cell.  With one axis the interleave
+    is the lifted coordinate."""
+    if axes == 1:
+        return lambda c: (c.coords[0] << (c.level - low), -c.level)
+    width = f"0{-low}b"
+
+    def key(c: CellId):
+        digits = [format(k << (c.level - low), width) for k in c.coords]
+        return int("".join(map("".join, zip(*digits))), 2), -c.level
+
+    return key
+
+
 @dataclass(eq=False)
 class QuadNode:
     cell: CellId
@@ -147,70 +171,99 @@ class QuadNode:
         return f"QuadNode({self.cell!r}, {self.kind}, count={self.count})"
 
 
-def _recount(node: QuadNode) -> None:
-    """Inputs under a node from its children's counts and its own box."""
-    node.count = (1 if node.stored_index is not None else 0) + sum(ch.count for ch in node.children)
-
-
 class QuadTree:
     """Compressed quadtree storing input cells as boxes.
 
     ``points`` keeps the caller's list verbatim (duplicates included);
     each distinct cell is owned by its first index so distance ties
-    resolve to the smallest index everywhere downstream.
+    resolve to the smallest index everywhere downstream.  ``boxes``
+    must become nodes as well but store no input (the AVD refinement
+    passes the neighbors of the occupied boxes).
     """
 
-    def __init__(self, dim: int, points: list[CellId]):
+    def __init__(self, dim: int, points: list[CellId], boxes: Iterable[CellId] = ()):
         self.dim = dim
         self.points = list(points)
         self.root_cell = root_cell(dim)
         self._index_of: dict[CellId, int] = {}
         for i, c in enumerate(points):
-            if c.dim != dim:
-                raise ValueError(f"point {c!r} has dimension {c.dim}, expected {dim}")
-            if not self.in_root(c):
-                raise ValueError(f"point {c!r} lies outside the root cell's shadow")
+            self._check_in_root(c)
             self._index_of.setdefault(c, i)
-        distinct = sorted(self._index_of, key=self._index_of.get)
-        self.nodes_by_cell: dict[CellId, QuadNode] = {}
-        self.root = self._build(self.root_cell, distinct)
-        self._refresh_counts()
+        boxes = list(boxes)
+        for box in boxes:
+            self._check_in_root(box)
+        self._assemble([self.root_cell, *self._index_of, *boxes])
 
     # -- construction -------------------------------------------------
 
-    def _new_node(self, cell: CellId, kind: str) -> QuadNode:
-        node = QuadNode(cell, kind, stored_index=self._index_of.get(cell))
-        self.nodes_by_cell[cell] = node
-        return node
+    def _assemble(self, cells: list[CellId]) -> None:
+        """Make ``cells``, the root among them, the key boxes of a fresh tree.
 
-    def _build(self, cell: CellId, boxes: list[CellId]) -> QuadNode:
-        below = [b for b in boxes if b != cell]
-        if not below:
-            return self._new_node(cell, LEAF)
-        groups: dict[CellId, list[CellId]] = {}
-        for b in below:
-            groups.setdefault(ancestor_at(b, cell.level - 1), []).append(b)
-        stored_here = cell in self._index_of
-        if len(groups) == 1 and not stored_here:
-            (target,) = groups
-            m = below[0] if len(below) == 1 else meet(*below[:2])
-            for b in below[2:]:
-                m = meet(m, b)
-            node = self._new_node(cell, COMPRESSED)
-            child = self._build(m, below)
-            child.parent = node
-            node.children.append(child)
-            return node
-        node = self._new_node(cell, ORDINARY)
-        for child_cell in children(cell):
-            child = self._build(child_cell, groups.get(child_cell, []))
-            child.parent = node
-            node.children.append(child)
-        return node
+        The keys, sorted in preorder of the dyadic tree
+        (:func:`_zorder_key`), pass once through a stack holding the keys
+        above the last one.  The ``meet`` of each adjacent pair joins the
+        keys, between two stacked ones if new, and a key is linked below
+        the nearest key above it once its subtree, and so its input
+        count, is complete.  A top-down pass then sets the kinds by the
+        module's rule and gives each ordinary node its child cells, the
+        keys' slots read off coordinate bits.  O(n log n), no recursion.
+        """
+        index_of = self._index_of
+        order = sorted(set(cells), key=_zorder_key(min(c.level for c in cells), self.dim - 1))
 
-    def _refresh_counts(self) -> None:
-        for node in reversed(list(self.iter_nodes())):
-            _recount(node)
+        def link(up: QuadNode, down: QuadNode) -> None:
+            up.children.append(down)
+            up.count += down.count
+
+        stack: list[QuadNode] = []
+        for cell in order:
+            i = index_of.get(cell)
+            node = QuadNode(cell, LEAF, stored_index=i, count=0 if i is None else 1)
+            if stack:
+                m = meet(stack[-1].cell, cell)
+                while len(stack) > 1 and stack[-2].cell.level <= m.level:
+                    down = stack.pop()
+                    link(stack[-1], down)
+                if stack[-1].cell.level != m.level:
+                    # no key lies at m: a key there would be on the stack,
+                    # so m is no input either
+                    up = QuadNode(m, LEAF)
+                    link(up, stack[-1])
+                    stack[-1] = up
+            stack.append(node)
+        while len(stack) > 1:
+            down = stack.pop()
+            link(stack[-1], down)
+
+        self.root = stack[0]
+        self.nodes_by_cell = {}
+        todo = [self.root]
+        while todo:
+            node = todo.pop()
+            self.nodes_by_cell[node.cell] = node
+            below = node.children
+            if len(below) > 1 or (node.stored_index is not None and node.count > 1):
+                node.kind = ORDINARY
+                lev = node.cell.level - 1
+                slots: list[QuadNode | None] = [None] * (1 << (self.dim - 1))
+                for key in below:
+                    s = lev - key.cell.level
+                    i = 0
+                    for k in key.cell.coords:
+                        i = (i << 1) | ((k >> s) & 1)
+                    slots[i] = key
+                node.children = []
+                for cc, child in zip(children(node.cell), slots):
+                    if child is None:
+                        child = QuadNode(cc, LEAF)
+                    elif child.cell.level < lev:
+                        child = QuadNode(cc, COMPRESSED, children=[child], count=child.count)
+                    node.children.append(child)
+            elif below:
+                node.kind = COMPRESSED
+            for child in node.children:
+                child.parent = node
+            todo.extend(node.children)
 
     # -- traversal ----------------------------------------------------
 
@@ -327,9 +380,9 @@ class QuadTree:
 
     def _check_in_root(self, box: CellId) -> None:
         if box.dim != self.dim:
-            raise ValueError(f"box dimension {box.dim} does not match tree dimension {self.dim}")
+            raise ValueError(f"{box!r} has dimension {box.dim}, not the tree's {self.dim}")
         if not self.in_root(box):
-            raise ValueError(f"box {box!r} is outside the root cell's shadow")
+            raise ValueError(f"{box!r} lies outside the root cell's shadow")
 
     def locate(self, x: tuple[float, ...]) -> QuadNode:
         """The leaf or compressed node whose box or region contains ``x``."""
@@ -434,83 +487,21 @@ class QuadTree:
     # -- insertion ----------------------------------------------------
 
     def insert_box(self, box: CellId) -> QuadNode:
-        """Ensure ``box`` is a node; splits compressed gaps as needed."""
+        """Ensure ``box`` is a node and return it.
+
+        A box that is already a node is returned as it is.  Otherwise the
+        tree is rebuilt over its node boxes plus ``box``, which costs
+        O(n log n) for n nodes, replaces every node object and drops the
+        annotations the AVD passes left on the old ones.  Builds that
+        need many boxes pass them to the constructor at once; demo 04
+        and the tests are this method's callers.
+        """
         self._check_in_root(box)
         existing = self.nodes_by_cell.get(box)
         if existing is not None:
             return existing
-        holder = self.smallest_containing(box)
-        if holder.kind == LEAF:
-            node = self._attach_chain(holder, box)
-        else:  # compressed; ordinary holders always descend further
-            node = self._split_compressed(holder, box)
-        return node
-
-    def _attach_chain(self, parent_node: QuadNode, box: CellId) -> QuadNode:
-        """Hang ``box`` below a node that currently has no children."""
-        node = self._new_node(box, LEAF)
-        node.parent = parent_node
-        parent_node.children.append(node)
-        parent_node.kind = COMPRESSED
-        return node
-
-    def _split_compressed(self, holder: QuadNode, box: CellId) -> QuadNode:
-        child = holder.children[0]
-        if shadow_within(child.cell, box):
-            # box sits on the chain between holder and its child: splice
-            node = self._new_node(box, COMPRESSED)
-            holder.children = [node]
-            node.parent = holder
-            node.children = [child]
-            child.parent = node
-            _recount(node)
-            return node
-        # box lies in the annulus: branch at the meet of box and child
-        # (which can be the holder cell itself)
-        branch_cell = meet(box, child.cell)
-        if branch_cell == holder.cell:
-            branch = holder
-        else:
-            branch = self._new_node(branch_cell, ORDINARY)
-            branch.parent = holder
-            holder.children = [branch]
-        old_child = child
-        branch.kind = ORDINARY
-        branch.children = []
-        target: QuadNode | None = None
-        for cc in children(branch.cell):
-            if shadow_within(old_child.cell, cc):
-                sub = self._chain_to(cc, old_child)
-            elif shadow_within(box, cc):
-                if box == cc:
-                    sub = self._new_node(cc, LEAF)
-                    target = sub
-                else:
-                    sub = self._new_node(cc, COMPRESSED)
-                    inner = self._new_node(box, LEAF)
-                    inner.parent = sub
-                    sub.children = [inner]
-                    target = inner
-            else:
-                sub = self._new_node(cc, LEAF)
-            sub.parent = branch
-            branch.children.append(sub)
-        node = branch
-        while node is not None:
-            _recount(node)
-            node = node.parent
-        assert target is not None
-        return target
-
-    def _chain_to(self, cell: CellId, descendant: QuadNode) -> QuadNode:
-        """A node for ``cell`` holding an existing subtree below it."""
-        if descendant.cell == cell:
-            return descendant
-        node = self._new_node(cell, COMPRESSED)
-        node.children = [descendant]
-        descendant.parent = node
-        _recount(node)
-        return node
+        self._assemble([*self.nodes_by_cell, box])
+        return self.nodes_by_cell[box]
 
     # -- serialization -------------------------------------------------
 
@@ -559,7 +550,8 @@ class QuadTree:
             if node.kind == ORDINARY and [ch.cell for ch in node.children] != children(node.cell):
                 raise ValueError(f"ordinary node {node.cell!r} must list its child cells in children() order")
         tree.root = built[0]
-        tree._refresh_counts()
+        for node in reversed(built):
+            node.count = (1 if node.stored_index is not None else 0) + sum(ch.count for ch in node.children)
         return tree
 
 

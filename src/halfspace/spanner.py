@@ -126,14 +126,16 @@ def bridge_candidate(r: CellId, top: QuadNode, r2: CellId, top2: QuadNode) -> bo
     """Can (r, r2) be the bridge of some input pair's d2-path?
 
     ``top`` and ``top2`` are the topmost nodes on or below the two
-    boxes, both holding inputs.  True when either side's box is itself
-    an input, or some occupied child of one side is not a neighbor of
-    some occupied child of the other (that pair's path cannot bridge
-    lower).
+    boxes, both holding inputs.  True when ``r`` is itself an input, or
+    some occupied child of one side is not a neighbor of some occupied
+    child of the other (that pair's path cannot bridge lower).
+
+    Whether ``r2`` is an input need not be asked: an input box is an
+    occupied node, and :func:`enumerate_bridges` tests the same pair
+    from that node's side, where ``r2`` is the first box.
     """
-    for box, node in ((r, top), (r2, top2)):
-        if node.cell == box and node.stored_index is not None:
-            return True
+    if top.cell == r and top.stored_index is not None:
+        return True
     kids_r2 = _occupied_children(r2, top2)
     return any(lambda_(c, c2) >= 2 for c in _occupied_children(r, top) for c2 in kids_r2)
 

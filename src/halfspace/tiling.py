@@ -99,12 +99,13 @@ def parent(c: CellId) -> CellId:
 
 
 def children(c: CellId) -> list[CellId]:
-    """All 2^(D-1) cells one level down whose parent is ``c``."""
-    base = tuple(k << 1 for k in c.coords)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(base)):
-        out.append(CellId(c.level - 1, tuple(b + o for b, o in zip(base, bits))))
-    return out
+    """All 2^(D-1) cells one level down whose parent is ``c``, the first
+    axis's bit most significant in the order."""
+    rows = [()]
+    for k in c.coords:
+        k <<= 1
+        rows = [row + (x,) for row in rows for x in (k, k + 1)]
+    return [CellId(c.level - 1, row) for row in rows]
 
 
 def horizontal_neighbors(c: CellId) -> list[CellId]:
@@ -132,11 +133,17 @@ def all_moves(c: CellId) -> Iterator[CellId]:
 
 
 def center(c: CellId) -> HPoint:
-    """Center of the cell: x_j = (k_j + 1/2)*2^i, z = 3*2^(i-1)."""
-    return HPoint(
-        tuple(math.ldexp(k + 0.5, c.level) for k in c.coords),
-        math.ldexp(3.0, c.level - 1),
-    )
+    """Center of the cell: x_j = (k_j + 1/2)*2^i, z = 3*2^(i-1).
+
+    Each x_j is the correctly rounded quotient (2k_j + 1) / 2^(1-i), so
+    it stays finite below level -1024, where k_j + 1/2 overflows a float.
+    """
+    s = c.level - 1
+    if s < 0:
+        xs = tuple((2 * k + 1) / (1 << -s) for k in c.coords)
+    else:
+        xs = tuple(float((2 * k + 1) << s) for k in c.coords)
+    return HPoint(xs, math.ldexp(3.0, s))
 
 
 def level_of_height(z: float) -> int:

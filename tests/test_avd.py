@@ -317,11 +317,13 @@ def test_discrete_index_roundtrip(rng):
         assert query(back, q) == query(ix, q)
 
 
-def test_build_avd_nested_chain_497_levels():
+@pytest.mark.parametrize("n", [497, 1000])
+def test_build_avd_nested_chain(n):
     # 497 nested input boxes along x = 0.3 overflowed the recursive
-    # subtree counts; the counts and the highest-input pass now loop
-    chain = [C(-lev, math.floor(0.3 * 2**lev)) for lev in range(2, 499)]
+    # subtree counts, and 1000 the recursive build; the counts, the
+    # highest-input pass and the build now loop
+    chain = [C(-lev, math.floor(0.3 * 2**lev)) for lev in range(2, n + 2)]
     ix = build_avd(chain)
-    assert ix.tree.root.count == 497
+    assert ix.tree.root.count == n
     assert ix.highest_index == 0
-    assert query(ix, chain[-1]) == 496
+    assert query(ix, chain[-1]) == n - 1

@@ -128,6 +128,14 @@ def test_build_embedding_and_hyperbolic_spanner(tmp_path, capsys):
         assert json.loads(out.read_text())["edges"]
 
 
+def test_build_hyperbolic_spanner_height_5e_324(tmp_path, capsys):
+    pts = tmp_path / "pts.jsonl"
+    pts.write_text('{"dim": 2, "kind": "continuous"}\n{"x": [0.3], "z": 1.0}\n{"x": [0.3], "z": 5e-324}\n')
+    out = tmp_path / "spanner.json"
+    assert main(["build", "--what", "hyperbolic-spanner", "--in", str(pts), "--out", str(out), "--k", "2"]) == 0
+    assert json.loads(out.read_text())["edges"]
+
+
 def test_build_rejects_kind_mismatch(tmp_path, capsys):
     pts = tmp_path / "pts.jsonl"
     assert main(["gen", "--dim", "2", "--n", "8", "--kind", "discrete", "--seed", "1", "--out", str(pts)]) == 0

@@ -92,6 +92,16 @@ def test_center_examples():
     assert center(CellId(-1, (3,))) == HPoint((1.75,), 0.75)
 
 
+def test_center_of_cell_of_height_5e_324():
+    # k + 1/2 overflowed a float below level -1024
+    c = cell_of(HPoint((0.3,), 5e-324))
+    assert c.level == -1074
+    b = center(c)
+    assert b.x == (float(Fraction(2 * c.coords[0] + 1, 2**1075)),)
+    assert b.x[0] == 0.3
+    assert b.z == 1e-323
+
+
 def test_cell_of_examples():
     assert cell_of(HPoint((0.3,), 1.5)) == CellId(0, (0,))
     # z exactly on a facet goes to the bigger cell above (maximum level)

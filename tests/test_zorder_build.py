@@ -1,0 +1,183 @@
+"""The Z-order build against the recursive build and the splice
+insertion it replaced (``quadtree_reference.py``), and on chains too
+deep for them."""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halfspace.avd import build_avd, query_hyperbolic, refine
+from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadTree, build_quadtree
+from halfspace.sampling import sample_margin_cells
+from halfspace.spanner import build_hyperbolic_spanner, build_spanner
+from halfspace.tiling import CellId, HPoint, ancestor_at
+
+from conftest import random_cell_in_root
+from quadtree_reference import ReferenceQuadTree, reference_refine, shape
+from test_boundary_search import stacked_sets
+from test_closed_form import CellBuilds
+
+
+def C(level, *coords):
+    return CellId(level, tuple(coords))
+
+
+@st.composite
+def random_sets(draw):
+    """Random boxes at D = 2..4 with repeats, often around a nested
+    chain (every level, or every few levels, of one deep box)."""
+    dim = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = [random_cell_in_root(rng, dim, min_level=-draw(st.integers(1, 12))) for _ in range(draw(st.integers(0, 14)))]
+    if draw(st.booleans()):
+        deep = random_cell_in_root(rng, dim, min_level=-60)
+        cells.extend(ancestor_at(deep, lev) for lev in range(deep.level, 1, draw(st.integers(1, 4))))
+    if cells:
+        cells.extend(rng.choice(cells) for _ in range(draw(st.integers(0, 3))))
+    rng.shuffle(cells)
+    return dim, cells, rng
+
+
+# -- the build ----------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_sets())
+def test_build_matches_reference_on_random_sets(data):
+    dim, cells, _ = data
+    assert shape(QuadTree(dim, cells)) == shape(ReferenceQuadTree(dim, cells))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_build_matches_reference_on_stacked_sets(dim, data):
+    cells = data.draw(stacked_sets(dim, margin=False))
+    assert shape(build_quadtree(cells)) == shape(ReferenceQuadTree(dim, cells))
+
+
+def test_stored_box_over_stored_box_is_ordinary():
+    tree = QuadTree(2, [C(-1, 0), C(-3, 1)])
+    assert tree.node_for(C(-1, 0)).kind == ORDINARY
+    assert [ch.kind for ch in tree.node_for(C(-1, 0)).children] == [COMPRESSED, LEAF]
+
+
+def test_stored_box_over_required_box_is_compressed():
+    # an input with only boxes that store nothing below it keeps one
+    # child, as when a box is hung under a stored leaf
+    tree = QuadTree(2, [C(-1, 0)], [C(-3, 1)])
+    node = tree.node_for(C(-1, 0))
+    assert (node.kind, node.stored_index, node.count) == (COMPRESSED, 0, 1)
+    assert [ch.cell for ch in node.children] == [C(-3, 1)]
+    assert shape(tree) == shape(_inserted(ReferenceQuadTree(2, [C(-1, 0)]), [C(-3, 1)]))
+
+
+def test_meets_of_adjacent_keys_become_nodes():
+    # no key sits at Cell(-1;[0]), the meet of the two deep boxes
+    tree = QuadTree(2, [C(-3, 0), C(-3, 3), C(-1, 1)])
+    assert tree.node_for(C(-1, 0)).kind == ORDINARY
+    assert shape(tree) == shape(ReferenceQuadTree(2, [C(-3, 0), C(-3, 3), C(-1, 1)]))
+
+
+def test_boxes_outside_the_root_are_rejected():
+    with pytest.raises(ValueError, match="outside"):
+        QuadTree(2, [C(-2, 1)], [C(-2, 4)])
+    with pytest.raises(ValueError, match="dimension"):
+        QuadTree(2, [C(-2, 1)], [C(-2, 1, 1)])
+
+
+# -- refinement and insertion ---------------------------------------------------
+
+
+def _inserted(tree, boxes):
+    for box in boxes:
+        node = tree.insert_box(box)
+        assert node is tree.node_for(box)
+    return tree
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_refine_matches_reference_insertions(dim, data):
+    cells = data.draw(stacked_sets(dim, margin=True))
+    base = build_quadtree(cells)
+    assert shape(refine(base)) == shape(reference_refine(base))
+
+
+def test_refine_matches_reference_on_margin_samples(rng):
+    for dim in (2, 3, 4):
+        for n in (1, 5, 30):
+            base = build_quadtree(sample_margin_cells(rng, dim, n, min_level=-12))
+            assert shape(refine(base)) == shape(reference_refine(base))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_sets(), st.integers(1, 8), st.booleans())
+def test_insert_box_matches_reference_insertion(data, n_boxes, loaded):
+    dim, cells, rng = data
+    tree, ref = QuadTree(dim, cells), ReferenceQuadTree(dim, cells)
+    if loaded:
+        tree = QuadTree.from_dict(tree.to_dict())
+        ref = ReferenceQuadTree.from_dict(ref.to_dict())
+    boxes = [random_cell_in_root(rng, dim, min_level=-14) for _ in range(n_boxes)]
+    for box in boxes:
+        assert tree.insert_box(box) is tree.node_for(box)
+        ref.insert_box(box)
+        assert shape(tree) == shape(ref)
+    # the splice insertions, in any order, give the tree built with the boxes
+    rng.shuffle(boxes)
+    assert shape(QuadTree(dim, cells, boxes)) == shape(_inserted(ReferenceQuadTree(dim, cells), boxes))
+
+
+def test_insert_existing_box_keeps_the_nodes():
+    tree = build_quadtree([C(-3, 1), C(-3, 6)])
+    nodes = list(tree.iter_nodes())
+    node = tree.node_for(C(-3, 1))
+    assert tree.insert_box(C(-3, 1)) is node
+    assert list(tree.iter_nodes()) == nodes
+
+
+# -- depth --------------------------------------------------------------------
+
+
+def _chain(n):
+    """``n`` nested boxes around x = 3/10, one per level from -2 down."""
+    return [C(-lev, (3 << lev) // 10) for lev in range(2, n + 2)]
+
+
+def test_build_3000_box_chain():
+    chain = _chain(3000)
+    tree = build_quadtree(chain)
+    assert len(tree) == 6000
+    assert tree.smallest_containing(chain[-1]).stored_index == 2999
+    g = build_spanner(chain)
+    assert (len(g.vertices), len(g.edges)) == (3000, 2999)
+    assert all(w == 1.0 for _u, _v, w in g.edges)
+
+
+def test_build_1074_nested_continuous_inputs():
+    # the deepest chain cell_of produces: heights 1.5 * 2^-lev down to
+    # the smallest subnormals
+    pts = [HPoint((0.3,), 1.5 * 2.0**-lev) for lev in range(1074)]
+    ix = build_avd(pts)
+    assert ix.tree.root.count == 1074
+    assert query_hyperbolic(ix, pts[-1]) == 1073
+    assert query_hyperbolic(ix, pts[500]) == 500
+    g = build_hyperbolic_spanner(pts, 2)
+    assert sorted(v.input_index for v in g.vertices if v.kind == "input") == list(range(1074))
+    assert all(0.0 <= w < math.inf for _u, _v, w in g.edges)
+
+
+def test_build_constructs_at_most_4_cells_per_box_down_a_400_level_chain(monkeypatch):
+    """Cost guard: one meet per adjacent pair and the child cells of each
+    ordinary node, not a regrouping per level."""
+    x = (1 << 399) + 0x5A5A5
+    chain = [CellId(-lev, (x >> (400 - lev),)) for lev in range(1, 401)]
+    builds = CellBuilds(monkeypatch)
+    assert builds.during(build_quadtree, chain) <= 4 * len(chain)
+    # the recursive build regroups every box below each level
+    assert builds.during(ReferenceQuadTree, 2, chain) > 50 * len(chain)
