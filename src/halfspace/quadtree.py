@@ -209,7 +209,9 @@ class QuadTree:
         keys' slots read off coordinate bits.  O(n log n), no recursion.
         """
         index_of = self._index_of
-        order = sorted(set(cells), key=_zorder_key(min(c.level for c in cells), self.dim - 1))
+        low = min(c.level for c in cells)
+        self._locate_level = low - 1
+        order = sorted(set(cells), key=_zorder_key(low, self.dim - 1))
 
         def link(up: QuadNode, down: QuadNode) -> None:
             up.children.append(down)
@@ -343,7 +345,7 @@ class QuadTree:
                 stack.append((child, below))
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        return len(self.nodes_by_cell)
 
     def compressed_on_boundary(self, *boxes: CellId) -> list[QuadNode]:
         """Occupied compressed nodes whose closed box meets the boundary
@@ -385,24 +387,18 @@ class QuadTree:
             raise ValueError(f"{box!r} lies outside the root cell's shadow")
 
     def locate(self, x: tuple[float, ...]) -> QuadNode:
-        """The leaf or compressed node whose box or region contains ``x``."""
+        """The leaf or compressed node whose box or region contains ``x``.
+
+        The cell holding ``x`` one level below the lowest node lies in a
+        node's box exactly when ``x`` does, so the lowest node containing
+        that cell (:meth:`smallest_containing`) is the answer.
+        """
         if len(x) != self.dim - 1:
             raise ValueError(f"expected {self.dim - 1} coordinates, got {len(x)}")
         if not all(0.0 <= v < 1.0 for v in x):
             raise ValueError(f"point {x} is outside the root shadow [0,1)^(D-1)")
-        node = self.root
-        while True:
-            if node.kind == LEAF:
-                return node
-            if node.kind == COMPRESSED:
-                child = node.children[0]
-                if self.shadow_holds(child.cell, x):
-                    node = child
-                else:
-                    return node  # x is in the annular region
-                continue
-            lev = node.cell.level - 1
-            node = self.nodes_by_cell[CellId(lev, tuple(floor_scaled(v, lev) for v in x))]
+        lev = self._locate_level
+        return self.smallest_containing(CellId(lev, tuple([floor_scaled(v, lev) for v in x])))
 
     @staticmethod
     def shadow_holds(cell: CellId, x: tuple[float, ...]) -> bool:
@@ -550,6 +546,7 @@ class QuadTree:
             if node.kind == ORDINARY and [ch.cell for ch in node.children] != children(node.cell):
                 raise ValueError(f"ordinary node {node.cell!r} must list its child cells in children() order")
         tree.root = built[0]
+        tree._locate_level = min(node.cell.level for node in built) - 1
         for node in reversed(built):
             node.count = (1 if node.stored_index is not None else 0) + sum(ch.count for ch in node.children)
         return tree

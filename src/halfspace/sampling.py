@@ -61,18 +61,13 @@ def sample_margin_cells(rng: random.Random, dim: int, n: int, min_level: int = -
     if n < 1:
         raise ValueError("need at least one point")
     out = []
-    while len(out) < n:
+    for _ in range(n):
         level = rng.randint(min_level, -1)
         t = -1 - level
-        coords = []
-        for _ in range(dim - 1):
-            # odd numerators 2k+1 in [2^t, 2^(t+1)]
-            lo = (1 << t) // 2
-            hi = ((1 << (t + 1)) - 1) // 2
-            coords.append(rng.randint(lo, hi))
-        cell = CellId(level, tuple(coords))
-        if all((1 << t) <= 2 * k + 1 <= (1 << (t + 1)) for k in cell.coords):
-            out.append(cell)
+        # the odd numerators 2k+1 in [2^t, 2^(t+1)] are exactly these k
+        lo = (1 << t) // 2
+        hi = ((1 << (t + 1)) - 1) // 2
+        out.append(CellId(level, tuple(rng.randint(lo, hi) for _ in range(dim - 1))))
     return out
 
 

@@ -3,14 +3,15 @@
 Given an upward-oriented forest and a hop budget ``k``, extra
 descendant-to-ancestor edges are added so that every ancestor/descendant
 pair is connected by a directed path of at most ``k`` edges.  ``k = 1``
-forces the full transitive closure; for ``k >= 2`` a separator recursion
-is used: pick the deepest vertex whose subtree holds at least half of
-the component, wire its subtree to it and it to its ancestors (two hops
-across the separator), and recurse on the pieces.  That construction
-already achieves the two-hop bound, so larger ``k`` only prunes
-recursion on shallow components; measured sizes stay near ``n log n``
-and are reported, not asserted, against the inverse-Ackermann row
-reference values.
+forces the full transitive closure; for ``k >= 2`` separators split a
+worklist of components: pick the deepest vertex whose subtree holds at
+least half of a component, wire its subtree to it and it to its
+ancestors (two hops across the separator), and queue the pieces.  Each
+component is a slice of one preorder list, where every subtree is a
+contiguous run, so no traversal recurses.  That construction already
+achieves the two-hop bound, so larger ``k`` only skips shallow
+components; measured sizes stay near ``n log n`` and are reported, not
+asserted, against the inverse-Ackermann row reference values.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class ShortcutSet:
         return adj
 
 
-def _depths_and_children(parent: dict[int, int | None]):
+def _preorder(parent: dict[int, int | None]) -> tuple[list[int], dict[int, int]]:
+    """Every vertex in preorder, one tree after another, and its depth."""
     children: dict[int, list[int]] = {v: [] for v in parent}
     roots = []
     for v in sorted(parent):
@@ -57,57 +59,32 @@ def _depths_and_children(parent: dict[int, int | None]):
             if p not in parent:
                 raise ValueError(f"vertex {v} points to unknown parent {p}")
             children[p].append(v)
+    order: list[int] = []
     depth: dict[int, int] = {}
     for r in roots:
         depth[r] = 0
         stack = [r]
         while stack:
             u = stack.pop()
+            order.append(u)
             for c in children[u]:
                 depth[c] = depth[u] + 1
                 stack.append(c)
-    if len(depth) != len(parent):
+    if len(order) != len(parent):
         raise ValueError("parent map contains a cycle")
-    return roots, children, depth
+    return order, depth
 
 
 def forest_height(parent: dict[int, int | None]) -> int:
     """Depth of the deepest vertex of an upward forest (0 when empty)."""
-    return max(_depths_and_children(parent)[2].values(), default=0)
-
-
-def _subtree_sizes(root: int, children: dict[int, list[int]], alive: set[int]) -> dict[int, int]:
-    size: dict[int, int] = {}
-    order = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for c in children[u]:
-            if c in alive:
-                stack.append(c)
-    for u in reversed(order):
-        size[u] = 1 + sum(size[c] for c in children[u] if c in alive)
-    return size
-
-
-def _component_height(root: int, children: dict[int, list[int]], alive: set[int]) -> int:
-    best = 0
-    stack = [(root, 0)]
-    while stack:
-        u, d = stack.pop()
-        best = max(best, d)
-        for c in children[u]:
-            if c in alive:
-                stack.append((c, d + 1))
-    return best
+    return max(_preorder(parent)[1].values(), default=0)
 
 
 def shortcut_forest(parent: dict[int, int | None], k: int) -> ShortcutSet:
     """Extra edges so every ancestor is reachable within ``k`` hops."""
     if k < 1:
         raise ValueError(f"hop budget must be at least 1, got {k}")
-    roots, children, depth = _depths_and_children(parent)
+    order, depth = _preorder(parent)
 
     extras: set[tuple[int, int]] = set()
 
@@ -122,59 +99,48 @@ def shortcut_forest(parent: dict[int, int | None], k: int) -> ShortcutSet:
                 a = parent[a]
         return ShortcutSet(dict(parent), k, tuple(sorted(extras)))
 
-    def solve(root: int, alive: set[int]) -> None:
-        if _component_height(root, children, alive) <= k:
-            return
-        size = _subtree_sizes(root, children, alive)
-        half = (size[root] + 1) // 2
-        sep = root
-        while True:
-            nxt = None
-            for c in sorted(children[sep]):
-                if c in alive and size[c] >= half:
-                    nxt = c
-                    break
-            if nxt is None:
-                break
-            sep = nxt
+    # a component is a connected piece of one tree in preorder, its root
+    # first; every subtree in it is a contiguous run
+    work: list[list[int]] = []
+    for v in order:
+        if depth[v] == 0:
+            work.append([])
+        work[-1].append(v)
+    while work:
+        comp = work.pop()
+        top = depth[comp[0]]
+        if max(depth[v] for v in comp) - top <= k:
+            continue
+        size = dict.fromkeys(comp, 1)
+        for v in reversed(comp[1:]):
+            size[parent[v]] += size[v]
+        # the separator: the deepest vertex whose subtree holds at least
+        # half the component; at most one child of a vertex can qualify
+        half = (len(comp) + 1) // 2
+        s, j = 0, 1
+        while j < s + size[comp[s]]:
+            if size[comp[j]] >= half:
+                s = j
+                j += 1
+            else:
+                j += size[comp[j]]
+        sep = comp[s]
+        end = s + size[sep]
         # wire the separator's subtree to it, and it to its ancestors
-        sub = set()
-        stack = [sep]
-        while stack:
-            u = stack.pop()
-            sub.add(u)
-            for c in children[u]:
-                if c in alive:
-                    stack.append(c)
-        for u in sub:
-            if u != sep and parent[u] != sep:
+        for u in comp[s + 1 : end]:
+            if parent[u] != sep:
                 extras.add((u, sep))
         a = parent[sep]
-        while a is not None and a in alive:
-            if a != parent[sep]:
-                extras.add((sep, a))
+        for _ in range(depth[sep] - top - 1):
             a = parent[a]
-        # recurse on the remainder and on the separator's child subtrees
-        rest = alive - sub
-        if rest:
-            solve(root, rest)
-        for c in sorted(children[sep]):
-            if c in alive:
-                solve(c, sub & _collect(c, children, alive))
-
-    def _collect(root: int, children: dict[int, list[int]], alive: set[int]) -> set[int]:
-        out = set()
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            out.add(u)
-            for c in children[u]:
-                if c in alive:
-                    stack.append(c)
-        return out
-
-    for r in roots:
-        solve(r, _collect(r, children, {v for v in parent}))
+            extras.add((sep, a))
+        # go on with the remainder and with the separator's child subtrees
+        if s:
+            work.append(comp[:s] + comp[end:])
+        j = s + 1
+        while j < end:
+            work.append(comp[j : j + size[comp[j]]])
+            j += size[comp[j]]
     return ShortcutSet(dict(parent), k, tuple(sorted(extras)))
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
-from .metrics import bridge_level_estimate, d2_path, lambda_
+from .metrics import d2_path, lambda_
 from .quadtree import COMPRESSED, QuadNode, QuadTree, box_adjacent, build_quadtree
 from .shortcut import forest_height, shortcut_forest
 from .tiling import CellId, HPoint, ancestor_at, center, horizontal_neighbors, is_ancestor_or_self
@@ -167,20 +167,16 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
             if bridge_candidate(r, node, r2, top2):
                 bridges.add(Bridge.of(r, r2))
     # bridges with neither endpoint stored: both endpoints span compressed
-    # gaps; the witness d2-path between the gap bottoms finds the bridge
+    # gaps; the witness d2-path between the gap bottoms finds the bridge.
+    # Adjacent boxes have disjoint interiors, so the gap bottoms are never
+    # nested and their d2-path always has a bridge.
     order = {nu: i for i, nu in enumerate(compressed)}
     for i, nu in enumerate(compressed):
         for nu2 in tree.compressed_on_boundary(nu.cell):
             if order[nu2] <= i or not box_adjacent(nu.cell, nu2.cell):
                 continue
-            w1 = nu.children[0].cell
-            w2 = nu2.children[0].cell
-            if is_ancestor_or_self(w1, w2) or is_ancestor_or_self(w2, w1):
-                continue
-            est = bridge_level_estimate(w1, w2)
-            path = d2_path(w1, w2)
-            if path.has_bridge and est >= min(w1.level, w2.level) - 1:
-                bridges.add(Bridge.of(path.apex_p, path.apex_q))
+            path = d2_path(nu.children[0].cell, nu2.children[0].cell)
+            bridges.add(Bridge.of(path.apex_p, path.apex_q))
     return sorted(bridges, key=lambda b: (b.left, b.right))
 
 
@@ -316,16 +312,11 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
     graph = SpannerGraph(metric="hyperbolic")
     for v in base.vertices:
         graph.add_vertex(STEINER, cell=v.cell, point=center(v.cell))
-    edge_pairs: set[tuple[int, int]] = set()
-    for v, p in parent.items():
-        if p is not None:
-            edge_pairs.add((min(v, p), max(v, p)))
+    # the d1 spanner's edges are its bridges and the forest's parent
+    # edges: each vertex has one upward edge, to its nearest ancestor vertex
+    edge_pairs = {(u, v) for u, v, _w in base.edges}
     for u, w in cuts.extra_edges:
         edge_pairs.add((min(u, w), max(u, w)))
-    for u, v, w in base.edges:
-        cu, cv = base.vertices[u].cell, base.vertices[v].cell
-        if cu.level == cv.level:
-            edge_pairs.add((min(u, v), max(u, v)))
     edges: set[tuple[int, int, float]] = set()
     for u, v in edge_pairs:
         d = hyperbolic_distance(graph.vertices[u].point, graph.vertices[v].point)

@@ -126,8 +126,7 @@ def check_quadtree(rng: random.Random, dim: int, n: int) -> dict:
     regions = [nd for nd in nodes if nd.kind in (LEAF, COMPRESSED)]
     for _ in range(trials):
         x = tuple(rng.random() for _ in range(dim - 1))
-        node = tree.locate(x)
-        owners = 0
+        owners = []
         for r in regions:
             if r.kind == LEAF:
                 inside = tree.shadow_holds(r.cell, x)
@@ -135,8 +134,10 @@ def check_quadtree(rng: random.Random, dim: int, n: int) -> dict:
                 inside = tree.shadow_holds(r.cell, x) and not tree.shadow_holds(
                     r.children[0].cell, x
                 )
-            owners += inside
-        if owners != 1 or node not in regions:
+            if inside:
+                owners.append(r)
+        # x lies in exactly one region, and locate finds that one
+        if owners != [tree.locate(x)]:
             partition_violations += 1
     stored = [nd.cell for nd in nodes]
     query_mismatches = 0

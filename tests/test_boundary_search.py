@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfspace.avd import annotate, refine, select_representatives
-from halfspace.oracle import annotate_scan, bridges_scan, representatives_scan
 from halfspace.quadtree import (
     COMPRESSED,
     QuadTree,
@@ -22,6 +21,7 @@ from halfspace.spanner import enumerate_bridges
 from halfspace.tiling import CellId, ancestor_at, horizontal_neighbors
 
 from conftest import random_cell_in_root
+from reference import annotate_scan, bridges_scan, representatives_scan
 
 DEPTH = 34  # resolution of the drawn x-coordinates, in levels below the root
 

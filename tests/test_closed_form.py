@@ -1,5 +1,5 @@
 """The closed-form metric kernel and the bit-indexed point location
-against the level-by-level references in :mod:`halfspace.oracle`, plus
+against the level-by-level references in ``reference.py``, plus
 cost guards that count cell constructions."""
 
 import random
@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from halfspace.avd import AvdIndex, refine
 from halfspace.metrics import bridge_level, d1, d2, d2_path
-from halfspace.oracle import d1_climb, d2_path_climb, meet_climb, smallest_containing_climb
 from halfspace.quadtree import ORDINARY, QuadTree, build_quadtree, meet
 from halfspace.sampling import sample_margin_cells
 from halfspace.tiling import CellId, ancestor_at, children, lift_pair
 
 from conftest import random_cell_in_root
+from reference import d1_climb, d2_path_climb, meet_climb, smallest_containing_climb
 
 MIN_LEVEL = -1074  # the deepest level a float height reaches
 

@@ -1,10 +1,15 @@
-"""No module of the package reads another module's private names.
+"""No module of the package reads another module's private names, and
+no function of it calls itself.
 
 A name with one leading underscore is private to the module that
 defines it.  The check parses every ``src/halfspace/*.py`` and fails on
 ``from .m import _name`` and on ``obj._name`` where ``_name`` is defined
 nowhere in the reading module (as a function, class, variable,
 argument or assigned attribute).  Dunder names are not private.
+
+Traversals are iterative, so deep inputs never meet the interpreter's
+recursion limit: a function calling its own name, or a method calling
+``self.name`` or ``cls.name``, fails the second check.
 """
 
 import ast
@@ -61,3 +66,52 @@ def test_check_flags_foreign_private_names(tmp_path):
         "        return self._mine + tree._theirs + tree.__len__()\n"
     )
     assert violations(src) == ["m.py:1 imports _hidden from spanner", "m.py:6 reads ._theirs"]
+
+
+def self_calls(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for scope in ast.walk(tree):
+        method = isinstance(scope, ast.ClassDef)
+        for fn in ast.iter_child_nodes(scope):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if method:
+                    hit = (
+                        isinstance(f, ast.Attribute)
+                        and f.attr == fn.name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id in ("self", "cls")
+                    )
+                else:
+                    hit = isinstance(f, ast.Name) and f.id == fn.name
+                if hit:
+                    found.append(f"{path.name}:{node.lineno} {fn.name} calls itself")
+    return found
+
+
+def test_no_function_calls_itself():
+    found = [v for path in sorted(PACKAGE.glob("*.py")) for v in self_calls(path)]
+    assert not found, "\n".join(found)
+
+
+def test_check_flags_self_calls(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def f(n):\n"
+        "    return f(n - 1) if n else 0\n"
+        "def g():\n"
+        "    def walk(x):\n"
+        "        return walk(x)\n"
+        "    return walk\n"
+        "class A:\n"
+        "    def children(self, c):\n"
+        "        return children(c) + self.children(c)\n"
+        "    def h(self):\n"
+        "        return f(1) + self.children(0)\n"
+    )
+    assert self_calls(src) == ["m.py:2 f calls itself", "m.py:5 walk calls itself", "m.py:9 children calls itself"]

@@ -206,6 +206,19 @@ def test_locate_subnormal_level():
     assert not QuadTree.shadow_holds(node.cell, (0.3000000000000001,))
 
 
+def test_locate_lower_left_corner_of_deepest_box():
+    # the corner lies in the deep box, not in the gap of its compressed parent
+    for pts, x in (
+        ([C(-1, 1), C(-40, 3)], (3 * 2.0**-40,)),
+        ([C(-1, 1, 0), C(-40, 3, 5), C(-7, 0, 9)], (3 * 2.0**-40, 5 * 2.0**-40)),
+    ):
+        tree = build_quadtree(pts)
+        for t in (tree, QuadTree.from_dict(tree.to_dict())):
+            node = t.locate(x)
+            assert node.cell == pts[1] and node.kind == LEAF
+            assert node.parent.kind == COMPRESSED
+
+
 def test_locate_rejects_outside():
     tree = build_quadtree([C(-1, 0)])
     with pytest.raises(ValueError):

@@ -2,8 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace.shortcut import ShortcutSet, forest_height, reference_size, shortcut_forest
+
+import reference
 
 
 def path_parent(n):
@@ -135,3 +139,35 @@ def test_reference_size_values():
     assert reference_size(2, 64) == pytest.approx(64 * 6)
     assert reference_size(3, 64) > 64
     assert reference_size(4, 2) >= 2
+
+
+# -- the worklist against the recursive separator shortcutting -----------------
+
+
+@st.composite
+def forests(draw):
+    """Upward forests of one to four trees, each a path or a random tree,
+    with the vertex labels shuffled half of the time."""
+    parent: dict[int, int | None] = {}
+    for _ in range(draw(st.integers(1, 4))):
+        base = len(parent)
+        path = draw(st.booleans())
+        parent[base] = None
+        for v in range(1, draw(st.integers(1, 60))):
+            parent[base + v] = base + (v - 1 if path else draw(st.integers(0, v - 1)))
+    if draw(st.booleans()):
+        label = draw(st.permutations(range(len(parent))))
+        parent = {label[v]: None if p is None else label[p] for v, p in parent.items()}
+    return parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests(), st.integers(1, 6))
+def test_matches_recursive_reference(parent, k):
+    assert shortcut_forest(parent, k) == reference.shortcut_forest(parent, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_path_5000_matches_recursive_reference(k):
+    parent = path_parent(5000)
+    assert shortcut_forest(parent, k) == reference.shortcut_forest(parent, k)
