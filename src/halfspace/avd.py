@@ -14,8 +14,10 @@ nodes plus their compressed-gap levels.  Each node's
 region is: the box center alone (ordinary), everything on or below the
 box (leaf), or everything on or below the outer box but not the inner
 one (compressed).  Representatives are the node's nearest input plus,
-for leaf and compressed regions, the highest input of every compressed
-node of the unrefined tree whose box touches the region.  A query
+for leaf and compressed regions, the inner box's highest input and the
+highest input of every compressed node of the unrefined tree whose box
+meets the boundary of the region's box and whose child box does not
+contain the region.  A query
 locates its region and takes the exact-d2 argmin over representatives,
 ties to the smallest input index.
 
@@ -30,15 +32,7 @@ from dataclasses import dataclass
 
 from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2
-from .quadtree import (
-    COMPRESSED,
-    ORDINARY,
-    QuadNode,
-    QuadTree,
-    adjacent_to_region,
-    box_adjacent,
-    shadow_within,
-)
+from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, shadow_within
 from .tiling import CellId, HPoint, cell_of, horizontal_neighbors
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
@@ -122,20 +116,26 @@ def annotate(tree: QuadTree) -> None:
 def select_representatives(refined: QuadTree, base: QuadTree) -> None:
     """Attach representative input indices to every refined node.
 
-    Leaf and compressed regions collect the highest input of every
-    compressed node of the unrefined tree whose gap can host the far
-    end of a query's bridge: nodes whose box touches the region, and
-    nodes whose box strictly contains it while their child box does not
-    (the region then sits inside that node's annular gap).  A compressed
-    region also keeps its own child's highest input, covering bridges
-    that land inside its own gap.
+    An ordinary region keeps its node's nearest input alone.  A leaf or
+    compressed region R keeps that input, its child's highest input when
+    R is compressed (bridges landing inside R's own gap), and the
+    highest input of every occupied compressed node nu of the unrefined
+    tree whose box meets the boundary of R's box and whose child box does
+    not contain R: nu's gap can host the far end of a query's bridge.
+    The candidates come from one pruned descent along that boundary
+    (:meth:`QuadTree.compressed_on_boundary`), and each gets one test.
 
-    Every such node's box meets the boundary of the region's outer box
-    or of its inner box, so candidates come from one pruned descent of
-    the unrefined tree along those boundaries
-    (:meth:`QuadTree.compressed_on_boundary`) and the tests above run on
-    them only.  Per region that costs its ancestor chain plus the nodes
-    along its boundary, instead of a scan of every compressed node.
+    The rule is exact: it gives the sets of the region-adjacency test,
+    which also counts the nodes touching a compressed R's inner box I
+    from inside.  Refinement only adds keys, so every node of the unrefined
+    tree is a node of the refined one, and none lies under a leaf R or
+    in a compressed R's annulus.  A node inside I touching the boundary
+    of I away from that of R would put its horizontal neighbor across
+    that face, which refinement makes a node, in the annulus; so every
+    such node meets R's boundary, except I itself, whose highest input R
+    keeps already (as does a node whose box is R).  Per region this
+    costs its ancestor chain plus the nodes along its boundary, not a
+    scan of every compressed node.
     """
     fill_highest(base)
     for node in refined.iter_nodes():
@@ -143,20 +143,10 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
             node.reps = [node.n2_index]
             continue
         reps = {node.n2_index}
-        inner = node.children[0].cell if node.kind == COMPRESSED else None
-        if inner is not None and node.children[0].h_index is not None:
+        if node.kind == COMPRESSED and node.children[0].h_index is not None:
             reps.add(node.children[0].h_index)
-        boxes = (node.cell,) if inner is None else (node.cell, inner)
-        for nu in base.compressed_on_boundary(*boxes):
-            if nu.h_index is None:
-                continue
-            if shadow_within(node.cell, nu.cell) and node.cell != nu.cell:
-                if not shadow_within(node.cell, nu.children[0].cell):
-                    reps.add(nu.h_index)
-            elif inner is None:
-                if box_adjacent(nu.cell, node.cell):
-                    reps.add(nu.h_index)
-            elif adjacent_to_region(nu.cell, node.cell, inner):
+        for nu in base.compressed_on_boundary(node.cell):
+            if not shadow_within(node.cell, nu.children[0].cell):
                 reps.add(nu.h_index)
         node.reps = sorted(reps)
 
@@ -176,7 +166,13 @@ class AvdIndex:
 
     def region_of(self, q: CellId) -> QuadNode:
         """The unique node whose Voronoi region contains the cell center:
-        the lowest node whose box contains ``q``."""
+        the lowest node whose box contains ``q``.
+
+        Raises ``ValueError`` when ``q`` is not on or below the root
+        cell, inside its shadow: no region holds it.
+        """
+        if not self.tree.in_root(q):
+            raise ValueError(f"{q!r} lies outside the root cell's shadow")
         return self.tree.smallest_containing(q)
 
     def is_out_of_range(self, q: CellId) -> bool:
@@ -229,9 +225,10 @@ def build_avd(points: list[HPoint] | list[CellId]) -> AvdIndex:
 
 def query(ix: AvdIndex, q: CellId) -> int:
     """Index of the exact d2-nearest input, ties to the smallest index."""
-    if ix.is_out_of_range(q):
+    try:
+        node = ix.region_of(q)
+    except ValueError:
         return ix.highest_index
-    node = ix.region_of(q)
     points = ix.points
     best = None
     for idx in node.reps:

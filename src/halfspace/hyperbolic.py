@@ -43,12 +43,18 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     if gap == 0.0:
         return 0.0
     zz = p.z * q.z
-    # p.z * q.z underflows for tiny heights and overflows for huge ones;
-    # the split root avoids both but differs from sqrt(p.z * q.z) in the
-    # last bit for about a third of height pairs, so it is used only
-    # where the product is subnormal or infinite
-    root = math.sqrt(zz) if sys.float_info.min <= zz < math.inf else math.sqrt(p.z) * math.sqrt(q.z)
-    arg = math.ldexp(0.5 * gap / root, scale)
+    if sys.float_info.min <= zz < math.inf:
+        # a product by 2^scale overflows to inf, where ldexp would raise
+        arg = 0.5 * gap / math.sqrt(zz) * 2.0**scale
+    else:
+        # the product underflows for tiny heights and overflows for huge
+        # ones: scale the heights and the gap by 2^e, a homothety and so
+        # an isometry, to bring it near 1.  Powers of two keep every bit
+        # of subnormal heights and gaps; 2^e is two factors, as e can
+        # reach 1073
+        e = -(math.frexp(p.z)[1] + math.frexp(q.z)[1]) // 2
+        root = math.sqrt(math.ldexp(p.z, e) * math.ldexp(q.z, e))
+        arg = 0.5 * (gap * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)) / root * 2.0**scale
     if math.isinf(arg):
         # asinh(a) = ln(2a) to double precision once a exceeds 1e8, so
         # take the log of the ratio's parts; finite arguments keep the

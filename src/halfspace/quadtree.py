@@ -71,26 +71,6 @@ def box_adjacent(a: CellId, b: CellId) -> bool:
     return True
 
 
-def touches_boundary(inner_box: CellId, outer_box: CellId) -> bool:
-    """Does a box nested inside another touch its boundary?"""
-    shift = outer_box.level - inner_box.level
-    for ki, ko in zip(inner_box.coords, outer_box.coords):
-        if ki == (ko << shift) or ki + 1 == ((ko + 1) << shift):
-            return True
-    return False
-
-
-def adjacent_to_region(box: CellId, outer: CellId, inner: CellId) -> bool:
-    """Adjacency of a box to the annular region between two nested boxes."""
-    if box == inner:
-        return True  # fills the hole, touching the region's inner boundary
-    if shadow_within(box, inner):
-        return touches_boundary(box, inner)
-    if shadow_within(box, outer) or shadow_within(outer, box):
-        return False  # overlaps the annulus interior, or swallows it all
-    return box_adjacent(box, outer)
-
-
 def meets_boundary(box: CellId, b: CellId) -> bool:
     """Does the closed shadow of ``box`` meet the boundary of that of ``b``?
 
@@ -138,12 +118,13 @@ def meet(a: CellId, b: CellId) -> CellId:
     return CellId(level + s, tuple([x >> s for x in ka]))
 
 
-def _zorder_key(low: int, axes: int):
-    """Sort key putting cells at or above level ``low`` in preorder of
-    the dyadic tree, children in :func:`children` order: the Morton
-    interleave of the lower corner lifted to ``low`` (first axis most
-    significant), ties to the higher cell.  With one axis the interleave
-    is the lifted coordinate."""
+def zorder_key(low: int, axes: int):
+    """Sort key putting cells of the root shadow at or above level
+    ``low`` in preorder of the dyadic tree, children in :func:`children`
+    order, so every cell follows its ancestors: the Morton interleave of
+    the lower corner lifted to ``low`` (first axis most significant),
+    ties to the higher cell.  With one axis the interleave is the lifted
+    coordinate."""
     if axes == 1:
         return lambda c: (c.coords[0] << (c.level - low), -c.level)
     width = f"0{-low}b"
@@ -200,7 +181,7 @@ class QuadTree:
         """Make ``cells``, the root among them, the key boxes of a fresh tree.
 
         The keys, sorted in preorder of the dyadic tree
-        (:func:`_zorder_key`), pass once through a stack holding the keys
+        (:func:`zorder_key`), pass once through a stack holding the keys
         above the last one.  The ``meet`` of each adjacent pair joins the
         keys, between two stacked ones if new, and a key is linked below
         the nearest key above it once its subtree, and so its input
@@ -211,7 +192,7 @@ class QuadTree:
         index_of = self._index_of
         low = min(c.level for c in cells)
         self._locate_level = low - 1
-        order = sorted(set(cells), key=_zorder_key(low, self.dim - 1))
+        order = sorted(set(cells), key=zorder_key(low, self.dim - 1))
 
         def link(up: QuadNode, down: QuadNode) -> None:
             up.children.append(down)
@@ -347,27 +328,21 @@ class QuadTree:
     def __len__(self) -> int:
         return len(self.nodes_by_cell)
 
-    def compressed_on_boundary(self, *boxes: CellId) -> list[QuadNode]:
+    def compressed_on_boundary(self, box: CellId) -> list[QuadNode]:
         """Occupied compressed nodes whose closed box meets the boundary
-        of one of ``boxes``, in no particular order.
+        of ``box``, in no particular order.
 
         Descends from the root and enters only occupied nodes whose box
-        meets one of the boundaries.  A box that meets a boundary is
-        contained in each of its ancestors' boxes, so they meet it too:
-        the pruning skips no qualifying node.  The work is the number of
-        nodes on the boxes' ancestor chains and along their boundaries,
-        not the size of the tree.
+        meets that boundary.  A box that meets it is contained in each of
+        its ancestors' boxes, so they meet it too: the pruning skips no
+        qualifying node.  The work is the number of nodes on the box's
+        ancestor chain and along its boundary, not the size of the tree.
         """
         out = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.count == 0:
-                continue
-            for b in boxes:
-                if meets_boundary(node.cell, b):
-                    break
-            else:
+            if node.count == 0 or not meets_boundary(node.cell, box):
                 continue
             if node.kind == COMPRESSED:
                 out.append(node)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
 from .metrics import d2_path, lambda_
-from .quadtree import COMPRESSED, QuadNode, QuadTree, box_adjacent, build_quadtree
+from .quadtree import COMPRESSED, QuadNode, QuadTree, box_adjacent, build_quadtree, zorder_key
 from .shortcut import forest_height, shortcut_forest
 from .tiling import CellId, HPoint, ancestor_at, center, horizontal_neighbors, is_ancestor_or_self
 
@@ -203,16 +203,18 @@ def build_spanner(points: list[CellId]) -> SpannerGraph:
     for b in bridges:
         u, v = graph.vertex_of_cell[b.left], graph.vertex_of_cell[b.right]
         edges.add((min(u, v), max(u, v), 1.0))
-    top = max(v.cell.level for v in graph.vertices)
-    for v in graph.vertices:
-        anc = v.cell
-        while anc.level < top:
-            anc = ancestor_at(anc, anc.level + 1)
-            target = graph.vertex_of_cell.get(anc)
-            if target is not None:
-                w = float(anc.level - v.cell.level)
-                edges.add((min(v.id, target), max(v.id, target), w))
-                break
+    # each vertex's nearest strict ancestor among the vertices: in Z-order
+    # every cell follows its ancestors, and the stack holds the vertex
+    # cells containing the last one
+    key = zorder_key(min(v.cell.level for v in graph.vertices), tree.dim - 1)
+    stack: list[SpannerVertex] = []
+    for v in sorted(graph.vertices, key=lambda v: key(v.cell)):
+        while stack and not is_ancestor_or_self(stack[-1].cell, v.cell):
+            stack.pop()
+        if stack:
+            up = stack[-1]
+            edges.add((min(v.id, up.id), max(v.id, up.id), float(up.cell.level - v.cell.level)))
+        stack.append(v)
     graph.edges = sorted(edges)
     return graph
 

@@ -1,9 +1,11 @@
 """Test-only references: the old loops the library has replaced.
 
 Level-by-level climbs and descents, one cell per level, for ``d1``,
-the d2-path, ``meet`` and point location (``*_climb``); all-pairs and
-root-lookup scans for the AVD annotation, the representatives and the
-spanner bridges (``*_scan``); and the recursive separator shortcutting
+the d2-path, ``meet``, point location and the spanner's vertical edges
+(``*_climb``); all-pairs and root-lookup scans for the AVD annotation,
+the representatives (with their region predicates
+``adjacent_to_region`` and ``touches_boundary``) and the spanner
+bridges (``*_scan``); and the recursive separator shortcutting
 (``shortcut_forest`` with ``solve``).  The bodies are the replaced
 code, unchanged but for absolute imports.  The tests compare the
 library's fast paths against them; nothing in ``halfspace`` calls
@@ -141,6 +143,28 @@ def annotate_scan(tree) -> list[int]:
     return [node.n2_index for node in tree.iter_nodes()]
 
 
+def touches_boundary(inner_box: CellId, outer_box: CellId) -> bool:
+    """Does a box nested inside another touch its boundary?"""
+    shift = outer_box.level - inner_box.level
+    for ki, ko in zip(inner_box.coords, outer_box.coords):
+        if ki == (ko << shift) or ki + 1 == ((ko + 1) << shift):
+            return True
+    return False
+
+
+def adjacent_to_region(box: CellId, outer: CellId, inner: CellId) -> bool:
+    """Adjacency of a box to the annular region between two nested boxes."""
+    from halfspace.quadtree import box_adjacent, shadow_within
+
+    if box == inner:
+        return True  # fills the hole, touching the region's inner boundary
+    if shadow_within(box, inner):
+        return touches_boundary(box, inner)
+    if shadow_within(box, outer) or shadow_within(outer, box):
+        return False  # overlaps the annulus interior, or swallows it all
+    return box_adjacent(box, outer)
+
+
 def representatives_scan(refined, base) -> list[list[int]]:
     """Representatives of every refined node, in preorder, by testing each
     region against every occupied compressed node of the unrefined tree.
@@ -149,7 +173,7 @@ def representatives_scan(refined, base) -> list[list[int]]:
     ``refined`` to carry the annotation pass (``h`` and ``n2``).
     """
     from halfspace.avd import fill_highest
-    from halfspace.quadtree import COMPRESSED, ORDINARY, adjacent_to_region, box_adjacent, shadow_within
+    from halfspace.quadtree import COMPRESSED, ORDINARY, box_adjacent, shadow_within
 
     fill_highest(base)
     base_compressed = [
@@ -238,6 +262,26 @@ def bridges_scan(tree) -> list:
             if path.has_bridge and est >= min(w1.level, w2.level) - 1:
                 bridges.add(Bridge.of(path.apex_p, path.apex_q))
     return sorted(bridges, key=lambda b: (b.left, b.right))
+
+
+def vertical_edges_climb(graph) -> set[tuple[int, int, float]]:
+    """The edge from every spanner vertex to its nearest strict ancestor
+    vertex, climbing one level at a time.
+
+    Reference for the Z-order pass in :func:`halfspace.spanner.build_spanner`.
+    """
+    edges: set[tuple[int, int, float]] = set()
+    top = max(v.cell.level for v in graph.vertices)
+    for v in graph.vertices:
+        anc = v.cell
+        while anc.level < top:
+            anc = ancestor_at(anc, anc.level + 1)
+            target = graph.vertex_of_cell.get(anc)
+            if target is not None:
+                w = float(anc.level - v.cell.level)
+                edges.add((min(v.id, target), max(v.id, target), w))
+                break
+    return edges
 
 
 # -- recursive separator shortcutting ---------------------------------

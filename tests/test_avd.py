@@ -207,6 +207,15 @@ def test_query_out_of_box_returns_highest():
     assert query(ix, C(-1, -1)) == 0  # negative side
 
 
+def test_region_of_level_minus_3_coord_minus_2():
+    # outside the root shadow no region holds the cell; point location
+    # returned the unrelated node of Cell(-1;[1])
+    ix = build_avd([C(-3, 3), C(-4, 5)])
+    with pytest.raises(ValueError, match="outside"):
+        ix.region_of(C(-3, -2))
+    assert query(ix, C(-3, -2)) == ix.highest_index == 0
+
+
 def test_query_matches_bruteforce(rng):
     for trial in range(20):
         dim = rng.choice([2, 3])

@@ -14,14 +14,13 @@ from halfspace.quadtree import (
     build_quadtree,
     meets_boundary,
     shadow_within,
-    touches_boundary,
 )
 from halfspace.sampling import sample_margin_cells
 from halfspace.spanner import enumerate_bridges
 from halfspace.tiling import CellId, ancestor_at, horizontal_neighbors
 
 from conftest import random_cell_in_root
-from reference import annotate_scan, bridges_scan, representatives_scan
+from reference import annotate_scan, bridges_scan, representatives_scan, touches_boundary
 
 DEPTH = 34  # resolution of the drawn x-coordinates, in levels below the root
 
@@ -146,6 +145,30 @@ def test_representatives_match_scan_d3(cells):
     _check_representatives(cells)
 
 
+def test_representatives_match_scan_margin_samples_d4():
+    rng = random.Random(41)
+    for n in (8, 24, 48):
+        _check_representatives(sample_margin_cells(rng, 4, n, min_level=-7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        stacked_sets(2, margin=True),
+        stacked_sets(3, margin=True),
+        st.tuples(st.integers(0, 2**32), st.integers(1, 64)).map(
+            lambda s: sample_margin_cells(random.Random(s[0]), 4, s[1], min_level=-7)
+        ),
+    )
+)
+def test_refined_tree_contains_every_base_node(cells):
+    """Refinement only adds keys, so every base node is a refined node;
+    :func:`select_representatives` relies on it."""
+    base = build_quadtree(cells)
+    refined = refine(base)
+    assert all(node.cell in refined.nodes_by_cell for node in base.iter_nodes())
+
+
 @settings(max_examples=60, deadline=None)
 @given(stacked_sets(2, margin=False))
 def test_bridges_match_scan_d2(cells):
@@ -177,9 +200,9 @@ def test_compressed_on_boundary_matches_filter(rng):
             tree = build_quadtree([random_cell_in_root(rng, dim, min_level=-9) for _ in range(30)])
             occupied = [n for n in tree.iter_nodes() if n.kind == COMPRESSED and n.count > 0]
             for _ in range(10):
-                boxes = [random_cell_in_root(rng, dim, min_level=-9) for _ in range(rng.randint(1, 2))]
-                found = tree.compressed_on_boundary(*boxes)
-                expected = [n for n in occupied if any(meets_boundary(n.cell, b) for b in boxes)]
+                box = random_cell_in_root(rng, dim, min_level=-9)
+                found = tree.compressed_on_boundary(box)
+                expected = [n for n in occupied if meets_boundary(n.cell, box)]
                 assert sorted(found, key=id) == sorted(expected, key=id)
 
 

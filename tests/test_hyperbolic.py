@@ -88,6 +88,20 @@ def test_distance_x_1e308_apart():
     assert got == pytest.approx(2.0 * (math.log(1.5e308) + 0.5 * math.log(2.0)), rel=1e-12)
 
 
+def test_distance_x_1e308_apart_heights_0_5():
+    # rescaling the overflowing gap back by 2^8 overflowed math.ldexp,
+    # which raised OverflowError; the true distance is 2 * ln(4e308)
+    got = hyperbolic_distance(H(0.5, 1e308), H(0.5, -1e308))
+    assert got == pytest.approx(2.0 * (2.0 * math.log(2.0) + math.log(1e308)), rel=1e-12)
+
+
+def test_distance_heights_5e_324_and_1e_323():
+    # 0.5 * gap underflowed to 0, and the split root sqrt(5e-324) *
+    # sqrt(1e-323) rounds to 5e-324; the true distance is ln 2
+    got = hyperbolic_distance(HPoint((0.3,), 5e-324), HPoint((0.3,), 1e-323))
+    assert got == pytest.approx(math.log(2.0), rel=1e-12)
+
+
 def test_distance_heights_1e200_and_1e300():
     # z(p) * z(q) = 1e500 overflows to inf
     got = hyperbolic_distance(H(1e200, 0.0), H(1e300, 0.0))

@@ -253,7 +253,7 @@ def test_hyperbolic_spanner_heights_1_and_5e_324():
     # the center of the lower point's cell overflowed a float
     g = build_hyperbolic_spanner([HPoint((0.3,), 1.0), HPoint((0.3,), 5e-324)], 2)
     assert sorted(v.input_index for v in g.vertices if v.kind == "input") == [0, 1]
-    assert all(0.0 <= w < math.inf for _u, _v, w in g.edges)
+    assert all(0.0 < w < math.inf for _u, _v, w in g.edges)
 
 
 def test_point_anchor_edges_below_log_d(rng):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfspace.avd import build_avd, query_hyperbolic, refine
+from halfspace.hyperbolic import normalize_and_embed
 from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadTree, build_quadtree
 from halfspace.sampling import sample_margin_cells
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
@@ -17,6 +18,7 @@ from halfspace.tiling import CellId, HPoint, ancestor_at
 
 from conftest import random_cell_in_root
 from quadtree_reference import ReferenceQuadTree, reference_refine, shape
+from reference import vertical_edges_climb
 from test_boundary_search import stacked_sets
 from test_closed_form import CellBuilds
 
@@ -57,6 +59,22 @@ def test_build_matches_reference_on_random_sets(data):
 def test_build_matches_reference_on_stacked_sets(dim, data):
     cells = data.draw(stacked_sets(dim, margin=False))
     assert shape(build_quadtree(cells)) == shape(ReferenceQuadTree(dim, cells))
+
+
+def _check_edges_against_climb(graph):
+    """The spanner's edges are its unit bridges, which join cells of one
+    level, plus the edges of the level-by-level climb."""
+    levels = [v.cell.level for v in graph.vertices]
+    bridges = {(u, v, w) for u, v, w in graph.edges if levels[u] == levels[v] and w == 1.0}
+    assert set(graph.edges) == bridges | vertical_edges_climb(graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_sets())
+def test_spanner_vertical_edges_match_climb_on_random_sets(data):
+    _dim, cells, _ = data
+    if cells:
+        _check_edges_against_climb(build_spanner(cells))
 
 
 def test_stored_box_over_stored_box_is_ordinary():
@@ -157,6 +175,7 @@ def test_build_3000_box_chain():
     g = build_spanner(chain)
     assert (len(g.vertices), len(g.edges)) == (3000, 2999)
     assert all(w == 1.0 for _u, _v, w in g.edges)
+    _check_edges_against_climb(g)
 
 
 def test_build_1074_nested_continuous_inputs():
@@ -170,6 +189,7 @@ def test_build_1074_nested_continuous_inputs():
     g = build_hyperbolic_spanner(pts, 2)
     assert sorted(v.input_index for v in g.vertices if v.kind == "input") == list(range(1074))
     assert all(0.0 <= w < math.inf for _u, _v, w in g.edges)
+    _check_edges_against_climb(build_spanner(normalize_and_embed(pts)[2]))
 
 
 def test_build_constructs_at_most_4_cells_per_box_down_a_400_level_chain(monkeypatch):
