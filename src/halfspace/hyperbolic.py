@@ -106,7 +106,9 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
 
     After the transform every x-projection lies in [1/4, 1/2)^(D-1) and
     every height is below 2, so all points sit at level <= 0 below the
-    root cell [0,1]^(D-1) x [1,2].  Distances are unchanged.
+    root cell [0,1]^(D-1) x [1,2].  Distances are unchanged.  Raises
+    ``ValueError`` for a set whose horizontal spread needs a scale that
+    takes some height down to 0.0.
     """
     if not points:
         raise ValueError("cannot normalize an empty point set")
@@ -122,6 +124,9 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
     shift = tuple(
         _X_LOW_CORNER - scale * min(p.x[j] for p in points) for j in range(dim - 1)
     )
+    for i, p in enumerate(points):
+        if scale * p.z == 0.0:
+            raise ValueError(f"point {i}: height {p.z!r} underflows to 0.0 at scale {scale!r}")
     t = NormalizeTransform(scale, shift)
     return t, t.apply_all(points)
 

@@ -6,8 +6,12 @@ search over the explicit move graph for ``d1``, a two-state BFS for
 scans, linear scans over stored boxes for quadtree cell queries, and
 shortest paths (Dijkstra, hop-bounded Bellman-Ford) over spanner
 graphs.  The verifier, the CLI, the demos and the benchmark call them.
-Not performance tuned; correctness references only.  The old loops
-kept only to cross-check the fast paths live with the tests.
+They are correctness references, not performance tuned, with one
+exception: ``hop_bounded_distances`` is the library's only distance
+routine over a spanner, so each Bellman-Ford round relaxes only the
+vertices whose value dropped in the round before (its docstring gives
+why that is exact).  The old loops kept only to cross-check the fast
+paths, the full-scan rounds among them, live with the tests.
 """
 from __future__ import annotations
 
@@ -248,12 +252,22 @@ def cell_query_scan(stored: Sequence[CellId], box: CellId) -> tuple[CellId | Non
 
 
 
+def _check_graph_and_source(n_vertices: int, adjacency: Sequence, source: int) -> None:
+    if len(adjacency) != n_vertices:
+        raise ValueError(f"adjacency has {len(adjacency)} rows for {n_vertices} vertices")
+    if not 0 <= source < n_vertices:
+        raise ValueError(f"source {source!r} is not a vertex of range({n_vertices})")
+
+
 def dijkstra(n_vertices: int, adjacency: Sequence[Sequence[tuple[int, float]]], source: int) -> list[float]:
     """Single-source shortest paths with nonnegative weights.
 
     Ties between equal-length paths are broken by vertex index via the
-    heap ordering, keeping verification runs deterministic.
+    heap ordering, keeping verification runs deterministic.  Raises
+    ``ValueError`` when ``source`` is not in ``range(n_vertices)`` or
+    ``adjacency`` does not have ``n_vertices`` rows.
     """
+    _check_graph_and_source(n_vertices, adjacency, source)
     dist = [float("inf")] * n_vertices
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -277,25 +291,39 @@ def hop_bounded_distances(
 ) -> list[float]:
     """Minimum path weight from ``source`` using at most ``max_hops`` edges.
 
-    Bellman-Ford rounds relax from the previous round's snapshot, so the
-    hop count is exact rather than an in-place lower bound.
+    Frontier Bellman-Ford: round 1 relaxes the source, and round r
+    relaxes only the vertices whose value dropped in round r - 1, each
+    from its value at the start of the round, so the hop count is exact
+    rather than an in-place lower bound.  A vertex whose value did not
+    drop already offered ``value + w`` to each neighbor the round
+    before, and values only decrease, so relaxing it again cannot win:
+    every value is the minimum over the same candidates as a full scan
+    of all reached vertices, the same floats bit for bit, at a cost of
+    the edges out of the frontiers.  The rounds stop early once a round
+    changes nothing.  Raises ``ValueError`` when ``source`` is not in
+    ``range(n_vertices)``, ``adjacency`` does not have ``n_vertices``
+    rows, or ``max_hops`` is negative.
     """
-    inf = float("inf")
-    prev = [inf] * n_vertices
-    prev[source] = 0.0
-    for _ in range(max_hops):
-        cur = prev[:]
-        changed = False
-        for u in range(n_vertices):
-            du = prev[u]
-            if du == inf:
-                continue
+    _check_graph_and_source(n_vertices, adjacency, source)
+    if max_hops < 0:
+        raise ValueError(f"max_hops must be >= 0, got {max_hops!r}")
+    dist = [float("inf")] * n_vertices
+    dist[source] = 0.0
+    dropped_in = [0] * n_vertices  # the last round in which each value dropped
+    frontier = [source]
+    starts = [0.0]  # the frontier's values at the start of the round
+    for r in range(1, max_hops + 1):
+        if not frontier:
+            break
+        nxt = []
+        for u, du in zip(frontier, starts):
             for v, w in adjacency[u]:
                 nd = du + w
-                if nd < cur[v]:
-                    cur[v] = nd
-                    changed = True
-        if not changed:
-            break
-        prev = cur
-    return prev
+                if nd < dist[v]:
+                    if dropped_in[v] != r:
+                        dropped_in[v] = r
+                        nxt.append(v)
+                    dist[v] = nd
+        frontier = nxt
+        starts = [dist[v] for v in nxt]
+    return dist

@@ -27,7 +27,7 @@ from .oracle import cell_query_scan, d1_bfs, dijkstra, hop_bounded_distances, nn
 from .quadtree import COMPRESSED, LEAF, build_quadtree
 from .sampling import distinct, sample_cells, sample_continuous, sample_margin_cells
 from .shortcut import shortcut_forest
-from .spanner import build_hyperbolic_spanner, build_spanner, realized_path_length
+from .spanner import build_hyperbolic_spanner, build_spanner, path_context, realized_path_length
 from .tiling import CellId, cell_of, center, is_ancestor_or_self
 
 
@@ -174,9 +174,10 @@ def check_spanner(rng: random.Random, dim: int, n: int, n_sets: int = 5) -> dict
                 ds = dist[index[q]]
                 if not (d1(p, q) - 1e-9 <= ds <= d1(p, q) + 2 + 1e-9) or ds > d2(p, q) + 1e-9:
                     sandwich_violations += 1
+        ctx = path_context(graph)
         for p, q in itertools.combinations(pts, 2):
             try:
-                if realized_path_length(graph, p, q) != d2(p, q):
+                if realized_path_length(graph, p, q, ctx) != d2(p, q):
                     realized_mismatches += 1
             except AssertionError:
                 realized_mismatches += 1

@@ -5,15 +5,20 @@ the d2-path, ``meet``, point location and the spanner's vertical edges
 (``*_climb``); all-pairs and root-lookup scans for the AVD annotation,
 the representatives (with their region predicates
 ``adjacent_to_region`` and ``touches_boundary``) and the spanner
-bridges (``*_scan``); and the recursive separator shortcutting
-(``shortcut_forest`` with ``solve``).  The bodies are the replaced
-code, unchanged but for absolute imports.  The tests compare the
-library's fast paths against them; nothing in ``halfspace`` calls
-them.  The brute-force oracles the verifier, the CLI and the demos
-use stay in :mod:`halfspace.oracle`.
+bridges (``*_scan``); the recursive separator shortcutting
+(``shortcut_forest`` with ``solve``); and the hop-bounded
+Bellman-Ford that relaxes every reached vertex in every round
+(``hop_bounded_distances_scan``), which the frontier rounds of
+:func:`halfspace.oracle.hop_bounded_distances` must match float for
+float.  The bodies are the replaced code, unchanged but for absolute
+imports.  The tests compare the library's fast paths against them;
+nothing in ``halfspace`` calls them.  The brute-force oracles the
+verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from halfspace.metrics import d2 as d2_fast
 from halfspace.metrics import D2Path, d2_path, lambda_
@@ -412,3 +417,40 @@ def shortcut_forest(parent: dict[int, int | None], k: int) -> ShortcutSet:
     for r in roots:
         solve(r, _collect(r, children, {v for v in parent}))
     return ShortcutSet(dict(parent), k, tuple(sorted(extras)))
+
+
+# -- hop-bounded distances over a spanner ------------------------------
+
+
+def hop_bounded_distances_scan(
+    n_vertices: int,
+    adjacency: Sequence[Sequence[tuple[int, float]]],
+    source: int,
+    max_hops: int,
+) -> list[float]:
+    """Minimum path weight from ``source`` using at most ``max_hops`` edges.
+
+    Bellman-Ford rounds relax from the previous round's snapshot, so the
+    hop count is exact rather than an in-place lower bound.
+
+    Reference for :func:`halfspace.oracle.hop_bounded_distances`.
+    """
+    inf = float("inf")
+    prev = [inf] * n_vertices
+    prev[source] = 0.0
+    for _ in range(max_hops):
+        cur = prev[:]
+        changed = False
+        for u in range(n_vertices):
+            du = prev[u]
+            if du == inf:
+                continue
+            for v, w in adjacency[u]:
+                nd = du + w
+                if nd < cur[v]:
+                    cur[v] = nd
+                    changed = True
+        if not changed:
+            break
+        prev = cur
+    return prev

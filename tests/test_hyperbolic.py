@@ -196,6 +196,13 @@ def test_normalize_rejects_empty():
         normalize([])
 
 
+def test_normalize_heights_1e_300_x_spread_1e300():
+    # the scale the spread needs (about 2.3e-301) takes height 1e-300 to 0.0,
+    # which HPoint used to reject without naming the point or the scale
+    with pytest.raises(ValueError, match=r"point 0: height 1e-300 underflows to 0.0 at scale 2.34375e-301"):
+        normalize([H(1e-300, 0.0), H(1.0, 1e300)])
+
+
 def test_transform_apply_matches_components():
     t = NormalizeTransform(0.5, (0.1,))
     p = H(1.0, 0.6)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace.metrics import d1, d2
 from halfspace.oracle import (
@@ -17,6 +19,7 @@ from halfspace.oracle import (
 from halfspace.tiling import CellId, HPoint
 
 from conftest import random_cell
+from reference import hop_bounded_distances_scan
 
 
 def C(level, *coords):
@@ -98,6 +101,88 @@ def test_hop_bounded_distances_respects_budget():
     d3h = hop_bounded_distances(4, adj, 0, 3)
     assert d1h[1] == 1.0 and d1h[3] == math.inf
     assert d3h[3] == 3.0
+
+
+def test_dijkstra_source_minus_1():
+    # a negative source used to index from the end and start at vertex 2
+    adj = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+    with pytest.raises(ValueError, match="source -1"):
+        dijkstra(3, adj, -1)
+    with pytest.raises(ValueError, match="source 3"):
+        dijkstra(3, adj, 3)
+
+
+def test_hop_bounded_distances_source_minus_1():
+    adj = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+    with pytest.raises(ValueError, match="source -1"):
+        hop_bounded_distances(3, adj, -1, 2)
+    with pytest.raises(ValueError, match="source 3"):
+        hop_bounded_distances(3, adj, 3, 2)
+
+
+def test_hop_bounded_distances_max_hops_minus_1():
+    adj = [[(1, 1.0)], [(0, 1.0)]]
+    with pytest.raises(ValueError, match="max_hops"):
+        hop_bounded_distances(2, adj, 0, -1)
+    assert hop_bounded_distances(2, adj, 0, 0) == [0.0, math.inf]
+
+
+def test_oracles_reject_adjacency_of_other_length():
+    adj = [[(1, 1.0)], [(0, 1.0)]]
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="rows"):
+            dijkstra(n, adj, 0)
+        with pytest.raises(ValueError, match="rows"):
+            hop_bounded_distances(n, adj, 0, 2)
+
+
+@st.composite
+def multigraphs(draw, weights=st.floats(min_value=0.0, allow_nan=False)):
+    """Directed multigraphs with parallel edges, self-loops, isolated
+    vertices and parts the source cannot reach, plus a source and a hop
+    budget from 0 to n + 1."""
+    n = draw(st.integers(1, 12))
+    weight = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]), weights)
+    adj = [draw(st.lists(st.tuples(st.integers(0, n - 1), weight), max_size=6)) for _ in range(n)]
+    return n, adj, draw(st.integers(0, n - 1)), draw(st.integers(0, n + 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(multigraphs())
+def test_hop_bounded_distances_match_full_scan(case):
+    n, adj, source, max_hops = case
+    assert repr(hop_bounded_distances(n, adj, source, max_hops)) == repr(
+        hop_bounded_distances_scan(n, adj, source, max_hops)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(weights=st.integers(0, 64).map(lambda k: k / 8)), st.integers(0, 2))
+def test_hop_bounded_distances_with_every_hop_match_dijkstra(case, extra):
+    # dyadic weights add exactly, so any shortest path gives the same float,
+    # and a shortest path has at most n - 1 edges
+    n, adj, source, _ = case
+    assert hop_bounded_distances(n, adj, source, n - 1 + extra) == dijkstra(n, adj, source)
+
+
+class _CountingRows(list):
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_hop_bounded_distances_cost_tracks_frontier():
+    # on a path every round's frontier is one vertex: 20,000 row reads,
+    # where relaxing every reached vertex in every round reads about 2 * 10^8
+    n = 20_000
+    adj = _CountingRows([[(v, 1.0) for v in (u - 1, u + 1) if 0 <= v < n] for u in range(n)])
+    dist = hop_bounded_distances(n, adj, 0, n)
+    assert dist[-1] == float(n - 1)
+    assert adj.reads <= n
 
 
 def test_cell_query_scan_basics():
