@@ -17,7 +17,10 @@ one (compressed).  Representatives are the node's nearest input plus,
 for leaf and compressed regions, the inner box's highest input and the
 highest input of every compressed node of the unrefined tree whose box
 meets the boundary of the region's box and whose child box does not
-contain the region.  A query
+contain the region.  Those nodes come from one more top-down pass that
+hands each refined node's boundary candidates down to its children and
+searches only below the node's own box, never from the root, so a
+nested chain costs a constant per level.  A query
 locates its region and takes the exact-d2 argmin over representatives,
 ties to the smallest input index.
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2
-from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, shadow_within
+from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, is_index, meets_boundary, shadow_within
 from .tiling import CellId, HPoint, cell_of, horizontal_neighbors
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
@@ -122,8 +125,6 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
     highest input of every occupied compressed node nu of the unrefined
     tree whose box meets the boundary of R's box and whose child box does
     not contain R: nu's gap can host the far end of a query's bridge.
-    The candidates come from one pruned descent along that boundary
-    (:meth:`QuadTree.compressed_on_boundary`), and each gets one test.
 
     The rule is exact: it gives the sets of the region-adjacency test,
     which also counts the nodes touching a compressed R's inner box I
@@ -133,22 +134,86 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
     of I away from that of R would put its horizontal neighbor across
     that face, which refinement makes a node, in the annulus; so every
     such node meets R's boundary, except I itself, whose highest input R
-    keeps already (as does a node whose box is R).  Per region this
-    costs its ancestor chain plus the nodes along its boundary, not a
-    scan of every compressed node.
+    keeps already (as does a node whose box is R).
+
+    The candidates come from one top-down pass over the refined tree.
+    For each node R it carries the occupied compressed unrefined nodes
+    whose closed box meets R's boundary without strictly containing R's
+    box, split into those outside R's box and those inside it, and
+    B(R), the lowest unrefined node containing R's box.  Of the nodes
+    containing R's box only B(R) can have a child box missing R, so
+    B(R) is the one container a region may keep.  For a refined child
+    R' of R:
+
+    * a node outside R's box that meets the closed box of R' touches R,
+      so it is among R's outside nodes, and stays if it meets the
+      boundary of R';
+    * the nodes inside R's box lie under the unrefined nodes right below
+      it: R's own children when R is unrefined, else B(R)'s child if it
+      lies inside R.  No unrefined node lies strictly between R' and R,
+      so each of these lies, with its subtree, inside R' or outside it.
+      A pruned descent from each finds the rest, since meeting a
+      boundary is monotone upward in the tree; it passes through the
+      other kinds of node and keeps the compressed ones.  An ordinary
+      R' keeps its nearest input alone, so its inside descent is
+      skipped;
+    * B(R') is R' when R' is unrefined, and B(R) otherwise.
+
+    Nothing descends from the root: per node the work is the boundary
+    nodes carried from the parent plus the descents below its box, so a
+    nested chain costs a constant per level.
     """
     fill_highest(base)
-    for node in refined.iter_nodes():
+
+    def descend(start: QuadNode, box: CellId, out: list) -> None:
+        # the compressed ones among the occupied nodes on or below start
+        # whose box meets the boundary of box
+        todo = [start]
+        while todo:
+            nu = todo.pop()
+            if nu.count and meets_boundary(nu.cell, box):
+                if nu.kind == COMPRESSED:
+                    out.append(nu)
+                todo.extend(nu.children)
+
+    inside: list[QuadNode] = []
+    descend(base.root, refined.root.cell, inside)
+    # (refined node, outside nodes, inside nodes, B(node), node is unrefined)
+    stack = [(refined.root, [], inside, base.root, True)]
+    while stack:
+        node, outside, inside, low, own = stack.pop()
+        box = node.cell
         if node.kind == ORDINARY:
             node.reps = [node.n2_index]
+        else:
+            reps = {node.n2_index}
+            if node.kind == COMPRESSED and node.children[0].h_index is not None:
+                reps.add(node.children[0].h_index)
+            reps.update(nu.h_index for nu in outside)
+            reps.update(nu.h_index for nu in inside)
+            if not own and low.kind == COMPRESSED and low.count:
+                reps.add(low.h_index)
+            node.reps = sorted(reps)
+        if not node.children:
             continue
-        reps = {node.n2_index}
-        if node.kind == COMPRESSED and node.children[0].h_index is not None:
-            reps.add(node.children[0].h_index)
-        for nu in base.compressed_on_boundary(node.cell):
-            if not shadow_within(node.cell, nu.children[0].cell):
-                reps.add(nu.h_index)
-        node.reps = sorted(reps)
+        if own or (low.kind == COMPRESSED and shadow_within(low.children[0].cell, box)):
+            starts = low.children
+        else:
+            starts = []
+        for child in node.children:
+            c = child.cell
+            out2 = [nu for nu in outside if meets_boundary(nu.cell, c)]
+            in2: list[QuadNode] = []
+            below = low
+            for s in starts:
+                if not shadow_within(s.cell, c):
+                    descend(s, c, out2)
+                    continue
+                if s.cell.level == c.level:
+                    below = s  # the child is an unrefined node
+                if child.kind != ORDINARY:
+                    descend(s, c, in2)
+            stack.append((child, out2, in2, below, below is not low))
 
 
 @dataclass
@@ -195,12 +260,31 @@ class AvdIndex:
 
     @classmethod
     def from_json(cls, text: str) -> "AvdIndex":
+        """Load an index written by :meth:`to_json`.
+
+        Raises ``ValueError`` unless there is one annotation per node and
+        every input index in it (``h``, ``n2``, ``reps`` and
+        ``highest_index``) lies in ``range(len(points))``.  ``null``
+        marks a node the AVD passes did not annotate; a query landing
+        there raises ``ValueError``.  One pass, O(nodes + reps).
+        """
         data = json.loads(text)
         tree = QuadTree.from_dict(data)
-        for node, extra in zip(tree.iter_nodes(), data["annotations"]):
-            node.h_index = extra["h"]
-            node.n2_index = extra["n2"]
-            node.reps = extra["reps"]
+        annotations = data["annotations"]
+        if len(annotations) != len(data["nodes"]):
+            raise ValueError(f"index has {len(data['nodes'])} nodes but {len(annotations)} annotations")
+        n = len(tree.points)
+        for k, (node, extra) in enumerate(zip(tree.iter_nodes(), annotations)):
+            h, n2, reps = extra["h"], extra["n2"], extra["reps"]
+            if not (
+                (h is None or is_index(h, n))
+                and (n2 is None or is_index(n2, n))
+                and (reps is None or (type(reps) is list and all(is_index(i, n) for i in reps)))
+            ):
+                raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
+            node.h_index, node.n2_index, node.reps = h, n2, reps
+        if not is_index(data["highest_index"], n):
+            raise ValueError(f"highest_index {data['highest_index']!r} is no input index in range({n})")
         t = data["transform"]
         transform = NormalizeTransform(t["scale"], tuple(t["shift"])) if t else None
         return cls(tree, transform, data["highest_index"], data["source_kind"])
@@ -229,6 +313,8 @@ def query(ix: AvdIndex, q: CellId) -> int:
         node = ix.region_of(q)
     except ValueError:
         return ix.highest_index
+    if not node.reps:
+        raise ValueError(f"region {node.cell!r} carries no representatives")
     points = ix.points
     best = None
     for idx in node.reps:

@@ -100,6 +100,12 @@ def meets_boundary(box: CellId, b: CellId) -> bool:
     return on_face
 
 
+def is_index(value, n: int) -> bool:
+    """Is a loaded value an index into a list of length ``n``?  JSON
+    floats and booleans are not."""
+    return type(value) is int and 0 <= value < n
+
+
 def meet(a: CellId, b: CellId) -> CellId:
     """The lowest box whose shadow contains the shadows of both cells.
 
@@ -277,12 +283,13 @@ class QuadTree:
         gives ``t``, the topmost node on or below ``up``.  If ``t`` is
         ``up`` itself, ``nb`` is ``t``'s child when ``t`` is ordinary,
         ``t``'s compressed child if that lies in ``nb``, and empty under
-        a leaf; if ``t`` lies lower, ``nb`` holds ``t`` or nothing.  A
-        row costs O(3^(D-1)) with at most one ``nodes_by_cell`` lookup
-        per neighbor, so the pass is linear in the nodes plus the levels
-        of their compressed gaps; nothing descends from the root.
+        a leaf; if ``t`` lies lower, ``nb`` holds ``t`` or nothing.  An
+        ordinary ``t``'s child is read off the low bit of each of
+        ``nb``'s coordinates, as in :meth:`smallest_containing`, so a
+        row costs O(3^(D-1)) and builds or hashes no cell.  The pass is
+        linear in the nodes plus the levels of their compressed gaps;
+        nothing descends from the root.
         """
-        nodes = self.nodes_by_cell
         offsets = [o for o in itertools.product((-1, 0, 1), repeat=self.dim - 1) if any(o)]
         # per parity of the current box's coordinates: the position of
         # each neighbor's parent box in the row above, -1 for the center
@@ -299,7 +306,10 @@ class QuadTree:
                     nbc = tuple(map(add, coords, off))
                     if t.cell.level > lev:  # t is the parent box of nb
                         if t.kind == ORDINARY:
-                            out.append(nodes[CellId(lev, nbc)])
+                            i = 0
+                            for k in nbc:
+                                i = (i << 1) | (k & 1)
+                            out.append(t.children[i])
                             continue
                         t = t.children[0] if t.kind == COMPRESSED else None
                     if t is not None:
@@ -337,6 +347,16 @@ class QuadTree:
         its ancestors' boxes, so they meet it too: the pruning skips no
         qualifying node.  The work is the number of nodes on the box's
         ancestor chain and along its boundary, not the size of the tree.
+
+        :func:`~halfspace.spanner.enumerate_bridges` calls this once per
+        occupied compressed node.  The AVD's representatives instead
+        carry these sets down the refined tree
+        (:func:`~halfspace.avd.select_representatives`), because every
+        leaf and compressed region needs one and a descent per region
+        walks each ancestor chain again.  In the bridge search only the
+        occupied compressed nodes ask (about a third of the nodes on the
+        spanner benchmark's inputs), while a carried set is updated at
+        every node, so the descents are the cheaper of the two there.
         """
         out = []
         stack = [self.root]
@@ -498,6 +518,13 @@ class QuadTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuadTree":
+        """Rebuild a tree written by :meth:`to_dict`.
+
+        Raises ``ValueError`` unless node 0 is the root, every other
+        node's parent is an earlier node, every ``stored`` index is null
+        or lies in ``range(len(points))``, and every ordinary node lists
+        its child cells in :func:`children` order.
+        """
         dim = data["dim"]
         points = [CellId(lev, tuple(ks)) for lev, ks in data["points"]]
         tree = cls.__new__(cls)
@@ -509,13 +536,24 @@ class QuadTree:
             tree._index_of.setdefault(c, i)
         tree.nodes_by_cell = {}
         built: list[QuadNode] = []
-        for spec in data["nodes"]:
+        if not data["nodes"]:
+            raise ValueError("a tree needs at least its root node")
+        for k, spec in enumerate(data["nodes"]):
             cell = CellId(spec["cell"][0], tuple(spec["cell"][1]))
-            node = QuadNode(cell, spec["kind"], stored_index=spec["stored"])
+            stored = spec["stored"]
+            if stored is not None and not is_index(stored, len(points)):
+                raise ValueError(f"node {k} stores {stored!r}, no input index in range({len(points)})")
+            node = QuadNode(cell, spec["kind"], stored_index=stored)
             tree.nodes_by_cell[cell] = node
-            if spec["parent"] is not None:
-                node.parent = built[spec["parent"]]
+            up = spec["parent"]
+            if k == 0:
+                if up is not None:
+                    raise ValueError(f"node 0 is the root and takes no parent, got {up!r}")
+            elif is_index(up, k):
+                node.parent = built[up]
                 node.parent.children.append(node)
+            else:
+                raise ValueError(f"node {k}'s parent {up!r} is not an earlier node")
             built.append(node)
         for node in built:
             if node.kind == ORDINARY and [ch.cell for ch in node.children] != children(node.cell):

@@ -5,7 +5,10 @@ the d2-path, ``meet``, point location and the spanner's vertical edges
 (``*_climb``); all-pairs and root-lookup scans for the AVD annotation,
 the representatives (with their region predicates
 ``adjacent_to_region`` and ``touches_boundary``) and the spanner
-bridges (``*_scan``); the recursive separator shortcutting
+bridges (``*_scan``); the representatives by one pruned descent from
+the root per region (``select_representatives_descent``), which the
+carried boundary sets of :func:`halfspace.avd.select_representatives`
+must match region for region; the recursive separator shortcutting
 (``shortcut_forest`` with ``solve``); and the hop-bounded
 Bellman-Ford that relaxes every reached vertex in every round
 (``hop_bounded_distances_scan``), which the frontier rounds of
@@ -206,6 +209,52 @@ def representatives_scan(refined, base) -> list[list[int]]:
                 reps.add(nu.h_index)
         out.append(sorted(reps))
     return out
+
+
+def select_representatives_descent(refined, base) -> None:
+    """Attach representative input indices to every refined node.
+
+    Reference for :func:`halfspace.avd.select_representatives`: one
+    pruned descent from the root of the unrefined tree per leaf or
+    compressed region, so each region walks its whole ancestor chain
+    again (quadratic on a nested chain).
+
+    An ordinary region keeps its node's nearest input alone.  A leaf or
+    compressed region R keeps that input, its child's highest input when
+    R is compressed (bridges landing inside R's own gap), and the
+    highest input of every occupied compressed node nu of the unrefined
+    tree whose box meets the boundary of R's box and whose child box does
+    not contain R: nu's gap can host the far end of a query's bridge.
+    The candidates come from one pruned descent along that boundary
+    (:meth:`QuadTree.compressed_on_boundary`), and each gets one test.
+
+    The rule is exact: it gives the sets of the region-adjacency test,
+    which also counts the nodes touching a compressed R's inner box I
+    from inside.  Refinement only adds keys, so every node of the unrefined
+    tree is a node of the refined one, and none lies under a leaf R or
+    in a compressed R's annulus.  A node inside I touching the boundary
+    of I away from that of R would put its horizontal neighbor across
+    that face, which refinement makes a node, in the annulus; so every
+    such node meets R's boundary, except I itself, whose highest input R
+    keeps already (as does a node whose box is R).  Per region this
+    costs its ancestor chain plus the nodes along its boundary, not a
+    scan of every compressed node.
+    """
+    from halfspace.avd import fill_highest
+    from halfspace.quadtree import COMPRESSED, ORDINARY, shadow_within
+
+    fill_highest(base)
+    for node in refined.iter_nodes():
+        if node.kind == ORDINARY:
+            node.reps = [node.n2_index]
+            continue
+        reps = {node.n2_index}
+        if node.kind == COMPRESSED and node.children[0].h_index is not None:
+            reps.add(node.children[0].h_index)
+        for nu in base.compressed_on_boundary(node.cell):
+            if not shadow_within(node.cell, nu.children[0].cell):
+                reps.add(nu.h_index)
+        node.reps = sorted(reps)
 
 
 def _bridge_candidate(tree, r: CellId, r2: CellId) -> bool:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -324,6 +325,55 @@ def test_discrete_index_roundtrip(rng):
     for _ in range(300):
         q = random_query_cell(rng, 2)
         assert query(back, q) == query(ix, q)
+
+
+def _index_data():
+    ix = build_avd([random_margin_cell(random.Random(5), 2) for _ in range(12)])
+    return ix, json.loads(ix.to_json())
+
+
+def test_from_json_annotations_one_short():
+    # the last node used to load with reps None, and a query landing in
+    # its region raised TypeError
+    _ix, data = _index_data()
+    data["annotations"].pop()
+    with pytest.raises(ValueError, match="annotations"):
+        AvdIndex.from_json(json.dumps(data))
+
+
+def test_from_json_annotations_one_extra():
+    _ix, data = _index_data()
+    data["annotations"].append(data["annotations"][-1])
+    with pytest.raises(ValueError, match="annotations"):
+        AvdIndex.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("reps", [12]), ("reps", [-1]), ("reps", [0.0]), ("reps", 3), ("h", 12), ("n2", -1), ("n2", "0")],
+)
+def test_from_json_rejects_index_outside_points(key, value):
+    _ix, data = _index_data()
+    data["annotations"][-1][key] = value
+    with pytest.raises(ValueError, match="range\\(12\\)"):
+        AvdIndex.from_json(json.dumps(data))
+
+
+def test_from_json_highest_index_12_of_12():
+    _ix, data = _index_data()
+    data["highest_index"] = 12
+    with pytest.raises(ValueError, match="highest_index"):
+        AvdIndex.from_json(json.dumps(data))
+
+
+def test_query_region_with_null_reps():
+    ix, data = _index_data()
+    data["annotations"][-1]["reps"] = None
+    back = AvdIndex.from_json(json.dumps(data))
+    last = list(back.tree.iter_nodes())[-1]
+    with pytest.raises(ValueError, match="no representatives"):
+        query(back, last.cell)
+    assert query(ix, last.cell) in range(12)
 
 
 @pytest.mark.parametrize("n", [497, 1000])

@@ -1,11 +1,12 @@
-"""The pruned boundary descent and the neighbor pass against the
-reference scans."""
+"""The pruned boundary descent, the neighbor pass and the carried
+representative pass against the reference scans."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfspace import avd
 from halfspace.avd import annotate, refine, select_representatives
 from halfspace.quadtree import (
     COMPRESSED,
@@ -20,7 +21,13 @@ from halfspace.spanner import enumerate_bridges
 from halfspace.tiling import CellId, ancestor_at, horizontal_neighbors
 
 from conftest import random_cell_in_root
-from reference import annotate_scan, bridges_scan, representatives_scan, touches_boundary
+from reference import (
+    annotate_scan,
+    bridges_scan,
+    representatives_scan,
+    select_representatives_descent,
+    touches_boundary,
+)
 
 DEPTH = 34  # resolution of the drawn x-coordinates, in levels below the root
 
@@ -53,11 +60,16 @@ def stacked_sets(draw, dim, margin):
 
 
 def _check_representatives(cells):
+    """The carried pass against the all-pairs scan and the per-region
+    descent from the root it replaced."""
     base = build_quadtree(cells)
     refined = refine(base)
     annotate(refined)
     select_representatives(refined, base)
-    assert [node.reps for node in refined.iter_nodes()] == representatives_scan(refined, base)
+    carried = [node.reps for node in refined.iter_nodes()]
+    assert carried == representatives_scan(refined, base)
+    select_representatives_descent(refined, base)
+    assert carried == [node.reps for node in refined.iter_nodes()]
 
 
 def _check_bridges(cells):
@@ -149,6 +161,33 @@ def test_representatives_match_scan_margin_samples_d4():
     rng = random.Random(41)
     for n in (8, 24, 48):
         _check_representatives(sample_margin_cells(rng, 4, n, min_level=-7))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40))
+def test_representatives_match_descent_sampled_d4(seed, n):
+    _check_representatives(sample_margin_cells(random.Random(seed), 4, n, min_level=-7))
+
+
+def test_representatives_cost_on_deep_chain(monkeypatch):
+    """Cost guard: on 2,000 nested boxes around x = 3/10 the carried
+    pass makes at most 5 boundary tests per refined node (the descent
+    per region made about 670)."""
+    chain = [CellId(-lev, ((3 << lev) // 10,)) for lev in range(2, 2002)]
+    base = build_quadtree(chain)
+    refined = refine(base)
+    annotate(refined)
+    calls = []
+    test = avd.meets_boundary
+
+    def counted(box, b):
+        calls.append(box)
+        return test(box, b)
+
+    monkeypatch.setattr(avd, "meets_boundary", counted)
+    select_representatives(refined, base)
+    assert 0 < len(calls) <= 5 * len(refined)
+    assert refined.nodes_by_cell[chain[-1]].reps == [len(chain) - 1]
 
 
 @settings(max_examples=80, deadline=None)

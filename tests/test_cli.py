@@ -171,6 +171,22 @@ def test_query_discrete_index(tmp_path, capsys):
     assert all(0 <= r["neighbor_index"] < 10 for r in results)
 
 
+def test_query_index_one_annotation_short_exits_2(tmp_path, capsys):
+    # --at=-7,64 lands in the last node's region, which used to load
+    # without reps and end the query in a TypeError (exit 1)
+    pts = tmp_path / "cells.jsonl"
+    index = tmp_path / "avd.json"
+    assert main(["gen", "--dim", "2", "--n", "10", "--kind", "discrete", "--seed", "6", "--out", str(pts)]) == 0
+    assert main(["build", "--what", "avd", "--in", str(pts), "--out", str(index)]) == 0
+    data = json.loads(index.read_text())
+    assert data["nodes"][-1]["cell"] == [-7, [64]]
+    data["annotations"].pop()
+    index.write_text(json.dumps(data))
+    code, out, err = run(["query", "--index", str(index), "--at=-7,64"], capsys)
+    assert code == 2
+    assert "annotations" in json.loads(err)["error"]
+
+
 def test_verify_report_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

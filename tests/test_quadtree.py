@@ -373,3 +373,34 @@ def test_from_dict_rejects_misordered_children():
     stranger = dict(data, nodes=[data["nodes"][0], data["nodes"][1], dict(data["nodes"][2], cell=[-2, [3]])])
     with pytest.raises(ValueError, match="children"):
         QuadTree.from_dict(stranger)
+
+
+def test_from_dict_node_1_parent_5():
+    # a parent index past the node used to raise IndexError
+    data = build_quadtree([C(-2, 0), C(-2, 3), C(-3, 5)]).to_dict()
+    assert len(data["nodes"]) > 5
+    data["nodes"][1] = dict(data["nodes"][1], parent=5)
+    with pytest.raises(ValueError, match="parent 5"):
+        QuadTree.from_dict(data)
+
+
+@pytest.mark.parametrize("k, parent", [(0, 0), (1, None), (1, 1), (2, -1), (2, 0.0)])
+def test_from_dict_rejects_parent_not_earlier(k, parent):
+    data = build_quadtree([C(-2, 0), C(-2, 3), C(-3, 5)]).to_dict()
+    data["nodes"][k] = dict(data["nodes"][k], parent=parent)
+    with pytest.raises(ValueError, match="parent"):
+        QuadTree.from_dict(data)
+
+
+def test_from_dict_no_nodes():
+    data = build_quadtree([C(-2, 0)]).to_dict()
+    with pytest.raises(ValueError, match="root"):
+        QuadTree.from_dict(dict(data, nodes=[]))
+
+
+@pytest.mark.parametrize("stored", [3, -1, 1.0])
+def test_from_dict_rejects_stored_outside_points(stored):
+    data = build_quadtree([C(-2, 0), C(-2, 3), C(-3, 5)]).to_dict()
+    data["nodes"][-1] = dict(data["nodes"][-1], stored=stored)
+    with pytest.raises(ValueError, match="range\\(3\\)"):
+        QuadTree.from_dict(data)
