@@ -116,11 +116,14 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
     if any(p.dim != dim for p in points):
         raise ValueError("mixed dimensions in point set")
     max_z = max(p.z for p in points)
-    diam = 0.0
+    # half the horizontal diameter: a spread of finite values can
+    # overflow to inf (x = -1e308 and 1e308), half of it cannot, and
+    # for normal values the halves and so the scale are exact
+    half = 0.0
     for j in range(dim - 1):
         vals = [p.x[j] for p in points]
-        diam = max(diam, max(vals) - min(vals))
-    scale = min(1.0, 1.9 / max_z, _X_DIAMETER_TARGET / max(diam, 1e-300))
+        half = max(half, max(vals) / 2 - min(vals) / 2)
+    scale = min(1.0, 1.9 / max_z, _X_DIAMETER_TARGET / 2 / max(half, 1e-300 / 2))
     shift = tuple(
         _X_LOW_CORNER - scale * min(p.x[j] for p in points) for j in range(dim - 1)
     )

@@ -29,6 +29,7 @@ boundary) live here as well, for the spanner and the AVD index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import add
@@ -124,22 +125,67 @@ def meet(a: CellId, b: CellId) -> CellId:
     return CellId(level + s, tuple([x >> s for x in ka]))
 
 
+@functools.cache
+def _bit_spread(axes: int) -> tuple[int, ...]:
+    """Per byte value: its bits moved apart, bit ``b`` to bit ``b * axes``."""
+    return tuple(sum(((v >> b) & 1) << (b * axes) for b in range(8)) for v in range(256))
+
+
 def zorder_key(low: int, axes: int):
     """Sort key putting cells of the root shadow at or above level
     ``low`` in preorder of the dyadic tree, children in :func:`children`
     order, so every cell follows its ancestors: the Morton interleave of
     the lower corner lifted to ``low`` (first axis most significant),
     ties to the higher cell.  With one axis the interleave is the lifted
-    coordinate."""
+    coordinate.
+
+    With more axes the interleave is an integer made from a 256-entry
+    bit-spread table, one byte of each coordinate at a time.  A cell at
+    level ``L`` of the root shadow has coordinates of at most ``-L``
+    bits, so the loop reads that many; lifting to ``low`` multiplies
+    the interleave by ``2^(axes (L - low))``, one shift at the end.
+    """
     if axes == 1:
         return lambda c: (c.coords[0] << (c.level - low), -c.level)
-    width = f"0{-low}b"
+    spread = _bit_spread(axes)
+    stride = 8 * axes
 
     def key(c: CellId):
-        digits = [format(k << (c.level - low), width) for k in c.coords]
-        return int("".join(map("".join, zip(*digits))), 2), -c.level
+        level = c.level
+        m = 0
+        for k in c.coords:
+            s = i = 0
+            for j in range(0, -level, 8):
+                s |= spread[(k >> j) & 255] << i
+                i += stride
+            m = (m << 1) | s
+        return m << (axes * (level - low)), -level
 
     return key
+
+
+@functools.cache
+def _neighbor_plan(axes: int) -> tuple[tuple, tuple]:
+    """The horizontal-neighbor offsets, in
+    :func:`~halfspace.tiling.horizontal_neighbors` order, and per
+    parity pattern of a box's coordinates (first axis most significant)
+    one ``(offset, up position, child slot)`` per neighbor: the position
+    of the neighbor's parent box among the parent's neighbors (-1 for
+    the parent itself) and the neighbor's slot among that box's
+    :func:`children`.  :meth:`QuadTree.neighbor_rows` reads it."""
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=axes) if any(o)]
+    position = {o: i for i, o in enumerate(offsets)}
+    plan = []
+    for bits in itertools.product((0, 1), repeat=axes):
+        entry = []
+        for off in offsets:
+            up = tuple([(b + o) >> 1 for b, o in zip(bits, off)])
+            slot = 0
+            for b, o in zip(bits, off):
+                slot = (slot << 1) | ((b + o) & 1)
+            entry.append((off, position.get(up, -1), slot))
+        plan.append(tuple(entry))
+    return tuple(offsets), tuple(plan)
 
 
 @dataclass(eq=False)
@@ -283,40 +329,41 @@ class QuadTree:
         gives ``t``, the topmost node on or below ``up``.  If ``t`` is
         ``up`` itself, ``nb`` is ``t``'s child when ``t`` is ordinary,
         ``t``'s compressed child if that lies in ``nb``, and empty under
-        a leaf; if ``t`` lies lower, ``nb`` holds ``t`` or nothing.  An
-        ordinary ``t``'s child is read off the low bit of each of
-        ``nb``'s coordinates, as in :meth:`smallest_containing`, so a
-        row costs O(3^(D-1)) and builds or hashes no cell.  The pass is
+        a leaf; if ``t`` lies lower, ``nb`` holds ``t`` or nothing.
+
+        Which row entry holds ``up`` and which child slot of ``up`` is
+        ``nb`` depend only on the offset and on the parities of the
+        box's coordinates.  So a plan, made once per dimension, lists per
+        parity pattern ``(offset, up position, child slot)`` for every
+        neighbor: a step reads the pattern with one shift-or per
+        coordinate and an ordinary ``t``'s child as ``t.children[slot]``.
+        Only a compressed child or a lower node is checked against
+        ``nb``'s coordinates, the one case that builds them.  A row
+        costs O(3^(D-1)) and builds or hashes no cell.  The pass is
         linear in the nodes plus the levels of their compressed gaps;
         nothing descends from the root.
         """
-        offsets = [o for o in itertools.product((-1, 0, 1), repeat=self.dim - 1) if any(o)]
-        # per parity of the current box's coordinates: the position of
-        # each neighbor's parent box in the row above, -1 for the center
-        up_pos = {}
-        for bits in itertools.product((0, 1), repeat=self.dim - 1):
-            ups = [tuple((b + o) >> 1 for b, o in zip(bits, off)) for off in offsets]
-            up_pos[bits] = [offsets.index(u) if any(u) else -1 for u in ups]
+        offsets, plan = _neighbor_plan(self.dim - 1)
 
         def step(row, center, coords, lev):
+            p = 0
+            for k in coords:
+                p = (p << 1) | (k & 1)
             out = []
-            for off, u in zip(offsets, up_pos[tuple([k & 1 for k in coords])]):
+            append = out.append
+            for off, u, slot in plan[p]:
                 t = row[u] if u >= 0 else center
                 if t is not None:
-                    nbc = tuple(map(add, coords, off))
                     if t.cell.level > lev:  # t is the parent box of nb
                         if t.kind == ORDINARY:
-                            i = 0
-                            for k in nbc:
-                                i = (i << 1) | (k & 1)
-                            out.append(t.children[i])
+                            append(t.children[slot])
                             continue
                         t = t.children[0] if t.kind == COMPRESSED else None
                     if t is not None:
                         s = lev - t.cell.level
-                        if tuple([k >> s for k in t.cell.coords]) != nbc:
+                        if tuple([k >> s for k in t.cell.coords]) != tuple(map(add, coords, off)):
                             t = None  # t lies in another child of the parent box
-                out.append(t)
+                append(t)
             return out
 
         stack = [(self.root, [[None] * len(offsets)])]
@@ -327,9 +374,10 @@ class QuadTree:
                 # the box one level up is the node, then gap boxes whose
                 # topmost node is the child itself
                 row, center, below = rows[0], node, []
-                for lev in range(node.cell.level - 1, child.cell.level - 1, -1):
-                    s = lev - child.cell.level
-                    row = step(row, center, tuple(k >> s for k in child.cell.coords), lev)
+                level, coords = child.cell.level, child.cell.coords
+                for lev in range(node.cell.level - 1, level - 1, -1):
+                    s = lev - level
+                    row = step(row, center, tuple([k >> s for k in coords]) if s else coords, lev)
                     center = child
                     below.append(row)
                 below.reverse()

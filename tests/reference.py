@@ -2,8 +2,9 @@
 
 Level-by-level climbs and descents, one cell per level, for ``d1``,
 the d2-path, ``meet``, point location and the spanner's vertical edges
-(``*_climb``); all-pairs and root-lookup scans for the AVD annotation,
-the representatives (with their region predicates
+(``*_climb``); the Z-order key by string formatting
+(``zorder_key_format``); all-pairs and root-lookup scans for the AVD
+annotation, the representatives (with their region predicates
 ``adjacent_to_region`` and ``touches_boundary``) and the spanner
 bridges (``*_scan``); the representatives by one pruned descent from
 the root per region (``select_representatives_descent``), which the
@@ -79,6 +80,29 @@ def meet_climb(a: CellId, b: CellId) -> CellId:
     while a != b:
         a, b = parent(a), parent(b)
     return a
+
+
+def zorder_key_format(low: int, axes: int):
+    """Sort key putting cells of the root shadow at or above level
+    ``low`` in preorder of the dyadic tree, children in :func:`children`
+    order, so every cell follows its ancestors: the Morton interleave of
+    the lower corner lifted to ``low`` (first axis most significant),
+    ties to the higher cell.  With one axis the interleave is the lifted
+    coordinate.
+
+    Reference for :func:`halfspace.quadtree.zorder_key`: the interleave
+    made by formatting each lifted coordinate as ``-low`` binary digits
+    and parsing the zipped digits back.
+    """
+    if axes == 1:
+        return lambda c: (c.coords[0] << (c.level - low), -c.level)
+    width = f"0{-low}b"
+
+    def key(c: CellId):
+        digits = [format(k << (c.level - low), width) for k in c.coords]
+        return int("".join(map("".join, zip(*digits))), 2), -c.level
+
+    return key
 
 
 def smallest_containing_climb(tree, box: CellId):

@@ -298,6 +298,16 @@ def test_query_hyperbolic_within_window(rng):
     assert worst < w  # the bound is conservative in practice
 
 
+def test_build_avd_x_minus_1e308_and_1e308():
+    # the normalizing scale came out 0.0 from a spread that overflowed
+    pts = [HPoint((-1e308,), 1.0), HPoint((1e308,), 1.0)]
+    ix = build_avd(pts)
+    assert query_hyperbolic(ix, pts[0]) == 0
+    assert query_hyperbolic(ix, pts[1]) == 1
+    assert query_hyperbolic(ix, HPoint((-1e307,), 1.0)) == 0
+    assert query_hyperbolic(ix, HPoint((1e307,), 1.0)) == 1
+
+
 def test_query_hyperbolic_requires_transform():
     ix = build_avd([C(-2, 1)])
     with pytest.raises(ValueError):

@@ -117,12 +117,14 @@ def test_annotate_matches_scan_d3(cells):
 
 
 def test_neighbor_rows_match_cell_query(rng):
-    for dim in (2, 3):
-        for _ in range(30):
-            tree = build_quadtree([random_cell_in_root(rng, dim, min_level=-12) for _ in range(rng.randint(1, 25))])
+    # (dim, trees, most boxes, lowest level): the parity plan's bit order
+    # depends on the dimension, and the rows grow as 3^(D-1)
+    for dim, trees, most, low in ((2, 30, 25, -12), (3, 30, 25, -12), (4, 12, 12, -9), (5, 8, 8, -8)):
+        for _ in range(trees):
+            tree = build_quadtree([random_cell_in_root(rng, dim, min_level=low) for _ in range(rng.randint(1, most))])
             _check_neighbor_rows(tree)
             for _ in range(6):
-                tree.insert_box(random_cell_in_root(rng, dim, min_level=-14))
+                tree.insert_box(random_cell_in_root(rng, dim, min_level=low - 2))
             _check_neighbor_rows(tree)
 
 

@@ -136,6 +136,16 @@ def test_build_hyperbolic_spanner_height_5e_324(tmp_path, capsys):
     assert json.loads(out.read_text())["edges"]
 
 
+def test_build_avd_and_spanner_x_minus_1e308_and_1e308(tmp_path, capsys):
+    pts = tmp_path / "pts.jsonl"
+    pts.write_text('{"dim": 2, "kind": "continuous"}\n{"x": [-1e308], "z": 1.0}\n{"x": [1e308], "z": 1.0}\n')
+    for what in ("avd", "hyperbolic-spanner"):
+        out = tmp_path / f"{what}.json"
+        code, _, err = run(["build", "--what", what, "--in", str(pts), "--out", str(out), "--k", "2"], capsys)
+        assert code == 0, err
+        assert json.loads(out.read_text())
+
+
 def test_build_rejects_kind_mismatch(tmp_path, capsys):
     pts = tmp_path / "pts.jsonl"
     assert main(["gen", "--dim", "2", "--n", "8", "--kind", "discrete", "--seed", "1", "--out", str(pts)]) == 0

@@ -203,6 +203,17 @@ def test_normalize_heights_1e_300_x_spread_1e300():
         normalize([H(1e-300, 0.0), H(1.0, 1e300)])
 
 
+def test_normalize_x_minus_1e308_and_1e308():
+    # the spread 2e308 overflowed to inf, the scale came out 0.0 and the
+    # heights were rejected as underflowing "at scale 0.0"
+    pts = [H(1.0, -1e308), H(1.0, 1e308)]
+    t, moved = normalize(pts)
+    assert t.scale == (15 / 128) / 1e308  # the diameter target 15/64 over the spread
+    assert moved[0].x[0] == 0.25 and 0.25 < moved[1].x[0] < 0.5
+    assert all(m.z == t.scale for m in moved)
+    assert hyperbolic_distance(*moved) == pytest.approx(hyperbolic_distance(*pts), rel=1e-12)
+
+
 def test_transform_apply_matches_components():
     t = NormalizeTransform(0.5, (0.1,))
     p = H(1.0, 0.6)

@@ -256,6 +256,16 @@ def test_hyperbolic_spanner_heights_1_and_5e_324():
     assert all(0.0 < w < math.inf for _u, _v, w in g.edges)
 
 
+def test_hyperbolic_spanner_x_minus_1e308_and_1e308():
+    # the normalizing scale came out 0.0 from a spread that overflowed
+    pts = [HPoint((-1e308,), 1.0), HPoint((1e308,), 1.0)]
+    g = build_hyperbolic_spanner(pts, 2)
+    assert all(0.0 < w < math.inf for _u, _v, w in g.edges)
+    vids = [v.id for v in g.vertices if v.kind == "input"]
+    dist = dijkstra(len(g.vertices), g.adjacency(), vids[0])[vids[1]]
+    assert hyperbolic_distance(*pts) - 1e-9 <= dist < math.inf
+
+
 def test_point_anchor_edges_below_log_d(rng):
     for dim in (2, 3):
         pts = [random_hpoint(rng, dim) for _ in range(20)]

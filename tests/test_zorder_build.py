@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from halfspace.avd import build_avd, query_hyperbolic, refine
 from halfspace.hyperbolic import normalize_and_embed
-from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadTree, build_quadtree
+from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadTree, build_quadtree, zorder_key
 from halfspace.sampling import sample_margin_cells
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
 from halfspace.tiling import CellId, HPoint, ancestor_at
 
 from conftest import random_cell_in_root
 from quadtree_reference import ReferenceQuadTree, reference_refine, shape
-from reference import vertical_edges_climb
+from reference import vertical_edges_climb, zorder_key_format
 from test_boundary_search import stacked_sets
 from test_closed_form import CellBuilds
 
@@ -75,6 +75,27 @@ def test_spanner_vertical_edges_match_climb_on_random_sets(data):
     _dim, cells, _ = data
     if cells:
         _check_edges_against_climb(build_spanner(cells))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.integers(-1075, 0), st.integers(0, 2**32), st.integers(1, 10))
+def test_zorder_key_matches_format_reference(dim, low, seed, n):
+    """The integer interleave orders root-shadow cells down to level
+    ``low`` as the string-formatted one did, pair by pair; each cell
+    comes with an ancestor (the tie rule) and level ``low`` with both
+    extreme corners."""
+    rng = random.Random(seed)
+    top = (1 << -low) - 1
+    cells = [C(low, *[0] * (dim - 1)), C(low, *[top] * (dim - 1))]
+    for _ in range(n):
+        cell = random_cell_in_root(rng, dim, min_level=low)
+        cells += [cell, ancestor_at(cell, rng.randint(cell.level, 0))]
+    key, ref = zorder_key(low, dim - 1), zorder_key_format(low, dim - 1)
+    assert sorted(cells, key=key) == sorted(cells, key=ref)
+    keys, refs = [key(c) for c in cells], [ref(c) for c in cells]
+    for a, ra in zip(keys, refs):
+        for b, rb in zip(keys, refs):
+            assert (a < b, a == b) == (ra < rb, ra == rb)
 
 
 def test_stored_box_over_stored_box_is_ordinary():
