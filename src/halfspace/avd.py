@@ -20,7 +20,9 @@ meets the boundary of the region's box and whose child box does not
 contain the region.  Those nodes come from one more top-down pass that
 hands each refined node's boundary candidates down to its children and
 searches only below the node's own box, never from the root, so a
-nested chain costs a constant per level.  A query
+nested chain costs a constant per level.  The search is the pruned
+boundary descent :func:`~halfspace.quadtree.compressed_on_boundary`,
+which the spanner's bridge search shares.  A query
 locates its region and takes the exact-d2 argmin over representatives,
 ties to the smallest input index.
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2
-from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, is_index, meets_boundary, shadow_within
+from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, compressed_on_boundary, is_index, meets_boundary, shadow_within
 from .tiling import CellId, HPoint, cell_of, horizontal_neighbors
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
@@ -152,11 +154,11 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
       it: R's own children when R is unrefined, else B(R)'s child if it
       lies inside R.  No unrefined node lies strictly between R' and R,
       so each of these lies, with its subtree, inside R' or outside it.
-      A pruned descent from each finds the rest, since meeting a
-      boundary is monotone upward in the tree; it passes through the
-      other kinds of node and keeps the compressed ones.  An ordinary
-      R' keeps its nearest input alone, so its inside descent is
-      skipped;
+      A pruned descent from each (:func:`compressed_on_boundary`)
+      finds the rest, since meeting a boundary is monotone upward in
+      the tree; it passes through the other kinds of node and keeps
+      the compressed ones.  An ordinary R' keeps its nearest input
+      alone, so its inside descent is skipped;
     * B(R') is R' when R' is unrefined, and B(R) otherwise.
 
     Nothing descends from the root: per node the work is the boundary
@@ -164,20 +166,8 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
     nested chain costs a constant per level.
     """
     fill_highest(base)
-
-    def descend(start: QuadNode, box: CellId, out: list) -> None:
-        # the compressed ones among the occupied nodes on or below start
-        # whose box meets the boundary of box
-        todo = [start]
-        while todo:
-            nu = todo.pop()
-            if nu.count and meets_boundary(nu.cell, box):
-                if nu.kind == COMPRESSED:
-                    out.append(nu)
-                todo.extend(nu.children)
-
     inside: list[QuadNode] = []
-    descend(base.root, refined.root.cell, inside)
+    compressed_on_boundary(base.root, refined.root.cell, inside)
     # (refined node, outside nodes, inside nodes, B(node), node is unrefined)
     stack = [(refined.root, [], inside, base.root, True)]
     while stack:
@@ -207,12 +197,12 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
             below = low
             for s in starts:
                 if not shadow_within(s.cell, c):
-                    descend(s, c, out2)
+                    compressed_on_boundary(s, c, out2)
                     continue
                 if s.cell.level == c.level:
                     below = s  # the child is an unrefined node
                 if child.kind != ORDINARY:
-                    descend(s, c, in2)
+                    compressed_on_boundary(s, c, in2)
             stack.append((child, out2, in2, below, below is not low))
 
 

@@ -24,7 +24,9 @@ comes from one iterative pass over its keys in Z-order, so its shape
 depends on the set of keys alone.
 
 The predicates on dyadic boxes (containment, adjacency, touching a
-boundary) live here as well, for the spanner and the AVD index.
+boundary) live here as well, with the one pruned descent along a box's
+boundary (:func:`compressed_on_boundary`) that both the spanner's
+bridge search and the AVD's representatives pass use.
 """
 
 from __future__ import annotations
@@ -99,6 +101,26 @@ def meets_boundary(box: CellId, b: CellId) -> bool:
             if ka <= lo or ka + 1 >= hi:
                 on_face = True
     return on_face
+
+
+def compressed_on_boundary(start: QuadNode, box: CellId, out: list) -> None:
+    """Append to ``out`` the occupied compressed nodes on or below
+    ``start`` whose closed box meets the boundary of ``box``.
+
+    Enters only occupied nodes that meet that boundary.  A box that
+    meets it is contained in each of its ancestors' boxes, so they meet
+    it too: the pruning skips no qualifying node.  The work is the nodes
+    passed on the way down from ``start`` to the boundary and along it,
+    so callers start it under the box's neighbors or inside the box,
+    not above the box.
+    """
+    todo = [start]
+    while todo:
+        nu = todo.pop()
+        if nu.count and meets_boundary(nu.cell, box):
+            if nu.kind == COMPRESSED:
+                out.append(nu)
+            todo.extend(nu.children)
 
 
 def is_index(value, n: int) -> bool:
@@ -385,37 +407,6 @@ class QuadTree:
 
     def __len__(self) -> int:
         return len(self.nodes_by_cell)
-
-    def compressed_on_boundary(self, box: CellId) -> list[QuadNode]:
-        """Occupied compressed nodes whose closed box meets the boundary
-        of ``box``, in no particular order.
-
-        Descends from the root and enters only occupied nodes whose box
-        meets that boundary.  A box that meets it is contained in each of
-        its ancestors' boxes, so they meet it too: the pruning skips no
-        qualifying node.  The work is the number of nodes on the box's
-        ancestor chain and along its boundary, not the size of the tree.
-
-        :func:`~halfspace.spanner.enumerate_bridges` calls this once per
-        occupied compressed node.  The AVD's representatives instead
-        carry these sets down the refined tree
-        (:func:`~halfspace.avd.select_representatives`), because every
-        leaf and compressed region needs one and a descent per region
-        walks each ancestor chain again.  In the bridge search only the
-        occupied compressed nodes ask (about a third of the nodes on the
-        spanner benchmark's inputs), while a carried set is updated at
-        every node, so the descents are the cheaper of the two there.
-        """
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.count == 0 or not meets_boundary(node.cell, box):
-                continue
-            if node.kind == COMPRESSED:
-                out.append(node)
-            stack.extend(node.children)
-        return out
 
     # -- queries ------------------------------------------------------
 

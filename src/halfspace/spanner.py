@@ -10,11 +10,14 @@ edge-for-edge, so graph distances sit between d1 and d1 + 2.
 Bridges are enumerated from the compressed quadtree: per-node neighbor
 checks catch every bridge with a stored endpoint box, and witness
 d2-paths between the children of adjacent compressed nodes catch
-bridges whose endpoints fall inside compressed gaps.  The neighbor
-checks read the nodes under each neighbor box, and their occupied child
-boxes, from one pass (:meth:`QuadTree.neighbor_rows`) with no descent.
-The enumeration is deliberately conservative; extra bridges only add
-Steiner vertices.
+bridges whose endpoints fall inside compressed gaps.  Both read the
+nodes under each neighbor box from one pass
+(:meth:`QuadTree.neighbor_rows`) with no descent from the root.  The
+neighbor checks look at those nodes' occupied child boxes; a
+compressed node's partners are searched from them by the pruned
+boundary descent the AVD's representatives use as well
+(:func:`~halfspace.quadtree.compressed_on_boundary`).  The enumeration
+is deliberately conservative; extra bridges only add Steiner vertices.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
 from .metrics import d2_path, lambda_
-from .quadtree import COMPRESSED, QuadNode, QuadTree, box_adjacent, build_quadtree, zorder_key
+from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder_key
+from .quadtree import box_adjacent  # noqa: F401  (bench/tracer.py wraps spanner.box_adjacent)
 from .shortcut import forest_height, shortcut_forest
 from .tiling import CellId, HPoint, ancestor_at, center, horizontal_neighbors, is_ancestor_or_self
 
@@ -143,21 +147,21 @@ def bridge_candidate(r: CellId, top: QuadNode, r2: CellId, top2: QuadNode) -> bo
 def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     """A superset of every bridge used by a d2-path between stored inputs.
 
+    One preorder pass over :meth:`QuadTree.neighbor_rows`, which gives
+    each node the topmost nodes under its horizontal neighbor boxes
+    (O(3^(D-1)) per level of a node's gap, no descent from the root).
     Bridges with a stored endpoint box come from per-node neighbor
-    checks, which read the nodes under each neighbor box from one
-    preorder pass (:meth:`QuadTree.neighbor_rows`, O(3^(D-1)) per level
-    of a node's gap, no descent from the root).  Bridges inside
-    compressed gaps come from adjacent pairs of occupied compressed
-    nodes; an adjacent box meets the other's boundary, so each node's
-    partners are found by one pruned descent along its boundary
-    (:meth:`QuadTree.compressed_on_boundary`), not by testing every
-    pair.  Each pair is taken once, in preorder.
+    checks.  Bridges inside compressed gaps come from adjacent pairs of
+    occupied compressed nodes, each found from its larger (or equal)
+    member nu2: the other's ancestor at nu2's level touches nu2, so it
+    is one of nu2's neighbor boxes, and the pruned boundary descent
+    (:func:`~halfspace.quadtree.compressed_on_boundary`) from the node
+    under that box finds it.  Every node so found lies in a neighbor
+    box, so it is adjacent to nu2.  A same-level pair is found from both
+    sides and kept once, as the bridges are a set.
     """
     bridges: set[Bridge] = set()
-    compressed: list = []
     for node, rows in tree.neighbor_rows():
-        if node.kind == COMPRESSED and node.count > 0:
-            compressed.append(node)
         if node.count == 0:
             continue
         r = node.cell
@@ -166,16 +170,18 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
                 continue
             if bridge_candidate(r, node, r2, top2):
                 bridges.add(Bridge.of(r, r2))
-    # bridges with neither endpoint stored: both endpoints span compressed
-    # gaps; the witness d2-path between the gap bottoms finds the bridge.
-    # Adjacent boxes have disjoint interiors, so the gap bottoms are never
-    # nested and their d2-path always has a bridge.
-    order = {nu: i for i, nu in enumerate(compressed)}
-    for i, nu in enumerate(compressed):
-        for nu2 in tree.compressed_on_boundary(nu.cell):
-            if order[nu2] <= i or not box_adjacent(nu.cell, nu2.cell):
-                continue
-            path = d2_path(nu.children[0].cell, nu2.children[0].cell)
+        if node.kind != COMPRESSED:
+            continue
+        # bridges with neither endpoint stored: both endpoints span
+        # compressed gaps; the witness d2-path between the gap bottoms
+        # finds the bridge.  Adjacent boxes have disjoint interiors, so
+        # the gap bottoms are never nested and the path has a bridge.
+        partners: list[QuadNode] = []
+        for top2 in rows[0]:
+            if top2 is not None:
+                compressed_on_boundary(top2, r, partners)
+        for nu2 in partners:
+            path = d2_path(node.children[0].cell, nu2.children[0].cell)
             bridges.add(Bridge.of(path.apex_p, path.apex_q))
     return sorted(bridges, key=lambda b: (b.left, b.right))
 

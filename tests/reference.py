@@ -6,8 +6,9 @@ the d2-path, ``meet``, point location and the spanner's vertical edges
 (``zorder_key_format``); all-pairs and root-lookup scans for the AVD
 annotation, the representatives (with their region predicates
 ``adjacent_to_region`` and ``touches_boundary``) and the spanner
-bridges (``*_scan``); the representatives by one pruned descent from
-the root per region (``select_representatives_descent``), which the
+bridges (``*_scan``); the pruned boundary descent from the root
+(``compressed_on_boundary_from_root``) and the representatives by one
+such descent per region (``select_representatives_descent``), which the
 carried boundary sets of :func:`halfspace.avd.select_representatives`
 must match region for region; the recursive separator shortcutting
 (``shortcut_forest`` with ``solve``); and the hop-bounded
@@ -235,6 +236,43 @@ def representatives_scan(refined, base) -> list[list[int]]:
     return out
 
 
+def compressed_on_boundary_from_root(tree, box: CellId) -> list:
+    """Occupied compressed nodes whose closed box meets the boundary
+    of ``box``, in no particular order.
+
+    Reference for :func:`halfspace.quadtree.compressed_on_boundary`
+    started at the root; it was the ``QuadTree`` method of that name.
+
+    Descends from the root and enters only occupied nodes whose box
+    meets that boundary.  A box that meets it is contained in each of
+    its ancestors' boxes, so they meet it too: the pruning skips no
+    qualifying node.  The work is the number of nodes on the box's
+    ancestor chain and along its boundary, not the size of the tree.
+
+    :func:`~halfspace.spanner.enumerate_bridges` called this once per
+    occupied compressed node.  The AVD's representatives instead
+    carry these sets down the refined tree
+    (:func:`~halfspace.avd.select_representatives`), because every
+    leaf and compressed region needs one and a descent per region
+    walks each ancestor chain again.  In the bridge search only the
+    occupied compressed nodes ask (about a third of the nodes on the
+    spanner benchmark's inputs), while a carried set is updated at
+    every node, so the descents are the cheaper of the two there.
+    """
+    from halfspace.quadtree import COMPRESSED, meets_boundary
+
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.count == 0 or not meets_boundary(node.cell, box):
+            continue
+        if node.kind == COMPRESSED:
+            out.append(node)
+        stack.extend(node.children)
+    return out
+
+
 def select_representatives_descent(refined, base) -> None:
     """Attach representative input indices to every refined node.
 
@@ -250,7 +288,7 @@ def select_representatives_descent(refined, base) -> None:
     tree whose box meets the boundary of R's box and whose child box does
     not contain R: nu's gap can host the far end of a query's bridge.
     The candidates come from one pruned descent along that boundary
-    (:meth:`QuadTree.compressed_on_boundary`), and each gets one test.
+    (:func:`compressed_on_boundary_from_root`), and each gets one test.
 
     The rule is exact: it gives the sets of the region-adjacency test,
     which also counts the nodes touching a compressed R's inner box I
@@ -275,7 +313,7 @@ def select_representatives_descent(refined, base) -> None:
         reps = {node.n2_index}
         if node.kind == COMPRESSED and node.children[0].h_index is not None:
             reps.add(node.children[0].h_index)
-        for nu in base.compressed_on_boundary(node.cell):
+        for nu in compressed_on_boundary_from_root(base, node.cell):
             if not shadow_within(node.cell, nu.children[0].cell):
                 reps.add(nu.h_index)
         node.reps = sorted(reps)
@@ -304,8 +342,9 @@ def bridges_scan(tree) -> list:
     with a root-to-leaf lookup per neighbor box and child box.
 
     Reference for :func:`halfspace.spanner.enumerate_bridges`, which
-    finds the same pairs by searching each node's boundary instead and
-    reads the neighbors' nodes from :meth:`QuadTree.neighbor_rows`.
+    reads the nodes under each node's neighbor boxes from
+    :meth:`QuadTree.neighbor_rows` and searches a compressed node's
+    partners from those nodes along its boundary instead.
     """
     from halfspace.metrics import bridge_level_estimate
     from halfspace.quadtree import COMPRESSED, box_adjacent

@@ -170,7 +170,7 @@ def test_representative_count_bounded(rng):
 def test_adjacent_compressed_count_bounded(rng):
     # the number of unrefined compressed nodes touching any refined leaf
     # stays a small constant; this is what caps the representative lists
-    from halfspace.spanner import box_adjacent
+    from halfspace.quadtree import box_adjacent
 
     for dim in (2, 3):
         worst = 0

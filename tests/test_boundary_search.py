@@ -6,13 +6,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace import avd
+from halfspace import avd, quadtree
 from halfspace.avd import annotate, refine, select_representatives
 from halfspace.quadtree import (
     COMPRESSED,
     QuadTree,
     box_adjacent,
     build_quadtree,
+    compressed_on_boundary,
     meets_boundary,
     shadow_within,
 )
@@ -24,6 +25,7 @@ from conftest import random_cell_in_root
 from reference import (
     annotate_scan,
     bridges_scan,
+    compressed_on_boundary_from_root,
     representatives_scan,
     select_representatives_descent,
     touches_boundary,
@@ -147,6 +149,37 @@ def test_annotate_and_bridges_never_descend_from_root(monkeypatch):
     assert calls
 
 
+def _count_boundary_tests(monkeypatch, *modules) -> list:
+    """Record every ``meets_boundary`` call made through ``modules``."""
+    calls = []
+    test = quadtree.meets_boundary
+
+    def counted(box, b):
+        calls.append(box)
+        return test(box, b)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "meets_boundary", counted)
+    return calls
+
+
+def test_bridge_search_cost_on_deep_chain(monkeypatch):
+    """Cost guard: on 1,000 boxes around x = 3/10, one every other level,
+    the partner search makes at most 4 boundary tests per occupied
+    compressed node (the descent from the root per node made 1,001,998
+    for 1,000 such nodes)."""
+    chain = [CellId(-lev, ((3 << lev) // 10,)) for lev in range(2, 2002, 2)]
+    tree = build_quadtree(chain)
+    compressed = [n for n in tree.iter_nodes() if n.kind == COMPRESSED and n.count > 0]
+    calls = _count_boundary_tests(monkeypatch, quadtree)
+    enumerate_bridges(tree)
+    assert len(compressed) >= 999
+    assert len(calls) <= 4 * len(compressed)
+    spent = len(calls)
+    compressed_on_boundary_from_root(tree, chain[-1])  # the patch is live
+    assert len(calls) > spent
+
+
 @settings(max_examples=60, deadline=None)
 @given(stacked_sets(2, margin=True))
 def test_representatives_match_scan_d2(cells):
@@ -179,14 +212,8 @@ def test_representatives_cost_on_deep_chain(monkeypatch):
     base = build_quadtree(chain)
     refined = refine(base)
     annotate(refined)
-    calls = []
-    test = avd.meets_boundary
-
-    def counted(box, b):
-        calls.append(box)
-        return test(box, b)
-
-    monkeypatch.setattr(avd, "meets_boundary", counted)
+    # the carried sets test in avd, the descents below a box in quadtree
+    calls = _count_boundary_tests(monkeypatch, avd, quadtree)
     select_representatives(refined, base)
     assert 0 < len(calls) <= 5 * len(refined)
     assert refined.nodes_by_cell[chain[-1]].reps == [len(chain) - 1]
@@ -242,13 +269,15 @@ def test_compressed_on_boundary_matches_filter(rng):
             occupied = [n for n in tree.iter_nodes() if n.kind == COMPRESSED and n.count > 0]
             for _ in range(10):
                 box = random_cell_in_root(rng, dim, min_level=-9)
-                found = tree.compressed_on_boundary(box)
+                found = []
+                compressed_on_boundary(tree.root, box, found)
                 expected = [n for n in occupied if meets_boundary(n.cell, box)]
                 assert sorted(found, key=id) == sorted(expected, key=id)
+                assert sorted(compressed_on_boundary_from_root(tree, box), key=id) == sorted(expected, key=id)
 
 
 def test_reference_scans_on_sampled_sets():
     rng = random.Random(7)
-    for dim in (2, 3):
+    for dim in (2, 3, 4):
         cells = [random_cell_in_root(rng, dim, min_level=-10) for _ in range(60)]
         _check_bridges(cells)

@@ -9,11 +9,10 @@ from halfspace.hyperbolic import hyperbolic_distance, normalize
 from halfspace.layouts import SPANNER_DEMO_DISTANCE_2_5, SPANNER_DEMO_POINTS
 from halfspace.metrics import d1, d2, d2_path
 from halfspace.oracle import dijkstra, hop_bounded_distances
-from halfspace.quadtree import build_quadtree
+from halfspace.quadtree import box_adjacent, build_quadtree
 from halfspace.spanner import (
     Bridge,
     SpannerGraph,
-    box_adjacent,
     build_embedding_graph,
     build_hyperbolic_spanner,
     build_spanner,
