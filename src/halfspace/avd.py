@@ -9,8 +9,9 @@ and top-down with the nearest input to every box center.  The top-down
 pass reads the nodes under each box's horizontal neighbors from
 :meth:`QuadTree.neighbor_rows`, which derives them from the parent
 level's neighbors in O(3^(D-1)) per level instead of locating each
-neighbor from the root, so annotation is linear in the refined tree's
-nodes plus their compressed-gap levels.  Each node's
+neighbor from the root and computes no row below an empty row of a
+compressed gap, so annotation is linear in the refined tree's nodes
+plus their non-empty compressed-gap levels.  Each node's
 region is: the box center alone (ordinary), everything on or below the
 box (leaf), or everything on or below the outer box but not the inner
 one (compressed).  Representatives are the node's nearest input plus,
@@ -97,8 +98,9 @@ def annotate(tree: QuadTree) -> None:
     every ancestor inside the compressed gap.  The nodes under those
     neighbor boxes come from one preorder pass
     (:meth:`QuadTree.neighbor_rows`) that derives each level's row from
-    the row above, so a node costs O(3^(D-1)) per level of its gap and
-    d2 is evaluated once per distinct candidate; the argmin over
+    the row above and computes none below an empty row of a gap (those
+    rows are one shared all-None list and add no candidate); d2 is
+    evaluated once per distinct candidate, and the argmin over
     ``(d2, index)`` does not depend on the order.
     """
     fill_highest(tree)

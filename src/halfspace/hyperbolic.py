@@ -108,7 +108,8 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
     every height is below 2, so all points sit at level <= 0 below the
     root cell [0,1]^(D-1) x [1,2].  Distances are unchanged.  Raises
     ``ValueError`` for a set whose horizontal spread needs a scale that
-    takes some height down to 0.0.
+    takes some height down to 0.0, and for one whose moved coordinates
+    are too large for the floats near them to keep the 1/4 offset.
     """
     if not points:
         raise ValueError("cannot normalize an empty point set")
@@ -124,14 +125,31 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
         vals = [p.x[j] for p in points]
         half = max(half, max(vals) / 2 - min(vals) / 2)
     scale = min(1.0, 1.9 / max_z, _X_DIAMETER_TARGET / 2 / max(half, 1e-300 / 2))
-    shift = tuple(
-        _X_LOW_CORNER - scale * min(p.x[j] for p in points) for j in range(dim - 1)
-    )
+    shift = []
+    for j in range(dim - 1):
+        low = scale * min(p.x[j] for p in points)
+        t = _X_LOW_CORNER - low
+        # the rounded shift can put the lowest point a last bit below
+        # 1/4 (x = -0.04 at scale 1 moved to 0.24999999999999997):
+        # raise it one float step at a time until the point lands on
+        # 1/4 or above
+        while low + t < _X_LOW_CORNER:
+            t = math.nextafter(t, math.inf)
+        shift.append(t)
     for i, p in enumerate(points):
         if scale * p.z == 0.0:
             raise ValueError(f"point {i}: height {p.z!r} underflows to 0.0 at scale {scale!r}")
-    t = NormalizeTransform(scale, shift)
-    return t, t.apply_all(points)
+    transform = NormalizeTransform(scale, tuple(shift))
+    moved = transform.apply_all(points)
+    for i, (p, m) in enumerate(zip(points, moved)):
+        for x, mx, t in zip(p.x, m.x, shift):
+            if not _X_LOW_CORNER <= mx < 2 * _X_LOW_CORNER:
+                # the floats near the moved x are too far apart to hold it
+                raise ValueError(
+                    f"point {i}: x = {x!r} moves to {mx!r}, outside [1/4, 1/2): "
+                    f"at scale {scale!r} the shift {t!r} loses the 1/4 offset"
+                )
+    return transform, moved
 
 
 def normalize_and_embed(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint], list[CellId]]:

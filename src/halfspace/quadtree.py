@@ -23,6 +23,12 @@ Every tree (base, refined, or grown by :meth:`QuadTree.insert_box`)
 comes from one iterative pass over its keys in Z-order, so its shape
 depends on the set of keys alone.
 
+One preorder pass (:meth:`QuadTree.neighbor_rows`) hands each node
+the topmost nodes under its horizontal neighbor boxes and those of its
+compressed gap, each row from the row above; below the first empty row
+of a gap the rows are shared and never computed, so the pass costs the
+nodes plus the non-empty gap levels.
+
 The predicates on dyadic boxes (containment, adjacency, touching a
 boundary) live here as well, with the one pruned descent along a box's
 boundary (:func:`compressed_on_boundary`) that both the spanner's
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable
 
-from .tiling import CellId, children, floor_scaled, is_ancestor_or_self, lift_pair
+from .tiling import CellId, children, floor_scaled, is_ancestor_or_self, lift_pair, neighbor_offsets
 
 ORDINARY = "ordinary"
 COMPRESSED = "compressed"
@@ -195,7 +201,7 @@ def _neighbor_plan(axes: int) -> tuple[tuple, tuple]:
     of the neighbor's parent box among the parent's neighbors (-1 for
     the parent itself) and the neighbor's slot among that box's
     :func:`children`.  :meth:`QuadTree.neighbor_rows` reads it."""
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=axes) if any(o)]
+    offsets = neighbor_offsets(axes)
     position = {o: i for i, o in enumerate(offsets)}
     plan = []
     for bits in itertools.product((0, 1), repeat=axes):
@@ -207,7 +213,7 @@ def _neighbor_plan(axes: int) -> tuple[tuple, tuple]:
                 slot = (slot << 1) | ((b + o) & 1)
             entry.append((off, position.get(up, -1), slot))
         plan.append(tuple(entry))
-    return tuple(offsets), tuple(plan)
+    return offsets, tuple(plan)
 
 
 @dataclass(eq=False)
@@ -341,8 +347,8 @@ class QuadTree:
         ``node.cell`` (None outside the root shadow or where no node
         lies under the box); ``rows[j]`` holds the same for the
         ancestor box ``j`` levels up, for every level of the compressed
-        gap between the node and its parent.  The root's neighbors all
-        leave the root shadow.
+        gap between the node and its parent, so ``len(rows)`` is the
+        gap.  The root's neighbors all leave the root shadow.
 
         Neighbor finding as in Samet (1982): each row comes from the
         row one level up.  The parent box ``up`` of a neighbor box
@@ -361,9 +367,17 @@ class QuadTree:
         coordinate and an ordinary ``t``'s child as ``t.children[slot]``.
         Only a compressed child or a lower node is checked against
         ``nb``'s coordinates, the one case that builds them.  A row
-        costs O(3^(D-1)) and builds or hashes no cell.  The pass is
-        linear in the nodes plus the levels of their compressed gaps;
-        nothing descends from the root.
+        costs O(3^(D-1)) and builds or hashes no cell.
+
+        Inside a compressed gap, once a row is all None, so is every
+        row below it.  The only node under a gap box is the gap's child,
+        which lies in the gap box one level down and so in no neighbor
+        box; every other neighbor box's parent is a neighbor box of the
+        row above, which holds no node.  So the rows below the first
+        empty one are never computed: the rest of the gap shares that
+        one list.  Rows are read-only and may be shared.  The pass costs
+        the nodes plus the non-empty levels of their gaps; nothing
+        descends from the root.
         """
         offsets, plan = _neighbor_plan(self.dim - 1)
 
@@ -402,6 +416,9 @@ class QuadTree:
                     row = step(row, center, tuple([k >> s for k in coords]) if s else coords, lev)
                     center = child
                     below.append(row)
+                    if not any(row):
+                        below.extend([row] * (lev - level))  # the rest of the gap
+                        break
                 below.reverse()
                 stack.append((child, below))
 

@@ -12,10 +12,12 @@ checks catch every bridge with a stored endpoint box, and witness
 d2-paths between the children of adjacent compressed nodes catch
 bridges whose endpoints fall inside compressed gaps.  Both read the
 nodes under each neighbor box from one pass
-(:meth:`QuadTree.neighbor_rows`) with no descent from the root.  The
-neighbor checks look at those nodes' occupied child boxes; a
-compressed node's partners are searched from them by the pruned
-boundary descent the AVD's representatives use as well
+(:meth:`QuadTree.neighbor_rows`) with no descent from the root; the
+rows below an empty row of a compressed gap are shared and never
+computed, so the pass costs the nodes plus the non-empty gap levels.
+The neighbor checks compare the coordinates of those nodes' occupied
+child boxes; a compressed node's partners are searched from them by
+the pruned boundary descent the AVD's representatives use as well
 (:func:`~halfspace.quadtree.compressed_on_boundary`).  The enumeration
 is deliberately conservative; extra bridges only add Steiner vertices.
 """
@@ -30,7 +32,7 @@ from .metrics import d2_path, lambda_
 from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder_key
 from .quadtree import box_adjacent  # noqa: F401  (bench/tracer.py wraps spanner.box_adjacent)
 from .shortcut import forest_height, shortcut_forest
-from .tiling import CellId, HPoint, ancestor_at, center, horizontal_neighbors, is_ancestor_or_self
+from .tiling import CellId, HPoint, center, horizontal_neighbors, is_ancestor_or_self
 
 INPUT = "input"
 STEINER = "steiner"
@@ -119,11 +121,16 @@ class SpannerGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _occupied_children(box: CellId, top: QuadNode) -> list[CellId]:
-    """Child boxes of ``box`` holding inputs; ``top`` is the topmost node on or below ``box``."""
-    if top.cell != box:
-        return [ancestor_at(top.cell, box.level - 1)]
-    return [ancestor_at(ch.cell, box.level - 1) for ch in top.children if ch.count > 0]
+def _occupied_children(box: CellId, top: QuadNode) -> list[tuple[int, ...]]:
+    """Coordinates, at ``box.level - 1``, of the child boxes of ``box``
+    holding inputs; ``top`` is the topmost node on or below ``box``."""
+    lev = box.level - 1
+    nodes = [top] if top.cell.level != box.level else [ch for ch in top.children if ch.count]
+    out = []
+    for nu in nodes:
+        s = lev - nu.cell.level
+        out.append(tuple([k >> s for k in nu.cell.coords]) if s else nu.cell.coords)
+    return out
 
 
 def bridge_candidate(r: CellId, top: QuadNode, r2: CellId, top2: QuadNode) -> bool:
@@ -132,44 +139,63 @@ def bridge_candidate(r: CellId, top: QuadNode, r2: CellId, top2: QuadNode) -> bo
     ``top`` and ``top2`` are the topmost nodes on or below the two
     boxes, both holding inputs.  True when ``r`` is itself an input, or
     some occupied child of one side is not a neighbor of some occupied
-    child of the other (that pair's path cannot bridge lower).
+    child of the other (that pair's path cannot bridge lower): two
+    children are neighbors when no coordinate differs by 2 or more.
 
     Whether ``r2`` is an input need not be asked: an input box is an
     occupied node, and :func:`enumerate_bridges` tests the same pair
     from that node's side, where ``r2`` is the first box.
     """
-    if top.cell == r and top.stored_index is not None:
+    if top.cell.level == r.level and top.stored_index is not None:
         return True
     kids_r2 = _occupied_children(r2, top2)
-    return any(lambda_(c, c2) >= 2 for c in _occupied_children(r, top) for c2 in kids_r2)
+    for c in _occupied_children(r, top):
+        for c2 in kids_r2:
+            for a, b in zip(c, c2):
+                if not -2 < a - b < 2:
+                    return True
+    return False
+
+
+def bridge_key(a: CellId, b: CellId) -> tuple:
+    """Sort key of the bridge between same-level cells ``a`` and ``b``:
+    the level, then both ends' coordinates in order.  A CellId orders
+    as its ``(level, coords)`` tuple, so these keys order bridges as
+    ``(left, right)`` does, compared in C rather than by the dataclass's
+    Python-level ``__lt__``."""
+    return (a.level, a.coords, b.coords) if a.coords < b.coords else (a.level, b.coords, a.coords)
 
 
 def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     """A superset of every bridge used by a d2-path between stored inputs.
 
     One preorder pass over :meth:`QuadTree.neighbor_rows`, which gives
-    each node the topmost nodes under its horizontal neighbor boxes
-    (O(3^(D-1)) per level of a node's gap, no descent from the root).
-    Bridges with a stored endpoint box come from per-node neighbor
-    checks.  Bridges inside compressed gaps come from adjacent pairs of
-    occupied compressed nodes, each found from its larger (or equal)
-    member nu2: the other's ancestor at nu2's level touches nu2, so it
-    is one of nu2's neighbor boxes, and the pruned boundary descent
-    (:func:`~halfspace.quadtree.compressed_on_boundary`) from the node
-    under that box finds it.  Every node so found lies in a neighbor
-    box, so it is adjacent to nu2.  A same-level pair is found from both
-    sides and kept once, as the bridges are a set.
+    each node the topmost nodes under its horizontal neighbor boxes (no
+    descent from the root; the rows below an empty row of a compressed
+    gap are shared and never computed, so the pass costs the nodes plus
+    the non-empty gap levels).  Bridges with a stored endpoint box come
+    from per-node neighbor checks, which build a node's neighbor boxes
+    only when a neighbor holds inputs and compare occupied children as
+    coordinate tuples.  Bridges inside compressed gaps come from
+    adjacent pairs of occupied compressed nodes, each found from its
+    larger (or equal) member nu2: the other's ancestor at nu2's level
+    touches nu2, so it is one of nu2's neighbor boxes, and the pruned
+    boundary descent (:func:`~halfspace.quadtree.compressed_on_boundary`)
+    from the node under that box finds it.  Every node so found lies in
+    a neighbor box, so it is adjacent to nu2.  A same-level pair is
+    found from both sides and kept once under its :func:`bridge_key`;
+    the bridges come out sorted by that key, which is ``(left, right)``
+    order.
     """
-    bridges: set[Bridge] = set()
+    found: dict[tuple, tuple[CellId, CellId]] = {}  # bridge_key -> the two cells
     for node, rows in tree.neighbor_rows():
         if node.count == 0:
             continue
-        r = node.cell
-        for r2, top2 in zip(horizontal_neighbors(r), rows[0]):
-            if top2 is None or top2.count == 0:
-                continue
-            if bridge_candidate(r, node, r2, top2):
-                bridges.add(Bridge.of(r, r2))
+        r, row = node.cell, rows[0]
+        if any(top2 is not None and top2.count for top2 in row):
+            for r2, top2 in zip(horizontal_neighbors(r), row):
+                if top2 is not None and top2.count and bridge_candidate(r, node, r2, top2):
+                    found.setdefault(bridge_key(r, r2), (r, r2))
         if node.kind != COMPRESSED:
             continue
         # bridges with neither endpoint stored: both endpoints span
@@ -177,13 +203,14 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
         # finds the bridge.  Adjacent boxes have disjoint interiors, so
         # the gap bottoms are never nested and the path has a bridge.
         partners: list[QuadNode] = []
-        for top2 in rows[0]:
+        for top2 in row:
             if top2 is not None:
                 compressed_on_boundary(top2, r, partners)
         for nu2 in partners:
             path = d2_path(node.children[0].cell, nu2.children[0].cell)
-            bridges.add(Bridge.of(path.apex_p, path.apex_q))
-    return sorted(bridges, key=lambda b: (b.left, b.right))
+            found.setdefault(bridge_key(path.apex_p, path.apex_q), (path.apex_p, path.apex_q))
+    # Bridge.of checks each bridge once, in (left, right) order
+    return [Bridge.of(*found[key]) for key in sorted(found)]
 
 
 def build_spanner(points: list[CellId]) -> SpannerGraph:
@@ -200,7 +227,7 @@ def build_spanner(points: list[CellId]) -> SpannerGraph:
             seen.add(c)
             graph.add_vertex(INPUT, cell=c, input_index=i)
     steiner_cells = sorted(
-        {c for b in bridges for c in (b.left, b.right)} - seen
+        {c for b in bridges for c in (b.left, b.right)} - seen, key=lambda c: (c.level, c.coords)
     )
     for c in steiner_cells:
         graph.add_vertex(STEINER, cell=c)

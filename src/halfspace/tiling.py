@@ -12,10 +12,12 @@ are the vertices of the discrete models in :mod:`halfspace.metrics`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator
 
 
@@ -108,13 +110,17 @@ def children(c: CellId) -> list[CellId]:
     return [CellId(c.level - 1, row) for row in rows]
 
 
+@functools.cache
+def neighbor_offsets(axes: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinate offsets of the horizontal neighbors of a cell with
+    ``axes`` coordinates, in :func:`horizontal_neighbors` order."""
+    return tuple(off for off in itertools.product((-1, 0, 1), repeat=axes) if any(off))
+
+
 def horizontal_neighbors(c: CellId) -> list[CellId]:
     """The 3^(D-1)-1 same-level cells touching ``c``, diagonals included."""
-    out = []
-    for off in itertools.product((-1, 0, 1), repeat=len(c.coords)):
-        if any(off):
-            out.append(CellId(c.level, tuple(k + o for k, o in zip(c.coords, off))))
-    return out
+    level, coords = c.level, c.coords
+    return [CellId(level, tuple(map(add, coords, off))) for off in neighbor_offsets(len(coords))]
 
 
 def apply_move(c: CellId, m: Move) -> CellId:

@@ -17,7 +17,8 @@ from halfspace.quadtree import (
     meets_boundary,
     shadow_within,
 )
-from halfspace.sampling import sample_margin_cells
+from halfspace.hyperbolic import normalize_and_embed
+from halfspace.sampling import STRATIFIED, sample_continuous, sample_margin_cells
 from halfspace.spanner import enumerate_bridges
 from halfspace.tiling import CellId, ancestor_at, horizontal_neighbors
 
@@ -128,6 +129,57 @@ def test_neighbor_rows_match_cell_query(rng):
             for _ in range(6):
                 tree.insert_box(random_cell_in_root(rng, dim, min_level=low - 2))
             _check_neighbor_rows(tree)
+
+
+def _rows_computed(tree) -> tuple[int, int]:
+    """Distinct row lists the pass yields, and rows yielded, over all nodes."""
+    distinct = total = 0
+    for _, rows in tree.neighbor_rows():
+        distinct += len({id(row) for row in rows})
+        total += len(rows)
+    return distinct, total
+
+
+def test_neighbor_rows_cost_on_deep_gap():
+    """Cost guard: below the first empty row of a compressed gap the
+    rows are one shared list.  A point at x = 3/10 on level -2000 with
+    one box beside its gap's top (level -5) has a 1,996-level gap whose
+    second row is empty (the pass computed one row per level)."""
+    deep = CellId(-2000, ((3 << 2000) // 10,))
+    tree = build_quadtree([deep, CellId(-5, (10,))])
+    _check_neighbor_rows(tree)
+    rows = {node.cell: rows for node, rows in tree.neighbor_rows()}[deep]
+    assert len(rows) == 1996
+    assert rows[-1][1] is not None  # the box beside the gap's top
+    assert len({id(row) for row in rows}) <= 3
+
+
+def test_neighbor_rows_and_bridges_on_embedded_sets():
+    """Reference checks where the gap cutoff fires: embedded continuous
+    sets shaped like the spanner benchmark's, heights down to 2^-40."""
+    for dim, seed in ((2, 1), (2, 2), (2, 3), (3, 4), (3, 5)):
+        points = sample_continuous(random.Random(seed), dim, 60, STRATIFIED, min_level=-40)
+        tree = build_quadtree(normalize_and_embed(points)[2])
+        distinct, total = _rows_computed(tree)
+        assert distinct < total  # the cutoff fires
+        _check_neighbor_rows(tree)
+        assert enumerate_bridges(tree) == bridges_scan(tree)
+
+
+def test_neighbor_rows_and_bridges_on_chains_meeting_at_one_half():
+    """Two chains meet at x = 1/2, one box every other level on each
+    side, so every gap's rows stay non-empty to its bottom: a cutoff
+    that fires early loses bridges."""
+    cells = []
+    for lev in range(3, 123, 2):
+        cells += [CellId(-lev, ((1 << (lev - 1)) - 1,)), CellId(-lev - 1, (1 << lev,))]
+    tree = build_quadtree(cells)
+    distinct, total = _rows_computed(tree)
+    assert distinct == total
+    _check_neighbor_rows(tree)
+    bridges = enumerate_bridges(tree)
+    assert bridges == bridges_scan(tree)
+    assert len(bridges) == 119
 
 
 def test_annotate_and_bridges_never_descend_from_root(monkeypatch):

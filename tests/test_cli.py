@@ -146,6 +146,18 @@ def test_build_avd_and_spanner_x_minus_1e308_and_1e308(tmp_path, capsys):
         assert json.loads(out.read_text())
 
 
+def test_build_x_2251799813685249_z_5e_324_exits_2(tmp_path, capsys):
+    # the normalized point lost its 1/4 offset and build_avd blamed the
+    # input's margin; normalize now names the point and the lost offset
+    pts = tmp_path / "pts.jsonl"
+    pts.write_text('{"dim": 2, "kind": "continuous"}\n{"x": [2251799813685249.0], "z": 5e-324}\n')
+    for what in ("avd", "hyperbolic-spanner"):
+        code, _, err = run(["build", "--what", what, "--in", str(pts), "--k", "2"], capsys)
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert "point 0" in error and "loses the 1/4 offset" in error
+
+
 def test_build_rejects_kind_mismatch(tmp_path, capsys):
     pts = tmp_path / "pts.jsonl"
     assert main(["gen", "--dim", "2", "--n", "8", "--kind", "discrete", "--seed", "1", "--out", str(pts)]) == 0

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from halfspace.avd import build_avd
 from halfspace.hyperbolic import (
     DistortionReport,
     NormalizeTransform,
@@ -212,6 +215,43 @@ def test_normalize_x_minus_1e308_and_1e308():
     assert moved[0].x[0] == 0.25 and 0.25 < moved[1].x[0] < 0.5
     assert all(m.z == t.scale for m in moved)
     assert hyperbolic_distance(*moved) == pytest.approx(hyperbolic_distance(*pts), rel=1e-12)
+
+
+def test_normalize_x_2251799813685249_z_5e_324():
+    # floats near 2^51 are 0.5 apart, so the shift cannot carry the 1/4
+    # offset: the point moved to x = 0.0 and build_avd blamed the input
+    # with its margin message
+    pts = [H(5e-324, 2251799813685249.0)]
+    msg = r"point 0: x = 2251799813685249.0 moves to 0.5, outside \[1/4, 1/2\).*loses the 1/4 offset"
+    with pytest.raises(ValueError, match=msg):
+        normalize(pts)
+    with pytest.raises(ValueError, match="loses the 1/4 offset"):
+        build_avd(pts)
+
+
+def test_normalize_x_minus_0_04():
+    # the rounded shift 0.29 put the point at 0.24999999999999997, and
+    # build_avd rejected it as outside the margin; the next float shift
+    # puts it one step above 1/4, as none lands on 1/4 itself
+    t, moved = normalize([H(1.0, -0.04)])
+    assert t.shift[0] == math.nextafter(0.25 + 0.04, math.inf)
+    assert moved[0].x[0] == math.nextafter(0.25, 1.0)
+    assert build_avd([H(1e-3, -0.04)]).highest_index == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(1e-6, 10.0)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_normalize_lands_in_quarter_to_half(raw):
+    """Every moved coordinate lies in [1/4, 1/2) for signed coordinates
+    of ordinary size; about one set in seven moved a last bit below 1/4."""
+    _, moved = normalize([H(z, x) for x, z in raw])
+    assert all(0.25 <= m.x[0] < 0.5 for m in moved)
 
 
 def test_transform_apply_matches_components():

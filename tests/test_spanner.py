@@ -15,12 +15,13 @@ from halfspace.spanner import (
     SpannerGraph,
     build_embedding_graph,
     build_hyperbolic_spanner,
+    bridge_key,
     build_spanner,
     enumerate_bridges,
     realized_path_length,
     up_edge_map,
 )
-from halfspace.tiling import CellId, HPoint, center, is_ancestor_or_self
+from halfspace.tiling import CellId, HPoint, center, horizontal_neighbors, is_ancestor_or_self
 
 from conftest import random_cell_in_root
 
@@ -60,6 +61,22 @@ def test_bridge_normalization():
     assert (b.left, b.right) == (C(0, 0), C(0, 1))
     with pytest.raises(ValueError):
         Bridge.of(C(0, 0), C(0, 2))
+
+
+def test_tuple_sort_keys_match_cell_order(rng):
+    """CellId orders as its (level, coords) tuple, so the tuple keys the
+    spanner sorts on give byte-identical orders: cells of mixed levels,
+    and bridges by :func:`bridge_key` against ``(left, right)``."""
+    for dim in (2, 3, 4):
+        cells = [random_cell_in_root(rng, dim, min_level=-5) for _ in range(400)]
+        assert sorted(cells, key=lambda c: (c.level, c.coords)) == sorted(cells)
+        bridges = set()
+        for c in cells:
+            nb = rng.choice(horizontal_neighbors(c))
+            assert bridge_key(c, nb) == bridge_key(nb, c)
+            bridges.add(Bridge.of(c, nb))
+        by_key = sorted(bridges, key=lambda b: bridge_key(b.left, b.right))
+        assert by_key == sorted(bridges, key=lambda b: (b.left, b.right))
 
 
 def test_two_neighbor_points_single_bridge():
