@@ -25,7 +25,12 @@ nested chain costs a constant per level.  The search is the pruned
 boundary descent :func:`~halfspace.quadtree.compressed_on_boundary`,
 which the spanner's bridge search shares.  A query
 locates its region and takes the exact-d2 argmin over representatives,
-ties to the smallest input index.
+ties to the smallest input index: one region descent, one closed-form
+climb per representative beyond the first
+(:func:`~halfspace.metrics.d2_argmin`, the one argmin, which the
+annotation shares), and for a continuous query one :class:`CellId`,
+since the point is moved with the transform's float expressions and
+floored straight to its cell.
 
 Queries whose x-projection leaves the unit box, or that sit above the
 root level, return the highest input point outright.
@@ -37,9 +42,9 @@ import json
 from dataclasses import dataclass
 
 from .hyperbolic import NormalizeTransform, normalize_and_embed
-from .metrics import d2
+from .metrics import d2_argmin
 from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, compressed_on_boundary, is_index, meets_boundary, shadow_within
-from .tiling import CellId, HPoint, cell_of, horizontal_neighbors
+from .tiling import CellId, HPoint, floor_scaled, horizontal_neighbors, level_of_height
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
 
@@ -99,8 +104,9 @@ def annotate(tree: QuadTree) -> None:
     neighbor boxes come from one preorder pass
     (:meth:`QuadTree.neighbor_rows`) that derives each level's row from
     the row above and computes none below an empty row of a gap (those
-    rows are one shared all-None list and add no candidate); d2 is
-    evaluated once per distinct candidate, and the argmin over
+    rows are one shared all-None list, read once here, and add no
+    candidate).  :func:`~halfspace.metrics.d2_argmin` evaluates d2 once
+    per distinct candidate (none for a single one), and the argmin over
     ``(d2, index)`` does not depend on the order.
     """
     fill_highest(tree)
@@ -113,11 +119,13 @@ def annotate(tree: QuadTree) -> None:
         if node is root:
             continue
         candidates = {node.parent.n2_index, node.h_index}
+        last = None
         for row in rows:
-            candidates.update(t.h_index for t in row if t is not None)
+            if row is not last:  # a gap's shared empty rows are read once
+                candidates.update(t.h_index for t in row if t is not None)
+                last = row
         candidates.discard(None)
-        origin = node.cell
-        node.n2_index = min((d2(origin, points[i]), i) for i in candidates)[1]
+        node.n2_index = d2_argmin(node.cell, points, candidates)
 
 
 def select_representatives(refined: QuadTree, base: QuadTree) -> None:
@@ -300,24 +308,39 @@ def build_avd(points: list[HPoint] | list[CellId]) -> AvdIndex:
 
 
 def query(ix: AvdIndex, q: CellId) -> int:
-    """Index of the exact d2-nearest input, ties to the smallest index."""
+    """Index of the exact d2-nearest input, ties to the smallest index.
+
+    One region descent and one :func:`~halfspace.metrics.d2_argmin`
+    over the region's representatives: no d2 for a single one.
+    """
     try:
         node = ix.region_of(q)
     except ValueError:
         return ix.highest_index
     if not node.reps:
         raise ValueError(f"region {node.cell!r} carries no representatives")
-    points = ix.points
-    best = None
-    for idx in node.reps:
-        dist = d2(q, points[idx])
-        if best is None or (dist, idx) < best:
-            best = (dist, idx)
-    return best[1]
+    return d2_argmin(q, ix.points, node.reps)
 
 
 def query_hyperbolic(ix: AvdIndex, q: HPoint) -> int:
-    """Approximate nearest neighbor for a continuous query point."""
-    if ix.transform is None:
+    """Approximate nearest neighbor for a continuous query point.
+
+    Moves ``q`` with the float expressions of
+    :meth:`NormalizeTransform.apply` and takes its cell as
+    :func:`~halfspace.tiling.cell_of` would, building the one
+    :class:`CellId` and no moved point.  Raises ``ValueError`` when the
+    move takes the height to 0.0 or a coordinate out of the floats.
+    """
+    t = ix.transform
+    if t is None:
         raise ValueError("index was built from discrete cells; no transform stored")
-    return query(ix, cell_of(ix.transform.apply(q)))
+    scale = t.scale
+    z = scale * q.z
+    if z == 0.0:
+        raise ValueError(f"query height {q.z!r} underflows to 0.0 at scale {scale!r}")
+    level = level_of_height(z)
+    try:
+        coords = tuple([floor_scaled(scale * x + s, level) for x, s in zip(q.x, t.shift)])
+    except OverflowError:
+        raise ValueError(f"query x = {q.x!r} moves out of the finite floats at scale {scale!r}") from None
+    return query(ix, CellId(level, coords))

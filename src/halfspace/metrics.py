@@ -34,6 +34,7 @@ levels apart the cells are, and builds no cell except the apexes a
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .tiling import CellId, is_ancestor_or_self, lift_pair, parent
@@ -157,6 +158,37 @@ def d2(p: CellId, q: CellId) -> int:
     level, a, b = lift_pair(p, q)
     s, lam = _climb(a, b, 1)
     return 2 * (level + s) - p.level - q.level + lam
+
+
+def d2_argmin(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> int:
+    """The ``i`` in ``indices`` minimizing ``(d2(q, cells[i]), i)``.
+
+    The AVD's one argmin: a query over its region's representatives and
+    the annotation over a node's candidates.  ``indices`` is a nonempty
+    list or set.  A single candidate is returned without evaluating
+    anything.  Otherwise each candidate costs one :func:`_climb` on the
+    coordinates, the lower cell's lifted in place: no :func:`d2` or
+    :func:`~halfspace.tiling.lift_pair` call and no cell is made.
+    Raises ``ValueError`` on a dimension mismatch of an evaluated
+    candidate.
+    """
+    if len(indices) == 1:
+        (only,) = indices
+        return only
+    lq, kq = q.level, q.coords
+    axes = len(kq)
+    best = best_i = None
+    for i in indices:
+        c = cells[i]
+        kc = c.coords
+        if len(kc) != axes:
+            raise ValueError(f"dimension mismatch: {q.dim} vs {c.dim}")
+        s = c.level - lq
+        t, lam = _climb([k >> s for k in kq] if s > 0 else kq, [k >> -s for k in kc] if s < 0 else kc, 1)
+        dist = 2 * t + lam + abs(s)  # d2: the level gap, t levels up and down, lam across
+        if best is None or dist < best or (dist == best and i < best_i):
+            best, best_i = dist, i
+    return best_i
 
 
 def bridge_level(p: CellId, q: CellId) -> int:

@@ -428,8 +428,18 @@ class QuadTree:
     # -- queries ------------------------------------------------------
 
     def in_root(self, cell: CellId) -> bool:
-        """Does the cell lie on or below the root cell, inside its shadow?"""
-        return shadow_within(cell, self.root_cell)
+        """Does the cell lie on or below the root cell, inside its shadow?
+
+        Tested on the coordinates: level <= 0, D-1 coordinates, and each
+        in ``range(2 ** -level)``.
+        """
+        level, coords = cell.level, cell.coords
+        if level > 0 or len(coords) != self.dim - 1:
+            return False
+        for k in coords:
+            if k >> -level:
+                return False
+        return True
 
     def _check_in_root(self, box: CellId) -> None:
         if box.dim != self.dim:

@@ -10,7 +10,9 @@ bridges (``*_scan``); the pruned boundary descent from the root
 (``compressed_on_boundary_from_root``) and the representatives by one
 such descent per region (``select_representatives_descent``), which the
 carried boundary sets of :func:`halfspace.avd.select_representatives`
-must match region for region; the recursive separator shortcutting
+must match region for region; the AVD queries with one ``d2`` per
+representative and a moved ``HPoint`` per continuous query (``query``,
+``query_hyperbolic``); the recursive separator shortcutting
 (``shortcut_forest`` with ``solve``); and the hop-bounded
 Bellman-Ford that relaxes every reached vertex in every round
 (``hop_bounded_distances_scan``), which the frontier rounds of
@@ -28,7 +30,7 @@ from typing import Sequence
 from halfspace.metrics import d2 as d2_fast
 from halfspace.metrics import D2Path, d2_path, lambda_
 from halfspace.shortcut import ShortcutSet
-from halfspace.tiling import CellId, ancestor_at, children, horizontal_neighbors, parent
+from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, horizontal_neighbors, parent
 
 
 def d1_climb(p: CellId, q: CellId) -> int:
@@ -174,6 +176,36 @@ def annotate_scan(tree) -> list[int]:
             best = neighbor_candidates(best, ancestor_at(origin, lev), origin)
         node.n2_index = best[1]
     return [node.n2_index for node in tree.iter_nodes()]
+
+
+def query(ix, q: CellId) -> int:
+    """Index of the exact d2-nearest input, ties to the smallest index.
+
+    Reference for :func:`halfspace.avd.query`.
+    """
+    try:
+        node = ix.region_of(q)
+    except ValueError:
+        return ix.highest_index
+    if not node.reps:
+        raise ValueError(f"region {node.cell!r} carries no representatives")
+    points = ix.points
+    best = None
+    for idx in node.reps:
+        dist = d2_fast(q, points[idx])
+        if best is None or (dist, idx) < best:
+            best = (dist, idx)
+    return best[1]
+
+
+def query_hyperbolic(ix, q: HPoint) -> int:
+    """Approximate nearest neighbor for a continuous query point.
+
+    Reference for :func:`halfspace.avd.query_hyperbolic`.
+    """
+    if ix.transform is None:
+        raise ValueError("index was built from discrete cells; no transform stored")
+    return query(ix, cell_of(ix.transform.apply(q)))
 
 
 def touches_boundary(inner_box: CellId, outer_box: CellId) -> bool:

@@ -8,8 +8,10 @@ from halfspace.avd import AvdIndex, annotate, build_avd, fill_highest, query, qu
 from halfspace.hyperbolic import hyperbolic_distance
 from halfspace.metrics import d2
 from halfspace.oracle import nn_bruteforce
-from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, build_quadtree, shadow_within
+from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadTree, build_quadtree, shadow_within
 from halfspace.tiling import CellId, HPoint, ancestor_at, is_ancestor_or_self
+
+from reference import annotate_scan
 
 
 def C(level, *coords):
@@ -308,10 +310,46 @@ def test_build_avd_x_minus_1e308_and_1e308():
     assert query_hyperbolic(ix, HPoint((1e307,), 1.0)) == 1
 
 
+def test_query_hyperbolic_height_1e_30_at_scale_2_34375e_301():
+    # the move takes the height to 0.0; the error blamed a height of 0.0
+    # the query never had
+    ix = build_avd([HPoint((0.0,), 1.0), HPoint((1e300,), 1.0)])
+    assert ix.transform.scale == 2.34375e-301
+    with pytest.raises(ValueError, match=r"query height 1e-30 underflows to 0\.0 at scale 2\.34375e-301"):
+        query_hyperbolic(ix, HPoint((0.0,), 1e-30))
+
+
 def test_query_hyperbolic_requires_transform():
     ix = build_avd([C(-2, 1)])
     with pytest.raises(ValueError):
         query_hyperbolic(ix, HPoint((0.3,), 1.0))
+
+
+def test_annotate_reads_each_gap_row_once(monkeypatch):
+    """Cost guard: the shared empty rows of a compressed gap are read
+    once per node, so annotation pays for distinct rows only."""
+    chain = [C(-lev, (3 << lev) // 10) for lev in (2000, 4000, 6000)]
+    tree = refine(build_quadtree(chain))
+    assert len(tree) == 28
+    reads = [0]
+
+    class Row(list):
+        def __iter__(self):
+            reads[0] += 1
+            return super().__iter__()
+
+    original = QuadTree.neighbor_rows
+
+    def counted(self):
+        wrapped = {}  # id -> (row, its counting copy); keeps shared rows shared
+        for node, rows in original(self):
+            yield node, [wrapped.setdefault(id(r), (r, Row(r)))[1] for r in rows]
+
+    monkeypatch.setattr(QuadTree, "neighbor_rows", counted)
+    assert sum(len(rows) for _, rows in tree.neighbor_rows()) == 6017
+    annotate(tree)
+    assert reads[0] <= 31
+    assert [n.n2_index for n in tree.iter_nodes()] == annotate_scan(tree)
 
 
 # -- serialization --------------------------------------------------------------

@@ -193,6 +193,17 @@ def test_query_discrete_index(tmp_path, capsys):
     assert all(0 <= r["neighbor_index"] < 10 for r in results)
 
 
+def test_query_height_1e_30_underflowing_when_moved_exits_2(tmp_path, capsys):
+    pts = tmp_path / "pts.jsonl"
+    index = tmp_path / "avd.json"
+    with open(pts, "w") as fp:
+        write_points(fp, [HPoint((0.0,), 1.0), HPoint((1e300,), 1.0)])
+    assert main(["build", "--what", "avd", "--in", str(pts), "--out", str(index)]) == 0
+    code, out, err = run(["query", "--index", str(index), "--at", "0.0,1e-30"], capsys)
+    assert code == 2
+    assert "query height 1e-30 underflows" in json.loads(err)["error"]
+
+
 def test_query_index_one_annotation_short_exits_2(tmp_path, capsys):
     # --at=-7,64 lands in the last node's region, which used to load
     # without reps and end the query in a TypeError (exit 1)

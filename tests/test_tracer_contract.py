@@ -4,11 +4,17 @@
 ``FUNCTIONS`` in ``halfspace.<module>`` and every method of its
 ``METHODS`` in its class's ``__dict__``; a refactor that drops or moves
 one of them breaks every traced benchmark run.  The tracer is loaded
-from its file and only read.
+from its file and only read.  Its per-query metrics (``avd.region_of.*``,
+``avd.reps_per_query``) count calls of the patched ``AvdIndex.region_of``,
+so a query must go through that method.
 """
 
 import importlib
+import random
 from pathlib import Path
+
+from halfspace.avd import AvdIndex, build_avd, query, query_hyperbolic
+from halfspace.tiling import HPoint
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -34,3 +40,24 @@ def test_tracer_methods_resolve():
     assert methods
     for cls, meth, name, _kind in methods:
         assert meth in cls.__dict__, f"{cls.__name__}.{meth} ({name})"
+
+
+def test_query_calls_region_of_once_per_query(monkeypatch):
+    rng = random.Random(7)
+    ix = build_avd([HPoint((rng.uniform(0, 1),), rng.uniform(0.01, 1.0)) for _ in range(24)])
+    calls = []
+    original = AvdIndex.region_of
+
+    def counted(self, q):
+        calls.append(q)
+        return original(self, q)
+
+    monkeypatch.setattr(AvdIndex, "region_of", counted)
+    qs = [HPoint((rng.uniform(0, 1),), rng.uniform(0.01, 1.0)) for _ in range(50)]
+    for q in qs:
+        query_hyperbolic(ix, q)
+    assert len(calls) == len(qs)
+    assert all(ix.tree.in_root(c) for c in calls)  # in range, so no early answer
+    for c in list(calls):
+        query(ix, c)
+    assert len(calls) == 2 * len(qs)
