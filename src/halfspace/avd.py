@@ -262,19 +262,21 @@ class AvdIndex:
     def from_json(cls, text: str) -> "AvdIndex":
         """Load an index written by :meth:`to_json`.
 
-        Raises ``ValueError`` unless there is one annotation per node and
-        every input index in it (``h``, ``n2``, ``reps`` and
-        ``highest_index``) lies in ``range(len(points))``.  ``null``
-        marks a node the AVD passes did not annotate; a query landing
-        there raises ``ValueError``.  One pass, O(nodes + reps).
+        Annotation k belongs to node k of the file, in whatever order
+        the file lists its nodes.  Raises ``ValueError`` unless there is
+        one annotation per node and every input index in it (``h``,
+        ``n2``, ``reps`` and ``highest_index``) lies in
+        ``range(len(points))``.  ``null`` marks a node the AVD passes did
+        not annotate; a query landing there raises ``ValueError``.  One
+        pass, O(nodes + reps).
         """
         data = json.loads(text)
-        tree = QuadTree.from_dict(data)
+        tree, nodes = QuadTree.from_dict_with_nodes(data)
         annotations = data["annotations"]
-        if len(annotations) != len(data["nodes"]):
-            raise ValueError(f"index has {len(data['nodes'])} nodes but {len(annotations)} annotations")
+        if len(annotations) != len(nodes):
+            raise ValueError(f"index has {len(nodes)} nodes but {len(annotations)} annotations")
         n = len(tree.points)
-        for k, (node, extra) in enumerate(zip(tree.iter_nodes(), annotations)):
+        for k, (node, extra) in enumerate(zip(nodes, annotations)):
             h, n2, reps = extra["h"], extra["n2"], extra["reps"]
             if not (
                 (h is None or is_index(h, n))
@@ -311,11 +313,17 @@ def query(ix: AvdIndex, q: CellId) -> int:
     """Index of the exact d2-nearest input, ties to the smallest index.
 
     One region descent and one :func:`~halfspace.metrics.d2_argmin`
-    over the region's representatives: no d2 for a single one.
+    over the region's representatives: no d2 for a single one.  A cell
+    outside the root shadow gets the highest input, unless its
+    dimension is not the index's: that raises ``ValueError``.
     """
     try:
         node = ix.region_of(q)
     except ValueError:
+        # in_root rejects every cell of another dimension, so only this
+        # branch needs the check
+        if len(q.coords) != ix.tree.dim - 1:
+            raise ValueError(f"query {q!r} has dimension {q.dim}, the index {ix.tree.dim}") from None
         return ix.highest_index
     if not node.reps:
         raise ValueError(f"region {node.cell!r} carries no representatives")
@@ -328,12 +336,15 @@ def query_hyperbolic(ix: AvdIndex, q: HPoint) -> int:
     Moves ``q`` with the float expressions of
     :meth:`NormalizeTransform.apply` and takes its cell as
     :func:`~halfspace.tiling.cell_of` would, building the one
-    :class:`CellId` and no moved point.  Raises ``ValueError`` when the
-    move takes the height to 0.0 or a coordinate out of the floats.
+    :class:`CellId` and no moved point.  Raises ``ValueError`` when
+    ``q``'s dimension is not the index's, and when the move takes the
+    height to 0.0 or a coordinate out of the floats.
     """
     t = ix.transform
     if t is None:
         raise ValueError("index was built from discrete cells; no transform stored")
+    if len(q.x) != len(t.shift):
+        raise ValueError(f"query {q!r} has dimension {q.dim}, the index {len(t.shift) + 1}")
     scale = t.scale
     z = scale * q.z
     if z == 0.0:

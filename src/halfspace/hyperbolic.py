@@ -4,11 +4,15 @@ The halfspace distance between p and q is
 
     2 * arsinh( ||p - q|| / (2 * sqrt(z(p) z(q))) )
 
-which reduces to |ln(z(q)/z(p))| for vertically aligned points.  Mapping
-a point to the center of the deepest cell containing it moves it by less
-than ln(D), and scaled by ln(2) the discrete distances between mapped
-points track the true distance within an explicit window that the
-distortion report checks sample by sample.
+which reduces to |ln(z(q)/z(p))| for vertically aligned points.
+:func:`hyperbolic_distance` evaluates it directly when the heights'
+product is a normal float and the argument is finite; otherwise it
+rescales by powers of two or takes logarithms, so subnormal heights and
+coordinates near the float limits still give a finite, accurate value.
+Mapping a point to the center of the deepest cell containing it moves
+it by less than ln(D), and scaled by ln(2) the discrete distances
+between mapped points track the true distance within an explicit window
+that the distortion report checks sample by sample.
 """
 
 from __future__ import annotations
@@ -17,19 +21,44 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from math import asinh, hypot, sqrt
+from operator import sub
 from typing import Sequence
 
 from .metrics import d1, d2
 from .tiling import CellId, HPoint, cell_of
 
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
+_INF = math.inf
+
 
 def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
-    """Closed-form halfspace distance between two points."""
-    if len(p.x) != len(q.x):
+    """Closed-form halfspace distance between two points.
+
+    The common case comes first: the height product is a normal float
+    and the argument of ``asinh`` is finite.  Anything else goes to
+    :func:`_rescaled_distance`, which keeps every bit of subnormal and
+    huge inputs.  Both paths are symmetric in ``p`` and ``q`` bit for
+    bit.
+    """
+    px, qx, pz, qz = p.x, q.x, p.z, q.z
+    if len(px) != len(qx):
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if not (p.z > 0 and q.z > 0):
+    if not (pz > 0 and qz > 0):
         raise ValueError("heights must be positive")
-    gap = math.hypot(*(a - b for a, b in zip(p.x, q.x)), p.z - q.z)
+    gap = hypot(*map(sub, px, qx), pz - qz)
+    zz = pz * qz
+    if _FLOAT_MIN <= zz < _INF:
+        # an infinite gap gives an infinite argument
+        arg = 0.5 * gap / sqrt(zz)
+        if arg < _INF:
+            return 2.0 * asinh(arg)
+    return _rescaled_distance(p, q, gap, zz)
+
+
+def _rescaled_distance(p: HPoint, q: HPoint, gap: float, zz: float) -> float:
+    """:func:`hyperbolic_distance` where the gap is infinite, the height
+    product ``zz`` leaves the normal range, or the argument overflows."""
     scale = 0
     if math.isinf(gap):
         # a difference or the hypot overflowed: use the gap times 2^-8,
@@ -42,8 +71,7 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
         )
     if gap == 0.0:
         return 0.0
-    zz = p.z * q.z
-    if sys.float_info.min <= zz < math.inf:
+    if _FLOAT_MIN <= zz < _INF:
         # a product by 2^scale overflows to inf, where ldexp would raise
         arg = 0.5 * gap / math.sqrt(zz) * 2.0**scale
     else:

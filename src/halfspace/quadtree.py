@@ -591,6 +591,12 @@ class QuadTree:
         or lies in ``range(len(points))``, and every ordinary node lists
         its child cells in :func:`children` order.
         """
+        return cls.from_dict_with_nodes(data)[0]
+
+    @classmethod
+    def from_dict_with_nodes(cls, data: dict) -> tuple["QuadTree", list[QuadNode]]:
+        """:meth:`from_dict`, plus the nodes in the order the file lists
+        them, which need not be :meth:`iter_nodes` order."""
         dim = data["dim"]
         points = [CellId(lev, tuple(ks)) for lev, ks in data["points"]]
         tree = cls.__new__(cls)
@@ -628,7 +634,7 @@ class QuadTree:
         tree._locate_level = min(node.cell.level for node in built) - 1
         for node in reversed(built):
             node.count = (1 if node.stored_index is not None else 0) + sum(ch.count for ch in node.children)
-        return tree
+        return tree, built
 
 
 def build_quadtree(points: list[CellId]) -> QuadTree:

@@ -20,6 +20,15 @@ child boxes; a compressed node's partners are searched from them by
 the pruned boundary descent the AVD's representatives use as well
 (:func:`~halfspace.quadtree.compressed_on_boundary`).  The enumeration
 is deliberately conservative; extra bridges only add Steiner vertices.
+
+Bridges and vertical edges are each unique and never share a pair, so
+:func:`build_spanner` collects them in one list and sorts it once.  The
+hyperbolic spanner (:func:`build_hyperbolic_spanner`) keeps the d1
+spanner's vertices, ids and cell map, moves each vertex to its cell
+center and appends the inputs; its edges are one set of ``(u, v)``
+pairs (the d1 edges, the shortcut extras, each input's edge to its
+cell's vertex), sorted once and weighed by one
+:func:`~halfspace.hyperbolic.hyperbolic_distance` per pair.
 """
 
 from __future__ import annotations
@@ -232,10 +241,13 @@ def build_spanner(points: list[CellId]) -> SpannerGraph:
     for c in steiner_cells:
         graph.add_vertex(STEINER, cell=c)
 
-    edges: set[tuple[int, int, float]] = set()
+    # bridges (same level) and vertical edges (one per vertex, upward)
+    # are each unique and never share a pair: one list, sorted once
+    vid = graph.vertex_of_cell
+    edges: list[tuple[int, int, float]] = []
     for b in bridges:
-        u, v = graph.vertex_of_cell[b.left], graph.vertex_of_cell[b.right]
-        edges.add((min(u, v), max(u, v), 1.0))
+        u, v = vid[b.left], vid[b.right]
+        edges.append((u, v, 1.0) if u < v else (v, u, 1.0))
     # each vertex's nearest strict ancestor among the vertices: in Z-order
     # every cell follows its ancestors, and the stack holds the vertex
     # cells containing the last one
@@ -246,9 +258,11 @@ def build_spanner(points: list[CellId]) -> SpannerGraph:
             stack.pop()
         if stack:
             up = stack[-1]
-            edges.add((min(v.id, up.id), max(v.id, up.id), float(up.cell.level - v.cell.level)))
+            w = float(up.cell.level - v.cell.level)
+            edges.append((v.id, up.id, w) if v.id < up.id else (up.id, v.id, w))
         stack.append(v)
-    graph.edges = sorted(edges)
+    edges.sort()
+    graph.edges = edges
     return graph
 
 
@@ -344,21 +358,21 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
     # full closure so every vertical run collapses to a single edge
     cuts = shortcut_forest(parent, 1 if k >= forest_height(parent) else k)
 
-    graph = SpannerGraph(metric="hyperbolic")
-    for v in base.vertices:
-        graph.add_vertex(STEINER, cell=v.cell, point=center(v.cell))
+    # the d1 spanner is this call's own: its vertices turn into the
+    # Steiner vertices at their cell centers, keeping their ids and cell
+    # map, and the inputs follow them
+    vertices = base.vertices
+    for v in vertices:
+        v.kind, v.point, v.input_index = STEINER, center(v.cell), None
+    m = len(vertices)
+    vertices += [SpannerVertex(m + i, INPUT, None, p, i) for i, p in enumerate(moved)]
     # the d1 spanner's edges are its bridges and the forest's parent
-    # edges: each vertex has one upward edge, to its nearest ancestor vertex
-    edge_pairs = {(u, v) for u, v, _w in base.edges}
-    for u, w in cuts.extra_edges:
-        edge_pairs.add((min(u, w), max(u, w)))
-    edges: set[tuple[int, int, float]] = set()
-    for u, v in edge_pairs:
-        d = hyperbolic_distance(graph.vertices[u].point, graph.vertices[v].point)
-        edges.add((u, v, d))
-    for i, p in enumerate(moved):
-        vid = graph.add_vertex(INPUT, point=p, input_index=i)
-        anchor = base.vertex_of_cell[cells[i]]
-        edges.add((min(vid, anchor), max(vid, anchor), hyperbolic_distance(p, graph.vertices[anchor].point)))
-    graph.edges = sorted(edges)
-    return graph
+    # edges: each vertex has one upward edge, to its nearest ancestor
+    # vertex.  Add the shortcut extras and each input's edge to the
+    # vertex of its cell, then weigh every pair once, in sorted order
+    pairs = {(u, v) for u, v, _w in base.edges}
+    pairs.update((u, w) if u < w else (w, u) for u, w in cuts.extra_edges)
+    pairs.update((base.vertex_of_cell[c], m + i) for i, c in enumerate(cells))
+    at = [v.point for v in vertices]
+    edges = [(u, v, hyperbolic_distance(at[u], at[v])) for u, v in sorted(pairs)]
+    return SpannerGraph("hyperbolic", vertices, edges, base.vertex_of_cell)

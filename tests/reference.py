@@ -17,7 +17,11 @@ representative and a moved ``HPoint`` per continuous query (``query``,
 Bellman-Ford that relaxes every reached vertex in every round
 (``hop_bounded_distances_scan``), which the frontier rounds of
 :func:`halfspace.oracle.hop_bounded_distances` must match float for
-float.  The bodies are the replaced code, unchanged but for absolute
+float; and the spanner assembly that gathered edges in sets of
+``(u, v, w)`` triples and copied the d1 spanner's vertices
+(``build_spanner_triples``, ``build_hyperbolic_spanner_triples``) with
+the halfspace distance that tests every range in turn
+(``hyperbolic_distance_general``).  The bodies are the replaced code, unchanged but for absolute
 imports.  The tests compare the library's fast paths against them;
 nothing in ``halfspace`` calls them.  The brute-force oracles the
 verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
@@ -431,6 +435,147 @@ def vertical_edges_climb(graph) -> set[tuple[int, int, float]]:
                 edges.add((min(v.id, target), max(v.id, target), w))
                 break
     return edges
+
+
+# -- spanner assembly by sets of (u, v, w) triples --------------------
+
+
+def hyperbolic_distance_general(p: HPoint, q: HPoint) -> float:
+    """Closed-form halfspace distance, every range test in turn.
+
+    Reference for :func:`halfspace.hyperbolic.hyperbolic_distance`.
+    """
+    import math
+    import sys
+
+    if len(p.x) != len(q.x):
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    if not (p.z > 0 and q.z > 0):
+        raise ValueError("heights must be positive")
+    gap = math.hypot(*(a - b for a, b in zip(p.x, q.x)), p.z - q.z)
+    scale = 0
+    if math.isinf(gap):
+        # a difference or the hypot overflowed: use the gap times 2^-8,
+        # whose rounding is far below the result's last bit; finite
+        # gaps keep the plain difference bit for bit
+        scale = 8
+        gap = math.hypot(
+            *(math.ldexp(a, -scale) - math.ldexp(b, -scale) for a, b in zip(p.x, q.x)),
+            math.ldexp(p.z, -scale) - math.ldexp(q.z, -scale),
+        )
+    if gap == 0.0:
+        return 0.0
+    zz = p.z * q.z
+    if sys.float_info.min <= zz < math.inf:
+        # a product by 2^scale overflows to inf, where ldexp would raise
+        arg = 0.5 * gap / math.sqrt(zz) * 2.0**scale
+    else:
+        # the product underflows for tiny heights and overflows for huge
+        # ones: scale the heights and the gap by 2^e, a homothety and so
+        # an isometry, to bring it near 1.  Powers of two keep every bit
+        # of subnormal heights and gaps; 2^e is two factors, as e can
+        # reach 1073
+        e = -(math.frexp(p.z)[1] + math.frexp(q.z)[1]) // 2
+        root = math.sqrt(math.ldexp(p.z, e) * math.ldexp(q.z, e))
+        arg = 0.5 * (gap * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)) / root * 2.0**scale
+    if math.isinf(arg):
+        # asinh(a) = ln(2a) to double precision once a exceeds 1e8, so
+        # take the log of the ratio's parts; finite arguments keep the
+        # closed form bit for bit
+        return 2.0 * (math.log(gap) + scale * math.log(2.0) - 0.5 * (math.log(p.z) + math.log(q.z)))
+    return 2.0 * math.asinh(arg)
+
+
+def build_spanner_triples(points: list[CellId]):
+    """The 2-additive Steiner spanner of the given cells under d1, its
+    edges gathered in a set of ``(u, v, w)`` triples.
+
+    Reference for :func:`halfspace.spanner.build_spanner`.
+    """
+    from halfspace.quadtree import build_quadtree, zorder_key
+    from halfspace.spanner import INPUT, STEINER, SpannerGraph, SpannerVertex, enumerate_bridges
+    from halfspace.tiling import is_ancestor_or_self
+
+    if not points:
+        raise ValueError("cannot build a spanner over an empty point set")
+    tree = build_quadtree(points)
+    bridges = enumerate_bridges(tree)
+
+    graph = SpannerGraph(metric="d1-weighted")
+    seen: set[CellId] = set()
+    for i, c in enumerate(points):
+        if c not in seen:
+            seen.add(c)
+            graph.add_vertex(INPUT, cell=c, input_index=i)
+    steiner_cells = sorted(
+        {c for b in bridges for c in (b.left, b.right)} - seen, key=lambda c: (c.level, c.coords)
+    )
+    for c in steiner_cells:
+        graph.add_vertex(STEINER, cell=c)
+
+    edges: set[tuple[int, int, float]] = set()
+    for b in bridges:
+        u, v = graph.vertex_of_cell[b.left], graph.vertex_of_cell[b.right]
+        edges.add((min(u, v), max(u, v), 1.0))
+    # each vertex's nearest strict ancestor among the vertices: in Z-order
+    # every cell follows its ancestors, and the stack holds the vertex
+    # cells containing the last one
+    key = zorder_key(min(v.cell.level for v in graph.vertices), tree.dim - 1)
+    stack: list[SpannerVertex] = []
+    for v in sorted(graph.vertices, key=lambda v: key(v.cell)):
+        while stack and not is_ancestor_or_self(stack[-1].cell, v.cell):
+            stack.pop()
+        if stack:
+            up = stack[-1]
+            edges.add((min(v.id, up.id), max(v.id, up.id), float(up.cell.level - v.cell.level)))
+        stack.append(v)
+    graph.edges = sorted(edges)
+    return graph
+
+
+def build_hyperbolic_spanner_triples(points: list[HPoint], k: int):
+    """Purely additive spanner embedded in the halfspace, copying the d1
+    spanner's vertices and weighing a set of ``(u, v, w)`` triples.
+
+    Built on :func:`build_spanner_triples` and
+    :func:`hyperbolic_distance_general`.  Reference for
+    :func:`halfspace.spanner.build_hyperbolic_spanner`.
+    """
+    from halfspace.hyperbolic import normalize_and_embed
+    from halfspace.shortcut import forest_height
+    from halfspace.shortcut import shortcut_forest as shortcut_forest_fast
+    from halfspace.spanner import INPUT, STEINER, SpannerGraph, up_edge_map
+    from halfspace.tiling import center
+
+    if k < 1:
+        raise ValueError(f"hop budget must be at least 1, got {k}")
+    if not points:
+        raise ValueError("cannot build a spanner over an empty point set")
+    _, moved, cells = normalize_and_embed(points)
+    base = build_spanner_triples(cells)
+    parent = up_edge_map(base)
+    # beyond the forest height the budget is saturated: spend it on the
+    # full closure so every vertical run collapses to a single edge
+    cuts = shortcut_forest_fast(parent, 1 if k >= forest_height(parent) else k)
+
+    graph = SpannerGraph(metric="hyperbolic")
+    for v in base.vertices:
+        graph.add_vertex(STEINER, cell=v.cell, point=center(v.cell))
+    # the d1 spanner's edges are its bridges and the forest's parent
+    # edges: each vertex has one upward edge, to its nearest ancestor vertex
+    edge_pairs = {(u, v) for u, v, _w in base.edges}
+    for u, w in cuts.extra_edges:
+        edge_pairs.add((min(u, w), max(u, w)))
+    edges: set[tuple[int, int, float]] = set()
+    for u, v in edge_pairs:
+        d = hyperbolic_distance_general(graph.vertices[u].point, graph.vertices[v].point)
+        edges.add((u, v, d))
+    for i, p in enumerate(moved):
+        vid = graph.add_vertex(INPUT, point=p, input_index=i)
+        anchor = base.vertex_of_cell[cells[i]]
+        edges.add((min(vid, anchor), max(vid, anchor), hyperbolic_distance_general(p, graph.vertices[anchor].point)))
+    graph.edges = sorted(edges)
+    return graph
 
 
 # -- recursive separator shortcutting ---------------------------------

@@ -414,6 +414,50 @@ def test_from_json_highest_index_12_of_12():
         AvdIndex.from_json(json.dumps(data))
 
 
+def test_from_json_breadth_first_node_order():
+    # annotations used to be attached in the loaded tree's preorder, so a
+    # valid file listing its nodes breadth first put them on the wrong
+    # nodes: 36 of the 64 level -6 queries answered differently
+    ix = build_avd([CellId(-2, (1,)), CellId(-3, (3,)), CellId(-4, (7,)), CellId(-3, (2,))])
+    data = json.loads(ix.to_json())
+    nodes, annotations = data["nodes"], data["annotations"]
+    kids = [[] for _ in nodes]
+    for k, spec in enumerate(nodes):
+        if spec["parent"] is not None:
+            kids[spec["parent"]].append(k)
+    order = [0]
+    for k in order:
+        order.extend(kids[k])
+    assert len(nodes) == 13 and order != list(range(13))
+    new_of = {old: new for new, old in enumerate(order)}
+    data["nodes"] = [
+        dict(nodes[k], parent=None if nodes[k]["parent"] is None else new_of[nodes[k]["parent"]]) for k in order
+    ]
+    data["annotations"] = [annotations[k] for k in order]
+    back = AvdIndex.from_json(json.dumps(data))
+    assert back.to_json() == ix.to_json()
+    for k in range(64):
+        q = CellId(-6, (k,))
+        assert query(back, q) == query(ix, q)
+
+
+def test_query_cell_level_minus_3_coords_1_2_on_d2_index():
+    # a cell of another dimension fails in_root, and query answered it
+    # with the highest input as if it lay outside the root shadow
+    ix = build_avd([CellId(-2, (1,)), CellId(-3, (3,))])
+    with pytest.raises(ValueError, match="dimension 3, the index 2"):
+        query(ix, CellId(-3, (1, 2)))
+    assert query(ix, CellId(-3, (9,))) == ix.highest_index
+
+
+def test_query_hyperbolic_x_0_9_z_0_01_on_d3_index():
+    # the moved coordinates were zipped with the transform's two shifts,
+    # so the D=2 point became a one-coordinate cell and got the highest input
+    ix = build_avd([HPoint((0.1, 0.2), 1.0), HPoint((0.9, 0.3), 0.01)])
+    with pytest.raises(ValueError, match="dimension 2, the index 3"):
+        query_hyperbolic(ix, HPoint((0.9,), 0.01))
+
+
 def test_query_region_with_null_reps():
     ix, data = _index_data()
     data["annotations"][-1]["reps"] = None

@@ -204,6 +204,21 @@ def test_query_height_1e_30_underflowing_when_moved_exits_2(tmp_path, capsys):
     assert "query height 1e-30 underflows" in json.loads(err)["error"]
 
 
+def test_query_at_0_9_123_0_0_01_on_d2_index_exits_2(tmp_path, capsys):
+    # the extra coordinate was dropped and the query answered as for
+    # --at "0.9,0.01" (exit 0)
+    pts = tmp_path / "pts.jsonl"
+    index = tmp_path / "avd.json"
+    with open(pts, "w") as fp:
+        write_points(fp, [HPoint((0.1,), 1.0), HPoint((0.9,), 0.01)])
+    assert main(["build", "--what", "avd", "--in", str(pts), "--out", str(index)]) == 0
+    code, out, err = run(["query", "--index", str(index), "--at", "0.9,123.0,0.01"], capsys)
+    assert code == 2
+    assert "dimension 3, the index 2" in json.loads(err)["error"]
+    code, out, err = run(["query", "--index", str(index), "--at", "0.9,0.01"], capsys)
+    assert code == 0 and json.loads(out)["results"][0]["neighbor_index"] == 1
+
+
 def test_query_index_one_annotation_short_exits_2(tmp_path, capsys):
     # --at=-7,64 lands in the last node's region, which used to load
     # without reps and end the query in a TypeError (exit 1)

@@ -5,16 +5,24 @@ Heights run from the smallest subnormal 5e-324 up to 1e308 and x
 coordinates up to +-1e308, with those edge values drawn often.  Every
 set goes through the AVD index, the d1 spanner of its embedded cells,
 the hyperbolic spanner and the distortion report; any other exception
-is a defect.
+is a defect.  Over the same range the spanners and the halfspace
+distance must match their references in ``tests/reference.py``: the
+same ``to_dict()`` (or the same ``ValueError``), and the same distance
+bit for bit in either argument order.
 """
 
+import json
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfspace.avd import build_avd
-from halfspace.hyperbolic import distortion_report, normalize_and_embed
+from halfspace.hyperbolic import distortion_report, hyperbolic_distance, normalize_and_embed
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
 from halfspace.tiling import HPoint
+
+from reference import build_hyperbolic_spanner_triples, build_spanner_triples, hyperbolic_distance_general
 
 heights = st.one_of(st.sampled_from((5e-324, 1e-323, 1e308)), st.floats(5e-324, 1e308))
 coords = st.one_of(st.sampled_from((0.0, 5e-324, 1e-323, 1e308, -1e308)), st.floats(-1e308, 1e308))
@@ -44,3 +52,45 @@ def test_full_float_range_builds_or_raises_value_error(points):
     _builds_or_rejects(lambda p: build_spanner(normalize_and_embed(p)[2]), points)
     _builds_or_rejects(build_hyperbolic_spanner, points, 2)
     _builds_or_rejects(distortion_report, points, 20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(), st.sampled_from((1, 2, 3)))
+@example([HPoint((0.3,), 1.0), HPoint((0.3,), 5e-324)], 2)
+@example([HPoint((-1e308,), 1.0), HPoint((1e308,), 1.0)], 1)
+@example([HPoint((1e308, -1e308), 1e-323), HPoint((1e308, 1e308), 1e-323)], 3)
+@example([HPoint((5e-324,), 5e-324), HPoint((-1e308,), 1e308)], 2)
+def test_spanners_match_triple_set_references(points, k):
+    try:
+        want = build_hyperbolic_spanner_triples(points, k)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_hyperbolic_spanner(points, k)
+        return
+    assert json.dumps(build_hyperbolic_spanner(points, k).to_dict()) == json.dumps(want.to_dict())
+    cells = normalize_and_embed(points)[2]
+    assert json.dumps(build_spanner(cells).to_dict()) == json.dumps(build_spanner_triples(cells).to_dict())
+
+
+@st.composite
+def point_pairs(draw):
+    dim = draw(st.sampled_from((2, 3, 4)))
+    point = st.builds(HPoint, st.tuples(*[coords] * (dim - 1)), heights)
+    return draw(point), draw(point)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(point_pairs())
+@example((HPoint((0.3,), 5e-324), HPoint((0.3,), 1e-323)))
+@example((HPoint((0.3,), 5e-324), HPoint((0.3,), 5e-324)))
+@example((HPoint((1e308,), 1.0), HPoint((-1e308,), 1.0)))
+@example((HPoint((0.0,), 5e-324), HPoint((1.0,), 5e-324)))
+@example((HPoint((0.0,), 1e-170), HPoint((1.0,), 1e-170)))
+@example((HPoint((0.0,), 1e200), HPoint((0.0,), 1e300)))
+@example((HPoint((1e308, -1e308), 1e308), HPoint((-1e308, 1e308), 1e-323)))
+def test_hyperbolic_distance_matches_general_reference_bit_for_bit(pair):
+    p, q = pair
+    want = hyperbolic_distance_general(p, q).hex()
+    assert hyperbolic_distance_general(q, p).hex() == want
+    assert hyperbolic_distance(p, q).hex() == want
+    assert hyperbolic_distance(q, p).hex() == want

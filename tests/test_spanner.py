@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from halfspace.hyperbolic import hyperbolic_distance, normalize
+from halfspace.hyperbolic import hyperbolic_distance, normalize, normalize_and_embed
 from halfspace.layouts import SPANNER_DEMO_DISTANCE_2_5, SPANNER_DEMO_POINTS
 from halfspace.metrics import d1, d2, d2_path
 from halfspace.oracle import dijkstra, hop_bounded_distances
@@ -24,6 +24,7 @@ from halfspace.spanner import (
 from halfspace.tiling import CellId, HPoint, center, horizontal_neighbors, is_ancestor_or_self
 
 from conftest import random_cell_in_root
+from reference import build_hyperbolic_spanner_triples, build_spanner_triples
 
 
 def C(level, *coords):
@@ -280,6 +281,19 @@ def test_hyperbolic_spanner_x_minus_1e308_and_1e308():
     vids = [v.id for v in g.vertices if v.kind == "input"]
     dist = dijkstra(len(g.vertices), g.adjacency(), vids[0])[vids[1]]
     assert hyperbolic_distance(*pts) - 1e-9 <= dist < math.inf
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_spanners_match_triple_set_references_on_deep_sets(rng, dim):
+    # 200 points at heights down to 2^-40: deep forests, many shortcut
+    # extras at every k, and inputs sharing cells
+    pts = [HPoint(tuple(rng.uniform(-10, 10) for _ in range(dim - 1)), 2.0 ** -rng.uniform(0, 40)) for _ in range(200)]
+    pts += pts[:5]
+    cells = normalize_and_embed(pts)[2]
+    assert json.dumps(build_spanner(cells).to_dict()) == json.dumps(build_spanner_triples(cells).to_dict())
+    for k in (1, 2, 3):
+        want = build_hyperbolic_spanner_triples(pts, k).to_dict()
+        assert json.dumps(build_hyperbolic_spanner(pts, k).to_dict()) == json.dumps(want)
 
 
 def test_point_anchor_edges_below_log_d(rng):
