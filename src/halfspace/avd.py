@@ -30,7 +30,12 @@ climb per representative beyond the first
 (:func:`~halfspace.metrics.d2_argmin`, the one argmin, which the
 annotation shares), and for a continuous query one :class:`CellId`,
 since the point is moved with the transform's float expressions and
-floored straight to its cell.
+floored straight to its cell.  In the hyperbolic plane (D = 2) every
+cell has one coordinate, and the whole query path takes a scalar
+branch picked by that count: the moved coordinate is floored on its
+own, each descent step and each d2 is a few integer shifts and
+compares, and no list, ``zip`` or per-coordinate loop is made.  D >= 3
+keeps the loops; the answers are the same either way.
 
 Queries whose x-projection leaves the unit box, or that sit above the
 root level, return the highest input point outright.
@@ -343,7 +348,8 @@ def query_hyperbolic(ix: AvdIndex, q: HPoint) -> int:
     t = ix.transform
     if t is None:
         raise ValueError("index was built from discrete cells; no transform stored")
-    if len(q.x) != len(t.shift):
+    x = q.x
+    if len(x) != len(t.shift):
         raise ValueError(f"query {q!r} has dimension {q.dim}, the index {len(t.shift) + 1}")
     scale = t.scale
     z = scale * q.z
@@ -351,7 +357,10 @@ def query_hyperbolic(ix: AvdIndex, q: HPoint) -> int:
         raise ValueError(f"query height {q.z!r} underflows to 0.0 at scale {scale!r}")
     level = level_of_height(z)
     try:
-        coords = tuple([floor_scaled(scale * x + s, level) for x, s in zip(q.x, t.shift)])
+        if len(x) == 1:
+            coords = (floor_scaled(scale * x[0] + t.shift[0], level),)
+        else:
+            coords = tuple([floor_scaled(scale * v + s, level) for v, s in zip(x, t.shift)])
     except OverflowError:
         raise ValueError(f"query x = {q.x!r} moves out of the finite floats at scale {scale!r}") from None
     return query(ix, CellId(level, coords))

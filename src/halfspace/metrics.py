@@ -30,6 +30,13 @@ every t >= 1: at most one fix-up shift follows.  This is the shift-and-compare t
 evaluation is a constant number of big-integer operations however many
 levels apart the cells are, and builds no cell except the apexes a
 :class:`D2Path` returns.
+
+In the hyperbolic plane (D = 2) a cell has one coordinate, Delta is one
+``abs`` and lambda(s) one shift pair, so :func:`d2_argmin`, which serves
+every AVD query, runs that case as scalar integer code: one lift shift,
+the start ``s``, and at most the one fix-up shift.  It picks the case
+from the coordinate count it reads anyway, the same count that makes a
+per-coordinate list and loop pure overhead; D >= 3 keeps the loop.
 """
 
 from __future__ import annotations
@@ -171,6 +178,11 @@ def d2_argmin(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> i
     :func:`~halfspace.tiling.lift_pair` call and no cell is made.
     Raises ``ValueError`` on a dimension mismatch of an evaluated
     candidate.
+
+    With one coordinate (D = 2, read off ``q``) the climb is scalar: one
+    lift shift, the start ``t`` = bit length of ``|a - b| // 2``, and at
+    most one fix-up shift (module docstring), with no list, no ``zip``
+    and no :func:`_climb` call.  More coordinates take the loop.
     """
     if len(indices) == 1:
         (only,) = indices
@@ -178,6 +190,27 @@ def d2_argmin(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> i
     lq, kq = q.level, q.coords
     axes = len(kq)
     best = best_i = None
+    if axes == 1:
+        (k,) = kq
+        for i in indices:
+            c = cells[i]
+            kc = c.coords
+            if len(kc) != 1:
+                raise ValueError(f"dimension mismatch: {q.dim} vs {c.dim}")
+            s = c.level - lq
+            if s > 0:
+                a, b = k >> s, kc[0]
+            else:
+                a, b, s = k, kc[0] >> -s, -s
+            t = (abs(a - b) >> 1).bit_length()
+            lam = abs((a >> t) - (b >> t))
+            if lam > 1:
+                t += 1
+                lam = abs((a >> t) - (b >> t))
+            dist = 2 * t + lam + s
+            if best is None or dist < best or (dist == best and i < best_i):
+                best, best_i = dist, i
+        return best_i
     for i in indices:
         c = cells[i]
         kc = c.coords

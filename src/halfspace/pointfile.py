@@ -41,21 +41,35 @@ def write_points(fp: TextIO, points: Sequence[HPoint] | Sequence[CellId]) -> Non
             fp.write(json.dumps({"coords": list(p.coords), "level": p.level}, sort_keys=True) + "\n")
 
 
+def _integer(value, what: str, lineno: int) -> int:
+    """A JSON integer, or a :class:`PointFileError` naming the line.
+    Floats (fractions, ``1e400``), strings and booleans are refused."""
+    if type(value) is not int:
+        raise PointFileError(f"line {lineno}: {what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def read_points(fp: TextIO) -> tuple[int, str, list]:
-    """Returns (dim, kind, points)."""
+    """Returns (dim, kind, points).
+
+    ``dim``, ``level`` and ``coords`` must be JSON integers; ``x`` and
+    ``z`` are read as floats.  Anything else, a value the floats cannot
+    hold included, raises :class:`PointFileError` naming the line.
+    """
     header_line = fp.readline()
     if not header_line.strip():
         raise PointFileError("missing header line")
     try:
         header = json.loads(header_line)
-        dim = int(header["dim"])
+        dim = header["dim"]
         kind = header["kind"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise PointFileError(f"bad header: {exc}") from exc
+        raise PointFileError(f"line 1: bad header: {exc}") from exc
+    dim = _integer(dim, "dim", 1)
     if kind not in (CONTINUOUS, DISCRETE):
-        raise PointFileError(f"unknown kind {kind!r}")
+        raise PointFileError(f"line 1: unknown kind {kind!r}")
     if dim < 2:
-        raise PointFileError(f"dimension must be at least 2, got {dim}")
+        raise PointFileError(f"line 1: dimension must be at least 2, got {dim}")
     points = []
     for lineno, line in enumerate(fp, start=2):
         if not line.strip():
@@ -71,11 +85,15 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
                     raise PointFileError(f"line {lineno}: expected {dim - 1} x-coordinates")
                 points.append(HPoint(x, float(obj["z"])))
             else:
-                coords = tuple(int(v) for v in obj["coords"])
+                level, coords = obj["level"], obj["coords"]
+                if type(coords) is not list:
+                    raise PointFileError(f"line {lineno}: coords must be a list, got {coords!r}")
+                for v in coords:
+                    _integer(v, "each coordinate", lineno)
                 if len(coords) != dim - 1:
                     raise PointFileError(f"line {lineno}: expected {dim - 1} coordinates")
-                points.append(CellId(int(obj["level"]), coords))
-        except (KeyError, TypeError, ValueError) as exc:
+                points.append(CellId(_integer(level, "level", lineno), tuple(coords)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, PointFileError):
                 raise
             raise PointFileError(f"line {lineno}: {exc}") from exc

@@ -29,6 +29,13 @@ compressed gap, each row from the row above; below the first empty row
 of a gap the rows are shared and never computed, so the pass costs the
 nodes plus the non-empty gap levels.
 
+Point location (:meth:`QuadTree.smallest_containing`) descends from
+the root reading the child's slot off coordinate bits.  With one
+coordinate (D = 2, the box's coordinate count decides) each step is one
+shift and one mask, or at a compressed node one shift and one compare,
+with no per-coordinate loop; it relies on the tree's shape, which every
+build and :meth:`QuadTree.from_dict` check.  D >= 3 keeps the loop.
+
 The predicates on dyadic boxes (containment, adjacency, touching a
 boundary) live here as well, with the one pruned descent along a box's
 boundary (:func:`compressed_on_boundary`) that both the spanner's
@@ -486,9 +493,30 @@ class QuadTree:
         at the child's level.  The descent builds no cell and hashes
         nothing: one shift and one mask per coordinate and node passed.
         ``box`` must pass :meth:`in_root`; the callers check that first.
+
+        With one coordinate (D = 2, read off ``box``) the step is scalar:
+        an ordinary node's child is ``children[(k >> s) & 1]``, and a
+        compressed node's test is one shift and one compare against its
+        child's coordinate, with no loop and no :func:`shadow_within`.
+        It relies on the tree's shape, which construction and
+        :meth:`from_dict` guarantee.
         """
         node = self.root
         level, coords = box.level, box.coords
+        if len(coords) == 1:
+            (k,) = coords
+            while True:
+                kind, top = node.kind, node.cell.level
+                if kind == LEAF or top == level:
+                    return node
+                if kind == COMPRESSED:
+                    child = node.children[0]
+                    s = child.cell.level - level
+                    if s >= 0 and k >> s == child.cell.coords[0]:
+                        node = child
+                        continue
+                    return node
+                node = node.children[(k >> (top - 1 - level)) & 1]
         while True:
             if node.kind == LEAF or node.cell.level == level:
                 return node
@@ -586,10 +614,18 @@ class QuadTree:
     def from_dict(cls, data: dict) -> "QuadTree":
         """Rebuild a tree written by :meth:`to_dict`.
 
-        Raises ``ValueError`` unless node 0 is the root, every other
-        node's parent is an earlier node, every ``stored`` index is null
-        or lies in ``range(len(points))``, and every ordinary node lists
-        its child cells in :func:`children` order.
+        Raises ``ValueError``, naming the entry, unless ``dim`` is an
+        integer >= 2; every point and node cell is ``[level, coords]``
+        with an integer level (booleans refused) and ``dim - 1`` integer
+        coordinates inside the root shadow; node 0 is the root cell and
+        takes no parent; every other node's parent is an earlier node;
+        every kind is ordinary, compressed or leaf; every ``stored``
+        index is null or lies in ``range(len(points))``; every ordinary
+        node lists its child cells in :func:`children` order, a leaf has
+        no child, and a compressed node exactly one, strictly inside its
+        box.  Point location relies on that shape.  The checks ride on
+        the pass that links each node to its parent, and the pass back
+        that sums the input counts.
         """
         return cls.from_dict_with_nodes(data)[0]
 
@@ -598,7 +634,10 @@ class QuadTree:
         """:meth:`from_dict`, plus the nodes in the order the file lists
         them, which need not be :meth:`iter_nodes` order."""
         dim = data["dim"]
-        points = [CellId(lev, tuple(ks)) for lev, ks in data["points"]]
+        if type(dim) is not int or dim < 2:
+            raise ValueError(f"dim {dim!r} is no integer >= 2")
+        axes = dim - 1
+        points = [_loaded_cell(spec, axes, "point", i) for i, spec in enumerate(data["points"])]
         tree = cls.__new__(cls)
         tree.dim = dim
         tree.points = points
@@ -610,31 +649,71 @@ class QuadTree:
         built: list[QuadNode] = []
         if not data["nodes"]:
             raise ValueError("a tree needs at least its root node")
+        width = {ORDINARY: 1 << axes, COMPRESSED: 1, LEAF: 0}
+        low = 0
         for k, spec in enumerate(data["nodes"]):
-            cell = CellId(spec["cell"][0], tuple(spec["cell"][1]))
+            cell = _loaded_cell(spec["cell"], axes, "node", k)
+            kind = spec["kind"]
+            if kind not in width:
+                raise ValueError(f"node {k}'s kind {kind!r} is none of {ORDINARY}, {COMPRESSED}, {LEAF}")
             stored = spec["stored"]
             if stored is not None and not is_index(stored, len(points)):
                 raise ValueError(f"node {k} stores {stored!r}, no input index in range({len(points)})")
-            node = QuadNode(cell, spec["kind"], stored_index=stored)
+            node = QuadNode(cell, kind, stored_index=stored)
             tree.nodes_by_cell[cell] = node
             up = spec["parent"]
             if k == 0:
                 if up is not None:
                     raise ValueError(f"node 0 is the root and takes no parent, got {up!r}")
+                if cell != tree.root_cell:
+                    raise ValueError(f"node 0 is the root and must be {tree.root_cell!r}, got {cell!r}")
             elif is_index(up, k):
-                node.parent = built[up]
-                node.parent.children.append(node)
+                above = built[up]
+                slot = len(above.children)
+                lev = cell.level
+                if above.kind == ORDINARY:
+                    # child number slot of the children() order: one level
+                    # down, inside the box, coordinate bits spelling slot
+                    i = 0
+                    for c in cell.coords:
+                        i = (i << 1) | (c & 1)
+                    if i != slot or lev != above.cell.level - 1 or not shadow_within(cell, above.cell):
+                        raise ValueError(f"node {k} {cell!r} is not child {slot} of ordinary node {up} in children() order")
+                elif slot == width[above.kind] or lev == above.cell.level or not shadow_within(cell, above.cell):
+                    raise ValueError(f"node {k} {cell!r} is no lone child strictly inside the box of {above.kind} node {up}")
+                node.parent = above
+                above.children.append(node)
+                if lev < low:
+                    low = lev
             else:
                 raise ValueError(f"node {k}'s parent {up!r} is not an earlier node")
             built.append(node)
-        for node in built:
-            if node.kind == ORDINARY and [ch.cell for ch in node.children] != children(node.cell):
-                raise ValueError(f"ordinary node {node.cell!r} must list its child cells in children() order")
         tree.root = built[0]
-        tree._locate_level = min(node.cell.level for node in built) - 1
-        for node in reversed(built):
-            node.count = (1 if node.stored_index is not None else 0) + sum(ch.count for ch in node.children)
+        tree._locate_level = low - 1
+        for k in range(len(built) - 1, -1, -1):  # children before parents
+            node = built[k]
+            if len(node.children) != width[node.kind]:
+                raise ValueError(f"{node.kind} node {k} {node.cell!r} has {len(node.children)} children, not {width[node.kind]}")
+            if node.stored_index is not None:
+                node.count += 1
+            if node.parent is not None:
+                node.parent.count += node.count
         return tree, built
+
+
+def _loaded_cell(spec, axes: int, entry: str, k: int) -> CellId:
+    """The cell ``[level, coords]`` of a loaded tree's entry ``k``, or
+    ``ValueError`` naming the entry: JSON integers only (booleans are
+    not), ``axes`` coordinates, inside the root shadow."""
+    if type(spec) is list and len(spec) == 2:
+        level, ks = spec
+        if type(level) is int and level <= 0 and type(ks) is list and len(ks) == axes:
+            for c in ks:
+                if type(c) is not int or c < 0 or c >> -level:
+                    break
+            else:
+                return CellId(level, tuple(ks))
+    raise ValueError(f"{entry} {k}'s cell {spec!r} is no [level, {axes} coordinates] of integers inside the root shadow")
 
 
 def build_quadtree(points: list[CellId]) -> QuadTree:

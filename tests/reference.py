@@ -2,8 +2,10 @@
 
 Level-by-level climbs and descents, one cell per level, for ``d1``,
 the d2-path, ``meet``, point location and the spanner's vertical edges
-(``*_climb``); the Z-order key by string formatting
-(``zorder_key_format``); all-pairs and root-lookup scans for the AVD
+(``*_climb``); the point location and the d2 argmin that loop over the
+coordinates at every dimension, which the one-axis steps for D = 2
+must match (``smallest_containing_general``, ``d2_argmin_general``);
+the Z-order key by string formatting (``zorder_key_format``); all-pairs and root-lookup scans for the AVD
 annotation, the representatives (with their region predicates
 ``adjacent_to_region`` and ``touches_boundary``) and the spanner
 bridges (``*_scan``); the pruned boundary descent from the root
@@ -29,10 +31,10 @@ verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Collection, Sequence
 
 from halfspace.metrics import d2 as d2_fast
-from halfspace.metrics import D2Path, d2_path, lambda_
+from halfspace.metrics import D2Path, _climb, d2_path, lambda_
 from halfspace.shortcut import ShortcutSet
 from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, horizontal_neighbors, parent
 
@@ -131,6 +133,60 @@ def smallest_containing_climb(tree, box: CellId):
                 continue
             return node
         node = tree.nodes_by_cell[ancestor_at(box, node.cell.level - 1)]
+
+
+def smallest_containing_general(tree, box: CellId):
+    """The lowest node containing ``box``, descending with one shift and
+    one mask per coordinate and node, and :func:`shadow_within` at a
+    compressed node, at every dimension.
+
+    Reference for the one-axis step of
+    :meth:`halfspace.quadtree.QuadTree.smallest_containing`.
+    """
+    from halfspace.quadtree import COMPRESSED, LEAF, shadow_within
+
+    node = tree.root
+    level, coords = box.level, box.coords
+    while True:
+        if node.kind == LEAF or node.cell.level == level:
+            return node
+        if node.kind == COMPRESSED:
+            child = node.children[0]
+            if shadow_within(box, child.cell):
+                node = child
+                continue
+            return node
+        s = node.cell.level - 1 - level
+        i = 0
+        for k in coords:
+            i = (i << 1) | ((k >> s) & 1)
+        node = node.children[i]
+
+
+def d2_argmin_general(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> int:
+    """The ``i`` in ``indices`` minimizing ``(d2(q, cells[i]), i)``, with
+    one :func:`~halfspace.metrics._climb` on coordinate lists per
+    candidate at every dimension.
+
+    Reference for the one-axis loop of :func:`halfspace.metrics.d2_argmin`.
+    """
+    if len(indices) == 1:
+        (only,) = indices
+        return only
+    lq, kq = q.level, q.coords
+    axes = len(kq)
+    best = best_i = None
+    for i in indices:
+        c = cells[i]
+        kc = c.coords
+        if len(kc) != axes:
+            raise ValueError(f"dimension mismatch: {q.dim} vs {c.dim}")
+        s = c.level - lq
+        t, lam = _climb([k >> s for k in kq] if s > 0 else kq, [k >> -s for k in kc] if s < 0 else kc, 1)
+        dist = 2 * t + lam + abs(s)  # d2: the level gap, t levels up and down, lam across
+        if best is None or dist < best or (dist == best and i < best_i):
+            best, best_i = dist, i
+    return best_i
 
 
 def _candidate(best, idx: int | None, origin: CellId, points: list[CellId]):

@@ -60,6 +60,62 @@ def test_build_rejects_nonfinite_points(tmp_path, capsys, line):
     assert "line 3" in json.loads(err)["error"]
 
 
+def build_exit(tmp_path, capsys, text):
+    """Exit code and error of ``halfspace build --what avd`` on a point file."""
+    pts = tmp_path / "pts.jsonl"
+    pts.write_text(text)
+    code, _out, err = run(["build", "--what", "avd", "--in", str(pts)], capsys)
+    return code, json.loads(err)["error"] if err else None
+
+
+DISCRETE_2 = '{"dim": 2, "kind": "discrete"}\n{"coords": [1], "level": -2}\n'
+
+
+# Each of these inputs escaped as OverflowError (a traceback, exit 1) or
+# was silently truncated to an integer.
+
+
+def test_build_level_1e400_exits_2(tmp_path, capsys):
+    code, error = build_exit(tmp_path, capsys, DISCRETE_2 + '{"coords": [1], "level": 1e400}\n')
+    assert code == 2 and "line 3: level must be a JSON integer" in error
+
+
+def test_build_coords_1e400_exits_2(tmp_path, capsys):
+    code, error = build_exit(tmp_path, capsys, DISCRETE_2 + '{"coords": [1e400], "level": -2}\n')
+    assert code == 2 and "line 3: each coordinate must be a JSON integer" in error
+
+
+def test_build_header_dim_1e400_exits_2(tmp_path, capsys):
+    code, error = build_exit(tmp_path, capsys, '{"dim": 1e400, "kind": "discrete"}\n{"coords": [1], "level": -2}\n')
+    assert code == 2 and "line 1: dim must be a JSON integer" in error
+
+
+def test_build_x_1_and_400_zeros_exits_2(tmp_path, capsys):
+    text = '{"dim": 2, "kind": "continuous"}\n{"x": [0.25], "z": 0.5}\n{"x": [1' + "0" * 400 + '], "z": 0.5}\n'
+    code, error = build_exit(tmp_path, capsys, text)
+    assert code == 2 and "line 3" in error
+
+
+def test_build_coords_3_7_exits_2(tmp_path, capsys):
+    # was read as Cell(-3;[3])
+    code, error = build_exit(tmp_path, capsys, DISCRETE_2 + '{"coords": [3.7], "level": -3}\n')
+    assert code == 2 and "line 3: each coordinate must be a JSON integer, got 3.7" in error
+
+
+def test_build_level_minus_2_5_exits_2(tmp_path, capsys):
+    # was read as level -2
+    code, error = build_exit(tmp_path, capsys, DISCRETE_2 + '{"coords": [1], "level": -2.5}\n')
+    assert code == 2 and "line 3: level must be a JSON integer, got -2.5" in error
+
+
+def test_pointfile_reads_integer_levels_and_coords():
+    text = '{"dim": 3, "kind": "discrete"}\n{"coords": [0, 3], "level": -2}\n{"coords": [0, 0], "level": 0}\n'
+    assert read_points(io.StringIO(text)) == (3, "discrete", [CellId(-2, (0, 3)), CellId(0, (0, 0))])
+    for bad in ('{"coords": [true], "level": -2}', '{"coords": [1], "level": false}', '{"coords": "1", "level": -2}', '{"coords": [1], "level": "-2"}'):
+        with pytest.raises(PointFileError, match="line 2"):
+            read_points(io.StringIO('{"dim": 2, "kind": "discrete"}\n' + bad + "\n"))
+
+
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -233,6 +289,40 @@ def test_query_index_one_annotation_short_exits_2(tmp_path, capsys):
     code, out, err = run(["query", "--index", str(index), "--at=-7,64"], capsys)
     assert code == 2
     assert "annotations" in json.loads(err)["error"]
+
+
+def three_cell_index(tmp_path):
+    """The index of Cell(-2;[1]), Cell(-3;[3]) and Cell(-4;[5]), as JSON data."""
+    pts = tmp_path / "cells.jsonl"
+    with open(pts, "w") as fp:
+        write_points(fp, [CellId(-2, (1,)), CellId(-3, (3,)), CellId(-4, (5,))])
+    index = tmp_path / "avd.json"
+    assert main(["build", "--what", "avd", "--in", str(pts), "--out", str(index)]) == 0
+    return index, json.loads(index.read_text())
+
+
+def test_query_index_point_1_coords_3_0_exits_2(tmp_path, capsys):
+    # the float coordinate loaded, and --at=-6,24 ended in a TypeError
+    # (exit 1) when d2 shifted it
+    index, data = three_cell_index(tmp_path)
+    assert data["points"][1] == [-3, [3]]
+    data["points"][1] = [-3, [3.0]]
+    index.write_text(json.dumps(data))
+    code, out, err = run(["query", "--index", str(index), "--at=-6,24"], capsys)
+    assert code == 2
+    assert "point 1's cell [-3, [3.0]]" in json.loads(err)["error"]
+
+
+def test_query_index_leaf_node_3_relabeled_compressed_exits_2(tmp_path, capsys):
+    # the childless "compressed" node loaded, and --at=-6,8 ended in an
+    # IndexError (exit 1) when the descent read its child
+    index, data = three_cell_index(tmp_path)
+    assert data["nodes"][3] == {"cell": [-3, [1]], "kind": "leaf", "parent": 2, "stored": None}
+    data["nodes"][3]["kind"] = "compressed"
+    index.write_text(json.dumps(data))
+    code, out, err = run(["query", "--index", str(index), "--at=-6,8"], capsys)
+    assert code == 2
+    assert "compressed node 3" in json.loads(err)["error"]
 
 
 def test_verify_report_and_determinism(tmp_path, capsys):

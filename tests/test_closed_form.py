@@ -1,6 +1,7 @@
 """The closed-form metric kernel and the bit-indexed point location
-against the level-by-level references in ``reference.py``, plus
-cost guards that count cell constructions."""
+against the level-by-level references in ``reference.py`` (and, for
+the one-axis step at D = 2, against the coordinate loop), plus cost
+guards that count cell constructions."""
 
 import random
 
@@ -15,7 +16,7 @@ from halfspace.sampling import sample_margin_cells
 from halfspace.tiling import CellId, ancestor_at, children, lift_pair
 
 from conftest import random_cell_in_root
-from reference import d1_climb, d2_path_climb, meet_climb, smallest_containing_climb
+from reference import d1_climb, d2_path_climb, meet_climb, smallest_containing_climb, smallest_containing_general
 
 MIN_LEVEL = -1074  # the deepest level a float height reaches
 
@@ -127,6 +128,44 @@ def test_smallest_containing_matches_climb(data):
     tree, boxes = data
     for box in boxes:
         assert tree.smallest_containing(box) is smallest_containing_climb(tree, box)
+
+
+@st.composite
+def one_axis_trees_and_boxes(draw):
+    """A D = 2 tree with deep compressed chains (one box every ``g``
+    levels down to level -400), and boxes to locate: every node's cell,
+    a cell under every node down to below ``_locate_level``, and random
+    cells of the root shadow."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = [random_cell_in_root(rng, 2, min_level=-draw(st.integers(1, 40))) for _ in range(draw(st.integers(0, 8)))]
+    for chain in range(draw(st.integers(1, 3))):
+        level = -rng.randint(20, 400)
+        deep = CellId(level, (rng.randrange(1 << -level),))
+        g = draw(st.integers(2 if chain == 0 else 1, 5))
+        cells.extend(ancestor_at(deep, lev) for lev in range(level, 1, g))
+    tree = build_quadtree(cells)
+    low = tree._locate_level
+    boxes = []
+    for node in tree.iter_nodes():
+        c = node.cell
+        boxes.append(c)
+        r = rng.randint(1, c.level - low + 2)
+        boxes.append(CellId(c.level - r, ((c.coords[0] << r) + rng.randrange(1 << r),)))
+    boxes += [random_cell_in_root(rng, 2, min_level=low - 3) for _ in range(20)]
+    return tree, boxes
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_axis_trees_and_boxes())
+def test_smallest_containing_one_axis_matches_climb(data):
+    tree, boxes = data
+    loaded = QuadTree.from_dict(tree.to_dict())
+    assert any(node.kind == "compressed" for node in tree.iter_nodes())
+    for box in boxes:
+        want = smallest_containing_climb(tree, box)
+        assert tree.smallest_containing(box) is want
+        assert smallest_containing_general(tree, box) is want
+        assert loaded.smallest_containing(box).cell == want.cell
 
 
 def test_smallest_containing_on_refined_trees(rng):

@@ -404,3 +404,51 @@ def test_from_dict_rejects_stored_outside_points(stored):
     data["nodes"][-1] = dict(data["nodes"][-1], stored=stored)
     with pytest.raises(ValueError, match="range\\(3\\)"):
         QuadTree.from_dict(data)
+
+
+def _edited_tree(path, value):
+    """The dict of the tree over Cell(-2;[0]), Cell(-2;[3]) and
+    Cell(-3;[5]), with one entry replaced; ``path`` is a key sequence."""
+    data = json.loads(json.dumps(build_quadtree([C(-2, 0), C(-2, 3), C(-3, 5)]).to_dict()))
+    if path == ("nodes", -1):  # drop the last node
+        data["nodes"].pop()
+        return data
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("dim",), 2.0, "dim 2.0"),
+        (("dim",), True, "dim True"),
+        (("points", 0), [-2, [4]], "point 0's cell"),
+        (("points", 1), [1, [0]], "point 1's cell"),
+        (("points", 2), [-3.0, [5]], "point 2's cell"),
+        (("points", 0), [-2, [True]], "point 0's cell"),
+        (("points", 0), [-2, [0, 0]], "point 0's cell"),
+        (("nodes", 0, "cell"), [-1, [0]], "node 0 is the root"),
+        (("nodes", 2, "cell"), [-2, [0, 0]], "node 2's cell"),
+        (("nodes", 2, "cell"), [-2.0, [0]], "node 2's cell"),
+        (("nodes", 2, "cell"), [False, [0]], "node 2's cell"),
+        (("nodes", 5, "cell"), [-3, [8]], "node 5's cell"),
+        (("nodes", 2, "kind"), "Leaf", "node 2's kind 'Leaf'"),
+        (("nodes", 1, "kind"), "leaf", "node 2 .* leaf node 1"),
+        (("nodes", 3, "kind"), "compressed", "node 6 .* compressed node 3"),
+        (("nodes", 0, "kind"), "compressed", "node 3 .* compressed node 0"),
+        (("nodes", 5, "cell"), [-2, [2]], "node 5 .* compressed node 4"),
+        (("nodes", 5, "cell"), [-3, [6]], "node 5 .* compressed node 4"),
+        (("nodes", 2, "kind"), "compressed", "compressed node 2 .* has 0 children, not 1"),
+        (("nodes", 4, "kind"), "ordinary", "node 5 .* not child 0 of ordinary node 4"),
+        (("nodes", -1), None, "ordinary node 3 .* has 1 children, not 2"),
+    ],
+)
+def test_from_dict_rejects_cells_and_shapes_point_location_cannot_use(path, value, match):
+    # each of these loaded, and a query through it could end in a
+    # TypeError or IndexError or silently descend into the wrong node
+    with pytest.raises(ValueError, match=match):
+        QuadTree.from_dict(_edited_tree(path, value))

@@ -3,7 +3,8 @@
 ``query`` and ``query_hyperbolic`` are checked against their copies in
 ``reference.py`` (one ``d2`` per representative, a moved ``HPoint`` per
 continuous query), ``d2_argmin`` against the plain ``min`` over
-``(d2, index)``, and ``QuadTree.in_root`` against ``shadow_within`` of
+``(d2, index)`` and, for D = 2, against the coordinate loop it
+skips (``reference.d2_argmin_general``), and ``QuadTree.in_root`` against ``shadow_within`` of
 the root cell; cost guards count the cells and points a query builds.
 """
 
@@ -153,6 +154,65 @@ def argmin_cases(draw):
 def test_d2_argmin_matches_min(case):
     q, cells, indices = case
     assert d2_argmin(q, cells, indices) == min((d2(q, cells[i]), i) for i in indices)[1]
+
+
+@st.composite
+def one_axis_argmin_cases(draw):
+    """A query cell and candidates with one coordinate (D = 2): ``q`` on
+    a level down to -1074, candidates up to 1,074 levels above or below
+    it, in ``q``'s column (``q``, its ancestors, cells below it) or
+    beside it by ``m * 2^e`` plus or minus a little, which puts the
+    climb's start one level below the answer or at it; repeated cells,
+    and the indices as a list or a set."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lq = draw(st.integers(MIN_LEVEL, 2))
+    kq = rng.randrange(1 << max(0, -lq))
+    q = CellId(lq, (kq,))
+
+    # a cluster shares one level gap and one scale 2^e and sits beside
+    # q's column, so that several candidates lie at equal or nearly
+    # equal d2 from q and the fix-up shift decides between them
+    cluster_gap = rng.choice([0, rng.randint(-3, 3), rng.randint(-1074, 1074)])
+    cluster_e = rng.randint(0, 6)
+
+    def column(gap):
+        """q's ancestor ``gap`` levels up, or a cell ``-gap`` levels below q."""
+        if gap >= 0:
+            return kq >> gap
+        return (kq << -gap) + rng.randrange(1 << -gap)
+
+    def cell():
+        if rng.random() < 0.6:
+            k = column(cluster_gap) + rng.choice([-1, 1]) * ((rng.randint(1, 9) << cluster_e) + rng.randint(-3, 3))
+            return CellId(lq + cluster_gap, (k,))
+        gap = rng.choice([0, rng.randint(-3, 3), rng.randint(-1074, 1074)])
+        level = lq + gap
+        pick = rng.random()
+        if pick < 0.2:
+            k = column(gap)
+        elif pick < 0.8:
+            e = rng.randint(0, max(0, -level) + 2)
+            k = column(gap) + rng.choice([-1, 1]) * ((rng.choice([1, 2, 3, 4, 5, 6, 8, 9]) << e) + rng.randint(-3, 3))
+        else:
+            k = random_coords(rng, 1, level)[0]
+        return CellId(level, (k,))
+
+    cells = [cell() for _ in range(draw(st.integers(2, 10)))]
+    cells += [rng.choice(cells) for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        cells.append(ancestor_at(q, lq + rng.randint(0, 1074)))
+    rng.shuffle(cells)
+    indices = rng.sample(range(len(cells)), rng.randint(2, len(cells)))
+    return q, cells, set(indices) if draw(st.booleans()) else indices
+
+
+@settings(max_examples=500, deadline=None)
+@given(one_axis_argmin_cases())
+def test_d2_argmin_one_axis_matches_min(case):
+    q, cells, indices = case
+    want = min((d2(q, cells[i]), i) for i in indices)[1]
+    assert d2_argmin(q, cells, indices) == want
+    assert reference.d2_argmin_general(q, cells, indices) == want
 
 
 def test_d2_argmin_single_candidate_evaluates_nothing():
