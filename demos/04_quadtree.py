@@ -11,9 +11,8 @@ tree = build_quadtree(pts)
 
 print("inputs:", len(set(pts)), "tree nodes:", len(tree))
 for node in tree.iter_nodes():
-    pad = "  " * (0 if node.parent is None else 1)
     print(f"{node.kind:>10}: {node.cell}  holds {node.count}")
-    if node.parent is None and node.kind == "compressed":
+    if node is tree.root and node.kind == "compressed":
         print("           (everything funnels through one child; the rest is its region)")
     break  # the root line is enough flavor here
 

@@ -110,7 +110,10 @@ def annotate(tree: QuadTree) -> None:
     (:meth:`QuadTree.neighbor_rows`) that derives each level's row from
     the row above and computes none below an empty row of a gap (those
     rows are one shared all-None list, read once here, and add no
-    candidate).  :func:`~halfspace.metrics.d2_argmin` evaluates d2 once
+    candidate).  Nodes keep no parent link, so the parent's n2 reaches a
+    node through its own ``n2_index``: each node seeds its children's
+    once its own is set, and the preorder pass visits them later.
+    :func:`~halfspace.metrics.d2_argmin` evaluates d2 once
     per distinct candidate (none for a single one), and the argmin over
     ``(d2, index)`` does not depend on the order.
     """
@@ -121,16 +124,20 @@ def annotate(tree: QuadTree) -> None:
         raise ValueError("annotate needs at least one stored input")
     root.n2_index = root.h_index  # every input lies on or below the root
     for node, rows in tree.neighbor_rows():
-        if node is root:
-            continue
-        candidates = {node.parent.n2_index, node.h_index}
-        last = None
-        for row in rows:
-            if row is not last:  # a gap's shared empty rows are read once
-                candidates.update(t.h_index for t in row if t is not None)
-                last = row
-        candidates.discard(None)
-        node.n2_index = d2_argmin(node.cell, points, candidates)
+        if node is not root:
+            # n2_index holds the parent's n2 until the node is visited
+            candidates = {node.n2_index, node.h_index}
+            last = None
+            for row in rows:
+                if row is not last:  # a gap's shared empty rows are read once
+                    candidates.update(t.h_index for t in row if t is not None)
+                    last = row
+            candidates.discard(None)
+            node.n2_index = d2_argmin(node.cell, points, candidates)
+        # preorder visits a node's children after it: seed them
+        n2 = node.n2_index
+        for child in node.children:
+            child.n2_index = n2
 
 
 def select_representatives(refined: QuadTree, base: QuadTree) -> None:

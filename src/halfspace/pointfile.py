@@ -52,9 +52,10 @@ def _integer(value, what: str, lineno: int) -> int:
 def read_points(fp: TextIO) -> tuple[int, str, list]:
     """Returns (dim, kind, points).
 
-    ``dim``, ``level`` and ``coords`` must be JSON integers; ``x`` and
-    ``z`` are read as floats.  Anything else, a value the floats cannot
-    hold included, raises :class:`PointFileError` naming the line.
+    ``dim``, ``level`` and ``coords`` must be JSON integers; ``x`` must
+    be a list of JSON numbers and ``z`` a JSON number, read as floats.
+    Anything else, a value the floats cannot hold included, raises
+    :class:`PointFileError` naming the line.
     """
     header_line = fp.readline()
     if not header_line.strip():
@@ -80,10 +81,17 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
             raise PointFileError(f"line {lineno}: invalid JSON") from exc
         try:
             if kind == CONTINUOUS:
-                x = tuple(map(float, obj["x"]))
-                if len(x) != dim - 1:
+                xs, z = obj["x"], obj["z"]
+                if type(xs) is not list:
+                    raise PointFileError(f"line {lineno}: x must be a list, got {xs!r}")
+                for v in xs:
+                    if type(v) is not float and type(v) is not int:
+                        raise PointFileError(f"line {lineno}: each x-coordinate must be a JSON number, got {v!r}")
+                if type(z) is not float and type(z) is not int:
+                    raise PointFileError(f"line {lineno}: z must be a JSON number, got {z!r}")
+                if len(xs) != dim - 1:
                     raise PointFileError(f"line {lineno}: expected {dim - 1} x-coordinates")
-                points.append(HPoint(x, float(obj["z"])))
+                points.append(HPoint(tuple(map(float, xs)), float(z)))
             else:
                 level, coords = obj["level"], obj["coords"]
                 if type(coords) is not list:

@@ -4,7 +4,10 @@
 level by level (``_build``) and inserts one box at a time by hanging a
 chain below a leaf, splicing a compressed gap or branching at a
 ``meet`` (``insert_box`` with ``_attach_chain``, ``_split_compressed``
-and ``_chain_to``).  The method bodies are the old loops, unchanged.
+and ``_chain_to``).  The method bodies are the old loops, unchanged;
+they walk up by parent links, which library nodes no longer keep, so
+this tree's nodes are :class:`LinkedNode` (a loaded tree's nodes are
+copied into them).
 :class:`halfspace.quadtree.QuadTree` now makes every tree in one
 iterative Z-order pass; the cross-checks in ``test_zorder_build.py``
 compare the two shapes node for node.  The recursion limits the build
@@ -13,8 +16,18 @@ to chains of a few hundred nested boxes, so keep the inputs shallow.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadNode, QuadTree, meet, root_cell, shadow_within
 from halfspace.tiling import CellId, ancestor_at, children, horizontal_neighbors
+
+
+@dataclass(eq=False, slots=True)
+class LinkedNode(QuadNode):
+    """A node with the parent link the splice insertion walks up by;
+    library nodes keep none."""
+
+    parent: QuadNode | None = None
 
 
 def _recount(node: QuadNode) -> None:
@@ -39,10 +52,27 @@ class ReferenceQuadTree(QuadTree):
         self.root = self._build(self.root_cell, distinct)
         self._refresh_counts()
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "ReferenceQuadTree":
+        """:meth:`QuadTree.from_dict`, its nodes copied into linked ones."""
+        tree = super().from_dict(data)
+        tree.nodes_by_cell = {}
+        stack = [(tree.root, None)]
+        while stack:
+            node, up = stack.pop()
+            copy = LinkedNode(node.cell, node.kind, stored_index=node.stored_index, count=node.count, parent=up)
+            tree.nodes_by_cell[copy.cell] = copy
+            if up is None:
+                tree.root = copy
+            else:
+                up.children.append(copy)
+            stack.extend((ch, copy) for ch in reversed(node.children))
+        return tree
+
     # -- construction -------------------------------------------------
 
     def _new_node(self, cell: CellId, kind: str) -> QuadNode:
-        node = QuadNode(cell, kind, stored_index=self._index_of.get(cell))
+        node = LinkedNode(cell, kind, stored_index=self._index_of.get(cell))
         self.nodes_by_cell[cell] = node
         return node
 

@@ -221,18 +221,18 @@ def annotate_scan(tree) -> list[int]:
                 best = _candidate(best, tree.highest_under(nb), origin, points)
         return best
 
-    stack = [root]
+    stack = [(root, None)]  # (node, its parent)
     while stack:
-        node = stack.pop()
+        node, up = stack.pop()
         for ch in reversed(node.children):
-            stack.append(ch)
+            stack.append((ch, node))
         if node is root:
             continue
         origin = node.cell
-        best = _candidate(None, node.parent.n2_index, origin, points)
+        best = _candidate(None, up.n2_index, origin, points)
         best = _candidate(best, node.h_index, origin, points)
         best = neighbor_candidates(best, origin, origin)
-        for lev in range(origin.level + 1, node.parent.cell.level):
+        for lev in range(origin.level + 1, up.cell.level):
             best = neighbor_candidates(best, ancestor_at(origin, lev), origin)
         node.n2_index = best[1]
     return [node.n2_index for node in tree.iter_nodes()]

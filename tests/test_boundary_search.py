@@ -81,19 +81,25 @@ def _check_bridges(cells):
 
 
 def _check_neighbor_rows(tree):
-    """Every entry is the topmost node under its box, by point location."""
+    """Every entry is the topmost node under its box, by point location.
+
+    At D >= 3 the rows of an ordinary node's children are sliced from
+    one neighbor block, so this also checks the block against
+    :meth:`QuadTree.cell_query`."""
+    gaps = {id(tree.root): 1}
     nodes = []
     for node, rows in tree.neighbor_rows():
         nodes.append(node)
-        gap = 1 if node.parent is None else node.parent.cell.level - node.cell.level
-        assert len(rows) == gap
+        for ch in node.children:
+            gaps[id(ch)] = node.cell.level - ch.cell.level
+        assert len(rows) == gaps[id(node)]
         for j, row in enumerate(rows):
             box = ancestor_at(node.cell, node.cell.level + j)
             expected = [
                 tree.cell_query(nb)[0] if tree.in_root(nb) else None
                 for nb in horizontal_neighbors(box)
             ]
-            assert row == expected, (node, j)
+            assert list(row) == expected, (node, j)
     assert nodes == list(tree.iter_nodes())
 
 

@@ -108,6 +108,29 @@ def test_build_level_minus_2_5_exits_2(tmp_path, capsys):
     assert code == 2 and "line 3: level must be a JSON integer, got -2.5" in error
 
 
+CONTINUOUS_2 = '{"dim": 2, "kind": "continuous"}\n{"x": [0.25], "z": 0.5}\n'
+
+
+def test_build_x_true_z_true_exits_2(tmp_path, capsys):
+    # was read as HPoint((1.0,), 1.0)
+    code, error = build_exit(tmp_path, capsys, CONTINUOUS_2 + '{"x": [true], "z": true}\n')
+    assert code == 2 and "line 3: each x-coordinate must be a JSON number, got True" in error
+
+
+def test_build_x_string_0_25_z_string_1e_3_exits_2(tmp_path, capsys):
+    # was read as HPoint((0.25,), 0.001)
+    code, error = build_exit(tmp_path, capsys, CONTINUOUS_2 + '{"x": ["0.25"], "z": "1e-3"}\n')
+    assert code == 2 and "line 3: each x-coordinate must be a JSON number, got '0.25'" in error
+
+
+def test_pointfile_reads_json_numbers_for_x_and_z():
+    text = '{"dim": 3, "kind": "continuous"}\n{"x": [0, 0.5], "z": 2}\n'
+    assert read_points(io.StringIO(text)) == (3, "continuous", [HPoint((0.0, 0.5), 2.0)])
+    for bad in ('{"x": [0.25], "z": true}', '{"x": [0.25], "z": "1e-3"}', '{"x": "0.25", "z": 1.0}', '{"x": {"0.25": 1}, "z": 1.0}', '{"x": [0.25], "z": null}'):
+        with pytest.raises(PointFileError, match="line 2"):
+            read_points(io.StringIO('{"dim": 2, "kind": "continuous"}\n' + bad + "\n"))
+
+
 def test_pointfile_reads_integer_levels_and_coords():
     text = '{"dim": 3, "kind": "discrete"}\n{"coords": [0, 3], "level": -2}\n{"coords": [0, 0], "level": 0}\n'
     assert read_points(io.StringIO(text)) == (3, "discrete", [CellId(-2, (0, 3)), CellId(0, (0, 0))])

@@ -33,9 +33,16 @@ def random_box_in_root(rng, dim=2, min_level=-7):
 
 def check_structure(tree: QuadTree):
     """Structural invariants every tree must satisfy."""
-    for node in tree.iter_nodes():
+    # to_dict's parent indices rebuild every node's children, in order
+    nodes = list(tree.iter_nodes())
+    below = [[] for _ in nodes]
+    for k, spec in enumerate(tree.to_dict()["nodes"]):
+        assert (spec["parent"] is None) == (k == 0)
+        if k:
+            below[spec["parent"]].append(nodes[k])
+    assert all(b == node.children for node, b in zip(nodes, below))
+    for node in nodes:
         for ch in node.children:
-            assert ch.parent is node
             assert shadow_within(ch.cell, node.cell) and ch.cell != node.cell
         if node.kind == LEAF:
             assert not node.children
@@ -216,7 +223,8 @@ def test_locate_lower_left_corner_of_deepest_box():
         for t in (tree, QuadTree.from_dict(tree.to_dict())):
             node = t.locate(x)
             assert node.cell == pts[1] and node.kind == LEAF
-            assert node.parent.kind == COMPRESSED
+            (up,) = [n for n in t.iter_nodes() if any(ch is node for ch in n.children)]
+            assert up.kind == COMPRESSED
 
 
 def test_locate_rejects_outside():
@@ -403,6 +411,32 @@ def test_from_dict_rejects_stored_outside_points(stored):
     data = build_quadtree([C(-2, 0), C(-2, 3), C(-3, 5)]).to_dict()
     data["nodes"][-1] = dict(data["nodes"][-1], stored=stored)
     with pytest.raises(ValueError, match="range\\(3\\)"):
+        QuadTree.from_dict(data)
+
+
+def test_from_dict_cell_minus_2_1_stored_2():
+    # loaded, and then the node reported input 2 while stored_index said 0
+    data = build_quadtree([C(-2, 1), C(-3, 3), C(-4, 5)]).to_dict()
+    (k,) = [k for k, spec in enumerate(data["nodes"]) if spec["cell"] == [-2, [1]]]
+    data["nodes"][k] = dict(data["nodes"][k], stored=2)
+    with pytest.raises(ValueError, match=f"node {k} Cell\\(-2;\\[1\\]\\) stores 2, but its cell is first input 0"):
+        QuadTree.from_dict(data)
+
+
+def test_from_dict_cell_minus_3_2_stored_0():
+    # the compressed node over Cell(-4;[5]) stores no input
+    data = build_quadtree([C(-2, 1), C(-3, 3), C(-4, 5)]).to_dict()
+    (k,) = [k for k, spec in enumerate(data["nodes"]) if spec["cell"] == [-3, [2]]]
+    data["nodes"][k] = dict(data["nodes"][k], stored=0)
+    with pytest.raises(ValueError, match=f"node {k} .* stores 0, but its cell is no input"):
+        QuadTree.from_dict(data)
+
+
+def test_from_dict_extra_point_minus_5_0():
+    # a point no node stores
+    data = build_quadtree([C(-2, 1), C(-3, 3), C(-4, 5)]).to_dict()
+    data["points"].append([-5, [0]])
+    with pytest.raises(ValueError, match="input 3 Cell\\(-5;\\[0\\]\\) has no node storing it"):
         QuadTree.from_dict(data)
 
 
