@@ -252,11 +252,16 @@ def cell_query_scan(stored: Sequence[CellId], box: CellId) -> tuple[CellId | Non
 
 
 
-def _check_graph_and_source(n_vertices: int, adjacency: Sequence, source: int) -> None:
+def _check_graph_and_source(n_vertices: int, adjacency: Sequence, source: int, max_hops: int = 0) -> None:
+    """Raise ``ValueError`` unless ``adjacency`` has ``n_vertices`` rows,
+    ``source`` is an ``int`` in ``range(n_vertices)`` and ``max_hops`` an
+    ``int`` >= 0; a ``bool`` is neither."""
     if len(adjacency) != n_vertices:
         raise ValueError(f"adjacency has {len(adjacency)} rows for {n_vertices} vertices")
-    if not 0 <= source < n_vertices:
+    if type(source) is not int or not 0 <= source < n_vertices:
         raise ValueError(f"source {source!r} is not a vertex of range({n_vertices})")
+    if type(max_hops) is not int or max_hops < 0:
+        raise ValueError(f"max_hops must be an integer >= 0, got {max_hops!r}")
 
 
 def dijkstra(n_vertices: int, adjacency: Sequence[Sequence[tuple[int, float]]], source: int) -> list[float]:
@@ -264,8 +269,9 @@ def dijkstra(n_vertices: int, adjacency: Sequence[Sequence[tuple[int, float]]], 
 
     Ties between equal-length paths are broken by vertex index via the
     heap ordering, keeping verification runs deterministic.  Raises
-    ``ValueError`` when ``source`` is not in ``range(n_vertices)`` or
-    ``adjacency`` does not have ``n_vertices`` rows.
+    ``ValueError`` when ``source`` is not an ``int`` in
+    ``range(n_vertices)`` or ``adjacency`` does not have ``n_vertices``
+    rows.
     """
     _check_graph_and_source(n_vertices, adjacency, source)
     dist = [float("inf")] * n_vertices
@@ -300,13 +306,11 @@ def hop_bounded_distances(
     every value is the minimum over the same candidates as a full scan
     of all reached vertices, the same floats bit for bit, at a cost of
     the edges out of the frontiers.  The rounds stop early once a round
-    changes nothing.  Raises ``ValueError`` when ``source`` is not in
-    ``range(n_vertices)``, ``adjacency`` does not have ``n_vertices``
-    rows, or ``max_hops`` is negative.
+    changes nothing.  Raises ``ValueError`` when ``source`` is not an
+    ``int`` in ``range(n_vertices)``, ``adjacency`` does not have
+    ``n_vertices`` rows, or ``max_hops`` is not an ``int`` >= 0.
     """
-    _check_graph_and_source(n_vertices, adjacency, source)
-    if max_hops < 0:
-        raise ValueError(f"max_hops must be >= 0, got {max_hops!r}")
+    _check_graph_and_source(n_vertices, adjacency, source, max_hops)
     dist = [float("inf")] * n_vertices
     dist[source] = 0.0
     dropped_in = [0] * n_vertices  # the last round in which each value dropped

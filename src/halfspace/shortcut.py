@@ -80,10 +80,17 @@ def forest_height(parent: dict[int, int | None]) -> int:
     return max(_preorder(parent)[1].values(), default=0)
 
 
+def check_hop_budget(k: int) -> None:
+    """Raise ``ValueError`` unless ``k`` is an ``int`` (not a ``bool``)
+    of at least 1."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"hop budget must be an integer of at least 1, got {k!r}")
+
+
 def shortcut_forest(parent: dict[int, int | None], k: int) -> ShortcutSet:
-    """Extra edges so every ancestor is reachable within ``k`` hops."""
-    if k < 1:
-        raise ValueError(f"hop budget must be at least 1, got {k}")
+    """Extra edges so every ancestor is reachable within ``k`` hops;
+    ``k`` is an ``int`` of at least 1 (else ``ValueError``)."""
+    check_hop_budget(k)
     order, depth = _preorder(parent)
 
     extras: set[tuple[int, int]] = set()

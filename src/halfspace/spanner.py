@@ -21,14 +21,28 @@ the pruned boundary descent the AVD's representatives use as well
 (:func:`~halfspace.quadtree.compressed_on_boundary`).  The enumeration
 is deliberately conservative; extra bridges only add Steiner vertices.
 
+In the hyperbolic plane (D = 2) a box has one coordinate ``k``, its
+neighbor boxes are ``k - 1`` and ``k + 1``, and the pass runs on
+integers, picked by the tree's coordinate count as point location and
+:func:`~halfspace.metrics.d2_argmin` pick their scalar steps: the
+neighbor checks compare child coordinates with no neighbor list and no
+cell, a gap bridge's apexes come from the scalar climb of
+``d2_argmin`` (one lift shift, one bit length, at most one fix-up
+shift), which starts where :func:`~halfspace.metrics.d2_path`'s climb
+starts and so stops at the same apexes, and a bridge stays an integer
+key ``(level, lo, hi)`` until the two cells of each kept bridge are
+built.  D >= 3 keeps the coordinate loop.
+
 Bridges and vertical edges are each unique and never share a pair, so
 :func:`build_spanner` collects them in one list and sorts it once.  The
 hyperbolic spanner (:func:`build_hyperbolic_spanner`) keeps the d1
 spanner's vertices, ids and cell map, moves each vertex to its cell
-center and appends the inputs; its edges are one set of ``(u, v)``
-pairs (the d1 edges, the shortcut extras, each input's edge to its
-cell's vertex), sorted once and weighed by one
-:func:`~halfspace.hyperbolic.hyperbolic_distance` per pair.
+center and appends the inputs; its edges are one set of pairs (the d1
+edges, the shortcut extras, each input's edge to its cell's vertex),
+each ``u < v`` held as the integer ``u * n + v`` over ``n`` vertices,
+which orders as the ``(u, v)`` tuple does; the set is sorted once and
+weighed by one :func:`~halfspace.hyperbolic.hyperbolic_distance` per
+pair.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_e
 from .metrics import d2_path, lambda_
 from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder_key
 from .quadtree import box_adjacent  # noqa: F401  (bench/tracer.py wraps spanner.box_adjacent)
-from .shortcut import forest_height, shortcut_forest
+from .shortcut import check_hop_budget, forest_height, shortcut_forest
 from .tiling import CellId, HPoint, center, horizontal_neighbors, is_ancestor_or_self
 
 INPUT = "input"
@@ -195,7 +209,17 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     found from both sides and kept once under its :func:`bridge_key`;
     the bridges come out sorted by that key, which is ``(left, right)``
     order.
+
+    With one coordinate (D = 2, read off the tree) the pass runs on
+    integers (:func:`_one_axis_bridges`): the neighbor boxes of box
+    ``k`` are ``k - 1`` and ``k + 1``, the two entries of ``rows[0]``,
+    and a gap bridge's apexes come from the scalar climb of
+    :func:`~halfspace.metrics.d2_argmin` instead of a
+    :func:`~halfspace.metrics.d2_path`.  Cells are built for the kept
+    bridges only.  D >= 3 keeps the loop.
     """
+    if tree.dim == 2:
+        return _one_axis_bridges(tree)
     found: dict[tuple, tuple[CellId, CellId]] = {}  # bridge_key -> the two cells
     for node, rows in tree.neighbor_rows():
         if node.count == 0:
@@ -220,6 +244,96 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
             found.setdefault(bridge_key(path.apex_p, path.apex_q), (path.apex_p, path.apex_q))
     # Bridge.of checks each bridge once, in (left, right) order
     return [Bridge.of(*found[key]) for key in sorted(found)]
+
+
+def _one_axis_children(top: QuadNode, lev: int) -> list[int]:
+    """:func:`_occupied_children` with one coordinate: the coordinates,
+    at ``lev - 1``, of the occupied child boxes of the box at ``lev``
+    whose topmost node is ``top``."""
+    cell = top.cell
+    if cell.level != lev:
+        return [cell.coords[0] >> (lev - 1 - cell.level)]
+    return [ch.cell.coords[0] >> (lev - 1 - ch.cell.level) for ch in top.children if ch.count]
+
+
+def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
+    """:func:`enumerate_bridges` on a tree with one coordinate (D = 2).
+
+    A bridge is the integer key ``(level, lo, hi)`` until the end.  Box
+    ``k`` at level ``lev`` has the neighbor boxes ``k - 1`` and
+    ``k + 1``, the two entries of ``rows[0]`` in
+    :func:`~halfspace.tiling.horizontal_neighbors` order, so a check
+    builds no neighbor list.  :func:`bridge_candidate` turns scalar: a
+    stored node proves every bridge to an occupied neighbor outright;
+    otherwise a pair of occupied children, one per side, proves it when
+    their coordinates one level down differ by 2 or more.  The
+    children of box ``k`` lie in ``2k`` and ``2k + 1``, left of those of
+    box ``k + 1``, so the farthest pair decides.
+
+    A gap bridge is the bridge of the d2-path between the two gap
+    bottoms, found by the climb :func:`~halfspace.metrics.d2_argmin`
+    runs at D = 2: lift the lower bottom with one shift, start at
+    ``t`` = bit length of ``|a - b| // 2`` and shift once more if the
+    ancestors there are still 2 or more apart.  That is
+    :func:`~halfspace.metrics._climb` with threshold 1 on one
+    coordinate, whose start ``(delta // 2).bit_length()`` is the same
+    number, so the apexes ``a >> t`` and ``b >> t`` at level ``L + t``
+    are those of :func:`~halfspace.metrics.d2_path`.
+
+    The keys sort as :func:`bridge_key` does, and only the kept bridges
+    get their two cells and their :meth:`Bridge.of` check.
+    """
+    found: set[tuple[int, int, int]] = set()
+    add = found.add
+    for node, rows in tree.neighbor_rows():
+        if not node.count:
+            continue
+        lev = node.cell.level
+        (k,) = node.cell.coords
+        left, right = rows[0]
+        if left is not None and not left.count:
+            left = None
+        if right is not None and not right.count:
+            right = None
+        if node.stored_index is not None:
+            if left is not None:
+                add((lev, k - 1, k))
+            if right is not None:
+                add((lev, k, k + 1))
+        elif left is not None or right is not None:
+            mine = _one_axis_children(node, lev)
+            if left is not None:
+                theirs = _one_axis_children(left, lev)
+                if theirs and max(mine) - min(theirs) >= 2:
+                    add((lev, k - 1, k))
+            if right is not None:
+                theirs = _one_axis_children(right, lev)
+                if theirs and max(theirs) - min(mine) >= 2:
+                    add((lev, k, k + 1))
+        if node.kind != COMPRESSED:
+            continue
+        partners: list[QuadNode] = []
+        for top2 in rows[0]:
+            if top2 is not None:
+                compressed_on_boundary(top2, node.cell, partners)
+        if not partners:
+            continue
+        bottom = node.children[0].cell
+        lp, (kp,) = bottom.level, bottom.coords
+        for nu2 in partners:
+            other = nu2.children[0].cell
+            lq, (kq,) = other.level, other.coords
+            if lq > lp:
+                level, a, b = lq, kp >> (lq - lp), kq
+            else:
+                level, a, b = lp, kp, kq >> (lp - lq)
+            t = (abs(a - b) >> 1).bit_length()
+            a, b = a >> t, b >> t
+            if abs(a - b) > 1:
+                a, b, t = a >> 1, b >> 1, t + 1
+            add((level + t, a, b) if a < b else (level + t, b, a))
+    # Bridge.of checks each bridge once, in (left, right) order
+    return [Bridge.of(CellId(lev, (lo,)), CellId(lev, (hi,))) for lev, lo, hi in sorted(found)]
 
 
 def build_spanner(points: list[CellId]) -> SpannerGraph:
@@ -347,8 +461,7 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
     normalized ones; the normalization is an isometry, so pairwise
     distances of the inputs are unchanged.
     """
-    if k < 1:
-        raise ValueError(f"hop budget must be at least 1, got {k}")
+    check_hop_budget(k)
     if not points:
         raise ValueError("cannot build a spanner over an empty point set")
     _, moved, cells = normalize_and_embed(points)
@@ -369,10 +482,20 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
     # the d1 spanner's edges are its bridges and the forest's parent
     # edges: each vertex has one upward edge, to its nearest ancestor
     # vertex.  Add the shortcut extras and each input's edge to the
-    # vertex of its cell, then weigh every pair once, in sorted order
-    pairs = {(u, v) for u, v, _w in base.edges}
-    pairs.update((u, w) if u < w else (w, u) for u, w in cuts.extra_edges)
-    pairs.update((base.vertex_of_cell[c], m + i) for i, c in enumerate(cells))
+    # vertex of its cell, then weigh every pair once, in sorted order.
+    # A pair u < v is the integer u * n + v: with v < n these order as
+    # the (u, v) tuples do
+    n = len(vertices)
+    pairs = {u * n + v for u, v, _w in base.edges}
+    pairs.update(u * n + w if u < w else w * n + u for u, w in cuts.extra_edges)
+    vid = base.vertex_of_cell
+    pairs.update(vid[c] * n + m + i for i, c in enumerate(cells))
     at = [v.point for v in vertices]
-    edges = [(u, v, hyperbolic_distance(at[u], at[v])) for u, v in sorted(pairs)]
-    return SpannerGraph("hyperbolic", vertices, edges, base.vertex_of_cell)
+    # the edges hold each vertex's own id object, not a new int per end:
+    # a smaller graph, and a query touches fewer objects
+    ids = [v.id for v in vertices]
+    edges = []
+    for pair in sorted(pairs):
+        u, v = divmod(pair, n)
+        edges.append((ids[u], ids[v], hyperbolic_distance(at[u], at[v])))
+    return SpannerGraph("hyperbolic", vertices, edges, vid)

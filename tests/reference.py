@@ -2,9 +2,10 @@
 
 Level-by-level climbs and descents, one cell per level, for ``d1``,
 the d2-path, ``meet``, point location and the spanner's vertical edges
-(``*_climb``); the point location and the d2 argmin that loop over the
-coordinates at every dimension, which the one-axis steps for D = 2
-must match (``smallest_containing_general``, ``d2_argmin_general``);
+(``*_climb``); the point location, the d2 argmin and the bridge pass
+that loop over the coordinates at every dimension, which the one-axis
+steps for D = 2 must match (``smallest_containing_general``,
+``d2_argmin_general``, ``enumerate_bridges_general``);
 the Z-order key by string formatting (``zorder_key_format``); all-pairs and root-lookup scans for the AVD
 annotation, the representatives (with their region predicates
 ``adjacent_to_region`` and ``touches_boundary``) and the spanner
@@ -471,6 +472,54 @@ def bridges_scan(tree) -> list:
             if path.has_bridge and est >= min(w1.level, w2.level) - 1:
                 bridges.add(Bridge.of(path.apex_p, path.apex_q))
     return sorted(bridges, key=lambda b: (b.left, b.right))
+
+
+def enumerate_bridges_general(tree) -> list:
+    """:func:`halfspace.spanner.enumerate_bridges` with the coordinate
+    loop at every dimension: a neighbor list and a
+    :func:`~halfspace.spanner.bridge_candidate` per node, a
+    :func:`~halfspace.metrics.d2_path` per gap partner, and cells for
+    every candidate.
+
+    Reference for the one-axis pass the library takes at D = 2.  Its
+    names are looked up in :mod:`halfspace.spanner` when it runs, so a
+    patch there reaches it.
+    """
+    from halfspace.spanner import (
+        COMPRESSED,
+        Bridge,
+        QuadNode,
+        bridge_candidate,
+        bridge_key,
+        compressed_on_boundary,
+        d2_path,
+        horizontal_neighbors,
+    )
+
+    found: dict[tuple, tuple[CellId, CellId]] = {}  # bridge_key -> the two cells
+    for node, rows in tree.neighbor_rows():
+        if node.count == 0:
+            continue
+        r, row = node.cell, rows[0]
+        if any(top2 is not None and top2.count for top2 in row):
+            for r2, top2 in zip(horizontal_neighbors(r), row):
+                if top2 is not None and top2.count and bridge_candidate(r, node, r2, top2):
+                    found.setdefault(bridge_key(r, r2), (r, r2))
+        if node.kind != COMPRESSED:
+            continue
+        # bridges with neither endpoint stored: both endpoints span
+        # compressed gaps; the witness d2-path between the gap bottoms
+        # finds the bridge.  Adjacent boxes have disjoint interiors, so
+        # the gap bottoms are never nested and the path has a bridge.
+        partners: list[QuadNode] = []
+        for top2 in row:
+            if top2 is not None:
+                compressed_on_boundary(top2, r, partners)
+        for nu2 in partners:
+            path = d2_path(node.children[0].cell, nu2.children[0].cell)
+            found.setdefault(bridge_key(path.apex_p, path.apex_q), (path.apex_p, path.apex_q))
+    # Bridge.of checks each bridge once, in (left, right) order
+    return [Bridge.of(*found[key]) for key in sorted(found)]
 
 
 def vertical_edges_climb(graph) -> set[tuple[int, int, float]]:

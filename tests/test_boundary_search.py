@@ -1,12 +1,15 @@
-"""The pruned boundary descent, the neighbor pass and the carried
-representative pass against the reference scans."""
+"""The pruned boundary descent, the neighbor pass, the carried
+representative pass and the bridge pass (with its one-axis branch for
+D = 2) against the reference scans and loops."""
 
 import random
+from collections import Counter
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from halfspace import avd, quadtree
+from halfspace import avd, quadtree, spanner
 from halfspace.avd import annotate, refine, select_representatives
 from halfspace.quadtree import (
     COMPRESSED,
@@ -20,17 +23,20 @@ from halfspace.quadtree import (
 from halfspace.hyperbolic import normalize_and_embed
 from halfspace.sampling import STRATIFIED, sample_continuous, sample_margin_cells
 from halfspace.spanner import enumerate_bridges
-from halfspace.tiling import CellId, ancestor_at, horizontal_neighbors
+from halfspace.tiling import CellId, HPoint, ancestor_at, horizontal_neighbors
 
 from conftest import random_cell_in_root
 from reference import (
     annotate_scan,
     bridges_scan,
     compressed_on_boundary_from_root,
+    enumerate_bridges_general,
     representatives_scan,
     select_representatives_descent,
     touches_boundary,
 )
+from test_closed_form import MIN_LEVEL, CellBuilds
+from test_float_range import coords, heights
 
 DEPTH = 34  # resolution of the drawn x-coordinates, in levels below the root
 
@@ -339,3 +345,98 @@ def test_reference_scans_on_sampled_sets():
     for dim in (2, 3, 4):
         cells = [random_cell_in_root(rng, dim, min_level=-10) for _ in range(60)]
         _check_bridges(cells)
+
+
+# -- the one-axis bridge pass (D = 2) ------------------------------------------
+
+
+@st.composite
+def one_axis_sets(draw):
+    """D = 2 cell sets for the one-axis bridge pass.
+
+    Kinds: continuous points over the whole float range, embedded (cell
+    levels down to -1074, as in ``test_float_range.py``); clusters of
+    boxes around a few points at depths down to 1,074 levels, each box
+    an ancestor of its point or up to two boxes beside it, often near
+    the bottom of the cluster or beside x = 1/2, with repeated cells;
+    and the stacked lines of :func:`stacked_sets`.
+    """
+    kind = draw(st.sampled_from(["float_range", "clustered", "stacked"]))
+    if kind == "float_range":
+        points = draw(st.lists(st.builds(HPoint, st.tuples(coords), heights), min_size=1, max_size=12))
+        try:
+            return normalize_and_embed(points)[2]
+        except ValueError:
+            assume(False)
+    if kind == "stacked":
+        return draw(stacked_sets(2, margin=False))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        depth = draw(st.integers(1, -MIN_LEVEL))
+        half = 1 << (depth - 1)
+        x = draw(st.one_of(st.integers(0, (1 << depth) - 1), st.sampled_from([half - 1, half])))
+        for _ in range(draw(st.integers(1, 8))):
+            lev = draw(st.one_of(st.integers(1, depth), st.integers(max(1, depth - 6), depth)))
+            k = (x >> (depth - lev)) + draw(st.integers(-2, 2))
+            if 0 <= k < 1 << lev:
+                cells.append(CellId(-lev, (k,)))
+    assume(cells)
+    cells += draw(st.lists(st.sampled_from(cells), max_size=4))
+    return cells
+
+
+def _check_one_axis(cells):
+    """The one-axis pass against the coordinate loop, and on small trees
+    against the all-pairs scan."""
+    tree = build_quadtree(cells)
+    bridges = enumerate_bridges(tree)
+    assert bridges == enumerate_bridges_general(tree)
+    if len(tree) <= 120:
+        assert bridges == bridges_scan(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_axis_sets())
+@example([CellId(-2, (1,)), CellId(-3, (4,))])  # a stored box beside a lower node
+@example([CellId(-5, (27,)), CellId(-5, (12,))])  # a gap bridge after the fix-up shift
+@example([CellId(-4, (10,)), CellId(-4, (6,)), CellId(-3, (1,))])  # children exactly 2 apart
+@example([CellId(-2, (1,)), CellId(-5, (2,))])  # a stored box with a child
+def test_one_axis_bridges_match_general_loop(cells):
+    _check_one_axis(cells)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_one_axis_bridges_match_general_loop_on_deep_chain(g):
+    """1,000 boxes around x = 3/10, one every ``g`` levels."""
+    _check_one_axis([CellId(-lev, ((3 << lev) // 10,)) for lev in range(2, g * 1000 + 2, g)])
+
+
+def test_one_axis_bridges_match_general_loop_on_two_chains():
+    """Two chains of 250 boxes each meeting at x = 1/2: every box of one
+    touches every box of the other."""
+    cells = [c for lev in range(3, 503, 2) for c in (CellId(-lev, ((1 << (lev - 1)) - 1,)), CellId(-lev - 1, (1 << lev,)))]
+    _check_one_axis(cells)
+    assert len(enumerate_bridges(build_quadtree(cells))) == 499
+
+
+def test_one_axis_bridges_build_two_cells_per_bridge(monkeypatch):
+    """Cost guard: at D = 2 the pass builds the two cells of each kept
+    bridge and nothing else, and makes no d2-path and no neighbor list."""
+    points = sample_continuous(random.Random(3), 2, 120, STRATIFIED, min_level=-40)
+    tree = build_quadtree(normalize_and_embed(points)[2])
+    calls = Counter()
+    for name in ("d2_path", "horizontal_neighbors"):
+
+        def counted(*args, _name=name, _fn=getattr(spanner, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(spanner, name, counted)
+    builds = CellBuilds(monkeypatch)
+    bridges = enumerate_bridges(tree)
+    assert builds.n == 2 * len(bridges) > 0
+    assert not calls
+    # the reference loop reads both names from the spanner module, so
+    # both patches are live
+    assert builds.during(enumerate_bridges_general, tree) > 2 * len(bridges)
+    assert calls["d2_path"] > 0 and calls["horizontal_neighbors"] > 0

@@ -127,6 +127,41 @@ def test_hop_bounded_distances_max_hops_minus_1():
     assert hop_bounded_distances(2, adj, 0, 0) == [0.0, math.inf]
 
 
+def test_dijkstra_source_1_0():
+    # raised TypeError from indexing
+    adj = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+    with pytest.raises(ValueError, match="source 1.0"):
+        dijkstra(3, adj, 1.0)
+
+
+def test_dijkstra_source_true():
+    # read as vertex 1
+    adj = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+    with pytest.raises(ValueError, match="source True"):
+        dijkstra(3, adj, True)
+
+
+def test_hop_bounded_distances_source_true():
+    # read as vertex 1
+    adj = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+    with pytest.raises(ValueError, match="source True"):
+        hop_bounded_distances(3, adj, True, 2)
+
+
+def test_hop_bounded_distances_max_hops_2_5():
+    # raised TypeError from range
+    adj = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+    with pytest.raises(ValueError, match="max_hops .*2.5"):
+        hop_bounded_distances(3, adj, 0, 2.5)
+
+
+def test_hop_bounded_distances_max_hops_true():
+    # acted as one hop
+    adj = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+    with pytest.raises(ValueError, match="max_hops .*True"):
+        hop_bounded_distances(3, adj, 0, True)
+
+
 def test_oracles_reject_adjacency_of_other_length():
     adj = [[(1, 1.0)], [(0, 1.0)]]
     for n in (1, 3):

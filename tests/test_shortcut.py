@@ -77,6 +77,25 @@ def test_rejects_bad_input():
         shortcut_forest({0: 7}, 2)  # unknown parent
 
 
+def test_shortcut_forest_k_nan():
+    # every comparison with nan is false, so it passed the k >= 1 check
+    # and returned the extras ((2, 0), (4, 2)) for a 5-vertex path
+    with pytest.raises(ValueError, match="nan"):
+        shortcut_forest(path_parent(5), float("nan"))
+
+
+def test_shortcut_forest_k_2_5():
+    # acted as k = 2
+    with pytest.raises(ValueError, match="2.5"):
+        shortcut_forest(path_parent(5), 2.5)
+
+
+def test_shortcut_forest_k_true():
+    # acted as k = 1
+    with pytest.raises(ValueError, match="True"):
+        shortcut_forest(path_parent(5), True)
+
+
 def test_k1_path_is_full_closure():
     n = 20
     cuts = check_hop_bound(path_parent(n), 1)

@@ -254,6 +254,23 @@ def test_hyperbolic_spanner_rejects_bad_k():
         build_hyperbolic_spanner([HPoint((0.0,), 1.0)], k=0)
 
 
+def test_build_hyperbolic_spanner_k_nan():
+    # nan passed the k >= 1 check and built a spanner
+    with pytest.raises(ValueError, match="nan"):
+        build_hyperbolic_spanner([HPoint((0.1,), 1.0), HPoint((0.2,), 0.01)], float("nan"))
+
+
+def test_build_hyperbolic_spanner_k_2_5():
+    with pytest.raises(ValueError, match="2.5"):
+        build_hyperbolic_spanner([HPoint((0.1,), 1.0), HPoint((0.2,), 0.01)], 2.5)
+
+
+def test_build_hyperbolic_spanner_k_true():
+    # acted as k = 1
+    with pytest.raises(ValueError, match="True"):
+        build_hyperbolic_spanner([HPoint((0.1,), 1.0), HPoint((0.2,), 0.01)], True)
+
+
 def test_hyperbolic_spanner_heights_1_and_1e_200():
     # the product of the two lowest heights underflowed to 0 in the
     # distance formula, which then divided by zero
