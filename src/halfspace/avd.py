@@ -8,10 +8,11 @@ annotate the refined tree bottom-up with the highest input per subtree
 and top-down with the nearest input to every box center.  The top-down
 pass reads the nodes under each box's horizontal neighbors from
 :meth:`QuadTree.neighbor_rows`, which derives them from the parent
-level's neighbors in O(3^(D-1)) per level instead of locating each
-neighbor from the root and computes no row below an empty row of a
-compressed gap, so annotation is linear in the refined tree's nodes
-plus their non-empty compressed-gap levels.  Each node's
+level's neighbors instead of locating each neighbor from the root, one
+block of 4^(D-1) - 2^(D-1) boxes per ordinary node and per non-empty
+compressed-gap level, and computes no row below an empty row of a gap,
+so annotation is linear in the refined tree's nodes plus their
+non-empty compressed-gap levels.  Each node's
 region is: the box center alone (ordinary), everything on or below the
 box (leaf), or everything on or below the outer box but not the inner
 one (compressed).  Representatives are the node's nearest input plus,

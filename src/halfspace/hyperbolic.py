@@ -232,8 +232,11 @@ def distortion_report(points: Sequence[HPoint], samples: int, seed: int = 0) -> 
     """Sample point pairs and compare ln(2)*d1/d2 of their cells to d_H.
 
     Violations count samples falling outside the closed-form windows;
-    a correct embedding reports zero.
+    a correct embedding reports zero.  ``samples`` must be an ``int`` of
+    at least 1 (not a ``bool``); anything else raises ``ValueError``.
     """
+    if type(samples) is not int or samples < 1:
+        raise ValueError(f"samples {samples!r} is no int >= 1")
     if len(points) < 2:
         raise ValueError("need at least two points")
     dim = points[0].dim

@@ -224,13 +224,6 @@ def d2_argmin(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> i
     return best_i
 
 
-def bridge_level(p: CellId, q: CellId) -> int:
-    """Level of the bridge of the d2-path, with the convention that an
-    ancestor/descendant (or equal) pair reports the upper cell's level."""
-    level, a, b = lift_pair(p, q)
-    return level + _climb(a, b, 1)[0]
-
-
 def bridge_level_estimate(p: CellId, q: CellId) -> int:
     """floor(log2 of the L-infinity distance between the two centers).
 

@@ -30,9 +30,9 @@ One preorder pass (:meth:`QuadTree.neighbor_rows`) hands each node
 the topmost nodes under its horizontal neighbor boxes and those of its
 compressed gap, each row from the row above; below the first empty row
 of a gap the rows are shared and never computed, so the pass costs the
-nodes plus the non-empty gap levels.  With D >= 3 the children of an
-ordinary node share one block of neighbor boxes, filled once and
-sliced per child.
+nodes plus the non-empty gap levels.  At every dimension each row is
+one slice of a block of neighbor boxes, filled once per ordinary node
+for all its children and once per non-empty gap level.
 
 Point location (:meth:`QuadTree.smallest_containing`) descends from
 the root reading the child's slot off coordinate bits.  With one
@@ -205,45 +205,23 @@ def zorder_key(low: int, axes: int):
 
 
 @functools.cache
-def _neighbor_plan(axes: int) -> tuple[tuple, tuple]:
-    """The horizontal-neighbor offsets, in
-    :func:`~halfspace.tiling.horizontal_neighbors` order, and per
-    parity pattern of a box's coordinates (first axis most significant)
-    one ``(offset, up position, child slot)`` per neighbor: the position
-    of the neighbor's parent box among the parent's neighbors (-1 for
-    the parent itself) and the neighbor's slot among that box's
-    :func:`children`.  :meth:`QuadTree.neighbor_rows` reads it."""
-    offsets = neighbor_offsets(axes)
-    position = {o: i for i, o in enumerate(offsets)}
-    plan = []
-    for bits in itertools.product((0, 1), repeat=axes):
-        entry = []
-        for off in offsets:
-            up = tuple([(b + o) >> 1 for b, o in zip(bits, off)])
-            slot = 0
-            for b, o in zip(bits, off):
-                slot = (slot << 1) | ((b + o) & 1)
-            entry.append((off, position.get(up, -1), slot))
-        plan.append(tuple(entry))
-    return offsets, tuple(plan)
-
-
-@functools.cache
 def _block_plan(axes: int) -> tuple[tuple, tuple]:
-    """The neighbor block of an ordinary node's children, and per child
-    how to slice its row from the block, for
-    :meth:`QuadTree.neighbor_rows`.
+    """The neighbor block of a box's children, and per child how to
+    slice its row from the block, for :meth:`QuadTree.neighbor_rows`.
 
-    The children of a node at coordinates ``K`` lie at ``2K + b``, ``b``
+    The children of a box at coordinates ``K`` lie at ``2K + b``, ``b``
     in {0, 1}^axes.  The block lists, first axis most significant, one
     ``(v, up position, child slot)`` per ``v`` in {-1, 0, 1, 2}^axes
     outside {0, 1}^axes: the box ``2K + v`` has the parent box
-    ``K + floor(v / 2)``, a neighbor of the node at that position of
-    its row, and is that box's child ``v mod 2``.  The children follow
-    the block in :func:`children` order, so child ``b``'s neighbor at
-    offset ``off`` is entry ``b + off`` of the two together; per child
-    the plan holds an ``itemgetter`` taking its row in
-    :func:`~halfspace.tiling.horizontal_neighbors` order."""
+    ``K + floor(v / 2)``, a neighbor of the box at that position of its
+    row, and is that box's child ``v mod 2``.  The children follow the
+    block in :func:`children` order, so child ``b``'s neighbor at offset
+    ``off`` is entry ``b + off`` of the two together; per child the plan
+    holds an ``itemgetter`` taking its row in
+    :func:`~halfspace.tiling.horizontal_neighbors` order.  The box is an
+    ordinary node, whose children are nodes, or a box of a compressed
+    gap, the node at its top or a gap box, whose only node below is the
+    gap's child."""
     offsets = neighbor_offsets(axes)
     position = {o: i for i, o in enumerate(offsets)}
     block, where = [], {}
@@ -403,36 +381,31 @@ class QuadTree:
         a list or a tuple; rows are read-only and may be shared.
 
         Neighbor finding as in Samet (1982): each row comes from the
-        row one level up.  The parent box ``up`` of a neighbor box
-        ``nb`` is either the box one level up or one of its neighbors,
-        so the row above, with the box one level up as its center,
-        gives ``t``, the topmost node on or below ``up``.  If ``t`` is
-        ``up`` itself, ``nb`` is ``t``'s child when ``t`` is ordinary,
-        ``t``'s compressed child if that lies in ``nb``, and empty under
-        a leaf; if ``t`` lies lower, ``nb`` holds ``t`` or nothing.
+        row one level up.  The children of a box ``P`` share their
+        neighbor boxes: together they have 4^(D-1) - 2^(D-1) boxes
+        outside ``P``, the block, against 2^(D-1) (3^(D-1) - 1) row
+        entries.  The parent box ``up`` of a block box ``nb`` is a
+        neighbor of ``P``, so ``P``'s row gives ``t``, the topmost node
+        on or below ``up``.  If ``t`` is ``up`` itself, ``nb`` is
+        ``t``'s child when ``t`` is ordinary, ``t``'s compressed child if
+        that lies in ``nb``, and empty under a leaf; if ``t`` lies lower,
+        ``nb`` holds ``t`` or nothing.  Which row entry holds ``up`` and
+        which child slot of ``up`` is ``nb`` depend only on ``nb``'s
+        place in the block, so a plan made once per dimension
+        (:func:`_block_plan`) lists them, and slices each child's row
+        from the block and ``P``'s children.  Only a compressed child or
+        a lower node is checked against ``nb``'s coordinates; the pass
+        builds and hashes no cell.
 
-        Which row entry holds ``up`` and which child slot of ``up`` is
-        ``nb`` depend only on the offset and on the parities of the
-        box's coordinates.  So a plan, made once per dimension, lists per
-        parity pattern ``(offset, up position, child slot)`` for every
-        neighbor: a step reads the pattern with one shift-or per
-        coordinate and an ordinary ``t``'s child as ``t.children[slot]``.
-        Only a compressed child or a lower node is checked against
-        ``nb``'s coordinates, the one case that builds them.  A row
-        costs O(3^(D-1)) and builds or hashes no cell.
-
-        The children of an ordinary node all lie one level down and
-        share their neighbor boxes: together they have 4^(D-1) -
-        2^(D-1) boxes outside the node, against 2^(D-1) (3^(D-1) - 1)
-        row entries.  With D >= 3 the pass fills that block once per
-        ordinary node, by the same rule, and slices each child's row
-        from the block and the siblings with a second plan made once
-        per dimension (:func:`_block_plan`): at D = 3 it looks up 12
-        boxes instead of 32 entries, at D = 5 240 instead of 1,280.  At
-        D = 2 the block saves only 2 of the children's 4 lookups, and
-        filling and slicing it cost more than that (a D = 2 tree's pass
-        measured slower with it), so D = 2 steps every row; the
-        coordinate count picks the path.  Gap rows always step.
+        Every row is sliced from a block.  An ordinary node fills one
+        block for all its children: at D = 2 it looks up 2 boxes instead
+        of 4 entries, at D = 3 12 instead of 32, at D = 5 240 instead of
+        1,280.  Each level of a compressed gap fills one block around
+        the box one level up, anchored at that box's first child (the
+        gap box's coordinates with the last bit cleared), whose other
+        children hold no node: the gap's only node is its child, inside
+        the gap box itself.  So a gap level costs 4^(D-1) - 2^(D-1)
+        lookups.
 
         Inside a compressed gap, once a row is all None, so is every
         row below it.  The only node under a gap box is the gap's child,
@@ -440,20 +413,20 @@ class QuadTree:
         box; every other neighbor box's parent is a neighbor box of the
         row above, which holds no node.  So the rows below the first
         empty one are never computed: the rest of the gap shares that
-        one list.  The pass costs the nodes plus the non-empty levels
+        one row.  The pass costs the nodes plus the non-empty levels
         of their gaps; nothing descends from the root.
         """
         axes = self.dim - 1
-        offsets, plan = _neighbor_plan(axes)
-        block, slices = _block_plan(axes) if axes > 1 else ((), None)
+        block, slices = _block_plan(axes)
+        empty = [None] * (1 << axes)  # the children of a gap's box one level up
 
-        def find(row, center, coords, lev, entries):
-            # the topmost node under each box coords + off at level lev,
-            # for every (off, up position, child slot) of entries
+        def find(row, first, lev):
+            # the block around the children of a box with the given row,
+            # its first child at coordinates first on level lev
             out = []
             append = out.append
-            for off, u, slot in entries:
-                t = row[u] if u >= 0 else center
+            for v, u, slot in block:
+                t = row[u]
                 if t is not None:
                     if t.cell.level > lev:  # t is the parent box of nb
                         if t.kind == ORDINARY:
@@ -462,37 +435,39 @@ class QuadTree:
                         t = t.children[0] if t.kind == COMPRESSED else None
                     if t is not None:
                         s = lev - t.cell.level
-                        if tuple([k >> s for k in t.cell.coords]) != tuple(map(add, coords, off)):
+                        if tuple([k >> s for k in t.cell.coords]) != tuple(map(add, first, v)):
                             t = None  # t lies in another child of the parent box
                 append(t)
             return out
 
-        stack = [(self.root, [[None] * len(offsets)])]
+        stack = [(self.root, [[None] * (3**axes - 1)])]
         while stack:
             node, rows = stack.pop()
             yield node, rows
-            if slices is not None and node.kind == ORDINARY:
-                # the block beside the children, then the children
-                # themselves: each child's row is one slice of it
-                kids = node.children
-                src = find(rows[0], None, kids[0].cell.coords, node.cell.level - 1, block)
+            kids = node.children
+            if node.kind == ORDINARY:
+                # each child's row is one slice of the block and the children
+                src = find(rows[0], kids[0].cell.coords, node.cell.level - 1)
                 src += kids
                 for child, take in zip(reversed(kids), reversed(slices)):
                     stack.append((child, [take(src)]))
-                continue
-            for child in reversed(node.children):
-                # the box one level up is the node, then gap boxes whose
-                # topmost node is the child itself
-                row, center, below = rows[0], node, []
+            elif kids:
+                # one block per gap level, around the box one level up:
+                # the node, then gap boxes whose only node is the child
+                (child,) = kids
+                row, below = rows[0], []
                 level, coords = child.cell.level, child.cell.coords
                 for lev in range(node.cell.level - 1, level - 1, -1):
                     s = lev - level
-                    box = tuple([k >> s for k in coords]) if s else coords
                     p = 0
-                    for k in box:
+                    first = []
+                    for k in coords:
+                        k >>= s
                         p = (p << 1) | (k & 1)
-                    row = find(row, center, box, lev, plan[p])
-                    center = child
+                        first.append(k & -2)
+                    src = find(row, first, lev)
+                    src += empty
+                    row = slices[p](src)
                     below.append(row)
                     if not any(row):
                         below.extend([row] * (lev - level))  # the rest of the gap

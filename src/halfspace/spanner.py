@@ -344,20 +344,18 @@ def build_spanner(points: list[CellId]) -> SpannerGraph:
     bridges = enumerate_bridges(tree)
 
     graph = SpannerGraph(metric="d1-weighted")
-    seen: set[CellId] = set()
+    vid = graph.vertex_of_cell
     for i, c in enumerate(points):
-        if c not in seen:
-            seen.add(c)
+        if c not in vid:
             graph.add_vertex(INPUT, cell=c, input_index=i)
     steiner_cells = sorted(
-        {c for b in bridges for c in (b.left, b.right)} - seen, key=lambda c: (c.level, c.coords)
+        {c for b in bridges for c in (b.left, b.right)}.difference(vid), key=lambda c: (c.level, c.coords)
     )
     for c in steiner_cells:
         graph.add_vertex(STEINER, cell=c)
 
     # bridges (same level) and vertical edges (one per vertex, upward)
     # are each unique and never share a pair: one list, sorted once
-    vid = graph.vertex_of_cell
     edges: list[tuple[int, int, float]] = []
     for b in bridges:
         u, v = vid[b.left], vid[b.right]

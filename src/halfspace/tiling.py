@@ -26,17 +26,26 @@ class CellId:
     """A cell of the binary tiling: level plus D-1 integer coordinates.
 
     Coordinates are plain Python integers, so halving/doubling across
-    deep level ranges never overflows.
+    deep level ranges never overflows.  The level and every coordinate
+    must be an ``int``; anything else (``bool``, ``float``, ``str``)
+    raises ``ValueError`` naming the value.
     """
 
     level: int
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) < 1:
+        coords = self.coords
+        if not isinstance(coords, tuple):
+            coords = tuple(coords)
+            object.__setattr__(self, "coords", coords)
+        if not coords:
             raise ValueError("a cell needs at least one horizontal coordinate (D >= 2)")
+        if type(self.level) is not int:
+            raise ValueError(f"cell level {self.level!r} is no int")
+        for k in coords:
+            if type(k) is not int:
+                raise ValueError(f"cell coordinate {k!r} is no int")
 
     @property
     def dim(self) -> int:
@@ -51,23 +60,47 @@ class CellId:
 @dataclass(frozen=True)
 class HPoint:
     """A point of the halfspace: D-1 finite horizontal coordinates and a
-    finite height z > 0."""
+    finite height z > 0.
+
+    Each value must be an ``int`` or a ``float`` whose float value is
+    finite; anything else (``bool``, ``str``, an int past the float
+    range) raises ``ValueError`` naming the value.  Values are stored as
+    given, except that a non-tuple ``x`` becomes a tuple of floats."""
 
     x: tuple[float, ...]
     z: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.x, tuple):
-            object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        for v in self.x:
-            if not math.isfinite(v):
-                raise ValueError(f"x coordinates must be finite, got {self.x}")
-        if not 0 < self.z < math.inf:
-            raise ValueError(f"z must be positive and finite, got {self.z}")
+        x = self.x
+        if not isinstance(x, tuple):
+            x = tuple(x)
+        for v in x:
+            if not _finite_number(v):
+                raise ValueError(f"x coordinate {v!r} is no finite int or float")
+        if x is not self.x:
+            object.__setattr__(self, "x", tuple([float(v) for v in x]))
+        z = self.z
+        if not (_finite_number(z) and z > 0):
+            raise ValueError(f"z must be a positive finite int or float, got {z!r}")
 
     @property
     def dim(self) -> int:
         return len(self.x) + 1
+
+
+def _finite_number(v) -> bool:
+    """Is ``v`` an int or a float whose float value is finite?  Booleans,
+    strings and other types are not."""
+    t = type(v)
+    if t is float:
+        return math.isfinite(v)
+    if t is int:
+        try:
+            float(v)
+        except OverflowError:
+            return False
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -228,8 +261,8 @@ def lift_pair(p: CellId, q: CellId) -> tuple[int, tuple[int, ...], tuple[int, ..
 
 
 def contains_point(c: CellId, p: HPoint) -> bool:
-    """Half-open geometric membership test (used by the oracles), in
-    exact rational arithmetic so it holds at every level."""
+    """Half-open geometric membership test, in exact rational arithmetic
+    so it holds at every level; the tests check :func:`cell_of` with it."""
     if level_of_height(p.z) != c.level:
         return False
     w = Fraction(2) ** c.level

@@ -89,9 +89,9 @@ def _check_bridges(cells):
 def _check_neighbor_rows(tree):
     """Every entry is the topmost node under its box, by point location.
 
-    At D >= 3 the rows of an ordinary node's children are sliced from
-    one neighbor block, so this also checks the block against
-    :meth:`QuadTree.cell_query`."""
+    Every row is sliced from a neighbor block, one per ordinary node and
+    one per non-empty gap level, so this checks the blocks against
+    :meth:`QuadTree.cell_query`, which does not use the pass."""
     gaps = {id(tree.root): 1}
     nodes = []
     for node, rows in tree.neighbor_rows():
@@ -132,7 +132,7 @@ def test_annotate_matches_scan_d3(cells):
 
 
 def test_neighbor_rows_match_cell_query(rng):
-    # (dim, trees, most boxes, lowest level): the parity plan's bit order
+    # (dim, trees, most boxes, lowest level): the block plan's bit order
     # depends on the dimension, and the rows grow as 3^(D-1)
     for dim, trees, most, low in ((2, 30, 25, -12), (3, 30, 25, -12), (4, 12, 12, -9), (5, 8, 8, -8)):
         for _ in range(trees):
@@ -192,6 +192,56 @@ def test_neighbor_rows_and_bridges_on_chains_meeting_at_one_half():
     bridges = enumerate_bridges(tree)
     assert bridges == bridges_scan(tree)
     assert len(bridges) == 119
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda dim: st.lists(st.builds(HPoint, st.tuples(*[coords] * (dim - 1)), heights), min_size=1, max_size=6)))
+@example([HPoint((0.3,), 1.0), HPoint((0.3,), 5e-324), HPoint((0.3 + 1e-9,), 1e-300)])
+@example([HPoint((0.3, 0.7), 1.0), HPoint((0.3, 0.7), 5e-324), HPoint((0.31, 0.7), 1e-300)])
+def test_neighbor_rows_on_float_range_sets(points):
+    """Embedded sets over the whole float range, cell levels down to
+    -1074: gaps of up to a thousand levels, each level's row from a
+    block, on the base tree and the refined one."""
+    try:
+        cells = normalize_and_embed(points)[2]
+    except ValueError:
+        assume(False)
+    base = build_quadtree(cells)
+    _check_neighbor_rows(base)
+    _check_neighbor_rows(refine(base))
+
+
+def test_neighbor_rows_on_refined_d4_tree_with_deep_gaps():
+    """D = 4: margin samples, two 300-level-deep neighbors under a long
+    gap whose rows turn empty, and two chains on either side of x = 3/8
+    whose gap rows stay non-empty to the bottom."""
+    cells = sample_margin_cells(random.Random(19), 4, 12, min_level=-6)
+    deep = (3 << 300) // 10
+    cells += [CellId(-300, (deep, deep, deep)), CellId(-300, (deep + 1, deep, deep))]
+    for lev in range(6, 18, 2):
+        y = (3 << lev) // 10
+        cells += [CellId(-lev, ((3 << (lev - 3)) - 1, y, y)), CellId(-lev - 1, (3 << (lev - 2), 2 * y, 2 * y))]
+    base = build_quadtree(cells)
+    refined = refine(base)
+    distinct, total = _rows_computed(refined)
+    assert distinct < total  # some gap stops early
+    assert max(len(rows) for _, rows in refined.neighbor_rows()) > 250
+    _check_neighbor_rows(base)
+    _check_neighbor_rows(refined)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_neighbor_rows_build_no_cells(monkeypatch, dim):
+    """Cost guard: a full pass over a refined tree with deep gaps builds
+    no cell; the blocks read coordinates, not cells."""
+    cells = sample_margin_cells(random.Random(dim), dim, 24, min_level=-12)
+    deep = (3 << 200) // 10
+    cells.append(CellId(-200, (deep,) * (dim - 1)))
+    tree = refine(build_quadtree(cells))
+    builds = CellBuilds(monkeypatch)
+    assert builds.during(lambda: sum(1 for _ in tree.neighbor_rows())) == 0
+    # the patch is live: listing neighbor boxes builds cells
+    assert builds.during(lambda: horizontal_neighbors(tree.root.children[0].cell)) > 0
 
 
 def test_annotate_and_bridges_never_descend_from_root(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfspace.avd import AvdIndex, refine
-from halfspace.metrics import bridge_level, d1, d2, d2_path
+from halfspace.metrics import d1, d2, d2_path
 from halfspace.quadtree import ORDINARY, QuadTree, build_quadtree, meet
 from halfspace.sampling import sample_margin_cells
 from halfspace.tiling import CellId, ancestor_at, children, lift_pair
@@ -70,7 +70,6 @@ def test_metric_kernel_matches_climb(pair):
     path = d2_path_climb(p, q)
     assert d2_path(p, q) == path
     assert d2(p, q) == path.length
-    assert bridge_level(p, q) == path.bridge_level
     assert d1(p, q) == d1_climb(p, q)
 
 
@@ -233,7 +232,6 @@ def test_metric_kernel_builds_constant_cells_at_depth_1000(monkeypatch):
     assert builds.during(d1, p, q) == 0
     assert builds.during(d2, p, q) == 0
     assert builds.during(d2, p, up) == 0
-    assert builds.during(bridge_level, p, q) == 0
     assert builds.during(d2_path, p, q) <= 2
     assert builds.during(meet, p, q) <= 1
     # the references climb one level at a time, so the patch is live

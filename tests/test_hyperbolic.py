@@ -321,3 +321,30 @@ def test_distortion_report_random_sets(rng):
 def test_distortion_report_needs_two_points():
     with pytest.raises(ValueError):
         distortion_report([H(1.0, 0.0)], samples=10)
+
+
+# -- sample counts distortion_report cannot use: ValueError naming the value --
+
+
+def test_distortion_report_samples_0():
+    with pytest.raises(ValueError, match="samples 0 "):
+        distortion_report([H(1.0, 0.2), H(2.0, 0.5)], samples=0)
+
+
+def test_distortion_report_samples_minus_3():
+    with pytest.raises(ValueError, match="samples -3 "):
+        distortion_report([H(1.0, 0.2), H(2.0, 0.5)], samples=-3)
+
+
+def test_distortion_report_samples_2_5():
+    with pytest.raises(ValueError, match=r"samples 2\.5 "):
+        distortion_report([H(1.0, 0.2), H(2.0, 0.5)], samples=2.5)
+
+
+def test_distortion_report_samples_true():
+    with pytest.raises(ValueError, match="samples True "):
+        distortion_report([H(1.0, 0.2), H(2.0, 0.5)], samples=True)
+
+
+def test_distortion_report_samples_1():
+    assert distortion_report([H(1.0, 0.2), H(2.0, 0.5)], samples=1).samples == 1

@@ -237,6 +237,82 @@ def test_hpoint_rejects_nan_z():
         HPoint((0.3,), math.nan)
 
 
+# -- values CellId and HPoint cannot hold: ValueError naming the value ------
+
+
+def test_cellid_float_coordinate():
+    with pytest.raises(ValueError, match=r"coordinate 1\.0 "):
+        CellId(-2, (1.0,))
+
+
+def test_cellid_coordinate_1_5():
+    with pytest.raises(ValueError, match=r"coordinate 1\.5 "):
+        CellId(-2, (1.5,))
+
+
+def test_cellid_str_coordinate():
+    with pytest.raises(ValueError, match="coordinate '1' "):
+        CellId(-2, ("1",))
+
+
+def test_cellid_float_level():
+    with pytest.raises(ValueError, match=r"level -2\.0 "):
+        CellId(-2.0, (1,))
+
+
+def test_cellid_bool_coordinate():
+    with pytest.raises(ValueError, match="coordinate True "):
+        CellId(-1, (True,))
+
+
+def test_cellid_bool_level():
+    with pytest.raises(ValueError, match="level False "):
+        CellId(False, (0,))
+
+
+def test_cellid_int_coordinates_list():
+    c = CellId(-2, [1, 3])
+    assert c.coords == (1, 3) and type(c.coords) is tuple
+
+
+def test_hpoint_str_x():
+    with pytest.raises(ValueError, match="coordinate '0.3' "):
+        HPoint(("0.3",), 1.0)
+
+
+def test_hpoint_str_z():
+    with pytest.raises(ValueError, match="got '1'"):
+        HPoint((0.3,), "1")
+
+
+def test_hpoint_x_10_pow_400():
+    with pytest.raises(ValueError, match="1000000000"):
+        HPoint((10**400,), 1.0)
+
+
+def test_hpoint_z_10_pow_400():
+    with pytest.raises(ValueError, match="1000000000"):
+        HPoint((0.3,), 10**400)
+
+
+def test_hpoint_bool_z():
+    with pytest.raises(ValueError, match="got True"):
+        HPoint((0.3,), True)
+
+
+def test_hpoint_bool_x():
+    with pytest.raises(ValueError, match="coordinate False "):
+        HPoint((False,), 1.0)
+
+
+def test_hpoint_int_values_stored_as_given():
+    p = HPoint((3, -2), 2)
+    assert p.x == (3, -2) and type(p.x[0]) is int and type(p.z) is int
+    assert cell_of(p) == CellId(1, (1, -1))
+    big = HPoint((0.3,), 2**1023)
+    assert cell_of(big).level == 1023
+
+
 @settings(max_examples=40)
 @given(cells)
 def test_neighbors_differ_by_one_per_axis(c):
