@@ -45,11 +45,13 @@ root level, return the highest input point outright.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2_argmin
-from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, compressed_on_boundary, is_index, meets_boundary, shadow_within
+from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, compressed_on_boundary, is_index, json_fields, meets_boundary, shadow_within
 from .tiling import CellId, HPoint, floor_scaled, horizontal_neighbors, level_of_height
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
@@ -276,21 +278,31 @@ class AvdIndex:
         """Load an index written by :meth:`to_json`.
 
         Annotation k belongs to node k of the file, in whatever order
-        the file lists its nodes.  Raises ``ValueError`` unless there is
-        one annotation per node and every input index in it (``h``,
-        ``n2``, ``reps`` and ``highest_index``) lies in
-        ``range(len(points))``.  ``null`` marks a node the AVD passes did
-        not annotate; a query landing there raises ``ValueError``.  One
+        the file lists its nodes.  Raises ``ValueError``, naming the
+        entry, unless the file is a JSON object holding a tree
+        :meth:`QuadTree.from_dict` takes, one annotation object per
+        node, ``highest_index``, ``source_kind`` and ``transform``;
+        every input index (``h``, ``n2``, ``reps`` and
+        ``highest_index``) lies in ``range(len(points))``; and the
+        transform is null with source kind "discrete", or an object
+        whose scale and ``dim - 1`` shift values
+        :class:`NormalizeTransform` takes, with source kind
+        "continuous".  ``null`` marks a node the AVD passes did not
+        annotate; a query landing there raises ``ValueError``.  One
         pass, O(nodes + reps).
         """
         data = json.loads(text)
+        fields = itemgetter("annotations", "highest_index", "source_kind", "transform")
+        annotations, highest, source_kind, t = json_fields(data, fields, "index")
         tree, nodes = QuadTree.from_dict_with_nodes(data)
-        annotations = data["annotations"]
+        if type(annotations) is not list:
+            raise ValueError(f"annotations is no JSON array: {reprlib.repr(annotations)}")
         if len(annotations) != len(nodes):
             raise ValueError(f"index has {len(nodes)} nodes but {len(annotations)} annotations")
         n = len(tree.points)
+        fields = itemgetter("h", "n2", "reps")
         for k, (node, extra) in enumerate(zip(nodes, annotations)):
-            h, n2, reps = extra["h"], extra["n2"], extra["reps"]
+            h, n2, reps = json_fields(extra, fields, "annotation", k)
             if not (
                 (h is None or is_index(h, n))
                 and (n2 is None or is_index(n2, n))
@@ -298,11 +310,18 @@ class AvdIndex:
             ):
                 raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
             node.h_index, node.n2_index, node.reps = h, n2, reps
-        if not is_index(data["highest_index"], n):
-            raise ValueError(f"highest_index {data['highest_index']!r} is no input index in range({n})")
-        t = data["transform"]
-        transform = NormalizeTransform(t["scale"], tuple(t["shift"])) if t else None
-        return cls(tree, transform, data["highest_index"], data["source_kind"])
+        if not is_index(highest, n):
+            raise ValueError(f"highest_index {highest!r} is no input index in range({n})")
+        if t is None:
+            transform, kind = None, "discrete"
+        else:
+            scale, shift = json_fields(t, itemgetter("scale", "shift"), "transform")
+            if type(shift) is not list or len(shift) != tree.dim - 1:
+                raise ValueError(f"transform shift {shift!r} is no list of {tree.dim - 1} numbers")
+            transform, kind = NormalizeTransform(scale, tuple(shift)), "continuous"
+        if source_kind != kind:
+            raise ValueError(f"source_kind {source_kind!r} is not {kind!r}, as the transform implies")
+        return cls(tree, transform, highest, source_kind)
 
 
 def build_avd(points: list[HPoint] | list[CellId]) -> AvdIndex:

@@ -21,16 +21,12 @@ from .hyperbolic import normalize_and_embed
 from .layouts import SPANNER_DEMO_POINTS
 from .metrics import d2_path
 from .oracle import dijkstra
-from .pointfile import CONTINUOUS, DISCRETE, PointFileError, read_points, write_points
+from .pointfile import CONTINUOUS, DISCRETE, read_points, write_points
 from .quadtree import COMPRESSED, LEAF, build_quadtree
 from .sampling import STRATIFIED, UNIFORM, sample_cells, sample_continuous, sample_margin_cells
 from .spanner import build_embedding_graph, build_hyperbolic_spanner, build_spanner
 from .tiling import CellId, HPoint, center
 from .verification import run_verification
-
-
-class CliError(Exception):
-    pass
 
 
 def _dump(data: dict) -> str:
@@ -50,7 +46,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CliError(f"HALFSPACE_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"HALFSPACE_SEED must be an integer, got {raw!r}")
 
 
 # -- gen ---------------------------------------------------------------------
@@ -58,7 +54,7 @@ def _default_seed() -> int:
 
 def cmd_gen(args) -> int:
     if args.n < 1:
-        raise CliError("point count must be positive")
+        raise ValueError("point count must be positive")
     rng = random.Random(args.seed)
     if args.kind == CONTINUOUS:
         pts = sample_continuous(rng, args.dim, args.n, mode=args.mode, min_level=args.min_level)
@@ -83,9 +79,7 @@ def _load_points(path: str):
         with open(path) as fp:
             return read_points(fp)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
-    except PointFileError as exc:
-        raise CliError(str(exc))
+        raise ValueError(f"no such file: {path}") from None
 
 
 def _cells_from(kind: str, points) -> list[CellId]:
@@ -107,7 +101,7 @@ def cmd_build(args) -> int:
             _write_out(args.out, _dump(graph.to_dict()))
     elif args.what == "embedding":
         if kind != CONTINUOUS:
-            raise CliError("embedding graphs need a continuous point file")
+            raise ValueError("embedding graphs need a continuous point file")
         graph, mapping, transform = build_embedding_graph(points)
         data = graph.to_dict()
         data["input_vertex"] = [mapping[i] for i in range(len(points))]
@@ -115,15 +109,11 @@ def cmd_build(args) -> int:
         _write_out(args.out, _dump(data))
     elif args.what == "hyperbolic-spanner":
         if kind != CONTINUOUS:
-            raise CliError("hyperbolic spanners need a continuous point file")
+            raise ValueError("hyperbolic spanners need a continuous point file")
         graph = build_hyperbolic_spanner(points, args.k)
         _write_out(args.out, _dump(graph.to_dict()))
     else:  # avd
-        try:
-            index = avd_mod.build_avd(points)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        _write_out(args.out, index.to_json() + "\n")
+        _write_out(args.out, avd_mod.build_avd(points).to_json() + "\n")
     return 0
 
 
@@ -133,23 +123,23 @@ def cmd_build(args) -> int:
 def _parse_cell(text: str) -> CellId:
     parts = text.split(",")
     if len(parts) < 2:
-        raise CliError("cell format is level,k1[,k2,...]")
+        raise ValueError("cell format is level,k1[,k2,...]")
     try:
         return CellId(int(parts[0]), tuple(int(v) for v in parts[1:]))
     except ValueError:
-        raise CliError(f"bad cell spec {text!r}")
+        raise ValueError(f"bad cell spec {text!r}")
 
 
 def _parse_hpoint(text: str) -> HPoint:
     parts = text.split(",")
     if len(parts) < 2:
-        raise CliError("point format is x1[,x2,...],z")
+        raise ValueError("point format is x1[,x2,...],z")
     try:
         xs = tuple(float(v) for v in parts[:-1])
         z = float(parts[-1])
         return HPoint(xs, z)
     except ValueError:
-        raise CliError(f"bad point spec {text!r}")
+        raise ValueError(f"bad point spec {text!r}")
 
 
 def cmd_query(args) -> int:
@@ -157,9 +147,7 @@ def cmd_query(args) -> int:
         with open(args.index) as fp:
             index = avd_mod.AvdIndex.from_json(fp.read())
     except FileNotFoundError:
-        raise CliError(f"no such file: {args.index}")
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise CliError(f"bad index file: {exc}")
+        raise ValueError(f"no such file: {args.index}") from None
     queries = []
     if args.queries:
         _dim, kind, pts = _load_points(args.queries)
@@ -171,7 +159,7 @@ def cmd_query(args) -> int:
             else:
                 queries.append(_parse_cell(spec))
     if not queries:
-        raise CliError("no queries given; use --queries or --at")
+        raise ValueError("no queries given; use --queries or --at")
     results = []
     for q in queries:
         if isinstance(q, HPoint):
@@ -348,7 +336,7 @@ def cmd_render(args) -> int:
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     if any(s < 2 for s in sizes):
-        raise CliError("bench sizes must be at least 2")
+        raise ValueError("bench sizes must be at least 2")
     rows = []
     for n in sizes:
         rng = random.Random(args.seed)
@@ -449,9 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(_dump({"error": str(exc)}))
-        return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 2

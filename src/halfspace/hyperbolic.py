@@ -26,7 +26,7 @@ from operator import sub
 from typing import Sequence
 
 from .metrics import d1, d2
-from .tiling import CellId, HPoint, cell_of
+from .tiling import CellId, HPoint, cell_of, finite_number
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 _INF = math.inf
@@ -106,11 +106,21 @@ class NormalizeTransform:
     """Homothety about the origin followed by a horizontal translation.
 
     Both maps are isometries of the halfspace, so distances are
-    preserved exactly: x -> scale*x + shift, z -> scale*z.
+    preserved exactly: x -> scale*x + shift, z -> scale*z.  The scale
+    must be a positive and the shift a nonempty tuple of ``int`` or
+    ``float`` values with finite float values; anything else (``bool``,
+    ``str``, a list) raises ``ValueError`` naming the value.
     """
 
     scale: float
     shift: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not (finite_number(self.scale) and self.scale > 0):
+            raise ValueError(f"transform scale {self.scale!r} is no positive finite int or float")
+        shift = self.shift
+        if type(shift) is not tuple or not shift or not all(map(finite_number, shift)):
+            raise ValueError(f"transform shift {shift!r} is no nonempty tuple of finite ints or floats")
 
     def apply(self, p: HPoint) -> HPoint:
         return HPoint(

@@ -34,12 +34,20 @@ nodes plus the non-empty gap levels.  At every dimension each row is
 one slice of a block of neighbor boxes, filled once per ordinary node
 for all its children and once per non-empty gap level.
 
-Point location (:meth:`QuadTree.smallest_containing`) descends from
-the root reading the child's slot off coordinate bits.  With one
-coordinate (D = 2, the box's coordinate count decides) each step is one
-shift and one mask, or at a compressed node one shift and one compare,
-with no per-coordinate loop; it relies on the tree's shape, which every
-build and :meth:`QuadTree.from_dict` check.  D >= 3 keeps the loop.
+A tree holds only its root, its nodes and its points (with its
+dimension and the level :meth:`QuadTree.locate` starts from), and no
+table of nodes or inputs by cell.  Every lookup by cell goes through
+the one descent, point location (:meth:`QuadTree.smallest_containing`),
+which ends at a cell exactly when that cell is a node: after it one
+level compare answers :meth:`QuadTree.node_for`,
+:meth:`QuadTree.stored_index`, the topmost node under a box and
+:meth:`QuadTree.insert_box`'s "already a node" test.  The descent
+starts at the root and reads the child's slot off coordinate bits.
+With one coordinate (D = 2, the box's coordinate count decides) each
+step is one shift and one mask, or at a compressed node one shift and
+one compare, with no per-coordinate loop; it relies on the tree's
+shape, which every build and :meth:`QuadTree.from_dict` check.  D >= 3
+keeps the loop.
 
 The predicates on dyadic boxes (containment, adjacency, touching a
 boundary) live here as well, with the one pruned descent along a box's
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import reprlib
 from dataclasses import dataclass, field
 from operator import add, itemgetter
 from typing import Iterable
@@ -145,6 +154,27 @@ def is_index(value, n: int) -> bool:
     """Is a loaded value an index into a list of length ``n``?  JSON
     floats and booleans are not."""
     return type(value) is int and 0 <= value < n
+
+
+def json_fields(value, fields: itemgetter, *entry) -> tuple:
+    """The values ``fields`` takes from a loaded JSON object, or
+    ``ValueError`` naming the entry (the words of ``entry``, such as
+    ``"node", 3``, joined only then) when it is no object or lacks one
+    of the keys."""
+    if type(value) is not dict:
+        raise ValueError(f"{' '.join(map(str, entry))} is no JSON object: {reprlib.repr(value)}")
+    try:
+        return fields(value)
+    except KeyError as exc:
+        raise ValueError(f"{' '.join(map(str, entry))} has no key {exc}") from None
+
+
+def first_indices(points: list[CellId]) -> dict[CellId, int]:
+    """Each distinct cell of ``points`` with the first index holding it."""
+    index_of: dict[CellId, int] = {}
+    for i, c in enumerate(points):
+        index_of.setdefault(c, i)
+    return index_of
 
 
 def meet(a: CellId, b: CellId) -> CellId:
@@ -267,29 +297,30 @@ class QuadTree:
     """Compressed quadtree storing input cells as boxes.
 
     ``points`` keeps the caller's list verbatim (duplicates included);
-    each distinct cell is owned by its first index so distance ties
-    resolve to the smallest index everywhere downstream.  ``boxes``
-    must become nodes as well but store no input (the AVD refinement
-    passes the neighbors of the occupied boxes).
+    each distinct cell is owned by its first index, which its node
+    stores, so distance ties resolve to the smallest index everywhere
+    downstream.  ``boxes`` must become nodes as well but store no input
+    (the AVD refinement passes the neighbors of the occupied boxes).
+    Besides ``points`` the tree keeps ``dim``, ``root_cell`` and
+    ``root``, the nodes hanging below it; lookups by cell descend from
+    the root.
     """
 
     def __init__(self, dim: int, points: list[CellId], boxes: Iterable[CellId] = ()):
         self.dim = dim
         self.points = list(points)
         self.root_cell = root_cell(dim)
-        self._index_of: dict[CellId, int] = {}
-        for i, c in enumerate(points):
-            self._check_in_root(c)
-            self._index_of.setdefault(c, i)
         boxes = list(boxes)
-        for box in boxes:
+        for box in itertools.chain(self.points, boxes):
             self._check_in_root(box)
-        self._assemble([self.root_cell, *self._index_of, *boxes])
+        index_of = first_indices(self.points)
+        self._assemble(index_of, [self.root_cell, *index_of, *boxes])
 
     # -- construction -------------------------------------------------
 
-    def _assemble(self, cells: list[CellId]) -> None:
-        """Make ``cells``, the root among them, the key boxes of a fresh tree.
+    def _assemble(self, index_of: dict[CellId, int], cells: list[CellId]) -> None:
+        """Make ``cells``, the root among them, the key boxes of a fresh
+        tree whose inputs' first indices are ``index_of``.
 
         The keys, sorted in preorder of the dyadic tree
         (:func:`zorder_key`), pass once through a stack holding the keys
@@ -300,7 +331,6 @@ class QuadTree:
         module's rule and gives each ordinary node its child cells, the
         keys' slots read off coordinate bits.  O(n log n), no recursion.
         """
-        index_of = self._index_of
         low = min(c.level for c in cells)
         self._locate_level = low - 1
         order = sorted(set(cells), key=zorder_key(low, self.dim - 1))
@@ -330,11 +360,9 @@ class QuadTree:
             link(stack[-1], down)
 
         self.root = stack[0]
-        self.nodes_by_cell = {}
         todo = [self.root]
         while todo:
             node = todo.pop()
-            self.nodes_by_cell[node.cell] = node
             below = node.children
             if len(below) > 1 or (node.stored_index is not None and node.count > 1):
                 node.kind = ORDINARY
@@ -476,7 +504,8 @@ class QuadTree:
                 stack.append((child, below))
 
     def __len__(self) -> int:
-        return len(self.nodes_by_cell)
+        """The number of nodes, counted by one :meth:`iter_nodes` pass."""
+        return sum(1 for _ in self.iter_nodes())
 
     # -- queries ------------------------------------------------------
 
@@ -581,26 +610,40 @@ class QuadTree:
     # -- subtree content without materialized nodes --------------------
 
     def _topmost_under(self, box: CellId) -> QuadNode | None:
-        """The topmost node on or below ``box``, if any.
+        """The topmost node on or below ``box``, if any; ``box`` must pass
+        :meth:`in_root`.
 
-        Either ``box`` is a node, or it is not and lies below a leaf or
-        inside the gap of a compressed node; only that node's child can
-        then lie inside ``box``.
+        The descent stops at ``box`` itself if it is a node (the one
+        node on its level that contains it).  Otherwise ``box`` lies
+        below a leaf or inside the gap of a compressed node, and only
+        that node's child can lie inside ``box``.
         """
-        node = self.nodes_by_cell.get(box)
-        if node is not None:
+        node = self.smallest_containing(box)
+        if node.cell.level == box.level:
             return node
-        holder = self.smallest_containing(box)
-        if holder.kind == COMPRESSED and shadow_within(holder.children[0].cell, box):
-            return holder.children[0]
+        if node.kind == COMPRESSED and shadow_within(node.children[0].cell, box):
+            return node.children[0]
         return None
 
     def node_for(self, box: CellId) -> QuadNode | None:
-        return self.nodes_by_cell.get(box)
+        """The node whose box is ``box``, if any.
+
+        The tree keeps no table of its nodes by cell: the descent
+        (:meth:`smallest_containing`) ends at ``box`` exactly when
+        ``box`` is a node, so one level compare decides.  A cell
+        outside the root shadow, or of another dimension, is no node.
+        """
+        if not self.in_root(box):
+            return None
+        node = self.smallest_containing(box)
+        return node if node.cell.level == box.level else None
 
     def stored_index(self, cell: CellId) -> int | None:
-        """The first input index whose box is ``cell``, if any."""
-        return self._index_of.get(cell)
+        """The first input index whose box is ``cell``, if any: the one
+        the node at ``cell`` stores, as every distinct input cell is a
+        node storing its first index."""
+        node = self.node_for(cell)
+        return None if node is None else node.stored_index
 
     def subtree_count(self, box: CellId) -> int:
         """Number of inputs whose box lies on or below an arbitrary cell."""
@@ -620,19 +663,19 @@ class QuadTree:
     def insert_box(self, box: CellId) -> QuadNode:
         """Ensure ``box`` is a node and return it.
 
-        A box that is already a node is returned as it is.  Otherwise the
-        tree is rebuilt over its node boxes plus ``box``, which costs
-        O(n log n) for n nodes, replaces every node object and drops the
-        annotations the AVD passes left on the old ones.  Builds that
+        A box that is already a node (:meth:`node_for`, one descent) is
+        returned as it is.  Otherwise the tree is rebuilt over its node
+        boxes plus ``box``, with the inputs' first indices read afresh
+        from ``points``, which costs O(n log n) for n nodes, replaces
+        every node object and drops the annotations the AVD passes left
+        on the old ones.  Builds that
         need many boxes pass them to the constructor at once; demo 04
         and the tests are this method's callers.
         """
         self._check_in_root(box)
-        existing = self.nodes_by_cell.get(box)
-        if existing is not None:
-            return existing
-        self._assemble([*self.nodes_by_cell, box])
-        return self.nodes_by_cell[box]
+        if self.node_for(box) is None:
+            self._assemble(first_indices(self.points), [*(n.cell for n in self.iter_nodes()), box])
+        return self.node_for(box)
 
     # -- serialization -------------------------------------------------
 
@@ -671,9 +714,17 @@ class QuadTree:
         must also be the first index of its cell in ``points``, or null
         when the cell is no input, and every distinct input cell needs a
         node storing it, so the node and :meth:`stored_index` agree.
-        The checks ride on the pass that links each node to its parent,
-        one dict lookup per node, and the pass back that sums the input
-        counts through the parent indices.
+        The file must be a JSON object holding ``dim``, ``points`` and
+        ``nodes``, and each node an object holding ``cell``, ``kind``,
+        ``parent`` and ``stored``; a missing key or an entry of another
+        type raises ``ValueError`` naming it as well.  The checks ride
+        on the pass that links each node to its parent, one lookup per
+        storing node in the inputs' first indices (a map local to the
+        load), and the pass back that sums the input counts through the
+        parent indices.  A node storing nothing needs no lookup: node
+        cells are distinct, so a node storing nothing at an input's cell
+        leaves that input with no node storing it, which the count of
+        storing nodes reports.
         """
         return cls.from_dict_with_nodes(data)[0]
 
@@ -681,37 +732,29 @@ class QuadTree:
     def from_dict_with_nodes(cls, data: dict) -> tuple["QuadTree", list[QuadNode]]:
         """:meth:`from_dict`, plus the nodes in the order the file lists
         them, which need not be :meth:`iter_nodes` order."""
-        dim = data["dim"]
+        dim, point_specs, node_specs = json_fields(data, itemgetter("dim", "points", "nodes"), "tree")
         if type(dim) is not int or dim < 2:
             raise ValueError(f"dim {dim!r} is no integer >= 2")
-        axes = dim - 1
-        points = [_loaded_cell(spec, axes, "point", i) for i, spec in enumerate(data["points"])]
+        if type(point_specs) is not list or type(node_specs) is not list or not node_specs:
+            raise ValueError("a tree needs a JSON array of points and one of nodes, its root node first")
         tree = cls.__new__(cls)
         tree.dim = dim
-        tree.points = points
         tree.root_cell = root_cell(dim)
-        tree._index_of = {}
-        for i, c in enumerate(points):
-            tree._index_of.setdefault(c, i)
-        tree.nodes_by_cell = {}
-        index_of = tree._index_of
+        tree.points = points = [tree._loaded_cell(spec, "point", i) for i, spec in enumerate(point_specs)]
+        index_of = first_indices(points)
         built: list[QuadNode] = []
         ups: list[int | None] = []  # each node's parent index
-        if not data["nodes"]:
-            raise ValueError("a tree needs at least its root node")
-        width = {ORDINARY: 1 << axes, COMPRESSED: 1, LEAF: 0}
+        width = {ORDINARY: 1 << (dim - 1), COMPRESSED: 1, LEAF: 0}
         low = 0
-        for k, spec in enumerate(data["nodes"]):
-            cell = _loaded_cell(spec["cell"], axes, "node", k)
-            kind = spec["kind"]
-            if kind not in width:
+        fields = itemgetter("cell", "kind", "parent", "stored")
+        for k, spec in enumerate(node_specs):
+            cell, kind, up, stored = json_fields(spec, fields, "node", k)
+            cell = tree._loaded_cell(cell, "node", k)
+            if type(kind) is not str or kind not in width:
                 raise ValueError(f"node {k}'s kind {kind!r} is none of {ORDINARY}, {COMPRESSED}, {LEAF}")
-            stored = spec["stored"]
             if stored is not None and not is_index(stored, len(points)):
                 raise ValueError(f"node {k} stores {stored!r}, no input index in range({len(points)})")
             node = QuadNode(cell, kind, stored_index=stored)
-            tree.nodes_by_cell[cell] = node
-            up = spec["parent"]
             if k == 0:
                 ups.append(None)
                 if up is not None:
@@ -738,8 +781,8 @@ class QuadTree:
                     low = lev
             else:
                 raise ValueError(f"node {k}'s parent {up!r} is not an earlier node")
-            first = index_of.get(cell)
-            if stored != first:
+            if stored is not None and index_of.get(cell) != stored:
+                first = index_of.get(cell)
                 has = "is no input" if first is None else f"is first input {first}"
                 raise ValueError(f"node {k} {cell!r} stores {stored!r}, but its cell {has}")
             built.append(node)
@@ -756,26 +799,28 @@ class QuadTree:
             if k:
                 built[ups[k]].count += node.count
         if storing != len(index_of):
-            # the shape makes node cells distinct, and each stores its
-            # own cell's index: some input cell has no node
+            # the shape makes node cells distinct, and each storing node
+            # its own cell's index: some input cell has no node storing
+            # it (a node there storing nothing included)
             missing = min(set(index_of.values()) - {node.stored_index for node in built})
             raise ValueError(f"input {missing} {points[missing]!r} has no node storing it")
         return tree, built
 
-
-def _loaded_cell(spec, axes: int, entry: str, k: int) -> CellId:
-    """The cell ``[level, coords]`` of a loaded tree's entry ``k``, or
-    ``ValueError`` naming the entry: JSON integers only (booleans are
-    not), ``axes`` coordinates, inside the root shadow."""
-    if type(spec) is list and len(spec) == 2:
-        level, ks = spec
-        if type(level) is int and level <= 0 and type(ks) is list and len(ks) == axes:
-            for c in ks:
-                if type(c) is not int or c < 0 or c >> -level:
-                    break
-            else:
-                return CellId(level, tuple(ks))
-    raise ValueError(f"{entry} {k}'s cell {spec!r} is no [level, {axes} coordinates] of integers inside the root shadow")
+    def _loaded_cell(self, spec, entry: str, k: int) -> CellId:
+        """The cell ``[level, coords]`` of a loaded tree's entry ``k``, or
+        ``ValueError`` naming the entry: what :class:`CellId` takes (JSON
+        integers, no booleans) and :meth:`in_root` passes.  Anything but
+        a two-entry list fails to unpack or fails :class:`CellId`'s
+        checks, as JSON object keys and the items of a string are
+        strings."""
+        try:
+            level, coords = spec
+            cell = CellId(level, tuple(coords))
+        except (TypeError, ValueError):
+            cell = None
+        if cell is None or not self.in_root(cell):
+            raise ValueError(f"{entry} {k}'s cell {spec!r} is no [level, {self.dim - 1} coordinates] of integers inside the root shadow")
+        return cell
 
 
 def build_quadtree(points: list[CellId]) -> QuadTree:

@@ -75,12 +75,12 @@ class HPoint:
         if not isinstance(x, tuple):
             x = tuple(x)
         for v in x:
-            if not _finite_number(v):
+            if not finite_number(v):
                 raise ValueError(f"x coordinate {v!r} is no finite int or float")
         if x is not self.x:
             object.__setattr__(self, "x", tuple([float(v) for v in x]))
         z = self.z
-        if not (_finite_number(z) and z > 0):
+        if not (finite_number(z) and z > 0):
             raise ValueError(f"z must be a positive finite int or float, got {z!r}")
 
     @property
@@ -88,7 +88,7 @@ class HPoint:
         return len(self.x) + 1
 
 
-def _finite_number(v) -> bool:
+def finite_number(v) -> bool:
     """Is ``v`` an int or a float whose float value is finite?  Booleans,
     strings and other types are not."""
     t = type(v)

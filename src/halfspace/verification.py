@@ -31,6 +31,14 @@ from .spanner import build_hyperbolic_spanner, build_spanner, path_context, real
 from .tiling import CellId, cell_of, center, is_ancestor_or_self
 
 
+# Spanner and AVD checks build SETS random sets each; the AVD check
+# asks QUERIES_PER_SET queries of each set and of the continuous index;
+# the hyperbolic-spanner check covers the hop budgets HOP_BUDGETS.
+SETS = 5
+QUERIES_PER_SET = 400
+HOP_BUDGETS = (2, 3)
+
+
 def _round(x: float) -> float:
     return round(x, 9)
 
@@ -158,11 +166,11 @@ def check_quadtree(rng: random.Random, dim: int, n: int) -> dict:
     }
 
 
-def check_spanner(rng: random.Random, dim: int, n: int, n_sets: int = 5) -> dict:
+def check_spanner(rng: random.Random, dim: int, n: int) -> dict:
     realized_mismatches = 0
     sandwich_violations = 0
     sizes = []
-    for _ in range(n_sets):
+    for _ in range(SETS):
         pts = distinct(sample_cells(rng, dim, n, min_level=-7))
         graph = build_spanner(pts)
         sizes.append((len(graph.vertices) + len(graph.edges)) / len(pts))
@@ -188,7 +196,7 @@ def check_spanner(rng: random.Random, dim: int, n: int, n_sets: int = 5) -> dict
     )[demo.vertex_of_cell[SPANNER_DEMO_POINTS[5]]]
     demo_ok = demo_dist == SPANNER_DEMO_DISTANCE_2_5 and demo.n_steiner == 6
     return {
-        "sets": n_sets,
+        "sets": SETS,
         "points_per_set": n,
         "size_per_point": [_round(s) for s in sizes],
         "realized_d2_mismatches": realized_mismatches,
@@ -246,11 +254,11 @@ def check_shortcut(rng: random.Random, n: int) -> dict:
     }
 
 
-def check_hyperbolic_spanner(rng: random.Random, dim: int, n: int, ks=(2, 3)) -> dict:
+def check_hyperbolic_spanner(rng: random.Random, dim: int, n: int) -> dict:
     pts = sample_continuous(rng, dim, n, mode="stratified", min_level=-6)
     results = {}
     ok = True
-    for k in ks:
+    for k in HOP_BUDGETS:
         graph = build_hyperbolic_spanner(pts, k)
         adj = graph.adjacency()
         vids = {v.input_index: v.id for v in graph.vertices if v.kind == "input"}
@@ -283,18 +291,18 @@ def check_hyperbolic_spanner(rng: random.Random, dim: int, n: int, ks=(2, 3)) ->
     return {"points": n, "per_k": results, "ok": ok}
 
 
-def check_avd(rng: random.Random, dim: int, n: int, n_sets: int = 5, queries_per_set: int = 400) -> dict:
+def check_avd(rng: random.Random, dim: int, n: int) -> dict:
     mismatches = 0
     out_of_box_queries = 0
     region_ratios = []
     rep_max = 0
-    for _ in range(n_sets):
+    for _ in range(SETS):
         pts = sample_margin_cells(rng, dim, n, min_level=-8)
         ix = avd_mod.build_avd(pts)
         nodes = list(ix.tree.iter_nodes())
         region_ratios.append(len(nodes) / len(distinct(pts)))
         rep_max = max(rep_max, max(len(nd.reps) for nd in nodes))
-        for _ in range(queries_per_set):
+        for _ in range(QUERIES_PER_SET):
             q = sample_cells(rng, dim, 1, min_level=-9)[0]
             got = avd_mod.query(ix, q)
             if ix.is_out_of_range(q):
@@ -308,7 +316,7 @@ def check_avd(rng: random.Random, dim: int, n: int, n_sets: int = 5, queries_per
     w = 2.0 * (3.0 * math.log(dim) + 2.0 + 6.0 * math.log(2.0)) + 2.0 * math.log(2.0) + 2.0 * math.log(dim)
     hyp_violations = 0
     hyp_worst = 0.0
-    for _ in range(queries_per_set):
+    for _ in range(QUERIES_PER_SET):
         q = sample_continuous(rng, dim, 1, mode="stratified", min_level=-6)[0]
         got = avd_mod.query_hyperbolic(hyp_ix, q)
         ref = nn_bruteforce(hyp_pts, q, "dH")
@@ -317,7 +325,7 @@ def check_avd(rng: random.Random, dim: int, n: int, n_sets: int = 5, queries_per
         if err > w + 1e-9:
             hyp_violations += 1
     return {
-        "sets": n_sets,
+        "sets": SETS,
         "points_per_set": n,
         "query_mismatches": mismatches,
         "out_of_box_queries_flagged": out_of_box_queries,

@@ -7,7 +7,9 @@ chain below a leaf, splicing a compressed gap or branching at a
 and ``_chain_to``).  The method bodies are the old loops, unchanged;
 they walk up by parent links, which library nodes no longer keep, so
 this tree's nodes are :class:`LinkedNode` (a loaded tree's nodes are
-copied into them).
+copied into them).  The splice insertion also keeps the tables it used
+to look cells up in, ``nodes_by_cell`` and ``_index_of``, on this tree
+alone; library trees hold only their root, nodes and points.
 :class:`halfspace.quadtree.QuadTree` now makes every tree in one
 iterative Z-order pass; the cross-checks in ``test_zorder_build.py``
 compare the two shapes node for node.  The recursion limits the build
@@ -54,8 +56,12 @@ class ReferenceQuadTree(QuadTree):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReferenceQuadTree":
-        """:meth:`QuadTree.from_dict`, its nodes copied into linked ones."""
+        """:meth:`QuadTree.from_dict`, its nodes copied into linked ones
+        and its tables filled."""
         tree = super().from_dict(data)
+        tree._index_of = {}
+        for i, c in enumerate(tree.points):
+            tree._index_of.setdefault(c, i)
         tree.nodes_by_cell = {}
         stack = [(tree.root, None)]
         while stack:
@@ -201,9 +207,10 @@ def reference_refine(tree: QuadTree) -> ReferenceQuadTree:
 
 def shape(tree: QuadTree) -> tuple:
     """Everything a tree's layout determines: the serialized nodes (cell,
-    kind, parent, stored index, in preorder), the subtree counts and the
-    cells ``nodes_by_cell`` maps to exactly those nodes."""
+    kind, parent, stored index, in preorder) and the subtree counts.
+    Checks on the way that the node cells are distinct and that
+    :meth:`QuadTree.node_for` finds each node by its cell."""
     nodes = list(tree.iter_nodes())
-    assert len(tree.nodes_by_cell) == len(nodes)
-    assert all(tree.nodes_by_cell[n.cell] is n for n in nodes)
+    assert len({n.cell for n in nodes}) == len(nodes)
+    assert all(tree.node_for(n.cell) is n for n in nodes)
     return tree.to_dict(), [n.count for n in nodes]

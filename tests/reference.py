@@ -116,8 +116,9 @@ def zorder_key_format(low: int, axes: int):
 
 
 def smallest_containing_climb(tree, box: CellId):
-    """The lowest node containing ``box``, descending with one
-    ``nodes_by_cell`` lookup per ordinary node.
+    """The lowest node containing ``box``, descending through the child
+    of each ordinary node whose cell is the box's ancestor one level
+    down, found by comparing cells.
 
     Reference for :meth:`halfspace.quadtree.QuadTree.smallest_containing`.
     """
@@ -133,7 +134,8 @@ def smallest_containing_climb(tree, box: CellId):
                 node = child
                 continue
             return node
-        node = tree.nodes_by_cell[ancestor_at(box, node.cell.level - 1)]
+        up = ancestor_at(box, node.cell.level - 1)
+        (node,) = [child for child in node.children if child.cell == up]
 
 
 def smallest_containing_general(tree, box: CellId):

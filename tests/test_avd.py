@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace.avd import AvdIndex, annotate, build_avd, fill_highest, query, query_hyperbolic, refine
 from halfspace.hyperbolic import hyperbolic_distance
@@ -69,8 +71,8 @@ def test_refine_strictly_refines(rng):
         pts = [random_margin_cell(rng, dim) for _ in range(12)]
         base = build_quadtree(pts)
         refined = refine(base)
-        base_cells = set(base.nodes_by_cell)
-        assert base_cells <= set(refined.nodes_by_cell)
+        base_cells = {node.cell for node in base.iter_nodes()}
+        assert base_cells <= {node.cell for node in refined.iter_nodes()}
         # a compressed region of the refined tree never has an original
         # box strictly between its outer and inner boxes
         for node in refined.iter_nodes():
@@ -504,3 +506,61 @@ def test_builds_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+_EDIT_VALUES = [None, True, 0, -1, 2, 1.5, math.nan, "x", "leaf", [], {}, [1], {"a": 1}, 10**30, [0, [0]], [-1, [0.0]], ["a"], 1e308]
+
+
+def _json_paths(value, path=()):
+    """Every path of keys and indices into loaded JSON data."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_paths(item, path + (i,))
+
+
+_EDITED_INDEXES = [
+    json.loads(build_avd(points).to_json())
+    for points in (
+        [CellId(-2, (1,)), CellId(-3, (3,)), CellId(-4, (5,))],
+        [HPoint((0.1,), 1.0), HPoint((0.9,), 0.01), HPoint((0.4,), 0.3)],
+        [CellId(-3, (2, 3)), CellId(-4, (5, 4))],
+    )
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_from_json_with_an_edited_entry_raises_only_value_error(data):
+    """Replace or delete one or two entries anywhere in an index file:
+    loading either works or raises ``ValueError``, and so does every
+    query of a loaded index (a TypeError or KeyError used to end the
+    CLI with a traceback)."""
+    edited = json.loads(json.dumps(data.draw(st.sampled_from(_EDITED_INDEXES))))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_json_paths(edited))))
+        value = json.loads(json.dumps(data.draw(st.sampled_from(_EDIT_VALUES))))
+        if not path:
+            edited = value
+            break
+        *head, last = path
+        target = edited
+        for key in head:
+            target = target[key]
+        if isinstance(target, dict) and data.draw(st.booleans()):
+            del target[last]
+        else:
+            target[last] = value
+    try:
+        ix = AvdIndex.from_json(json.dumps(edited))
+    except ValueError:
+        return
+    axes = ix.tree.dim - 1
+    for q in [HPoint((0.3,) * axes, 0.5), HPoint((0.45,) * axes, 1e-3), CellId(-6, (24,) * axes), CellId(1, (0,) * axes)]:
+        try:
+            query_hyperbolic(ix, q) if isinstance(q, HPoint) else query(ix, q)
+        except ValueError:
+            pass

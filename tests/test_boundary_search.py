@@ -330,7 +330,7 @@ def test_representatives_cost_on_deep_chain(monkeypatch):
     calls = _count_boundary_tests(monkeypatch, avd, quadtree)
     select_representatives(refined, base)
     assert 0 < len(calls) <= 5 * len(refined)
-    assert refined.nodes_by_cell[chain[-1]].reps == [len(chain) - 1]
+    assert refined.node_for(chain[-1]).reps == [len(chain) - 1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,7 +348,8 @@ def test_refined_tree_contains_every_base_node(cells):
     :func:`select_representatives` relies on it."""
     base = build_quadtree(cells)
     refined = refine(base)
-    assert all(node.cell in refined.nodes_by_cell for node in base.iter_nodes())
+    refined_cells = {node.cell for node in refined.iter_nodes()}
+    assert all(node.cell in refined_cells for node in base.iter_nodes())
 
 
 @settings(max_examples=60, deadline=None)

@@ -381,3 +381,97 @@ def test_bench_table(tmp_path, capsys):
     rows = json.loads(out.read_text())["rows"]
     assert [r["n"] for r in rows] == [16, 32]
     assert all(r["tree_nodes"] > 0 for r in rows)
+
+
+def two_point_index(tmp_path):
+    """The index of the continuous points (0.1, 1.0) and (0.9, 0.01), as
+    JSON data."""
+    pts = tmp_path / "pts.jsonl"
+    with open(pts, "w") as fp:
+        write_points(fp, [HPoint((0.1,), 1.0), HPoint((0.9,), 0.01)])
+    index = tmp_path / "avd.json"
+    assert main(["build", "--what", "avd", "--in", str(pts), "--out", str(index)]) == 0
+    return index, json.loads(index.read_text())
+
+
+def query_error(index, data, at, capsys):
+    """Write ``data`` to the index file, query it at ``at`` and return the
+    JSON error; the query must exit 2."""
+    index.write_text(json.dumps(data))
+    code, out, err = run(["query", "--index", str(index), f"--at={at}"], capsys)
+    assert code == 2 and out == ""
+    return json.loads(err)["error"]
+
+
+def test_query_index_transform_scale_x_exits_2(tmp_path, capsys):
+    # loaded, and the query ended in a TypeError (exit 1) when it scaled z
+    index, data = two_point_index(tmp_path)
+    data["transform"]["scale"] = "x"
+    assert "transform scale 'x'" in query_error(index, data, "0.3,0.5", capsys)
+
+
+def test_query_index_transform_shift_a_exits_2(tmp_path, capsys):
+    # loaded, and the query ended in a TypeError (exit 1) when it shifted x
+    index, data = two_point_index(tmp_path)
+    data["transform"]["shift"] = ["a"]
+    assert "transform shift ('a',)" in query_error(index, data, "0.3,0.5", capsys)
+
+
+def test_query_index_transform_shift_two_numbers_on_d2_index_exits_2(tmp_path, capsys):
+    index, data = two_point_index(tmp_path)
+    data["transform"]["shift"] = [0.25, 0.25]
+    assert "transform shift [0.25, 0.25] is no list of 1 numbers" in query_error(index, data, "0.3,0.5", capsys)
+
+
+def test_query_index_transform_5_exits_2(tmp_path, capsys):
+    # the loader ended in a TypeError (exit 1) reading t["scale"]
+    index, data = two_point_index(tmp_path)
+    data["transform"] = 5
+    assert "transform is no JSON object: 5" in query_error(index, data, "0.3,0.5", capsys)
+
+
+def test_query_index_source_kind_foo_exits_2(tmp_path, capsys):
+    # loaded silently, and --at was then parsed as a cell
+    index, data = two_point_index(tmp_path)
+    data["source_kind"] = "foo"
+    error = query_error(index, data, "0.3,0.5", capsys)
+    assert "source_kind 'foo' is not 'continuous'" in error
+
+
+def test_query_index_source_kind_continuous_without_transform_exits_2(tmp_path, capsys):
+    index, data = three_cell_index(tmp_path)
+    data["source_kind"] = "continuous"
+    error = query_error(index, data, "-6,24", capsys)
+    assert "source_kind 'continuous' is not 'discrete'" in error
+
+
+def test_query_index_node_7_exits_2(tmp_path, capsys):
+    # the loader ended in a TypeError (exit 1) reading spec["cell"]
+    index, data = three_cell_index(tmp_path)
+    data["nodes"][3] = 7
+    assert "node 3 is no JSON object: 7" in query_error(index, data, "-6,24", capsys)
+
+
+def test_query_index_annotation_list_1_exits_2(tmp_path, capsys):
+    # the loader ended in a TypeError (exit 1) reading extra["h"]
+    index, data = three_cell_index(tmp_path)
+    data["annotations"][2] = [1]
+    assert "annotation 2 is no JSON object: [1]" in query_error(index, data, "-6,24", capsys)
+
+
+def test_query_index_top_level_array_exits_2(tmp_path, capsys):
+    # the loader ended in a TypeError (exit 1) reading data["nodes"]
+    index, data = three_cell_index(tmp_path)
+    assert "index is no JSON object: [" in query_error(index, [data], "-6,24", capsys)
+
+
+def test_query_index_node_3_without_kind_exits_2(tmp_path, capsys):
+    index, data = three_cell_index(tmp_path)
+    del data["nodes"][3]["kind"]
+    assert "node 3 has no key 'kind'" in query_error(index, data, "-6,24", capsys)
+
+
+def test_query_index_without_transform_key_exits_2(tmp_path, capsys):
+    index, data = three_cell_index(tmp_path)
+    del data["transform"]
+    assert "index has no key 'transform'" in query_error(index, data, "-6,24", capsys)

@@ -262,6 +262,37 @@ def test_transform_apply_matches_components():
     assert m.z == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "scale, shift",
+    [
+        ("x", (0.1,)),
+        (True, (0.1,)),
+        (0.0, (0.1,)),
+        (-0.5, (0.1,)),
+        (math.inf, (0.1,)),
+        (math.nan, (0.1,)),
+        (10**400, (0.1,)),
+        (0.5, ("a",)),
+        (0.5, (False,)),
+        (0.5, (math.inf,)),
+        (0.5, ()),
+        (0.5, [0.1]),
+    ],
+    ids=[
+        "scale_x", "scale_true", "scale_0", "scale_minus_0_5", "scale_inf", "scale_nan", "scale_10_pow_400",
+        "shift_a", "shift_false", "shift_inf", "shift_empty", "shift_list",
+    ],
+)
+def test_transform_rejects_scale_or_shift(scale, shift):
+    with pytest.raises(ValueError, match="transform (scale|shift)"):
+        NormalizeTransform(scale, shift)
+
+
+def test_transform_takes_int_scale_and_shift():
+    t = NormalizeTransform(2, (1, 0.5))
+    assert (t.scale, t.shift) == (2, (1, 0.5))
+
+
 # -- distortion windows ----------------------------------------------------
 
 

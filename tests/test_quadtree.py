@@ -3,8 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halfspace.avd import fill_highest
+from halfspace.avd import fill_highest, refine
 from halfspace.oracle import cell_query_scan
 from halfspace.quadtree import (
     COMPRESSED,
@@ -16,9 +18,18 @@ from halfspace.quadtree import (
     root_cell,
     shadow_within,
 )
+from halfspace.sampling import sample_margin_cells
 from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children
 
 from conftest import random_cell_in_root
+
+
+def first_indices(points):
+    """Each distinct cell of ``points`` with the first index holding it."""
+    first = {}
+    for i, c in enumerate(points):
+        first.setdefault(c, i)
+    return first
 
 
 def C(level, *coords):
@@ -59,9 +70,12 @@ def check_structure(tree: QuadTree):
         assert node.count == (1 if node.stored_index is not None else 0) + sum(
             ch.count for ch in node.children
         )
-    # every distinct input box is a node storing its first index
-    for cell, idx in tree._index_of.items():
-        node = tree.node_for(cell)
+    # node cells are distinct, and every distinct input box is a node
+    # storing its first index
+    by_cell = {node.cell: node for node in nodes}
+    assert len(by_cell) == len(nodes)
+    for cell, idx in first_indices(tree.points).items():
+        node = by_cell.get(cell)
         assert node is not None and node.stored_index == idx
 
 
@@ -79,7 +93,7 @@ def check_paper_kinds(tree: QuadTree):
             assert child.count == node.count
             held = [
                 c
-                for c in tree._index_of
+                for c in set(tree.points)
                 if c.level <= node.cell.level and shadow_within(c, node.cell)
             ]
             assert held, node
@@ -326,7 +340,7 @@ def test_insert_preserves_partition(rng):
             owners = sum(1 for r in regions if region_holds(tree, r, x))
             assert owners == 1
         # counts survive arbitrary insertion orders
-        assert tree.root.count == len(tree._index_of)
+        assert tree.root.count == len(set(tree.points))
         stored = [n.cell for n in tree.iter_nodes()]
         for _ in range(200):
             q = random_box_in_root(rng, 2)
@@ -423,6 +437,16 @@ def test_from_dict_cell_minus_2_1_stored_2():
         QuadTree.from_dict(data)
 
 
+def test_from_dict_cell_minus_2_1_stored_null():
+    # the node at input 0's cell stores nothing: node cells are distinct,
+    # so no node stores input 0
+    data = build_quadtree([C(-2, 1), C(-3, 3), C(-4, 5)]).to_dict()
+    (k,) = [k for k, spec in enumerate(data["nodes"]) if spec["cell"] == [-2, [1]]]
+    data["nodes"][k] = dict(data["nodes"][k], stored=None)
+    with pytest.raises(ValueError, match="input 0 Cell\\(-2;\\[1\\]\\) has no node storing it"):
+        QuadTree.from_dict(data)
+
+
 def test_from_dict_cell_minus_3_2_stored_0():
     # the compressed node over Cell(-4;[5]) stores no input
     data = build_quadtree([C(-2, 1), C(-3, 3), C(-4, 5)]).to_dict()
@@ -486,3 +510,99 @@ def test_from_dict_rejects_cells_and_shapes_point_location_cannot_use(path, valu
     # TypeError or IndexError or silently descend into the wrong node
     with pytest.raises(ValueError, match=match):
         QuadTree.from_dict(_edited_tree(path, value))
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("points",), 5, "JSON array of points and one of nodes"),
+        (("nodes",), None, "JSON array of points and one of nodes"),
+        (("nodes", 2), 7, "node 2 is no JSON object: 7"),
+        (("nodes", 2, "kind"), [], "node 2's kind \\[\\]"),
+    ],
+    ids=["points_5", "nodes_null", "node_2_is_7", "node_2_kind_empty_list"],
+)
+def test_from_dict_entry_of_another_type(path, value, match):
+    # each of these ended in a TypeError while loading
+    with pytest.raises(ValueError, match=match):
+        QuadTree.from_dict(_edited_tree(path, value))
+
+
+def test_from_dict_top_level_list():
+    with pytest.raises(ValueError, match="tree is no JSON object"):
+        QuadTree.from_dict([_edited_tree(("dim",), 2)])
+
+
+def test_from_dict_node_2_without_parent():
+    data = _edited_tree(("dim",), 2)
+    del data["nodes"][2]["parent"]
+    with pytest.raises(ValueError, match="node 2 has no key 'parent'"):
+        QuadTree.from_dict(data)
+
+
+# -- lookups by cell against linear scans ------------------------------------
+
+
+@st.composite
+def trees_for_lookups(draw):
+    """A tree at D = 2..4, built, refined, loaded or grown by
+    insert_box, with its highest inputs filled, and boxes to look up:
+    node cells, cells right below nodes, input cells and random cells
+    of the root shadow, plus cells above the root level, past the
+    shadow, with negative coordinates and of another dimension."""
+    dim = draw(st.integers(2, 4))
+    form = draw(st.sampled_from(["built", "refined", "loaded", "inserted"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 20))
+    if form == "refined":
+        tree = refine(build_quadtree(sample_margin_cells(rng, dim, n, min_level=-8)))
+    else:
+        cells = [random_cell_in_root(rng, dim, min_level=-draw(st.integers(1, 12))) for _ in range(n)]
+        cells += [rng.choice(cells) for _ in range(draw(st.integers(0, 3)))]
+        tree = build_quadtree(cells)
+        if form == "loaded":
+            tree = QuadTree.from_dict(tree.to_dict())
+        elif form == "inserted":
+            for _ in range(draw(st.integers(1, 6))):
+                tree.insert_box(random_cell_in_root(rng, dim, min_level=-14))
+    fill_highest(tree)
+    boxes = list(tree.points)
+    for node in rng.sample(list(tree.iter_nodes()), min(len(tree), 25)):
+        boxes.append(node.cell)
+        boxes.append(rng.choice(children(node.cell)))
+    boxes += [random_cell_in_root(rng, dim, min_level=-16) for _ in range(20)]
+    axes = range(dim - 1)
+    for _ in range(4):
+        lev = -rng.randint(0, 10)
+        boxes.append(CellId(rng.randint(1, 3), tuple(rng.randint(0, 3) for _ in axes)))
+        boxes.append(CellId(lev, tuple((1 << -lev) + rng.randint(0, 5) if j == 0 else 0 for j in axes)))
+        boxes.append(CellId(lev, tuple(-rng.randint(1, 5) if j == dim - 2 else 0 for j in axes)))
+        boxes.append(random_cell_in_root(rng, rng.choice([d for d in (2, 3, 4, 5) if d != dim]), min_level=-6))
+    return tree, boxes
+
+
+@settings(max_examples=120, deadline=None)
+@given(trees_for_lookups())
+def test_lookups_match_linear_scans(data):
+    tree, boxes = data
+    # the tree holds its root, nodes and points: no table by cell
+    assert not [key for key, value in vars(tree).items() if isinstance(value, dict)]
+    nodes = list(tree.iter_nodes())
+    stored = [node.cell for node in nodes]
+    points = tree.points
+    for box in boxes:
+        at_box = [node for node in nodes if node.cell == box]
+        assert tree.node_for(box) is (at_box[0] if at_box else None)
+        firsts = [i for i, c in enumerate(points) if c == box]
+        assert tree.stored_index(box) == (firsts[0] if firsts else None)
+        inside = box.dim == tree.dim and box.level <= 0 and all(0 <= k < 2**-box.level for k in box.coords)
+        if not inside:
+            for lookup in (tree.subtree_count, tree.highest_under, tree.cell_query):
+                with pytest.raises(ValueError):
+                    lookup(box)
+            continue
+        under = [i for i, c in enumerate(points) if shadow_within(c, box)]
+        assert tree.subtree_count(box) == len({points[i] for i in under})
+        assert tree.highest_under(box) == min(under, key=lambda i: (-points[i].level, i), default=None)
+        largest, smallest = tree.cell_query(box)
+        assert (largest and largest.cell, smallest.cell) == cell_query_scan(stored, box)
