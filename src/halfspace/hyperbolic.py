@@ -107,9 +107,9 @@ class NormalizeTransform:
 
     Both maps are isometries of the halfspace, so distances are
     preserved exactly: x -> scale*x + shift, z -> scale*z.  The scale
-    must be a positive and the shift a nonempty tuple of ``int`` or
-    ``float`` values with finite float values; anything else (``bool``,
-    ``str``, a list) raises ``ValueError`` naming the value.
+    must be a positive ``int`` or ``float`` and the shift a nonempty
+    tuple of them, each with a finite float value; anything else
+    (``bool``, ``str``, a list) raises ``ValueError`` naming the value.
     """
 
     scale: float

@@ -24,14 +24,6 @@ from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children
 from conftest import random_cell_in_root
 
 
-def first_indices(points):
-    """Each distinct cell of ``points`` with the first index holding it."""
-    first = {}
-    for i, c in enumerate(points):
-        first.setdefault(c, i)
-    return first
-
-
 def C(level, *coords):
     return CellId(level, tuple(coords))
 
@@ -74,9 +66,9 @@ def check_structure(tree: QuadTree):
     # storing its first index
     by_cell = {node.cell: node for node in nodes}
     assert len(by_cell) == len(nodes)
-    for cell, idx in first_indices(tree.points).items():
+    for cell in set(tree.points):
         node = by_cell.get(cell)
-        assert node is not None and node.stored_index == idx
+        assert node is not None and node.stored_index == tree.points.index(cell)
 
 
 def check_paper_kinds(tree: QuadTree):
