@@ -279,7 +279,7 @@ class AvdIndex:
 
         Annotation k belongs to node k of the file, in whatever order
         the file lists its nodes.  Raises ``ValueError``, naming the
-        entry, unless the file is a JSON object holding a tree
+        entry, unless the text is JSON, a JSON object holding a tree
         :meth:`QuadTree.from_dict` takes, one annotation object per
         node, ``highest_index``, ``source_kind`` and ``transform``;
         every input index (``h``, ``n2``, ``reps`` and
@@ -291,7 +291,10 @@ class AvdIndex:
         annotate; a query landing there raises ``ValueError``.  One
         pass, O(nodes + reps).
         """
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
+            raise ValueError(f"index is no JSON: {exc}") from None
         fields = itemgetter("annotations", "highest_index", "source_kind", "transform")
         annotations, highest, source_kind, t = json_fields(data, fields, "index")
         tree, nodes = QuadTree.from_dict_with_nodes(data)

@@ -64,7 +64,7 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
         header = json.loads(header_line)
         dim = header["dim"]
         kind = header["kind"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise PointFileError(f"line 1: bad header: {exc}") from exc
     dim = _integer(dim, "dim", 1)
     if kind not in (CONTINUOUS, DISCRETE):
@@ -77,7 +77,7 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
             raise PointFileError(f"line {lineno}: invalid JSON") from exc
         try:
             if kind == CONTINUOUS:

@@ -550,9 +550,21 @@ class QuadTree:
         return all(floor_scaled(v, lev) == k for v, k in zip(x, cell.coords))
 
     def cell_query(self, box: CellId) -> tuple[QuadNode | None, QuadNode | None]:
-        """Largest stored box inside ``box`` and smallest stored box containing it."""
+        """Largest stored box inside ``box`` and smallest stored box containing it.
+
+        One descent (:meth:`smallest_containing`) finds the second.  It
+        stops at ``box`` itself if ``box`` is a node, which is then both
+        answers.  Otherwise ``box`` lies below a leaf or inside the gap
+        of a compressed node, and only that node's child can lie inside
+        ``box``.
+        """
         self._check_in_root(box)
-        return self._topmost_under(box), self.smallest_containing(box)
+        node = self.smallest_containing(box)
+        if node.cell.level == box.level:
+            return node, node
+        if node.kind == COMPRESSED and shadow_within(node.children[0].cell, box):
+            return node.children[0], node
+        return None, node
 
     def smallest_containing(self, box: CellId) -> QuadNode:
         """The lowest node whose box contains ``box`` (point location).
@@ -607,23 +619,7 @@ class QuadTree:
                 i = (i << 1) | ((k >> s) & 1)
             node = node.children[i]
 
-    # -- subtree content without materialized nodes --------------------
-
-    def _topmost_under(self, box: CellId) -> QuadNode | None:
-        """The topmost node on or below ``box``, if any; ``box`` must pass
-        :meth:`in_root`.
-
-        The descent stops at ``box`` itself if it is a node (the one
-        node on its level that contains it).  Otherwise ``box`` lies
-        below a leaf or inside the gap of a compressed node, and only
-        that node's child can lie inside ``box``.
-        """
-        node = self.smallest_containing(box)
-        if node.cell.level == box.level:
-            return node
-        if node.kind == COMPRESSED and shadow_within(node.children[0].cell, box):
-            return node.children[0]
-        return None
+    # -- lookups by cell ---------------------------------------------
 
     def node_for(self, box: CellId) -> QuadNode | None:
         """The node whose box is ``box``, if any.
@@ -647,15 +643,13 @@ class QuadTree:
 
     def subtree_count(self, box: CellId) -> int:
         """Number of inputs whose box lies on or below an arbitrary cell."""
-        self._check_in_root(box)
-        node = self._topmost_under(box)
+        node = self.cell_query(box)[0]
         return 0 if node is None else node.count
 
     def highest_under(self, box: CellId) -> int | None:
         """Index of the highest-level input on or below ``box`` (smallest
         index among ties); requires the Voronoi pass to have filled h."""
-        self._check_in_root(box)
-        node = self._topmost_under(box)
+        node = self.cell_query(box)[0]
         return None if node is None else node.h_index
 
     # -- insertion ----------------------------------------------------
@@ -739,7 +733,12 @@ class QuadTree:
             raise ValueError("a tree needs a JSON array of points and one of nodes, its root node first")
         tree = cls.__new__(cls)
         tree.dim = dim
-        tree.root_cell = root_cell(dim)
+        # node 0's cell holds dim - 1 coordinates of the file itself, so
+        # it is loaded before anything of size dim is built
+        root = tree._loaded_cell(json_fields(node_specs[0], itemgetter("cell"), "node", 0), "node", 0)
+        if root.level or any(root.coords):
+            raise ValueError(f"node 0 is the root and must be {root_cell(dim)!r}, got {root!r}")
+        tree.root_cell = root
         tree.points = points = [tree._loaded_cell(spec, "point", i) for i, spec in enumerate(point_specs)]
         index_of = first_indices(points)
         built: list[QuadNode] = []
@@ -759,8 +758,6 @@ class QuadTree:
                 ups.append(None)
                 if up is not None:
                     raise ValueError(f"node 0 is the root and takes no parent, got {up!r}")
-                if cell != tree.root_cell:
-                    raise ValueError(f"node 0 is the root and must be {tree.root_cell!r}, got {cell!r}")
             elif is_index(up, k):
                 above = built[up]
                 slot = len(above.children)

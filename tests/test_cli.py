@@ -96,6 +96,17 @@ def test_build_x_1_and_400_zeros_exits_2(tmp_path, capsys):
     assert code == 2 and "line 3" in error
 
 
+def test_build_line_of_100000_nested_arrays_exits_2(tmp_path, capsys):
+    # json's RecursionError escaped (a traceback, exit 1)
+    code, error = build_exit(tmp_path, capsys, DISCRETE_2 + "[" * 100000 + "\n")
+    assert code == 2 and "line 3: invalid JSON" in error
+
+
+def test_build_header_of_100000_nested_arrays_exits_2(tmp_path, capsys):
+    code, error = build_exit(tmp_path, capsys, "[" * 100000 + "\n" + DISCRETE_2)
+    assert code == 2 and "line 1: bad header: maximum recursion depth" in error
+
+
 def test_build_coords_3_7_exits_2(tmp_path, capsys):
     # was read as Cell(-3;[3])
     code, error = build_exit(tmp_path, capsys, DISCRETE_2 + '{"coords": [3.7], "level": -3}\n')
@@ -475,3 +486,36 @@ def test_query_index_without_transform_key_exits_2(tmp_path, capsys):
     index, data = three_cell_index(tmp_path)
     del data["transform"]
     assert "index has no key 'transform'" in query_error(index, data, "-6,24", capsys)
+
+
+def test_query_index_dim_10_pow_30_exits_2(tmp_path, capsys):
+    # the loader built the root cell of dimension 10**30 before any
+    # cell had shown that many coordinates: OverflowError (exit 1)
+    index, data = three_cell_index(tmp_path)
+    data["dim"] = 10**30
+    assert "node 0's cell [0, [0]] is no [level, " in query_error(index, data, "-6,24", capsys)
+
+
+def test_query_index_dim_10_pow_30_without_points_exits_2(tmp_path, capsys):
+    index, data = three_cell_index(tmp_path)
+    data["dim"] = 10**30
+    data["points"] = []
+    assert "node 0's cell [0, [0]] is no [level, " in query_error(index, data, "-6,24", capsys)
+
+
+def test_query_index_not_json_exits_2(tmp_path, capsys):
+    # exited 2 with json's bare "Expecting value: ..." naming no index
+    index = tmp_path / "avd.json"
+    index.write_text("not json")
+    code, out, err = run(["query", "--index", str(index), "--at=-6,24"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("index is no JSON: Expecting value")
+
+
+def test_query_index_of_100000_nested_arrays_exits_2(tmp_path, capsys):
+    # json's RecursionError escaped (a traceback, exit 1)
+    index = tmp_path / "avd.json"
+    index.write_text("[" * 100000)
+    code, out, err = run(["query", "--index", str(index), "--at=-6,24"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("index is no JSON: maximum recursion depth")

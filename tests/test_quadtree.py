@@ -525,6 +525,14 @@ def test_from_dict_top_level_list():
         QuadTree.from_dict([_edited_tree(("dim",), 2)])
 
 
+def test_from_dict_dim_10_pow_30_without_points():
+    # root_cell(10**30) raised OverflowError before node 0 was read
+    data = _edited_tree(("dim",), 10**30)
+    data["points"] = []
+    with pytest.raises(ValueError, match="node 0's cell"):
+        QuadTree.from_dict(data)
+
+
 def test_from_dict_node_2_without_parent():
     data = _edited_tree(("dim",), 2)
     del data["nodes"][2]["parent"]
