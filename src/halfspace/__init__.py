@@ -9,7 +9,7 @@ approximate Voronoi diagram that answers exact ``d2`` nearest-neighbor
 queries.
 """
 
-from .tiling import CellId, HPoint, Move, parent, children, horizontal_neighbors, center, cell_of
+from .tiling import CellId, HPoint, parent, children, horizontal_neighbors, center, cell_of
 from .metrics import D2Path, lambda_, d1, d2, d2_path, bridge_level_estimate
 from .hyperbolic import (
     NormalizeTransform,
@@ -26,7 +26,6 @@ from .avd import AvdIndex, build_avd, refine, annotate, query, query_hyperbolic
 __all__ = [
     "CellId",
     "HPoint",
-    "Move",
     "parent",
     "children",
     "horizontal_neighbors",

@@ -51,6 +51,7 @@ from operator import itemgetter
 
 from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2_argmin
+from .pointfile import CONTINUOUS, DISCRETE
 from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, compressed_on_boundary, is_index, json_fields, meets_boundary, shadow_within
 from .tiling import CellId, HPoint, floor_scaled, horizontal_neighbors, level_of_height
 
@@ -238,11 +239,16 @@ class AvdIndex:
     tree: QuadTree
     transform: NormalizeTransform | None
     highest_index: int
-    source_kind: str  # "discrete" | "continuous"
 
     @property
     def points(self) -> list[CellId]:
         return self.tree.points
+
+    @property
+    def source_kind(self) -> str:
+        """The kind of point file the index was built from: continuous
+        exactly when it holds a transform, which :meth:`from_json` checks."""
+        return DISCRETE if self.transform is None else CONTINUOUS
 
     def region_of(self, q: CellId) -> QuadNode:
         """The unique node whose Voronoi region contains the cell center:
@@ -254,9 +260,6 @@ class AvdIndex:
         if not self.tree.in_root(q):
             raise ValueError(f"{q!r} lies outside the root cell's shadow")
         return self.tree.smallest_containing(q)
-
-    def is_out_of_range(self, q: CellId) -> bool:
-        return not self.tree.in_root(q)
 
     def to_json(self) -> str:
         data = self.tree.to_dict()
@@ -316,15 +319,16 @@ class AvdIndex:
         if not is_index(highest, n):
             raise ValueError(f"highest_index {highest!r} is no input index in range({n})")
         if t is None:
-            transform, kind = None, "discrete"
+            transform = None
         else:
             scale, shift = json_fields(t, itemgetter("scale", "shift"), "transform")
             if type(shift) is not list or len(shift) != tree.dim - 1:
                 raise ValueError(f"transform shift {shift!r} is no list of {tree.dim - 1} numbers")
-            transform, kind = NormalizeTransform(scale, tuple(shift)), "continuous"
-        if source_kind != kind:
-            raise ValueError(f"source_kind {source_kind!r} is not {kind!r}, as the transform implies")
-        return cls(tree, transform, highest, source_kind)
+            transform = NormalizeTransform(scale, tuple(shift))
+        index = cls(tree, transform, highest)
+        if source_kind != index.source_kind:
+            raise ValueError(f"source_kind {source_kind!r} is not {index.source_kind!r}, as the transform implies")
+        return index
 
 
 def build_avd(points: list[HPoint] | list[CellId]) -> AvdIndex:
@@ -333,15 +337,13 @@ def build_avd(points: list[HPoint] | list[CellId]) -> AvdIndex:
         raise ValueError("cannot index an empty point set")
     if isinstance(points[0], HPoint):
         transform, _, cells = normalize_and_embed(points)
-        source = "continuous"
     else:
         transform, cells = None, list(points)
-        source = "discrete"
     base = QuadTree(cells[0].dim, cells)
     refined = refine(base)
     annotate(refined)
     select_representatives(refined, base)
-    return AvdIndex(refined, transform, refined.root.h_index, source)
+    return AvdIndex(refined, transform, refined.root.h_index)
 
 
 def query(ix: AvdIndex, q: CellId) -> int:

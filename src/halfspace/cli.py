@@ -10,6 +10,7 @@ exit nonzero as well.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
@@ -24,7 +25,7 @@ from .oracle import dijkstra
 from .pointfile import CONTINUOUS, DISCRETE, read_points, write_points
 from .quadtree import COMPRESSED, LEAF, build_quadtree
 from .sampling import STRATIFIED, UNIFORM, sample_cells, sample_continuous, sample_margin_cells
-from .spanner import build_embedding_graph, build_hyperbolic_spanner, build_spanner
+from .spanner import INPUT, build_embedding_graph, build_hyperbolic_spanner, build_spanner
 from .tiling import CellId, HPoint, center
 from .verification import run_verification
 
@@ -63,8 +64,6 @@ def cmd_gen(args) -> int:
             pts = sample_margin_cells(rng, args.dim, args.n, min_level=args.min_level)
         else:
             pts = sample_cells(rng, args.dim, args.n, min_level=args.min_level)
-    import io
-
     buf = io.StringIO()
     write_points(buf, pts)
     _write_out(args.out, buf.getvalue())
@@ -154,7 +153,7 @@ def cmd_query(args) -> int:
         queries.extend(pts)
     if args.at:
         for spec in args.at:
-            if index.source_kind == "continuous":
+            if index.source_kind == CONTINUOUS:
                 queries.append(_parse_hpoint(spec))
             else:
                 queries.append(_parse_cell(spec))
@@ -272,7 +271,7 @@ def render_spanner() -> tuple[str, dict]:
             )
         )
     for v in graph.vertices:
-        if v.kind == "input":
+        if v.kind == INPUT:
             body.append(_dot(center(v.cell), 5, "fill:#b3261e"))
         else:
             body.append(_dot(center(v.cell), 3.5, "fill:#1f4e9c"))
@@ -280,7 +279,7 @@ def render_spanner() -> tuple[str, dict]:
     dist = dijkstra(len(graph.vertices), adj, graph.vertex_of_cell[pts[2]])
     stats = {
         "figure": "spanner",
-        "inputs": sum(1 for v in graph.vertices if v.kind == "input"),
+        "inputs": sum(1 for v in graph.vertices if v.kind == INPUT),
         "steiner": graph.n_steiner,
         "distance_2_5": dist[graph.vertex_of_cell[pts[5]]],
         "edges": len(graph.edges),

@@ -128,9 +128,6 @@ class NormalizeTransform:
             self.scale * p.z,
         )
 
-    def apply_all(self, points: Sequence[HPoint]) -> list[HPoint]:
-        return [self.apply(p) for p in points]
-
 
 # Horizontal diameter target: strictly below 1/4 so every mapped cell
 # center stays inside [1/4, 1/2] per axis (the margin the refinement
@@ -178,7 +175,7 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
         if scale * p.z == 0.0:
             raise ValueError(f"point {i}: height {p.z!r} underflows to 0.0 at scale {scale!r}")
     transform = NormalizeTransform(scale, tuple(shift))
-    moved = transform.apply_all(points)
+    moved = [transform.apply(p) for p in points]
     for i, (p, m) in enumerate(zip(points, moved)):
         for x, mx, t in zip(p.x, m.x, shift):
             if not _X_LOW_CORNER <= mx < 2 * _X_LOW_CORNER:

@@ -19,9 +19,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .hyperbolic import hyperbolic_distance
 from .metrics import d1 as d1_fast
 from .metrics import d2 as d2_fast
 from .metrics import d2_path
+from .quadtree import shadow_within
 from .tiling import CellId, ancestor_at, children, horizontal_neighbors, parent
 
 
@@ -204,29 +206,20 @@ def d2_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
     raise RuntimeError("window clipped every path; widen the slack")
 
 
-_METRICS: dict[str, Callable] = {}
-
-
-def _hyperbolic_metric(a, b):
-    from .hyperbolic import hyperbolic_distance
-
-    return hyperbolic_distance(a, b)
-
-
-_METRICS["d1"] = d1_fast
-_METRICS["d2"] = d2_fast
-_METRICS["dH"] = _hyperbolic_metric
+_METRICS: dict[str, Callable] = {"d1": d1_fast, "d2": d2_fast, "dH": hyperbolic_distance}
 
 
 def nn_bruteforce(points: Sequence, q, metric: str = "d2") -> int:
     """Index of the nearest point under the named metric.
 
     Ties go to the smallest index.  ``points`` are cells for d1/d2 and
-    halfspace points for dH.
+    halfspace points for dH; any other metric name raises ``ValueError``.
     """
     if not points:
         raise ValueError("empty point set")
-    fn = _METRICS[metric]
+    fn = _METRICS.get(metric)
+    if fn is None:
+        raise ValueError(f"unknown metric {metric!r}; use one of {', '.join(_METRICS)}")
     best_i = 0
     best_d = fn(q, points[0])
     for i in range(1, len(points)):
@@ -239,8 +232,6 @@ def nn_bruteforce(points: Sequence, q, metric: str = "d2") -> int:
 def cell_query_scan(stored: Sequence[CellId], box: CellId) -> tuple[CellId | None, CellId | None]:
     """Largest stored box inside ``box`` and smallest stored box containing
     it, by linear scan over shadows."""
-    from .quadtree import shadow_within
-
     largest = None
     smallest = None
     for c in stored:

@@ -29,13 +29,10 @@ class ShortcutSet:
     extra_edges: tuple[tuple[int, int], ...]  # (descendant, ancestor)
 
     @property
-    def tree_edges(self) -> list[tuple[int, int]]:
-        return [(v, p) for v, p in sorted(self.parent.items()) if p is not None]
-
-    @property
     def total_edges(self) -> int:
-        """Tree edges plus extras: all usable upward edges."""
-        return len(self.tree_edges) + len(self.extra_edges)
+        """Tree edges (one per non-root vertex) plus extras: all usable
+        upward edges."""
+        return sum(1 for p in self.parent.values() if p is not None) + len(self.extra_edges)
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in self.parent}

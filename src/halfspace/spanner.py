@@ -83,9 +83,6 @@ class SpannerVertex:
     point: HPoint | None = None
     input_index: int | None = None
 
-    def position(self) -> HPoint:
-        return self.point if self.point is not None else center(self.cell)
-
 
 @dataclass
 class SpannerGraph:
@@ -127,16 +124,6 @@ class SpannerGraph:
             ],
             "edges": [[u, v, w] for u, v, w in self.edges],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpannerGraph":
-        g = cls(metric=data["metric"])
-        for spec in data["vertices"]:
-            cell = CellId(spec["cell"][0], tuple(spec["cell"][1])) if spec["cell"] else None
-            point = HPoint(tuple(spec["point"]["x"]), spec["point"]["z"]) if spec["point"] else None
-            g.add_vertex(spec["kind"], cell, point, spec["input_index"])
-        g.edges = [(u, v, w) for u, v, w in data["edges"]]
-        return g
 
     def to_edge_list(self) -> str:
         """Plain `u v w` lines for external tools."""

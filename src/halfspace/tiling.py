@@ -16,9 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
-from typing import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -103,31 +101,6 @@ def finite_number(v) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Move:
-    """One move between cell centers: up, down to a child, or horizontal.
-
-    ``child_index`` selects one of the 2^(D-1) children for a down move;
-    ``offset`` is a nonzero vector in {-1,0,1}^(D-1) for a horizontal move.
-    """
-
-    kind: str  # "up" | "down" | "horizontal"
-    child_index: int | None = None
-    offset: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "horizontal":
-            if self.offset is None or not any(self.offset):
-                raise ValueError("horizontal move needs a nonzero offset")
-            if any(o not in (-1, 0, 1) for o in self.offset):
-                raise ValueError("horizontal offsets are -1, 0 or +1 per axis")
-        elif self.kind == "down":
-            if self.child_index is None or self.child_index < 0:
-                raise ValueError("down move needs a child index")
-        elif self.kind != "up":
-            raise ValueError(f"unknown move kind {self.kind!r}")
-
-
 def parent(c: CellId) -> CellId:
     """The cell one level up whose bottom facet carries the top facet of ``c``."""
     return CellId(c.level + 1, tuple(k >> 1 for k in c.coords))
@@ -154,21 +127,6 @@ def horizontal_neighbors(c: CellId) -> list[CellId]:
     """The 3^(D-1)-1 same-level cells touching ``c``, diagonals included."""
     level, coords = c.level, c.coords
     return [CellId(level, tuple(map(add, coords, off))) for off in neighbor_offsets(len(coords))]
-
-
-def apply_move(c: CellId, m: Move) -> CellId:
-    if m.kind == "up":
-        return parent(c)
-    if m.kind == "down":
-        return children(c)[m.child_index]
-    return CellId(c.level, tuple(k + o for k, o in zip(c.coords, m.offset)))
-
-
-def all_moves(c: CellId) -> Iterator[CellId]:
-    """Every cell reachable from ``c`` in one move."""
-    yield parent(c)
-    yield from children(c)
-    yield from horizontal_neighbors(c)
 
 
 def center(c: CellId) -> HPoint:
@@ -258,12 +216,3 @@ def lift_pair(p: CellId, q: CellId) -> tuple[int, tuple[int, ...], tuple[int, ..
     if s < 0:
         return p.level, p.coords, tuple([k >> -s for k in q.coords])
     return p.level, p.coords, q.coords
-
-
-def contains_point(c: CellId, p: HPoint) -> bool:
-    """Half-open geometric membership test, in exact rational arithmetic
-    so it holds at every level; the tests check :func:`cell_of` with it."""
-    if level_of_height(p.z) != c.level:
-        return False
-    w = Fraction(2) ** c.level
-    return all(k * w <= Fraction(x) < (k + 1) * w for k, x in zip(c.coords, p.x))

@@ -27,7 +27,7 @@ from .oracle import cell_query_scan, d1_bfs, dijkstra, hop_bounded_distances, nn
 from .quadtree import COMPRESSED, LEAF, build_quadtree
 from .sampling import distinct, sample_cells, sample_continuous, sample_margin_cells
 from .shortcut import shortcut_forest
-from .spanner import build_hyperbolic_spanner, build_spanner, path_context, realized_path_length
+from .spanner import INPUT, build_hyperbolic_spanner, build_spanner, path_context, realized_path_length
 from .tiling import CellId, cell_of, center, is_ancestor_or_self
 
 
@@ -261,7 +261,7 @@ def check_hyperbolic_spanner(rng: random.Random, dim: int, n: int) -> dict:
     for k in HOP_BUDGETS:
         graph = build_hyperbolic_spanner(pts, k)
         adj = graph.adjacency()
-        vids = {v.input_index: v.id for v in graph.vertices if v.kind == "input"}
+        vids = {v.input_index: v.id for v in graph.vertices if v.kind == INPUT}
         norm = {i: graph.vertices[vids[i]].point for i in vids}
         window = (2 * k + 3) * (3 * math.log(dim) + 2 + 6 * math.log(2) + 2 * math.log(2))
         missing = 0
@@ -305,7 +305,7 @@ def check_avd(rng: random.Random, dim: int, n: int) -> dict:
         for _ in range(QUERIES_PER_SET):
             q = sample_cells(rng, dim, 1, min_level=-9)[0]
             got = avd_mod.query(ix, q)
-            if ix.is_out_of_range(q):
+            if not ix.tree.in_root(q):
                 out_of_box_queries += 1
                 if got != ix.highest_index:
                     mismatches += 1

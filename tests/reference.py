@@ -24,7 +24,9 @@ float; and the spanner assembly that gathered edges in sets of
 ``(u, v, w)`` triples and copied the d1 spanner's vertices
 (``build_spanner_triples``, ``build_hyperbolic_spanner_triples``) with
 the halfspace distance that tests every range in turn
-(``hyperbolic_distance_general``).  The bodies are the replaced code, unchanged but for absolute
+(``hyperbolic_distance_general``); and the exact rational membership
+test that :func:`halfspace.tiling.cell_of` must agree with
+(``contains_point``).  The bodies are the replaced code, unchanged but for absolute
 imports.  The tests compare the library's fast paths against them;
 nothing in ``halfspace`` calls them.  The brute-force oracles the
 verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
@@ -33,11 +35,12 @@ verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
+from fractions import Fraction
 
 from halfspace.metrics import d2 as d2_fast
 from halfspace.metrics import D2Path, _climb, d2_path, lambda_
 from halfspace.shortcut import ShortcutSet
-from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, horizontal_neighbors, parent
+from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, horizontal_neighbors, level_of_height, parent
 
 
 def d1_climb(p: CellId, q: CellId) -> int:
@@ -850,3 +853,12 @@ def hop_bounded_distances_scan(
             break
         prev = cur
     return prev
+
+
+def contains_point(c: CellId, p: HPoint) -> bool:
+    """Half-open geometric membership test, in exact rational arithmetic
+    so it holds at every level; the tests check :func:`cell_of` with it."""
+    if level_of_height(p.z) != c.level:
+        return False
+    w = Fraction(2) ** c.level
+    return all(k * w <= Fraction(x) < (k + 1) * w for k, x in zip(c.coords, p.x))

@@ -247,7 +247,7 @@ def test_09_avd_exactness():
                 q = sample_cells(rng, dim, 1, min_level=-9)[0]
                 got = query(ix, q)
                 queries += 1
-                if ix.is_out_of_range(q):
+                if not ix.tree.in_root(q):
                     out_of_box += 1
                     assert got == ix.highest_index
                 else:

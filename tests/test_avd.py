@@ -275,6 +275,22 @@ def test_build_from_continuous_points(rng):
     assert ix.source_kind == "continuous"
 
 
+@pytest.mark.parametrize(
+    "points, kind",
+    [
+        ([HPoint((0.3,), 1.2), HPoint((0.7,), 0.4)], "continuous"),
+        ([CellId(-3, (2,)), CellId(-4, (6,))], "discrete"),
+    ],
+)
+def test_source_kind_follows_transform(points, kind):
+    built = build_avd(points)
+    loaded = AvdIndex.from_json(built.to_json())
+    for ix in (built, loaded):
+        assert (ix.transform is not None) == (kind == "continuous")
+        assert ix.source_kind == kind
+    assert json.loads(built.to_json())["source_kind"] == kind
+
+
 def test_query_hyperbolic_exact_point():
     pts = [HPoint((1.0,), 2.0), HPoint((5.0,), 0.5)]
     ix = build_avd(pts)

@@ -179,7 +179,7 @@ def test_gen_env_seed(tmp_path, capsys, monkeypatch):
 def test_build_artifacts_roundtrip(tmp_path, capsys):
     pts = tmp_path / "pts.jsonl"
     assert main(["gen", "--dim", "2", "--n", "24", "--kind", "discrete", "--seed", "4", "--out", str(pts)]) == 0
-    for what in ("quadtree", "spanner", "avd"):
+    for what in ("quadtree", "avd"):
         out = tmp_path / f"{what}.json"
         assert main(["build", "--what", what, "--in", str(pts), "--out", str(out)]) == 0
         blob = out.read_text()
@@ -189,10 +189,6 @@ def test_build_artifacts_roundtrip(tmp_path, capsys):
             from halfspace.quadtree import QuadTree
 
             assert json.dumps(QuadTree.from_dict(data).to_dict(), sort_keys=True) + "\n" == blob
-        elif what == "spanner":
-            from halfspace.spanner import SpannerGraph
-
-            assert json.dumps(SpannerGraph.from_dict(data).to_dict(), sort_keys=True) + "\n" == blob
         else:
             from halfspace.avd import AvdIndex
 

@@ -196,7 +196,7 @@ def test_ordinary_children_keep_children_order(dim):
     for _ in range(6):
         refined.insert_box(random_cell_in_root(rng, dim, min_level=-14))
         assert _children_in_order(refined)
-    back = AvdIndex.from_json(AvdIndex(refined, None, 0, "discrete").to_json()).tree
+    back = AvdIndex.from_json(AvdIndex(refined, None, 0).to_json()).tree
     assert _children_in_order(back)
     assert [n.cell for n in back.iter_nodes()] == [n.cell for n in refined.iter_nodes()]
 

@@ -10,6 +10,10 @@ argument or assigned attribute).  Dunder names are not private.
 Traversals are iterative, so deep inputs never meet the interpreter's
 recursion limit: a function calling its own name, or a method calling
 ``self.name`` or ``cls.name``, fails the second check.
+
+Every import sits at the top of its module, where the import graph can
+be read at a glance: an ``import`` inside a function fails the third
+check.
 """
 
 import ast
@@ -115,3 +119,38 @@ def test_check_flags_self_calls(tmp_path):
         "        return f(1) + self.children(0)\n"
     )
     assert self_calls(src) == ["m.py:2 f calls itself", "m.py:5 walk calls itself", "m.py:9 children calls itself"]
+
+
+def function_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outermost = {}  # import node -> name of the outermost function holding it
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    outermost.setdefault(node, fn.name)
+    hits = sorted(outermost.items(), key=lambda item: item[0].lineno)
+    return [f"{path.name}:{node.lineno} {name} imports" for node, name in hits]
+
+
+def test_no_function_imports():
+    found = [v for path in sorted(PACKAGE.glob("*.py")) for v in function_imports(path)]
+    assert not found, "\n".join(found)
+
+
+def test_check_flags_function_imports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import io\n"
+        "from .tiling import CellId\n"
+        "def f():\n"
+        "    import json\n"
+        "    return json\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            from .quadtree import shadow_within\n"
+        "            return shadow_within\n"
+        "        return h\n"
+    )
+    assert function_imports(src) == ["m.py:4 f imports", "m.py:9 g imports"]

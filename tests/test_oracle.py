@@ -88,6 +88,11 @@ def test_nn_bruteforce_hyperbolic():
     assert nn_bruteforce(pts, HPoint((0.0,), 3.9), "dH") == 1
 
 
+def test_nn_bruteforce_metric_d3_raises_value_error():
+    with pytest.raises(ValueError, match="unknown metric 'd3'"):
+        nn_bruteforce([C(0, 0)], C(0, 0), "d3")
+
+
 def test_dijkstra_small_graph():
     adj = [[(1, 1.0), (2, 4.0)], [(0, 1.0), (2, 1.5)], [(0, 4.0), (1, 1.5)]]
     dist = dijkstra(3, adj, 0)

