@@ -29,14 +29,15 @@ locates its region and takes the exact-d2 argmin over representatives,
 ties to the smallest input index: one region descent, one closed-form
 climb per representative beyond the first
 (:func:`~halfspace.metrics.d2_argmin`, the one argmin, which the
-annotation shares), and for a continuous query one :class:`CellId`,
-since the point is moved with the transform's float expressions and
-floored straight to its cell.  In the hyperbolic plane (D = 2) every
-cell has one coordinate, and the whole query path takes a scalar
-branch picked by that count: the moved coordinate is floored on its
-own, each descent step and each d2 is a few integer shifts and
-compares, and no list, ``zip`` or per-coordinate loop is made.  D >= 3
-keeps the loops; the answers are the same either way.
+annotation shares), and for a continuous query one :class:`CellId`:
+:meth:`~halfspace.hyperbolic.NormalizeTransform.cell_of` places the
+point, the one method that placed the inputs at build time, and builds
+no moved point.  In the hyperbolic plane (D = 2) every cell has one
+coordinate, and the whole query path takes a scalar branch picked by
+that count: the moved coordinate is floored on its own, each descent
+step and each d2 is a few integer shifts and compares, and no list,
+``zip`` or per-coordinate loop is made.  D >= 3 keeps the loops; the
+answers are the same either way.
 
 Queries whose x-projection leaves the unit box, or that sit above the
 root level, return the highest input point outright.
@@ -46,14 +47,14 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2_argmin
 from .pointfile import CONTINUOUS, DISCRETE
 from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, compressed_on_boundary, is_index, json_fields, meets_boundary, shadow_within
-from .tiling import CellId, HPoint, floor_scaled, horizontal_neighbors, level_of_height
+from .tiling import CellId, HPoint, horizontal_neighbors
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
 
@@ -269,11 +270,7 @@ class AvdIndex:
         data["annotations"] = extras
         data["highest_index"] = self.highest_index
         data["source_kind"] = self.source_kind
-        data["transform"] = (
-            {"scale": self.transform.scale, "shift": list(self.transform.shift)}
-            if self.transform is not None
-            else None
-        )
+        data["transform"] = None if self.transform is None else asdict(self.transform)
         return json.dumps(data, sort_keys=True)
 
     @classmethod
@@ -286,9 +283,10 @@ class AvdIndex:
         :meth:`QuadTree.from_dict` takes, one annotation object per
         node, ``highest_index``, ``source_kind`` and ``transform``;
         every input index (``h``, ``n2``, ``reps`` and
-        ``highest_index``) lies in ``range(len(points))``; and the
-        transform is null with source kind "discrete", or an object
-        whose scale and ``dim - 1`` shift values
+        ``highest_index``) lies in ``range(len(points))``; node 0's
+        ``h``, the root's highest input, is null or ``highest_index``;
+        and the transform is null with source kind "discrete", or an
+        object whose scale and ``dim - 1`` shift values
         :class:`NormalizeTransform` takes, with source kind
         "continuous".  ``null`` marks a node the AVD passes did not
         annotate; a query landing there raises ``ValueError``.  One
@@ -318,6 +316,8 @@ class AvdIndex:
             node.h_index, node.n2_index, node.reps = h, n2, reps
         if not is_index(highest, n):
             raise ValueError(f"highest_index {highest!r} is no input index in range({n})")
+        if nodes[0].h_index not in (None, highest):
+            raise ValueError(f"highest_index {highest!r} is not node 0's h {nodes[0].h_index!r}, the root's highest input")
         if t is None:
             transform = None
         else:
@@ -370,29 +370,15 @@ def query(ix: AvdIndex, q: CellId) -> int:
 def query_hyperbolic(ix: AvdIndex, q: HPoint) -> int:
     """Approximate nearest neighbor for a continuous query point.
 
-    Moves ``q`` with the float expressions of
-    :meth:`NormalizeTransform.apply` and takes its cell as
-    :func:`~halfspace.tiling.cell_of` would, building the one
-    :class:`CellId` and no moved point.  Raises ``ValueError`` when
+    Takes ``q``'s cell with :meth:`NormalizeTransform.cell_of`, the
+    method that placed the inputs, and answers :func:`query` on it.
+    Raises ``ValueError`` when the index holds no transform, when
     ``q``'s dimension is not the index's, and when the move takes the
     height to 0.0 or a coordinate out of the floats.
     """
     t = ix.transform
     if t is None:
         raise ValueError("index was built from discrete cells; no transform stored")
-    x = q.x
-    if len(x) != len(t.shift):
+    if len(q.x) != len(t.shift):
         raise ValueError(f"query {q!r} has dimension {q.dim}, the index {len(t.shift) + 1}")
-    scale = t.scale
-    z = scale * q.z
-    if z == 0.0:
-        raise ValueError(f"query height {q.z!r} underflows to 0.0 at scale {scale!r}")
-    level = level_of_height(z)
-    try:
-        if len(x) == 1:
-            coords = (floor_scaled(scale * x[0] + t.shift[0], level),)
-        else:
-            coords = tuple([floor_scaled(scale * v + s, level) for v, s in zip(x, t.shift)])
-    except OverflowError:
-        raise ValueError(f"query x = {q.x!r} moves out of the finite floats at scale {scale!r}") from None
-    return query(ix, CellId(level, coords))
+    return query(ix, t.cell_of(q))

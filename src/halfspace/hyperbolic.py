@@ -26,7 +26,7 @@ from operator import sub
 from typing import Sequence
 
 from .metrics import d1, d2
-from .tiling import CellId, HPoint, cell_of, finite_number
+from .tiling import CellId, HPoint, cell_of, finite_number, floor_scaled, level_of_height
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 _INF = math.inf
@@ -110,6 +110,8 @@ class NormalizeTransform:
     must be a positive ``int`` or ``float`` and the shift a nonempty
     tuple of them, each with a finite float value; anything else
     (``bool``, ``str``, a list) raises ``ValueError`` naming the value.
+    :meth:`cell_of` takes a point to its cell after the move; builds and
+    queries both place their points with it.
     """
 
     scale: float
@@ -127,6 +129,33 @@ class NormalizeTransform:
             tuple(self.scale * x + t for x, t in zip(p.x, self.shift)),
             self.scale * p.z,
         )
+
+    def cell_of(self, p: HPoint) -> CellId:
+        """The cell of ``p`` after the move: ``cell_of(self.apply(p))``,
+        with the same float expressions, but no moved :class:`HPoint`.
+
+        The one path by which a continuous point reaches its cell, at
+        build (:func:`normalize_and_embed`) and at query time.  With one
+        coordinate (D = 2, the point's coordinate count decides) the
+        floor is taken on its own, with no list or ``zip``.  Raises
+        ``ValueError`` when the move takes the height to 0.0 or a
+        coordinate out of the floats; the messages name a query, as
+        :func:`normalize` rejects such inputs before a build places them.
+        """
+        x = p.x
+        scale = self.scale
+        z = scale * p.z
+        if z == 0.0:
+            raise ValueError(f"query height {p.z!r} underflows to 0.0 at scale {scale!r}")
+        level = level_of_height(z)
+        try:
+            if len(x) == 1:
+                coords = (floor_scaled(scale * x[0] + self.shift[0], level),)
+            else:
+                coords = tuple([floor_scaled(scale * v + s, level) for v, s in zip(x, self.shift)])
+        except OverflowError:
+            raise ValueError(f"query x = {p.x!r} moves out of the finite floats at scale {scale!r}") from None
+        return CellId(level, coords)
 
 
 # Horizontal diameter target: strictly below 1/4 so every mapped cell
@@ -188,13 +217,16 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
 
 
 def normalize_and_embed(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint], list[CellId]]:
-    """Normalize a point set and map each moved point to its cell.
+    """Normalize a point set and map each point to its cell.
 
     Returns the transform, the moved points and their cells, in input
     order; this is how every continuous input enters the discrete models.
+    The cells come from :meth:`NormalizeTransform.cell_of` over the
+    inputs, the method queries use too, so a build and a query place a
+    point alike.
     """
     transform, moved = normalize(points)
-    return transform, moved, [cell_of(p) for p in moved]
+    return transform, moved, [transform.cell_of(p) for p in points]
 
 
 def deviation_window_cells(dim: int) -> tuple[float, float]:

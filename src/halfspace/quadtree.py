@@ -70,6 +70,13 @@ ORDINARY = "ordinary"
 COMPRESSED = "compressed"
 LEAF = "leaf"
 
+# The deepest level a tree takes a box at.  A build lifts every key's
+# coordinates to the lowest key's level (zorder_key) and point location
+# floors at one level below the lowest node, so a key at level L costs
+# shifts by -L bits: at level -10**30 no such integer can be made.
+# Float heights reach level -1074; discrete inputs may go down to here.
+DEEPEST_LEVEL = -(1 << 16)
+
 
 def root_cell(dim: int) -> CellId:
     """The root cell [0,1]^(D-1) x [1,2]."""
@@ -303,7 +310,8 @@ class QuadTree:
     (the AVD refinement passes the neighbors of the occupied boxes).
     Besides ``points`` the tree keeps ``dim``, ``root_cell`` and
     ``root``, the nodes hanging below it; lookups by cell descend from
-    the root.
+    the root.  A point or box outside the root shadow or below
+    :data:`DEEPEST_LEVEL` raises ``ValueError`` naming it.
     """
 
     def __init__(self, dim: int, points: list[CellId], boxes: Iterable[CellId] = ()):
@@ -312,7 +320,7 @@ class QuadTree:
         self.root_cell = root_cell(dim)
         boxes = list(boxes)
         for box in itertools.chain(self.points, boxes):
-            self._check_in_root(box)
+            self._check_key(box)
         index_of = first_indices(self.points)
         self._assemble(index_of, [self.root_cell, *index_of, *boxes])
 
@@ -529,6 +537,13 @@ class QuadTree:
         if not self.in_root(box):
             raise ValueError(f"{box!r} lies outside the root cell's shadow")
 
+    def _check_key(self, box: CellId) -> None:
+        """Refuse a box the tree cannot take as a key: one outside the
+        root shadow or below :data:`DEEPEST_LEVEL`."""
+        self._check_in_root(box)
+        if box.level < DEEPEST_LEVEL:
+            raise ValueError(f"{box!r} lies below level {DEEPEST_LEVEL}, the deepest a tree takes")
+
     def locate(self, x: tuple[float, ...]) -> QuadNode:
         """The leaf or compressed node whose box or region contains ``x``.
 
@@ -666,7 +681,7 @@ class QuadTree:
         need many boxes pass them to the constructor at once; demo 04
         and the tests are this method's callers.
         """
-        self._check_in_root(box)
+        self._check_key(box)
         if self.node_for(box) is None:
             self._assemble(first_indices(self.points), [*(n.cell for n in self.iter_nodes()), box])
         return self.node_for(box)
@@ -697,14 +712,15 @@ class QuadTree:
 
         Raises ``ValueError``, naming the entry, unless ``dim`` is an
         integer >= 2; every point and node cell is ``[level, coords]``
-        with an integer level (booleans refused) and ``dim - 1`` integer
-        coordinates inside the root shadow; node 0 is the root cell and
-        takes no parent; every other node's parent is an earlier node;
-        every kind is ordinary, compressed or leaf; every ``stored``
-        index is null or lies in ``range(len(points))``; every ordinary
-        node lists its child cells in :func:`children` order, a leaf has
-        no child, and a compressed node exactly one, strictly inside its
-        box.  Point location relies on that shape.  A node's ``stored``
+        with an integer level (booleans refused) no deeper than
+        :data:`DEEPEST_LEVEL` and ``dim - 1`` integer coordinates inside
+        the root shadow; node 0 is the root cell and takes no parent;
+        every other node's parent is an earlier node; every kind is
+        ordinary, compressed or leaf; every ``stored`` index is null or
+        lies in ``range(len(points))``; every ordinary node lists its
+        child cells in :func:`children` order, a leaf has no child, and
+        a compressed node exactly one, strictly inside its box.  Point
+        location relies on that shape.  A node's ``stored``
         must also be the first index of its cell in ``points``, or null
         when the cell is no input, and every distinct input cell needs a
         node storing it, so the node and :meth:`stored_index` agree.
@@ -809,7 +825,7 @@ class QuadTree:
         integers, no booleans) and :meth:`in_root` passes.  Anything but
         a two-entry list fails to unpack or fails :class:`CellId`'s
         checks, as JSON object keys and the items of a string are
-        strings."""
+        strings.  A cell below :data:`DEEPEST_LEVEL` is refused too."""
         try:
             level, coords = spec
             cell = CellId(level, tuple(coords))
@@ -817,6 +833,8 @@ class QuadTree:
             cell = None
         if cell is None or not self.in_root(cell):
             raise ValueError(f"{entry} {k}'s cell {spec!r} is no [level, {self.dim - 1} coordinates] of integers inside the root shadow")
+        if cell.level < DEEPEST_LEVEL:
+            raise ValueError(f"{entry} {k}'s cell {cell!r} lies below level {DEEPEST_LEVEL}, the deepest a tree takes")
         return cell
 
 

@@ -34,16 +34,24 @@ from .tiling import CellId, cell_of, center, is_ancestor_or_self
 # Spanner and AVD checks build SETS random sets each; the AVD check
 # asks QUERIES_PER_SET queries of each set and of the continuous index;
 # the hyperbolic-spanner check covers the hop budgets HOP_BUDGETS.
+# The metric checks draw SANDWICH_PAIRS random pairs for d1 <= d2 <=
+# d1 + 2, BFS_PAIRS for d1 against the move-graph search and
+# BRIDGE_PAIRS for the bridge-level estimate; the embedding check
+# draws DISTORTION_SAMPLES pairs and as many displacement points.
 SETS = 5
 QUERIES_PER_SET = 400
 HOP_BUDGETS = (2, 3)
+SANDWICH_PAIRS = 2000
+BFS_PAIRS = 300
+BRIDGE_PAIRS = 2000
+DISTORTION_SAMPLES = 2000
 
 
 def _round(x: float) -> float:
     return round(x, 9)
 
 
-def check_metric_sandwich(rng: random.Random, dim: int, n_pairs: int) -> dict:
+def check_metric_sandwich(rng: random.Random, dim: int) -> dict:
     violations = 0
     cells = [CellId(lev, (k,)) for lev in range(0, 5) for k in range(64 >> lev)]
     exhaustive_pairs = 0
@@ -52,7 +60,7 @@ def check_metric_sandwich(rng: random.Random, dim: int, n_pairs: int) -> dict:
             exhaustive_pairs += 1
             if not d1(p, q) <= d2(p, q) <= d1(p, q) + 2:
                 violations += 1
-    for _ in range(n_pairs):
+    for _ in range(SANDWICH_PAIRS):
         p = sample_cells(rng, dim, 1, min_level=-6)[0]
         q = sample_cells(rng, dim, 1, min_level=-6)[0]
         if not d1(p, q) <= d2(p, q) <= d1(p, q) + 2:
@@ -62,7 +70,7 @@ def check_metric_sandwich(rng: random.Random, dim: int, n_pairs: int) -> dict:
     semimetric = d2(a, b) == 1 and d2(b, c) == 1 and d2(a, c) == 3
     return {
         "exhaustive_pairs": exhaustive_pairs,
-        "random_pairs": n_pairs,
+        "random_pairs": SANDWICH_PAIRS,
         "violations": violations,
         "tightness_witnessed": tight,
         "triangle_violation_witnessed": semimetric,
@@ -70,22 +78,22 @@ def check_metric_sandwich(rng: random.Random, dim: int, n_pairs: int) -> dict:
     }
 
 
-def check_d1_against_bfs(rng: random.Random, dim: int, n_pairs: int) -> dict:
+def check_d1_against_bfs(rng: random.Random, dim: int) -> dict:
     if dim > 3:
         return {"skipped": "move-graph search is exponential in D; run with dim <= 3", "ok": True}
     mismatches = 0
-    for _ in range(n_pairs):
+    for _ in range(BFS_PAIRS):
         p = sample_cells(rng, dim, 1, min_level=-3)[0]
         q = sample_cells(rng, dim, 1, min_level=-3)[0]
         if d1(p, q) != d1_bfs(p, q):
             mismatches += 1
-    return {"pairs": n_pairs, "mismatches": mismatches, "ok": mismatches == 0}
+    return {"pairs": BFS_PAIRS, "mismatches": mismatches, "ok": mismatches == 0}
 
 
-def check_bridge_level(rng: random.Random, dim: int, n_pairs: int) -> dict:
+def check_bridge_level(rng: random.Random, dim: int) -> dict:
     violations = 0
     done = 0
-    while done < n_pairs:
+    while done < BRIDGE_PAIRS:
         p = sample_cells(rng, dim, 1, min_level=-8)[0]
         q = sample_cells(rng, dim, 1, min_level=-8)[0]
         if p == q or is_ancestor_or_self(p, q) or is_ancestor_or_self(q, p):
@@ -94,16 +102,16 @@ def check_bridge_level(rng: random.Random, dim: int, n_pairs: int) -> dict:
         lev = d2_path(p, q).bridge_level
         if not lev - 1 <= bridge_level_estimate(p, q) <= lev:
             violations += 1
-    return {"pairs": n_pairs, "violations": violations, "ok": violations == 0}
+    return {"pairs": BRIDGE_PAIRS, "violations": violations, "ok": violations == 0}
 
 
-def check_embedding_distortion(rng: random.Random, dim: int, n_samples: int) -> dict:
-    pts = sample_continuous(rng, dim, max(2, n_samples // 100), mode="stratified")
-    rep = distortion_report(pts, n_samples, seed=rng.randrange(2**32))
+def check_embedding_distortion(rng: random.Random, dim: int) -> dict:
+    pts = sample_continuous(rng, dim, max(2, DISTORTION_SAMPLES // 100), mode="stratified")
+    rep = distortion_report(pts, DISTORTION_SAMPLES, seed=rng.randrange(2**32))
     bound = embedding_displacement_bound(dim)
     displacement_violations = 0
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(DISTORTION_SAMPLES):
         p = sample_continuous(rng, dim, 1, mode="stratified")[0]
         got = hyperbolic_distance(p, center(cell_of(p)))
         worst = max(worst, got)
@@ -112,7 +120,7 @@ def check_embedding_distortion(rng: random.Random, dim: int, n_samples: int) -> 
     lo1, hi1 = deviation_window_points_d1(dim)
     lo2, hi2 = deviation_window_points_d2(dim)
     return {
-        "samples": n_samples,
+        "samples": DISTORTION_SAMPLES,
         "window_d1": [_round(lo1), _round(hi1)],
         "window_d2": [_round(lo2), _round(hi2)],
         "observed_d1": [_round(rep.d1_min), _round(rep.d1_max)],
@@ -346,10 +354,10 @@ def run_verification(dim: int = 2, n: int = 64, seed: int = 0) -> dict:
         raise ValueError("dimension must be at least 2")
     rng = random.Random(seed)
     sections = {
-        "metric_sandwich": check_metric_sandwich(rng, dim, n_pairs=2000),
-        "d1_vs_bfs": check_d1_against_bfs(rng, dim, n_pairs=300),
-        "bridge_level": check_bridge_level(rng, dim, n_pairs=2000),
-        "embedding_distortion": check_embedding_distortion(rng, dim, n_samples=2000),
+        "metric_sandwich": check_metric_sandwich(rng, dim),
+        "d1_vs_bfs": check_d1_against_bfs(rng, dim),
+        "bridge_level": check_bridge_level(rng, dim),
+        "embedding_distortion": check_embedding_distortion(rng, dim),
         "quadtree": check_quadtree(rng, dim, n),
         "spanner": check_spanner(rng, dim, min(n, 48)),
         "shortcut": check_shortcut(rng, min(4 * n, 128)),

@@ -10,8 +10,6 @@ import json
 import math
 import random
 
-import pytest
-
 from halfspace.avd import build_avd, query, query_hyperbolic
 from halfspace.hyperbolic import (
     deviation_window_points_d1,
@@ -24,7 +22,7 @@ from halfspace.oracle import d1_bfs, dijkstra, hop_bounded_distances, nn_brutefo
 from halfspace.sampling import distinct, sample_cells, sample_continuous, sample_margin_cells
 from halfspace.shortcut import shortcut_forest
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner, path_context, realized_path_length
-from halfspace.tiling import CellId, HPoint, cell_of, center, is_ancestor_or_self
+from halfspace.tiling import CellId, cell_of, center, is_ancestor_or_self
 from halfspace.verification import run_verification
 
 SEED = 20240811

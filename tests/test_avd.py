@@ -13,7 +13,7 @@ from halfspace.metrics import d2
 from halfspace.oracle import nn_bruteforce
 from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadTree, build_quadtree, shadow_within
 from halfspace.spanner import build_hyperbolic_spanner
-from halfspace.tiling import CellId, HPoint, ancestor_at, is_ancestor_or_self
+from halfspace.tiling import CellId, HPoint, is_ancestor_or_self
 
 from reference import annotate_scan
 
@@ -339,6 +339,20 @@ def test_query_hyperbolic_height_1e_30_at_scale_2_34375e_301():
         query_hyperbolic(ix, HPoint((0.0,), 1e-30))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_query_hyperbolic_of_each_input_answers_first_input_with_its_cell(rng, dim):
+    # the build and the query place a point with the same method, so an
+    # input's own cell answers the first input holding that cell
+    pts = [random_hpoint(rng, dim) for _ in range(40)]
+    pts += [HPoint(tuple(v + 1e-9 for v in p.x), p.z) for p in pts[:10]] + pts[:5]
+    ix = build_avd(pts)
+    first = {}
+    for i, c in enumerate(ix.points):
+        first.setdefault(c, i)
+    assert len(first) < len(pts)
+    assert [query_hyperbolic(ix, p) for p in pts] == [first[c] for c in ix.points]
+
+
 def test_query_hyperbolic_requires_transform():
     ix = build_avd([C(-2, 1)])
     with pytest.raises(ValueError):
@@ -432,6 +446,17 @@ def test_from_json_highest_index_12_of_12():
     data["highest_index"] = 12
     with pytest.raises(ValueError, match="highest_index"):
         AvdIndex.from_json(json.dumps(data))
+
+
+def test_from_json_highest_index_1_with_root_h_0():
+    # loaded, and queries outside the root shadow then answered 1 where
+    # the built index answers 0
+    ix, data = _index_data()
+    assert data["annotations"][0]["h"] == data["highest_index"] == 0
+    data["highest_index"] = 1
+    with pytest.raises(ValueError, match="highest_index 1 is not node 0's h 0"):
+        AvdIndex.from_json(json.dumps(data))
+    assert query(ix, C(-3, -2)) == 0
 
 
 def test_from_json_breadth_first_node_order():

@@ -119,6 +119,16 @@ def test_build_level_minus_2_5_exits_2(tmp_path, capsys):
     assert code == 2 and "line 3: level must be a JSON integer, got -2.5" in error
 
 
+@pytest.mark.parametrize("what", ["quadtree", "avd", "spanner"])
+def test_build_level_minus_10_pow_30_exits_2(tmp_path, capsys, what):
+    # the Z-order sort shifted by 10**30 bits: OverflowError (exit 1)
+    pts = tmp_path / "pts.jsonl"
+    pts.write_text(DISCRETE_2 + '{"coords": [0], "level": -%d}\n' % 10**30)
+    code, out, err = run(["build", "--what", what, "--in", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"Cell(-{10**30};[0]) lies below level -65536, the deepest a tree takes"
+
+
 CONTINUOUS_2 = '{"dim": 2, "kind": "continuous"}\n{"x": [0.25], "z": 0.5}\n'
 
 
@@ -482,6 +492,15 @@ def test_query_index_without_transform_key_exits_2(tmp_path, capsys):
     index, data = three_cell_index(tmp_path)
     del data["transform"]
     assert "index has no key 'transform'" in query_error(index, data, "-6,24", capsys)
+
+
+def test_query_index_highest_index_1_with_root_h_0_exits_2(tmp_path, capsys):
+    # loaded, and --at=1,0 above the root answered 1 where the built
+    # index answers 0
+    index, data = three_cell_index(tmp_path)
+    assert data["annotations"][0]["h"] == data["highest_index"] == 0
+    data["highest_index"] = 1
+    assert "highest_index 1 is not node 0's h 0" in query_error(index, data, "1,0", capsys)
 
 
 def test_query_index_dim_10_pow_30_exits_2(tmp_path, capsys):

@@ -8,7 +8,9 @@ the hyperbolic spanner and the distortion report; any other exception
 is a defect.  Over the same range the spanners and the halfspace
 distance must match their references in ``tests/reference.py``: the
 same ``to_dict()`` (or the same ``ValueError``), and the same distance
-bit for bit in either argument order.
+bit for bit in either argument order.  ``NormalizeTransform.cell_of``,
+which places every input and every query, must give the cell of the
+moved point, or raise ``ValueError`` where moving it does.
 """
 
 import json
@@ -18,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfspace.avd import build_avd
-from halfspace.hyperbolic import distortion_report, hyperbolic_distance, normalize_and_embed
+from halfspace.hyperbolic import distortion_report, hyperbolic_distance, normalize, normalize_and_embed
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
-from halfspace.tiling import HPoint
+from halfspace.tiling import HPoint, cell_of
 
 from reference import build_hyperbolic_spanner_triples, build_spanner_triples, hyperbolic_distance_general
 
@@ -28,18 +30,22 @@ heights = st.one_of(st.sampled_from((5e-324, 1e-323, 1e308)), st.floats(5e-324, 
 coords = st.one_of(st.sampled_from((0.0, 5e-324, 1e-323, 1e308, -1e308)), st.floats(-1e308, 1e308))
 
 
+def points_of(dim):
+    return st.builds(HPoint, st.tuples(*[coords] * (dim - 1)), heights)
+
+
 @st.composite
-def point_sets(draw):
-    dim = draw(st.sampled_from((2, 3)))
-    point = st.builds(HPoint, st.tuples(*[coords] * (dim - 1)), heights)
-    return draw(st.lists(point, min_size=1, max_size=6))
+def point_sets(draw, dims=(2, 3)):
+    dim = draw(st.sampled_from(dims))
+    return draw(st.lists(points_of(dim), min_size=1, max_size=6))
 
 
-def _builds_or_rejects(build, *args) -> None:
+def _builds_or_rejects(build, *args):
+    """What ``build`` returns, or ``ValueError`` when it raises one."""
     try:
-        build(*args)
+        return build(*args)
     except ValueError:
-        pass
+        return ValueError
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,8 +80,7 @@ def test_spanners_match_triple_set_references(points, k):
 
 @st.composite
 def point_pairs(draw):
-    dim = draw(st.sampled_from((2, 3, 4)))
-    point = st.builds(HPoint, st.tuples(*[coords] * (dim - 1)), heights)
+    point = points_of(draw(st.sampled_from((2, 3, 4))))
     return draw(point), draw(point)
 
 
@@ -94,3 +99,30 @@ def test_hyperbolic_distance_matches_general_reference_bit_for_bit(pair):
     assert hyperbolic_distance_general(q, p).hex() == want
     assert hyperbolic_distance(p, q).hex() == want
     assert hyperbolic_distance(q, p).hex() == want
+
+
+@st.composite
+def sets_and_queries(draw):
+    points = draw(point_sets(dims=(2, 3, 4)))
+    return points, draw(st.lists(points_of(points[0].dim), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_and_queries())
+@example(([HPoint((0.0,), 1.0), HPoint((1e300,), 1.0)], [HPoint((0.0,), 1e-30)]))
+@example(([HPoint((0.3,), 1.0), HPoint((0.4,), 0.5)], [HPoint((1e308,), 1e308), HPoint((-1e308,), 5e-324)]))
+@example(([HPoint((1e308, -1e308, 0.0), 1e-323)], [HPoint((1e308, 1e308, 5e-324), 1e308)]))
+def test_transform_cell_of_is_cell_of_the_moved_point(case):
+    # builds and queries place points with NormalizeTransform.cell_of;
+    # it must agree with cell_of(apply(q)) or raise ValueError with it
+    points, queries = case
+    try:
+        t, moved = normalize(points)
+    except ValueError:
+        with pytest.raises(ValueError):
+            normalize_and_embed(points)
+        return
+    assert normalize_and_embed(points)[2] == [cell_of(m) for m in moved]
+    for q in queries:
+        want = _builds_or_rejects(lambda: cell_of(t.apply(q)))
+        assert _builds_or_rejects(t.cell_of, q) == want

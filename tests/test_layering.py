@@ -14,6 +14,9 @@ recursion limit: a function calling its own name, or a method calling
 Every import sits at the top of its module, where the import graph can
 be read at a glance: an ``import`` inside a function fails the third
 check.
+
+The fourth check reads ``tests/*.py``: every name a top-level import
+binds (``__future__`` aside) must be read somewhere in the file.
 """
 
 import ast
@@ -154,3 +157,44 @@ def test_check_flags_function_imports(tmp_path):
         "        return h\n"
     )
     assert function_imports(src) == ["m.py:4 f imports", "m.py:9 g imports"]
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}  # name -> line of the top-level import binding it
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} imports {name}, never used" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports_in_tests():
+    found = [v for path in sorted(TESTS.glob("*.py")) for v in unused_imports(path)]
+    assert not found, "\n".join(found)
+
+
+def test_check_flags_unused_imports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "import random as rnd\n"
+        "from halfspace.tiling import CellId, HPoint\n"
+        "@rnd.seed\n"
+        "def f(c: CellId, math=None):\n"
+        "    return rnd.random()\n"
+    )
+    assert unused_imports(src) == [
+        "m.py:2 imports math, never used",
+        "m.py:3 imports os, never used",
+        "m.py:5 imports HPoint, never used",
+    ]

@@ -1,9 +1,8 @@
 import itertools
-import random
 
 import pytest
 
-from halfspace.metrics import D2Path, bridge_level_estimate, d1, d2, d2_path, lambda_
+from halfspace.metrics import bridge_level_estimate, d1, d2, d2_path, lambda_
 from halfspace.oracle import d1_bfs, d2_bfs, window_for
 from halfspace.tiling import CellId, is_ancestor_or_self, parent
 

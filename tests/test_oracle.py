@@ -1,13 +1,11 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace.metrics import d1, d2
+from halfspace.metrics import d2
 from halfspace.oracle import (
-    CellGraphWindow,
     cell_query_scan,
     d1_bfs,
     d2_bfs,

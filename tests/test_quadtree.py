@@ -1,5 +1,4 @@
 import json
-import math
 import random
 
 import pytest
@@ -10,6 +9,7 @@ from halfspace.avd import fill_highest, refine
 from halfspace.oracle import cell_query_scan
 from halfspace.quadtree import (
     COMPRESSED,
+    DEEPEST_LEVEL,
     LEAF,
     ORDINARY,
     QuadTree,
@@ -19,7 +19,7 @@ from halfspace.quadtree import (
     shadow_within,
 )
 from halfspace.sampling import sample_margin_cells
-from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children
+from halfspace.tiling import CellId, HPoint, cell_of, children
 
 from conftest import random_cell_in_root
 
@@ -151,6 +151,47 @@ def test_rejects_points_outside_root():
         build_quadtree([C(-1, 2)])
     with pytest.raises(ValueError):
         build_quadtree([])
+
+
+# Keys at level -10**30 made the Z-order sort and locate shift by
+# 10**30 bits: an OverflowError instead of a ValueError.
+
+
+def test_build_level_minus_10_pow_30():
+    with pytest.raises(ValueError, match=r"Cell\(-10{30};\[0\]\) lies below level -65536"):
+        build_quadtree([C(-2, 1), C(-(10**30), 0)])
+
+
+def test_insert_box_level_minus_10_pow_30():
+    tree = build_quadtree([C(-2, 1)])
+    with pytest.raises(ValueError, match=r"Cell\(-10{30};\[0\]\) lies below level -65536"):
+        tree.insert_box(C(-(10**30), 0))
+
+
+def test_from_dict_node_level_minus_10_pow_30():
+    # loaded, and locate((0.1,)) then floored x one level below it
+    data = QuadTree(2, [C(-2, 1)], [C(-3, 0)]).to_dict()
+    (k,) = [k for k, node in enumerate(data["nodes"]) if node["cell"] == [-3, [0]]]
+    data["nodes"][k]["cell"] = [-(10**30), [0]]
+    with pytest.raises(ValueError, match=rf"node {k}'s cell Cell\(-10{{30}};\[0\]\) lies below level -65536"):
+        QuadTree.from_dict(data)
+
+
+def test_from_dict_point_level_minus_10_pow_30():
+    data = build_quadtree([C(-3, 0)]).to_dict()
+    data["points"][0] = [-(10**30), [0]]
+    for node in data["nodes"]:
+        if node["cell"] == [-3, [0]]:
+            node["cell"] = [-(10**30), [0]]
+    with pytest.raises(ValueError, match=r"point 0's cell Cell\(-10{30};\[0\]\) lies below level -65536"):
+        QuadTree.from_dict(data)
+
+
+def test_deepest_level_builds_and_locates():
+    tree = build_quadtree([C(DEEPEST_LEVEL, 1), C(-2, 1)])
+    # locate floors x one level below the deepest node
+    assert tree.locate((0.1,)).cell == C(-2, 0)
+    assert QuadTree.from_dict(tree.to_dict()).to_dict() == tree.to_dict()
 
 
 def test_random_trees_structure(rng):

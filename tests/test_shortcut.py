@@ -1,11 +1,10 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace.shortcut import ShortcutSet, forest_height, reference_size, shortcut_forest
+from halfspace.shortcut import forest_height, reference_size, shortcut_forest
 
 import reference
 

@@ -1,11 +1,10 @@
 import itertools
 import json
 import math
-import random
 
 import pytest
 
-from halfspace.hyperbolic import hyperbolic_distance, normalize, normalize_and_embed
+from halfspace.hyperbolic import hyperbolic_distance, normalize_and_embed
 from halfspace.layouts import SPANNER_DEMO_DISTANCE_2_5, SPANNER_DEMO_POINTS
 from halfspace.metrics import d1, d2, d2_path
 from halfspace.oracle import dijkstra, hop_bounded_distances
@@ -20,7 +19,7 @@ from halfspace.spanner import (
     realized_path_length,
     up_edge_map,
 )
-from halfspace.tiling import CellId, HPoint, center, horizontal_neighbors, is_ancestor_or_self
+from halfspace.tiling import CellId, HPoint, horizontal_neighbors, is_ancestor_or_self
 
 from conftest import random_cell_in_root
 from reference import build_hyperbolic_spanner_triples, build_spanner_triples
