@@ -74,11 +74,8 @@ def cmd_gen(args) -> int:
 
 
 def _load_points(path: str):
-    try:
-        with open(path) as fp:
-            return read_points(fp)
-    except FileNotFoundError:
-        raise ValueError(f"no such file: {path}") from None
+    with open(path) as fp:
+        return read_points(fp)
 
 
 def _cells_from(kind: str, points) -> list[CellId]:
@@ -141,38 +138,39 @@ def _parse_hpoint(text: str) -> HPoint:
         raise ValueError(f"bad point spec {text!r}")
 
 
+def _cell_json(c: CellId) -> dict:
+    return {"level": c.level, "coords": list(c.coords)}
+
+
+def _hpoint_json(p: HPoint) -> dict:
+    return {"x": list(p.x), "z": p.z}
+
+
 def cmd_query(args) -> int:
-    try:
-        with open(args.index) as fp:
-            index = avd_mod.AvdIndex.from_json(fp.read())
-    except FileNotFoundError:
-        raise ValueError(f"no such file: {args.index}") from None
+    with open(args.index) as fp:
+        index = avd_mod.AvdIndex.from_json(fp.read())
+    # the index's kind picks how a query is read, answered and written
+    if index.source_kind == CONTINUOUS:
+        parse, answer, form = _parse_hpoint, avd_mod.query_hyperbolic, _hpoint_json
+    else:
+        parse, answer, form = _parse_cell, avd_mod.query, _cell_json
     queries = []
     if args.queries:
         _dim, kind, pts = _load_points(args.queries)
+        if kind != index.source_kind:
+            raise ValueError(f"query file {args.queries} holds {kind} points, but the index was built from {index.source_kind} points")
         queries.extend(pts)
-    if args.at:
-        for spec in args.at:
-            if index.source_kind == CONTINUOUS:
-                queries.append(_parse_hpoint(spec))
-            else:
-                queries.append(_parse_cell(spec))
+    queries.extend(parse(spec) for spec in args.at or ())
     if not queries:
         raise ValueError("no queries given; use --queries or --at")
     results = []
     for q in queries:
-        if isinstance(q, HPoint):
-            idx = avd_mod.query_hyperbolic(index, q)
-            qrepr = {"x": list(q.x), "z": q.z}
-        else:
-            idx = avd_mod.query(index, q)
-            qrepr = {"level": q.level, "coords": list(q.coords)}
-        answer = index.points[idx]
+        idx = answer(index, q)
         results.append(
             {
-                "query": qrepr,
+                "query": form(q),
                 "neighbor_index": idx,
-                "neighbor_cell": {"level": answer.level, "coords": list(answer.coords)},
+                "neighbor_cell": _cell_json(index.points[idx]),
             }
         )
     _write_out(args.out, _dump({"results": results}))

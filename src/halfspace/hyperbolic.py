@@ -44,8 +44,6 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     px, qx, pz, qz = p.x, q.x, p.z, q.z
     if len(px) != len(qx):
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if not (pz > 0 and qz > 0):
-        raise ValueError("heights must be positive")
     gap = hypot(*map(sub, px, qx), pz - qz)
     zz = pz * qz
     if _FLOAT_MIN <= zz < _INF:

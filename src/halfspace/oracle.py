@@ -1,11 +1,12 @@
 """Independent brute-force references for the fast implementations.
 
-Everything here recomputes results from definitions: breadth-first
-search over the explicit move graph for ``d1``, a two-state BFS for
-``d2`` (horizontal move spent or not), exhaustive nearest-neighbor
-scans, linear scans over stored boxes for quadtree cell queries, and
-shortest paths (Dijkstra, hop-bounded Bellman-Ford) over spanner
-graphs.  The verifier, the CLI, the demos and the benchmark call them.
+Everything here recomputes results from definitions: one
+meet-in-the-middle breadth-first search over the explicit move graph
+answers ``d1`` over cells and ``d2`` over (cell, horizontal move spent)
+states, which join only when at most one half-path spent the move;
+then exhaustive nearest-neighbor scans, linear scans over stored boxes
+for quadtree cell queries, and shortest paths (Dijkstra, hop-bounded
+Bellman-Ford) over spanner graphs.  The verifier, the CLI, the demos and the benchmark call them.
 They are correctness references, not performance tuned, with one
 exception: ``hop_bounded_distances`` is the library's only distance
 routine over a spanner, so each Bellman-Ford round relaxes only the
@@ -78,26 +79,36 @@ def window_for(p: CellId, q: CellId, side_slack: int = 6, top_slack: int = 2) ->
     return CellGraphWindow(i_min, i_max, tuple(lo), tuple(hi))
 
 
-def _neighbors_in_window(c: CellId, w: CellGraphWindow):
+def _moves(c: CellId, w: CellGraphWindow, sideways: bool = True):
+    """The moves from ``c`` that stay inside ``w``, as ``(cell,
+    horizontal)`` pairs: up, down, then sideways unless ``sideways`` is
+    false."""
     if c.level < w.i_max:
         up = parent(c)
         if w.contains(up):
-            yield up
+            yield up, False
     if c.level > w.i_min:
         for ch in children(c):
             if w.contains(ch):
-                yield ch
-    for nb in horizontal_neighbors(c):
-        if w.contains(nb):
-            yield nb
+                yield ch, False
+    if sideways:
+        for nb in horizontal_neighbors(c):
+            if w.contains(nb):
+                yield nb, True
 
 
-def d1_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
-    """d1 by breadth-first search over the explicit move graph.
+def _meet_in_middle(p: CellId, q: CellId, w: CellGraphWindow | None, start, step, partners) -> int:
+    """Length of a shortest move-graph path from ``p`` to ``q`` inside ``w``.
 
-    Runs from both endpoints at once (expanding the smaller frontier a
-    full level at a time), which keeps the downward 2^(D-1)-ary blowup
-    of the ball in check while staying a plain definitional search.
+    The search states are ``start(p)``, ``start(q)`` and what
+    ``step(state, w)`` yields from them; a state one end reaches joins
+    those of ``partners(state)`` the other end has reached.  Runs from
+    both endpoints at once, expanding the smaller frontier a full level
+    at a time, which keeps the downward 2^(D-1)-ary blowup of the ball
+    in check, and stops once the two radii add up to the best join.
+    Raises ``ValueError`` when an endpoint lies outside ``w`` (by
+    default :func:`window_for` of the two) and ``RuntimeError`` when
+    ``w`` cuts every path.
     """
     if w is None:
         w = window_for(p, q)
@@ -105,8 +116,9 @@ def d1_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
         raise ValueError("endpoints must lie inside the window")
     if p == q:
         return 0
-    dist_a, dist_b = {p: 0}, {q: 0}
-    front_a, front_b = [p], [q]
+    a, b = start(p), start(q)
+    dist_a, dist_b = {a: 0}, {b: 0}
+    front_a, front_b = [a], [b]
     radius_a = radius_b = 0
     best = None
     while front_a and front_b:
@@ -120,78 +132,12 @@ def d1_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
             radius = radius_b
         new = []
         for cur in front:
-            for nb in _neighbors_in_window(cur, w):
-                if nb in dist_near:
-                    continue
-                dist_near[nb] = radius
-                other = dist_far.get(nb)
-                if other is not None and (best is None or radius + other < best):
-                    best = radius + other
-                new.append(nb)
-        if dist_near is dist_a:
-            front_a = new
-        else:
-            front_b = new
-        if best is not None and radius_a + radius_b >= best:
-            return best
-    if best is not None:
-        return best
-    raise RuntimeError("window clipped every path; widen the slack")
-
-
-def d2_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
-    """d2 from its definition: shortest path using at most one horizontal move.
-
-    Bidirectional BFS over (cell, horizontal-move-spent) states; two
-    half-paths may be joined only if at most one of them spent the move.
-    """
-    if w is None:
-        w = window_for(p, q)
-    if not (w.contains(p) and w.contains(q)):
-        raise ValueError("endpoints must lie inside the window")
-    if p == q:
-        return 0
-
-    def expand(state, out):
-        cur, used = state
-        if cur.level < w.i_max:
-            up = parent(cur)
-            if w.contains(up):
-                out.append((up, used))
-        if cur.level > w.i_min:
-            for ch in children(cur):
-                if w.contains(ch):
-                    out.append((ch, used))
-        if not used:
-            for nb in horizontal_neighbors(cur):
-                if w.contains(nb):
-                    out.append((nb, True))
-
-    dist_a, dist_b = {(p, False): 0}, {(q, False): 0}
-    front_a, front_b = [(p, False)], [(q, False)]
-    radius_a = radius_b = 0
-    best = None
-    while front_a and front_b:
-        if len(front_a) <= len(front_b):
-            dist_near, dist_far, front = dist_a, dist_b, front_a
-            radius_a += 1
-            radius = radius_a
-        else:
-            dist_near, dist_far, front = dist_b, dist_a, front_b
-            radius_b += 1
-            radius = radius_b
-        new = []
-        nexts: list = []
-        for state in front:
-            nexts.clear()
-            expand(state, nexts)
-            for nxt in nexts:
+            for nxt in step(cur, w):
                 if nxt in dist_near:
                     continue
                 dist_near[nxt] = radius
-                cell, used = nxt
-                for other_used in (False,) if used else (False, True):
-                    other = dist_far.get((cell, other_used))
+                for partner in partners(nxt):
+                    other = dist_far.get(partner)
                     if other is not None and (best is None or radius + other < best):
                         best = radius + other
                 new.append(nxt)
@@ -204,6 +150,37 @@ def d2_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
     if best is not None:
         return best
     raise RuntimeError("window clipped every path; widen the slack")
+
+
+def d1_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
+    """d1 by breadth-first search over the explicit move graph.
+
+    The states are the cells, every move is allowed, and two half-paths
+    join at a common cell.
+    """
+
+    def step(c, w):
+        return (nb for nb, _ in _moves(c, w))
+
+    return _meet_in_middle(p, q, w, lambda c: c, step, lambda c: (c,))
+
+
+def d2_bfs(p: CellId, q: CellId, w: CellGraphWindow | None = None) -> int:
+    """d2 from its definition: shortest path using at most one horizontal move.
+
+    Bidirectional BFS over (cell, horizontal-move-spent) states; two
+    half-paths may be joined only if at most one of them spent the move.
+    """
+
+    def step(state, w):
+        cell, spent = state
+        return ((nb, spent or sideways) for nb, sideways in _moves(cell, w, not spent))
+
+    def partners(state):
+        cell, spent = state
+        return ((cell, False),) if spent else ((cell, False), (cell, True))
+
+    return _meet_in_middle(p, q, w, lambda c: (c, False), step, partners)
 
 
 _METRICS: dict[str, Callable] = {"d1": d1_fast, "d2": d2_fast, "dH": hyperbolic_distance}

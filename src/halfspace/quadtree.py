@@ -77,6 +77,13 @@ LEAF = "leaf"
 # Float heights reach level -1074; discrete inputs may go down to here.
 DEEPEST_LEVEL = -(1 << 16)
 
+# The highest dimension a tree takes.  Every construction is 2^O(D):
+# an ordinary node lists 2^(D-1) children, the AVD refinement lists
+# 3^(D-1) - 1 neighbors per occupied node, and _block_plan makes
+# 4^(D-1) block entries.  On 4 margin cells build_avd takes seconds at
+# D = 8 but minutes and hundreds of MiB at D = 9.
+MAX_DIM = 8
+
 
 def root_cell(dim: int) -> CellId:
     """The root cell [0,1]^(D-1) x [1,2]."""
@@ -94,18 +101,12 @@ def box_adjacent(a: CellId, b: CellId) -> bool:
     """Closed shadows intersect but neither contains the other.
 
     Dyadic boxes are nested or interior-disjoint, so this is exactly
-    "touching along the boundary", corners included.
+    "touching along the boundary", corners included, which for boxes
+    that are not nested is :func:`meets_boundary`.
     """
     if shadow_within(a, b) or shadow_within(b, a):
         return False
-    lev = min(a.level, b.level)
-    sa, sb = a.level - lev, b.level - lev
-    for ka, kb in zip(a.coords, b.coords):
-        lo = max(ka << sa, kb << sb)
-        hi = min((ka + 1) << sa, (kb + 1) << sb)
-        if lo > hi:
-            return False
-    return True
+    return meets_boundary(a, b)
 
 
 def meets_boundary(box: CellId, b: CellId) -> bool:
@@ -311,10 +312,13 @@ class QuadTree:
     Besides ``points`` the tree keeps ``dim``, ``root_cell`` and
     ``root``, the nodes hanging below it; lookups by cell descend from
     the root.  A point or box outside the root shadow or below
-    :data:`DEEPEST_LEVEL` raises ``ValueError`` naming it.
+    :data:`DEEPEST_LEVEL` raises ``ValueError`` naming it, and so does a
+    dimension above :data:`MAX_DIM`, before anything of its size is made.
     """
 
     def __init__(self, dim: int, points: list[CellId], boxes: Iterable[CellId] = ()):
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension {dim} is above {MAX_DIM}, the highest a tree takes")
         self.dim = dim
         self.points = list(points)
         self.root_cell = root_cell(dim)

@@ -32,7 +32,9 @@ from .tiling import CellId, cell_of, center, is_ancestor_or_self
 
 
 # Spanner and AVD checks build SETS random sets each; the AVD check
-# asks QUERIES_PER_SET queries of each set and of the continuous index;
+# asks QUERIES_PER_SET queries of each set and of the continuous index,
+# then OUT_OF_ROOT_QUERIES_PER_SET cells outside each set's root, half
+# above level 0 and half beside the root shadow, drawn last;
 # the hyperbolic-spanner check covers the hop budgets HOP_BUDGETS.
 # The metric checks draw SANDWICH_PAIRS random pairs for d1 <= d2 <=
 # d1 + 2, BFS_PAIRS for d1 against the move-graph search and
@@ -40,6 +42,7 @@ from .tiling import CellId, cell_of, center, is_ancestor_or_self
 # draws DISTORTION_SAMPLES pairs and as many displacement points.
 SETS = 5
 QUERIES_PER_SET = 400
+OUT_OF_ROOT_QUERIES_PER_SET = 20
 HOP_BUDGETS = (2, 3)
 SANDWICH_PAIRS = 2000
 BFS_PAIRS = 300
@@ -237,19 +240,13 @@ def check_shortcut(rng: random.Random, n: int) -> dict:
     counts = {}
     for k in (1, 2, 3, 4):
         for parent in (path_parent(n), random_tree(n)):
-            cuts = shortcut_forest(parent, k)
-            adj = cuts.adjacency()
+            # the upward edges, each of weight 1: an ancestor lies within
+            # k hops exactly when its distance is finite
+            adj = shortcut_forest(parent, k).adjacency()
+            upward = [[(b, 1.0) for b in adj[a]] for a in range(len(parent))]
             for v in parent:
-                targets = set(ancestors(parent, v))
-                if not targets:
-                    continue
-                # BFS limited to k hops
-                frontier = {v}
-                reached = set()
-                for _ in range(k):
-                    frontier = {b for a in frontier for b in adj[a]}
-                    reached |= frontier
-                if not targets <= reached:
+                dist = hop_bounded_distances(len(parent), upward, v, k)
+                if any(dist[a] == math.inf for a in ancestors(parent, v)):
                     violations += 1
         counts[str(k)] = shortcut_forest(path_parent(n), k).total_edges
     closure_exact = counts["1"] == n * (n - 1) // 2
@@ -299,25 +296,36 @@ def check_hyperbolic_spanner(rng: random.Random, dim: int, n: int) -> dict:
     return {"points": n, "per_k": results, "ok": ok}
 
 
+def _out_of_root_cell(rng: random.Random, dim: int, above: bool) -> CellId:
+    """A random cell outside the root cell [0,1]^(D-1) x [1,2]: above
+    level 0 when ``above``, else at a level in [-9, 0] with one
+    coordinate beside the root shadow."""
+    if above:
+        return CellId(rng.randint(1, 3), tuple(rng.randint(-2, 2) for _ in range(dim - 1)))
+    level = rng.randint(-9, 0)
+    span = 1 << -level
+    coords = [rng.randrange(span) for _ in range(dim - 1)]
+    k = rng.randrange(span)
+    coords[rng.randrange(dim - 1)] = -1 - k if rng.random() < 0.5 else span + k
+    return CellId(level, tuple(coords))
+
+
 def check_avd(rng: random.Random, dim: int, n: int) -> dict:
     mismatches = 0
     out_of_box_queries = 0
     region_ratios = []
     rep_max = 0
+    indexes = []
     for _ in range(SETS):
         pts = sample_margin_cells(rng, dim, n, min_level=-8)
         ix = avd_mod.build_avd(pts)
+        indexes.append((pts, ix))
         nodes = list(ix.tree.iter_nodes())
         region_ratios.append(len(nodes) / len(distinct(pts)))
         rep_max = max(rep_max, max(len(nd.reps) for nd in nodes))
         for _ in range(QUERIES_PER_SET):
             q = sample_cells(rng, dim, 1, min_level=-9)[0]
-            got = avd_mod.query(ix, q)
-            if not ix.tree.in_root(q):
-                out_of_box_queries += 1
-                if got != ix.highest_index:
-                    mismatches += 1
-            elif got != nn_bruteforce(pts, q, "d2"):
+            if avd_mod.query(ix, q) != nn_bruteforce(pts, q, "d2"):
                 mismatches += 1
     hyp_pts = sample_continuous(rng, dim, n, mode="stratified", min_level=-6)
     hyp_ix = avd_mod.build_avd(hyp_pts)
@@ -332,6 +340,14 @@ def check_avd(rng: random.Random, dim: int, n: int) -> dict:
         hyp_worst = max(hyp_worst, err)
         if err > w + 1e-9:
             hyp_violations += 1
+    for pts, ix in indexes:
+        # the highest input: highest level, then smallest index
+        highest = min(range(len(pts)), key=lambda i: (-pts[i].level, i))
+        for j in range(OUT_OF_ROOT_QUERIES_PER_SET):
+            q = _out_of_root_cell(rng, dim, above=j % 2 == 0)
+            out_of_box_queries += 1
+            if avd_mod.query(ix, q) != highest:
+                mismatches += 1
     return {
         "sets": SETS,
         "points_per_set": n,

@@ -8,7 +8,8 @@ steps for D = 2 must match (``smallest_containing_general``,
 ``d2_argmin_general``, ``enumerate_bridges_general``);
 the Z-order key by string formatting (``zorder_key_format``); all-pairs and root-lookup scans for the AVD
 annotation, the representatives (with their region predicates
-``adjacent_to_region`` and ``touches_boundary``) and the spanner
+``adjacent_to_region`` and ``touches_boundary``, and box adjacency by
+interval overlap, ``box_adjacent_overlap``) and the spanner
 bridges (``*_scan``); the pruned boundary descent from the root
 (``compressed_on_boundary_from_root``) and the representatives by one
 such descent per region (``select_representatives_descent``), which the
@@ -281,6 +282,26 @@ def touches_boundary(inner_box: CellId, outer_box: CellId) -> bool:
         if ki == (ko << shift) or ki + 1 == ((ko + 1) << shift):
             return True
     return False
+
+
+def box_adjacent_overlap(a: CellId, b: CellId) -> bool:
+    """Closed shadows intersect but neither contains the other, by
+    interval overlap on every axis.
+
+    Reference for :func:`halfspace.quadtree.box_adjacent`.
+    """
+    from halfspace.quadtree import shadow_within
+
+    if shadow_within(a, b) or shadow_within(b, a):
+        return False
+    lev = min(a.level, b.level)
+    sa, sb = a.level - lev, b.level - lev
+    for ka, kb in zip(a.coords, b.coords):
+        lo = max(ka << sa, kb << sb)
+        hi = min((ka + 1) << sa, (kb + 1) << sb)
+        if lo > hi:
+            return False
+    return True
 
 
 def adjacent_to_region(box: CellId, outer: CellId, inner: CellId) -> bool:

@@ -430,6 +430,13 @@ def test_from_json_annotations_one_extra():
         AvdIndex.from_json(json.dumps(data))
 
 
+def test_from_json_annotations_5():
+    _ix, data = _index_data()
+    data["annotations"] = 5
+    with pytest.raises(ValueError, match="annotations is no JSON array: 5"):
+        AvdIndex.from_json(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("reps", [12]), ("reps", [-1]), ("reps", [0.0]), ("reps", 3), ("h", 12), ("n2", -1), ("n2", "0")],

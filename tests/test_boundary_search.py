@@ -28,6 +28,7 @@ from halfspace.tiling import CellId, HPoint, ancestor_at, horizontal_neighbors
 from conftest import random_cell_in_root
 from reference import (
     annotate_scan,
+    box_adjacent_overlap,
     bridges_scan,
     compressed_on_boundary_from_root,
     enumerate_bridges_general,
@@ -375,6 +376,14 @@ def test_meets_boundary_matches_predicates(rng):
                 or (shadow_within(a, b) and touches_boundary(a, b))
             )
             assert meets_boundary(a, b) == expected, (a, b)
+
+
+def test_box_adjacent_matches_interval_overlap(rng):
+    for dim in (2, 3):
+        for _ in range(3000):
+            a = random_cell_in_root(rng, dim, min_level=-4)
+            b = random_cell_in_root(rng, dim, min_level=-4)
+            assert box_adjacent(a, b) == box_adjacent_overlap(a, b), (a, b)
 
 
 def test_compressed_on_boundary_matches_filter(rng):

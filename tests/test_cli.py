@@ -1,10 +1,17 @@
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from halfspace.avd import AvdIndex, query_hyperbolic
 from halfspace.cli import main
+from halfspace.hyperbolic import normalize_and_embed
+from halfspace.oracle import nn_bruteforce
 from halfspace.pointfile import PointFileError, read_points, write_points
+from halfspace.quadtree import build_quadtree
+from halfspace.spanner import build_spanner
 from halfspace.tiling import CellId, HPoint
 
 
@@ -534,3 +541,164 @@ def test_query_index_of_100000_nested_arrays_exits_2(tmp_path, capsys):
     code, out, err = run(["query", "--index", str(index), "--at=-6,24"], capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"].startswith("index is no JSON: maximum recursion depth")
+
+
+# -- query files, missing files, the dimension bound -----------------------------
+
+
+def query_file(tmp_path, capsys, index_kind, query_kind, *at):
+    """Query the AVD of 20 generated ``index_kind`` points with a file of
+    5 generated ``query_kind`` points and the ``--at`` specs ``at``.
+    Returns the exit code, the output, the error and both point files."""
+    pts, queries, index = tmp_path / "pts.jsonl", tmp_path / "queries.jsonl", tmp_path / "avd.json"
+    assert main(["gen", "--dim", "2", "--n", "20", "--kind", index_kind, "--seed", "3", "--out", str(pts)]) == 0
+    assert main(["gen", "--dim", "2", "--n", "5", "--kind", query_kind, "--seed", "4", "--out", str(queries)]) == 0
+    assert main(["build", "--what", "avd", "--in", str(pts), "--out", str(index)]) == 0
+    code, out, err = run(["query", "--index", str(index), "--queries", str(queries), *[f"--at={a}" for a in at]], capsys)
+    return code, out, err, pts, queries
+
+
+def test_query_queries_file_of_continuous_points(tmp_path, capsys):
+    code, out, _err, pts, queries = query_file(tmp_path, capsys, "continuous", "continuous")
+    assert code == 0
+    with open(queries) as fp:
+        asked = read_points(fp)[2]
+    ix = AvdIndex.from_json((tmp_path / "avd.json").read_text())
+    results = json.loads(out)["results"]
+    assert [r["query"] for r in results] == [{"x": list(q.x), "z": q.z} for q in asked]
+    assert [r["neighbor_index"] for r in results] == [query_hyperbolic(ix, q) for q in asked]
+
+
+def test_query_queries_file_of_discrete_cells(tmp_path, capsys):
+    code, out, _err, pts, queries = query_file(tmp_path, capsys, "discrete", "discrete", "-3,2")
+    assert code == 0
+    with open(pts) as fp:
+        cells = read_points(fp)[2]
+    with open(queries) as fp:
+        asked = read_points(fp)[2] + [CellId(-3, (2,))]
+    results = json.loads(out)["results"]
+    assert [r["query"] for r in results] == [{"level": q.level, "coords": list(q.coords)} for q in asked]
+    assert [r["neighbor_index"] for r in results] == [nn_bruteforce(cells, q, "d2") for q in asked]
+
+
+def test_query_discrete_queries_file_on_continuous_index_exits_2(tmp_path, capsys):
+    # the cells were answered in the index's normalized frame (exit 0)
+    code, out, err, _pts, queries = query_file(tmp_path, capsys, "continuous", "discrete")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error == f"query file {queries} holds discrete points, but the index was built from continuous points"
+
+
+def test_query_continuous_queries_file_on_discrete_index_exits_2(tmp_path, capsys):
+    # exited 2, but with query_hyperbolic's "no transform stored"
+    code, out, err, _pts, queries = query_file(tmp_path, capsys, "discrete", "continuous")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error == f"query file {queries} holds continuous points, but the index was built from discrete points"
+
+
+def test_build_missing_in_and_query_missing_index_exit_2_naming_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    code, out, err = run(["build", "--what", "avd", "--in", str(missing)], capsys)
+    assert code == 2 and out == "" and str(missing) in json.loads(err)["error"]
+    missing = tmp_path / "missing.json"
+    code, out, err = run(["query", "--index", str(missing), "--at", "0.3,1.0"], capsys)
+    assert code == 2 and out == "" and str(missing) in json.loads(err)["error"]
+
+
+DISCRETE_40 = '{"dim": 40, "kind": "discrete"}\n' + "".join(
+    json.dumps({"coords": [k] * 39, "level": -2}) + "\n" for k in (1, 2)
+)
+DIM_40_ERROR = "dimension 40 is above 8, the highest a tree takes"
+
+
+@pytest.mark.parametrize("what", ["quadtree", "spanner", "avd"])
+def test_build_dim_40_exits_2(tmp_path, capsys, what):
+    # a two-cell D = 40 file ran out of memory (MemoryError, exit 1)
+    # listing the 2^39 children of an ordinary node
+    pts = tmp_path / "cells.jsonl"
+    pts.write_text(DISCRETE_40)
+    code, out, err = run(["build", "--what", what, "--in", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == DIM_40_ERROR
+
+
+@pytest.mark.parametrize("what", ["embedding", "hyperbolic-spanner", "avd"])
+def test_build_dim_40_continuous_exits_2(tmp_path, capsys, what):
+    pts = tmp_path / "pts.jsonl"
+    pts.write_text(
+        '{"dim": 40, "kind": "continuous"}\n'
+        + json.dumps({"x": [0.25] * 39, "z": 0.5}) + "\n"
+        + json.dumps({"x": [0.5] * 39, "z": 0.125}) + "\n"
+    )
+    code, out, err = run(["build", "--what", what, "--in", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == DIM_40_ERROR
+
+
+def test_verify_dim_40_exits_2(capsys):
+    code, out, err = run(["verify", "--dim", "40", "--n", "8"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == DIM_40_ERROR
+
+
+def test_bench_dim_40_exits_2(capsys):
+    code, out, err = run(["bench", "--dim", "40", "--sizes", "2"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == DIM_40_ERROR
+
+
+# -- boundary checks of the point files and the builds ---------------------------
+
+
+def test_read_points_two_x_coordinates_in_d2_file():
+    text = '{"dim": 2, "kind": "continuous"}\n{"x": [0.25, 0.5], "z": 1.0}\n'
+    with pytest.raises(PointFileError, match="line 2: expected 1 x-coordinates"):
+        read_points(io.StringIO(text))
+
+
+def test_read_points_two_coords_in_d2_file():
+    text = '{"dim": 2, "kind": "discrete"}\n{"coords": [1, 1], "level": -2}\n'
+    with pytest.raises(PointFileError, match="line 2: expected 1 coordinates"):
+        read_points(io.StringIO(text))
+
+
+def test_write_points_cell_after_hpoint():
+    with pytest.raises(PointFileError, match="mixed point kinds in one file"):
+        write_points(io.StringIO(), [HPoint((0.25,), 1.0), CellId(-2, (1,))])
+
+
+def test_write_points_hpoint_after_cell():
+    with pytest.raises(PointFileError, match="mixed point kinds in one file"):
+        write_points(io.StringIO(), [CellId(-2, (1,)), HPoint((0.25,), 1.0)])
+
+
+def test_write_points_d3_cell_after_d2_cell():
+    with pytest.raises(PointFileError, match=r"has dimension 3, header says 2"):
+        write_points(io.StringIO(), [CellId(-2, (1,)), CellId(-2, (1, 1))])
+
+
+@pytest.mark.parametrize("what", ["quadtree", "spanner"])
+def test_build_of_continuous_points(tmp_path, capsys, what):
+    pts = tmp_path / "pts.jsonl"
+    assert main(["gen", "--dim", "2", "--n", "12", "--kind", "continuous", "--seed", "5", "--out", str(pts)]) == 0
+    code, out, _err = run(["build", "--what", what, "--in", str(pts)], capsys)
+    assert code == 0
+    with open(pts) as fp:
+        cells = normalize_and_embed(read_points(fp)[2])[2]
+    built = build_quadtree(cells) if what == "quadtree" else build_spanner(cells)
+    assert json.loads(out) == json.loads(json.dumps(built.to_dict()))
+
+
+# -- the README's command line ----------------------------------------------------
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("halfspace ")]
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()

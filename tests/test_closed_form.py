@@ -251,3 +251,11 @@ def test_smallest_containing_builds_no_cells_down_a_400_level_chain(monkeypatch)
         assert n == 0, box
     assert tree.smallest_containing(below).cell == chain[-1]
     assert builds.during(smallest_containing_climb, tree, chain[-1]) > 300
+
+
+def test_d2_path_cells_of_ancestor_pair():
+    # Cell(-1;[1]) is the grandparent of Cell(-3;[5]): no bridge, the
+    # path climbs straight up (or down, from the upper end)
+    low, mid, high = CellId(-3, (5,)), CellId(-2, (2,)), CellId(-1, (1,))
+    assert d2_path(low, high).cells() == [low, mid, high]
+    assert d2_path(high, low).cells() == [high, mid, low]

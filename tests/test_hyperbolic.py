@@ -378,3 +378,8 @@ def test_distortion_report_samples_true():
 
 def test_distortion_report_samples_1():
     assert distortion_report([H(1.0, 0.2), H(2.0, 0.5)], samples=1).samples == 1
+
+
+def test_normalize_d2_point_and_d3_point():
+    with pytest.raises(ValueError, match="mixed dimensions in point set"):
+        normalize([HPoint((0.25,), 1.0), HPoint((0.25, 0.5), 1.0)])

@@ -11,6 +11,7 @@ from halfspace.quadtree import (
     COMPRESSED,
     DEEPEST_LEVEL,
     LEAF,
+    MAX_DIM,
     ORDINARY,
     QuadTree,
     build_quadtree,
@@ -647,3 +648,17 @@ def test_lookups_match_linear_scans(data):
         assert tree.highest_under(box) == min(under, key=lambda i: (-points[i].level, i), default=None)
         largest, smallest = tree.cell_query(box)
         assert (largest and largest.cell, smallest.cell) == cell_query_scan(stored, box)
+
+
+def test_quadtree_dim_8_builds():
+    cells = [CellId(-2, (1,) * 7), CellId(-3, (2,) * 7)]
+    tree = build_quadtree(cells)
+    assert MAX_DIM == 8 and tree.dim == 8
+    assert [tree.stored_index(c) for c in cells] == [0, 1]
+
+
+@pytest.mark.parametrize("dim", [9, 40, 10**30])
+def test_quadtree_dim_above_max_raises_naming_it(dim):
+    # checked before the root cell's dim - 1 coordinates are made
+    with pytest.raises(ValueError, match=f"dimension {dim} is above 8, the highest a tree takes"):
+        QuadTree(dim, [CellId(-2, (1, 1))])

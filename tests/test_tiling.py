@@ -294,3 +294,9 @@ def test_neighbors_differ_by_one_per_axis(c):
     for nb in horizontal_neighbors(c):
         assert all(abs(a - b) <= 1 for a, b in zip(c.coords, nb.coords))
         assert nb.level == c.level
+
+
+def test_hpoint_from_list_x_1_and_0_5():
+    p = HPoint([1, 0.5], 2)
+    assert p.x == (1.0, 0.5) and all(type(v) is float for v in p.x)
+    assert p.dim == 3 and p == HPoint((1.0, 0.5), 2)
