@@ -10,16 +10,16 @@ pass reads the nodes under each box's horizontal neighbors from
 :meth:`QuadTree.neighbor_rows`, which derives them from the parent
 level's neighbors instead of locating each neighbor from the root, one
 block of 4^(D-1) - 2^(D-1) boxes per ordinary node and per non-empty
-compressed-gap level, and computes no row below an empty row of a gap,
-so annotation is linear in the refined tree's nodes plus their
-non-empty compressed-gap levels.  Each node's
-region is: the box center alone (ordinary), everything on or below the
-box (leaf), or everything on or below the outer box but not the inner
-one (compressed).  Representatives are the node's nearest input plus,
-for leaf and compressed regions, the inner box's highest input and the
-highest input of every compressed node of the unrefined tree whose box
-meets the boundary of the region's box and whose child box does not
-contain the region.  Those nodes come from one more top-down pass that
+compressed-gap level, lists a node only if it holds an input, and
+computes no row below an empty row of a gap, so annotation is linear in
+the refined tree's nodes plus their non-empty compressed-gap levels.
+Each node's region is: the box center alone (ordinary), everything on
+or below the box (leaf), or everything on or below the outer box but
+not the inner one (compressed).  Representatives are the node's nearest
+input plus, for leaf and compressed regions, the inner box's highest
+input and the highest input of every compressed node of the unrefined
+tree whose box meets the boundary of the region's box and whose child
+box does not contain the region.  Those nodes come from one more top-down pass that
 hands each refined node's boundary candidates down to its children and
 searches only below the node's own box, never from the root, so a
 nested chain costs a constant per level.  The search is the pruned
@@ -113,11 +113,12 @@ def annotate(tree: QuadTree) -> None:
     every ancestor inside the compressed gap.  The nodes under those
     neighbor boxes come from one preorder pass
     (:meth:`QuadTree.neighbor_rows`) that derives each level's row from
-    the row above and computes none below an empty row of a gap (those
-    rows are one shared all-None list, read once here, and add no
-    candidate).  Nodes keep no parent link, so the parent's n2 reaches a
-    node through its own ``n2_index``: each node seeds its children's
-    once its own is set, and the preorder pass visits them later.
+    the row above, lists only nodes holding inputs, and computes none
+    below an empty row of a gap (those rows are one shared all-None
+    list, read once here, and add no candidate).  Nodes keep no parent
+    link, so the parent's n2 reaches a node through its own
+    ``n2_index``: each node seeds its children's once its own is set,
+    and the preorder pass visits them later.
     :func:`~halfspace.metrics.d2_argmin` evaluates d2 once
     per distinct candidate (none for a single one), and the argmin over
     ``(d2, index)`` does not depend on the order.
@@ -279,7 +280,8 @@ class AvdIndex:
 
         Annotation k belongs to node k of the file, in whatever order
         the file lists its nodes.  Raises ``ValueError``, naming the
-        entry, unless the text is JSON, a JSON object holding a tree
+        entry, unless the text is JSON whose integers Python converts
+        (within its digit limit), a JSON object holding a tree
         :meth:`QuadTree.from_dict` takes, one annotation object per
         node, ``highest_index``, ``source_kind`` and ``transform``;
         every input index (``h``, ``n2``, ``reps`` and
@@ -294,7 +296,7 @@ class AvdIndex:
         """
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, or nesting too deep
             raise ValueError(f"index is no JSON: {exc}") from None
         fields = itemgetter("annotations", "highest_index", "source_kind", "transform")
         annotations, highest, source_kind, t = json_fields(data, fields, "index")

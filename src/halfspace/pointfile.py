@@ -28,17 +28,22 @@ def write_points(fp: TextIO, points: Sequence[HPoint] | Sequence[CellId]) -> Non
     kind = CONTINUOUS if isinstance(first, HPoint) else DISCRETE
     dim = first.dim
     fp.write(json.dumps({"dim": dim, "kind": kind}, sort_keys=True) + "\n")
-    for p in points:
+    for i, p in enumerate(points):
         if p.dim != dim:
             raise PointFileError(f"point {p!r} has dimension {p.dim}, header says {dim}")
         if kind == CONTINUOUS:
             if not isinstance(p, HPoint):
                 raise PointFileError("mixed point kinds in one file")
-            fp.write(json.dumps({"x": list(p.x), "z": p.z}, sort_keys=True) + "\n")
+            obj = {"x": list(p.x), "z": p.z}
         else:
             if not isinstance(p, CellId):
                 raise PointFileError("mixed point kinds in one file")
-            fp.write(json.dumps({"coords": list(p.coords), "level": p.level}, sort_keys=True) + "\n")
+            obj = {"coords": list(p.coords), "level": p.level}
+        try:
+            text = json.dumps(obj, sort_keys=True)
+        except ValueError as exc:  # an integer past int's string-conversion digit limit
+            raise PointFileError(f"point {i} cannot be written: {exc}") from None
+        fp.write(text + "\n")
 
 
 def _integer(value, what: str, lineno: int) -> int:
@@ -54,7 +59,8 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
 
     ``dim``, ``level`` and ``coords`` must be JSON integers; ``x`` must
     be a list of JSON numbers and ``z`` a JSON number, read as floats.
-    Anything else, a value the floats cannot hold included, raises
+    Anything else, a value the floats cannot hold or an integer past
+    Python's string-conversion digit limit included, raises
     :class:`PointFileError` naming the line.
     """
     header_line = fp.readline()
@@ -64,7 +70,7 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
         header = json.loads(header_line)
         dim = header["dim"]
         kind = header["kind"]
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:  # ValueError: bad JSON or too many digits
         raise PointFileError(f"line 1: bad header: {exc}") from exc
     dim = _integer(dim, "dim", 1)
     if kind not in (CONTINUOUS, DISCRETE):
@@ -79,6 +85,8 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
             obj = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
             raise PointFileError(f"line {lineno}: invalid JSON") from exc
+        except ValueError as exc:  # an integer past int's string-conversion digit limit
+            raise PointFileError(f"line {lineno}: {exc}") from exc
         try:
             if kind == CONTINUOUS:
                 xs, z = obj["x"], obj["z"]

@@ -27,12 +27,13 @@ reference cycle, so reference counting frees it, and passes that need
 a node's parent carry it on their own stacks.
 
 One preorder pass (:meth:`QuadTree.neighbor_rows`) hands each node
-the topmost nodes under its horizontal neighbor boxes and those of its
-compressed gap, each row from the row above; below the first empty row
-of a gap the rows are shared and never computed, so the pass costs the
-nodes plus the non-empty gap levels.  At every dimension each row is
-one slice of a block of neighbor boxes, filled once per ordinary node
-for all its children and once per non-empty gap level.
+the topmost nodes holding inputs under its horizontal neighbor boxes
+and those of its compressed gap (None elsewhere: the one occupancy
+test), each row from the row above; below the first empty row of a gap
+the rows are shared and never computed, so the pass costs the nodes
+plus the non-empty gap levels.  Each row is one slice of a block of
+neighbor boxes, filled once per ordinary node for all its children and
+once per non-empty gap level.
 
 A tree holds only its root, its nodes and its points (with its
 dimension and the level :meth:`QuadTree.locate` starts from), and no
@@ -413,12 +414,12 @@ class QuadTree:
         Yields ``(node, rows)`` in :meth:`iter_nodes` order.  ``rows[0]``
         holds, in :func:`~halfspace.tiling.horizontal_neighbors` order,
         the topmost node on or below each horizontal neighbor box of
-        ``node.cell`` (None outside the root shadow or where no node
-        lies under the box); ``rows[j]`` holds the same for the
-        ancestor box ``j`` levels up, for every level of the compressed
-        gap between the node and its parent, so ``len(rows)`` is the
-        gap.  The root's neighbors all leave the root shadow.  A row is
-        a list or a tuple; rows are read-only and may be shared.
+        ``node.cell`` if it holds an input (``count > 0``), else None;
+        ``rows[j]`` holds the same for the ancestor box ``j`` levels up,
+        for every level of the compressed gap between the node and its
+        parent, so ``len(rows)`` is the gap.  The root's neighbors all
+        leave the root shadow.  A row is a list or a tuple; rows are
+        read-only and may be shared.
 
         Neighbor finding as in Samet (1982): each row comes from the
         row one level up.  The children of a box ``P`` share their
@@ -429,11 +430,13 @@ class QuadTree:
         on or below ``up``.  If ``t`` is ``up`` itself, ``nb`` is
         ``t``'s child when ``t`` is ordinary, ``t``'s compressed child if
         that lies in ``nb``, and empty under a leaf; if ``t`` lies lower,
-        ``nb`` holds ``t`` or nothing.  Which row entry holds ``up`` and
-        which child slot of ``up`` is ``nb`` depend only on ``nb``'s
-        place in the block, so a plan made once per dimension
-        (:func:`_block_plan`) lists them, and slices each child's row
-        from the block and ``P``'s children.  Only a compressed child or
+        ``nb`` holds ``t`` or nothing.  An ordinary or compressed
+        parent's child and the node's own children enter a row only if
+        they hold an input; every other entry comes from the row above.
+        Which row entry holds ``up`` and which child slot of ``up`` is
+        ``nb`` depend only on ``nb``'s place in the block, so a plan made
+        once per dimension (:func:`_block_plan`) lists them, and slices
+        each child's row from the block and ``P``'s children.  Only a compressed child or
         a lower node is checked against ``nb``'s coordinates; the pass
         builds and hashes no cell.
 
@@ -451,10 +454,10 @@ class QuadTree:
         row below it.  The only node under a gap box is the gap's child,
         which lies in the gap box one level down and so in no neighbor
         box; every other neighbor box's parent is a neighbor box of the
-        row above, which holds no node.  So the rows below the first
-        empty one are never computed: the rest of the gap shares that
-        one row.  The pass costs the nodes plus the non-empty levels
-        of their gaps; nothing descends from the root.
+        row above, which holds no node with an input.  So the rows below
+        the first empty one are never computed: the rest of the gap
+        shares that one row.  The pass costs the nodes plus the
+        non-empty levels of their gaps; nothing descends from the root.
         """
         axes = self.dim - 1
         block, slices = _block_plan(axes)
@@ -470,13 +473,14 @@ class QuadTree:
                 if t is not None:
                     if t.cell.level > lev:  # t is the parent box of nb
                         if t.kind == ORDINARY:
-                            append(t.children[slot])
+                            t = t.children[slot]
+                            append(t if t.count else None)
                             continue
                         t = t.children[0] if t.kind == COMPRESSED else None
                     if t is not None:
                         s = lev - t.cell.level
-                        if tuple([k >> s for k in t.cell.coords]) != tuple(map(add, first, v)):
-                            t = None  # t lies in another child of the parent box
+                        if not t.count or tuple([k >> s for k in t.cell.coords]) != tuple(map(add, first, v)):
+                            t = None  # t is empty or lies in another child of the parent box
                 append(t)
             return out
 
@@ -488,7 +492,7 @@ class QuadTree:
             if node.kind == ORDINARY:
                 # each child's row is one slice of the block and the children
                 src = find(rows[0], kids[0].cell.coords, node.cell.level - 1)
-                src += kids
+                src += [kid if kid.count else None for kid in kids]
                 for child, take in zip(reversed(kids), reversed(slices)):
                     stack.append((child, [take(src)]))
             elif kids:
@@ -659,11 +663,6 @@ class QuadTree:
         node storing its first index."""
         node = self.node_for(cell)
         return None if node is None else node.stored_index
-
-    def subtree_count(self, box: CellId) -> int:
-        """Number of inputs whose box lies on or below an arbitrary cell."""
-        node = self.cell_query(box)[0]
-        return 0 if node is None else node.count
 
     def highest_under(self, box: CellId) -> int | None:
         """Index of the highest-level input on or below ``box`` (smallest

@@ -23,12 +23,16 @@ def sample_continuous(
 
     ``uniform`` draws heights uniformly below 2; ``stratified`` first
     picks a level in [min_level, 0] and then a height inside that slab,
-    spreading points across scales.
+    spreading points across scales.  Stratified mode refuses a
+    ``min_level`` above 0 or below -1074, where a height of the slab
+    can round to 0.0; uniform mode does not read it.
     """
     if n < 1:
         raise ValueError("need at least one point")
     if dim < 2:
         raise ValueError("dimension must be at least 2")
+    if mode == STRATIFIED:
+        _check_min_level(min_level, -1074, 0, "stratified heights")
     out = []
     for _ in range(n):
         x = tuple(rng.random() for _ in range(dim - 1))
@@ -43,10 +47,21 @@ def sample_continuous(
     return out
 
 
+def _check_min_level(min_level: int, lowest: int | None, highest: int, what: str) -> None:
+    """Refuse a ``min_level`` outside [lowest, highest] (no lower bound
+    when ``lowest`` is None), naming it and the value."""
+    if min_level > highest:
+        raise ValueError(f"min_level {min_level} is above {highest}, the highest level {what} take")
+    if lowest is not None and min_level < lowest:
+        raise ValueError(f"min_level {min_level} is below {lowest}, the lowest level {what} take")
+
+
 def sample_cells(rng: random.Random, dim: int, n: int, min_level: int = -8) -> list[CellId]:
-    """Random cells inside the root cell's shadow."""
+    """Random cells inside the root cell's shadow, at levels in
+    [min_level, 0]; a ``min_level`` above 0 raises ``ValueError``."""
     if n < 1:
         raise ValueError("need at least one point")
+    _check_min_level(min_level, None, 0, "cells of the root")
     out = []
     for _ in range(n):
         level = rng.randint(min_level, 0)
@@ -57,9 +72,11 @@ def sample_cells(rng: random.Random, dim: int, n: int, min_level: int = -8) -> l
 
 def sample_margin_cells(rng: random.Random, dim: int, n: int, min_level: int = -8) -> list[CellId]:
     """Random cells whose center x-coordinates lie in [1/4, 1/2] per axis,
-    the precondition of the Voronoi refinement step."""
+    the precondition of the Voronoi refinement step, at levels in
+    [min_level, -1]; a ``min_level`` above -1 raises ``ValueError``."""
     if n < 1:
         raise ValueError("need at least one point")
+    _check_min_level(min_level, None, -1, "margin cells")
     out = []
     for _ in range(n):
         level = rng.randint(min_level, -1)

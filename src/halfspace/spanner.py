@@ -12,9 +12,10 @@ checks catch every bridge with a stored endpoint box, and witness
 d2-paths between the children of adjacent compressed nodes catch
 bridges whose endpoints fall inside compressed gaps.  Both read the
 nodes under each neighbor box from one pass
-(:meth:`QuadTree.neighbor_rows`) with no descent from the root; the
-rows below an empty row of a compressed gap are shared and never
-computed, so the pass costs the nodes plus the non-empty gap levels.
+(:meth:`QuadTree.neighbor_rows`) with no descent from the root, which
+lists a node only if it holds an input, so neither filters; the rows
+below an empty row of a compressed gap are shared and never computed,
+so the pass costs the nodes plus the non-empty gap levels.
 The neighbor checks compare the coordinates of those nodes' occupied
 child boxes; a compressed node's partners are searched from them by
 the pruned boundary descent the AVD's representatives use as well
@@ -180,22 +181,22 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     """A superset of every bridge used by a d2-path between stored inputs.
 
     One preorder pass over :meth:`QuadTree.neighbor_rows`, which gives
-    each node the topmost nodes under its horizontal neighbor boxes (no
-    descent from the root; the rows below an empty row of a compressed
-    gap are shared and never computed, so the pass costs the nodes plus
-    the non-empty gap levels).  Bridges with a stored endpoint box come
-    from per-node neighbor checks, which build a node's neighbor boxes
-    only when a neighbor holds inputs and compare occupied children as
-    coordinate tuples.  Bridges inside compressed gaps come from
+    each node the topmost nodes under its horizontal neighbor boxes
+    that hold inputs, None elsewhere (no descent from the root; the rows
+    below an empty row of a compressed gap are shared and never
+    computed, so the pass costs the nodes plus the non-empty gap
+    levels).  Bridges with a stored endpoint box come from per-node
+    neighbor checks, which build a node's neighbor boxes only when a
+    row entry is not None and compare occupied children as coordinate
+    tuples.  Bridges inside compressed gaps come from
     adjacent pairs of occupied compressed nodes, each found from its
     larger (or equal) member nu2: the other's ancestor at nu2's level
     touches nu2, so it is one of nu2's neighbor boxes, and the pruned
     boundary descent (:func:`~halfspace.quadtree.compressed_on_boundary`)
     from the node under that box finds it.  Every node so found lies in
     a neighbor box, so it is adjacent to nu2.  A same-level pair is
-    found from both sides and kept once under its :func:`bridge_key`;
-    the bridges come out sorted by that key, which is ``(left, right)``
-    order.
+    found from both sides and kept once as its :func:`bridge_key`; the
+    bridges are built from the sorted keys, in ``(left, right)`` order.
 
     With one coordinate (D = 2, read off the tree) the pass runs on
     integers (:func:`_one_axis_bridges`): the neighbor boxes of box
@@ -207,15 +208,15 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     """
     if tree.dim == 2:
         return _one_axis_bridges(tree)
-    found: dict[tuple, tuple[CellId, CellId]] = {}  # bridge_key -> the two cells
+    found: set[tuple] = set()  # bridge_key of each bridge
     for node, rows in tree.neighbor_rows():
         if node.count == 0:
             continue
         r, row = node.cell, rows[0]
-        if any(top2 is not None and top2.count for top2 in row):
+        if any(row):
             for r2, top2 in zip(horizontal_neighbors(r), row):
-                if top2 is not None and top2.count and bridge_candidate(r, node, r2, top2):
-                    found.setdefault(bridge_key(r, r2), (r, r2))
+                if top2 is not None and bridge_candidate(r, node, r2, top2):
+                    found.add(bridge_key(r, r2))
         if node.kind != COMPRESSED:
             continue
         # bridges with neither endpoint stored: both endpoints span
@@ -228,9 +229,8 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
                 compressed_on_boundary(top2, r, partners)
         for nu2 in partners:
             path = d2_path(node.children[0].cell, nu2.children[0].cell)
-            found.setdefault(bridge_key(path.apex_p, path.apex_q), (path.apex_p, path.apex_q))
-    # Bridge.of checks each bridge once, in (left, right) order
-    return [Bridge.of(*found[key]) for key in sorted(found)]
+            found.add(bridge_key(path.apex_p, path.apex_q))
+    return [Bridge(CellId(lev, lo), CellId(lev, hi)) for lev, lo, hi in sorted(found)]
 
 
 def _one_axis_children(top: QuadNode, lev: int) -> list[int]:
@@ -249,8 +249,9 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
     A bridge is the integer key ``(level, lo, hi)`` until the end.  Box
     ``k`` at level ``lev`` has the neighbor boxes ``k - 1`` and
     ``k + 1``, the two entries of ``rows[0]`` in
-    :func:`~halfspace.tiling.horizontal_neighbors` order, so a check
-    builds no neighbor list.  :func:`bridge_candidate` turns scalar: a
+    :func:`~halfspace.tiling.horizontal_neighbors` order (None unless
+    occupied), so a check builds no neighbor list and tests no count.
+    :func:`bridge_candidate` turns scalar: a
     stored node proves every bridge to an occupied neighbor outright;
     otherwise a pair of occupied children, one per side, proves it when
     their coordinates one level down differ by 2 or more.  The
@@ -268,7 +269,7 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
     are those of :func:`~halfspace.metrics.d2_path`.
 
     The keys sort as :func:`bridge_key` does, and only the kept bridges
-    get their two cells and their :meth:`Bridge.of` check.
+    get their two cells, left before right.
     """
     found: set[tuple[int, int, int]] = set()
     add = found.add
@@ -278,10 +279,6 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
         lev = node.cell.level
         (k,) = node.cell.coords
         left, right = rows[0]
-        if left is not None and not left.count:
-            left = None
-        if right is not None and not right.count:
-            right = None
         if node.stored_index is not None:
             if left is not None:
                 add((lev, k - 1, k))
@@ -319,8 +316,7 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
             if abs(a - b) > 1:
                 a, b, t = a >> 1, b >> 1, t + 1
             add((level + t, a, b) if a < b else (level + t, b, a))
-    # Bridge.of checks each bridge once, in (left, right) order
-    return [Bridge.of(CellId(lev, (lo,)), CellId(lev, (hi,))) for lev, lo, hi in sorted(found)]
+    return [Bridge(CellId(lev, (lo,)), CellId(lev, (hi,))) for lev, lo, hi in sorted(found)]
 
 
 def build_spanner(points: list[CellId]) -> SpannerGraph:

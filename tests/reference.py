@@ -438,6 +438,13 @@ def select_representatives_descent(refined, base) -> None:
         node.reps = sorted(reps)
 
 
+def _count_under(tree, box: CellId) -> int:
+    """Number of input cells whose box lies on or below ``box``: the
+    count of the topmost node under it, by :meth:`QuadTree.cell_query`."""
+    node = tree.cell_query(box)[0]
+    return 0 if node is None else node.count
+
+
 def _bridge_candidate(tree, r: CellId, r2: CellId) -> bool:
     """Can (r, r2) be the bridge of some input pair's d2-path?
 
@@ -447,8 +454,8 @@ def _bridge_candidate(tree, r: CellId, r2: CellId) -> bool:
     """
     if tree.stored_index(r) is not None or tree.stored_index(r2) is not None:
         return True
-    kids_r = [c for c in children(r) if tree.subtree_count(c) > 0]
-    kids_r2 = [c for c in children(r2) if tree.in_root(c) and tree.subtree_count(c) > 0]
+    kids_r = [c for c in children(r) if _count_under(tree, c) > 0]
+    kids_r2 = [c for c in children(r2) if tree.in_root(c) and _count_under(tree, c) > 0]
     for c in kids_r:
         for c2 in kids_r2:
             if lambda_(c, c2) >= 2:
@@ -481,7 +488,7 @@ def bridges_scan(tree) -> list:
         for r2 in horizontal_neighbors(r):
             if not tree.in_root(r2):
                 continue
-            if tree.subtree_count(r2) == 0:
+            if _count_under(tree, r2) == 0:
                 continue
             if _bridge_candidate(tree, r, r2):
                 bridges.add(Bridge.of(r, r2))

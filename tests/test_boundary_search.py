@@ -87,8 +87,15 @@ def _check_bridges(cells):
     assert enumerate_bridges(tree) == bridges_scan(tree)
 
 
+def _occupied_top(tree, box):
+    """The topmost node on or below ``box`` if it holds an input, else None."""
+    top = tree.cell_query(box)[0] if tree.in_root(box) else None
+    return top if top is not None and top.count else None
+
+
 def _check_neighbor_rows(tree):
-    """Every entry is the topmost node under its box, by point location.
+    """Every entry is the topmost node under its box, by point location,
+    when that node holds an input, and None otherwise.
 
     Every row is sliced from a neighbor block, one per ordinary node and
     one per non-empty gap level, so this checks the blocks against
@@ -102,10 +109,7 @@ def _check_neighbor_rows(tree):
         assert len(rows) == gaps[id(node)]
         for j, row in enumerate(rows):
             box = ancestor_at(node.cell, node.cell.level + j)
-            expected = [
-                tree.cell_query(nb)[0] if tree.in_root(nb) else None
-                for nb in horizontal_neighbors(box)
-            ]
+            expected = [_occupied_top(tree, nb) for nb in horizontal_neighbors(box)]
             assert list(row) == expected, (node, j)
     assert nodes == list(tree.iter_nodes())
 
@@ -142,6 +146,18 @@ def test_neighbor_rows_match_cell_query(rng):
             for _ in range(6):
                 tree.insert_box(random_cell_in_root(rng, dim, min_level=low - 2))
             _check_neighbor_rows(tree)
+
+
+def test_neighbor_rows_hold_only_occupied_nodes_on_refined_d5_tree():
+    """Cost guard: a row entry is a node holding an input or None, so
+    the pass never looks below an empty neighbor.  The refined tree of
+    four D = 5 margin cells has 723 nodes; its rows hold 286 nodes, where
+    listing empty nodes as well made 24,048."""
+    tree = refine(build_quadtree(sample_margin_cells(random.Random(1), 5, 4)))
+    assert len(tree) == 723
+    entries = [t for _, rows in tree.neighbor_rows() for row in rows for t in row if t is not None]
+    assert all(t.count for t in entries)
+    assert len(entries) <= 286
 
 
 def _rows_computed(tree) -> tuple[int, int]:

@@ -193,6 +193,90 @@ def test_gen_env_seed(tmp_path, capsys, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def gen_error(args, capsys):
+    """Run ``halfspace gen --seed 0`` with ``args`` and return the JSON
+    error; it must exit 2 and write no points."""
+    code, out, err = run(["gen", "--seed", "0", *args], capsys)
+    assert code == 2 and out == ""
+    return json.loads(err)["error"]
+
+
+# Each of these min levels failed inside random.randrange, naming neither
+# the flag nor the value, or let stratified heights underflow to 0.0.
+
+
+def test_gen_margin_cells_min_level_3_exits_2(capsys):
+    error = gen_error(["--n", "5", "--kind", "discrete", "--min-level", "3"], capsys)
+    assert error == "min_level 3 is above -1, the highest level margin cells take"
+
+
+def test_gen_margin_cells_min_level_0_exits_2(capsys):
+    error = gen_error(["--n", "5", "--kind", "discrete", "--min-level", "0"], capsys)
+    assert error == "min_level 0 is above -1, the highest level margin cells take"
+
+
+def test_gen_cells_without_margin_min_level_1_exits_2(capsys):
+    error = gen_error(["--n", "5", "--kind", "discrete", "--no-margin", "--min-level", "1"], capsys)
+    assert error == "min_level 1 is above 0, the highest level cells of the root take"
+
+
+def test_gen_stratified_min_level_2_exits_2(capsys):
+    error = gen_error(["--n", "3", "--mode", "stratified", "--min-level", "2"], capsys)
+    assert error == "min_level 2 is above 0, the highest level stratified heights take"
+
+
+@pytest.mark.parametrize("n", ["3", "200"])
+def test_gen_stratified_min_level_minus_2000_exits_2(capsys, n):
+    # --n 200 drew a height of 0.0 (exit 2 blaming z); --n 3 wrote a file
+    error = gen_error(["--n", n, "--kind", "continuous", "--mode", "stratified", "--min-level", "-2000"], capsys)
+    assert error == "min_level -2000 is below -1074, the lowest level stratified heights take"
+
+
+def test_gen_stratified_min_level_minus_1074(tmp_path, capsys):
+    pts = tmp_path / "pts.jsonl"
+    assert main(["gen", "--n", "200", "--seed", "0", "--mode", "stratified", "--min-level", "-1074", "--out", str(pts)]) == 0
+    with open(pts) as fp:
+        points = read_points(fp)[2]
+    assert min(p.z for p in points) > 0.0
+
+
+# An integer past Python's 4,300-digit string-conversion limit made json
+# raise a plain ValueError, which named neither the line, the index nor
+# the point.
+
+
+def test_build_coords_of_6021_digits_on_line_2_exits_2(tmp_path, capsys):
+    text = '{"dim": 2, "kind": "discrete"}\n{"coords": [' + "3" * 6021 + '], "level": -20001}\n'
+    code, error = build_exit(tmp_path, capsys, text)
+    assert code == 2 and error.startswith("line 2: Exceeds the limit (4300 digits)")
+
+
+def test_build_header_dim_of_5000_digits_exits_2(tmp_path, capsys):
+    text = '{"dim": ' + "2" * 5000 + ', "kind": "discrete"}\n{"coords": [1], "level": -2}\n'
+    code, error = build_exit(tmp_path, capsys, text)
+    assert code == 2 and error.startswith("line 1: bad header: Exceeds the limit (4300 digits)")
+
+
+def test_query_index_highest_index_of_5000_digits_exits_2(tmp_path, capsys):
+    index, data = three_cell_index(tmp_path)
+    text = json.dumps(data)
+    assert text.count('"highest_index": 0,') == 1
+    index.write_text(text.replace('"highest_index": 0,', '"highest_index": ' + "1" * 5000 + ","))
+    code, out, err = run(["query", "--index", str(index), "--at=-6,24"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("index is no JSON: Exceeds the limit (4300 digits)")
+
+
+def test_gen_discrete_min_level_minus_20000_exits_2(capsys):
+    error = gen_error(["--n", "20", "--kind", "discrete", "--min-level", "-20000"], capsys)
+    assert error.startswith("point 9 cannot be written: Exceeds the limit (4300 digits)")
+
+
+def test_write_points_cell_at_level_minus_20001():
+    with pytest.raises(PointFileError, match=r"^point 1 cannot be written: Exceeds the limit \(4300 digits\)"):
+        write_points(io.StringIO(), [CellId(-2, (1,)), CellId(-20001, (3 << 19998,))])
+
+
 def test_build_artifacts_roundtrip(tmp_path, capsys):
     pts = tmp_path / "pts.jsonl"
     assert main(["gen", "--dim", "2", "--n", "24", "--kind", "discrete", "--seed", "4", "--out", str(pts)]) == 0

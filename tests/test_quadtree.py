@@ -326,7 +326,8 @@ def test_subtree_count_and_highest(rng):
             for _ in range(200):
                 q = random_box_in_root(rng, dim)
                 under = [i for i, c in enumerate(tree.points) if shadow_within(c, q)]
-                assert tree.subtree_count(q) == len({tree.points[i] for i in under})
+                node = tree.cell_query(q)[0]
+                assert (0 if node is None else node.count) == len({tree.points[i] for i in under})
                 highest = min(under, key=lambda i: (-tree.points[i].level, i), default=None)
                 assert tree.highest_under(q) == highest
 
@@ -639,14 +640,14 @@ def test_lookups_match_linear_scans(data):
         assert tree.stored_index(box) == (firsts[0] if firsts else None)
         inside = box.dim == tree.dim and box.level <= 0 and all(0 <= k < 2**-box.level for k in box.coords)
         if not inside:
-            for lookup in (tree.subtree_count, tree.highest_under, tree.cell_query):
+            for lookup in (tree.highest_under, tree.cell_query):
                 with pytest.raises(ValueError):
                     lookup(box)
             continue
         under = [i for i, c in enumerate(points) if shadow_within(c, box)]
-        assert tree.subtree_count(box) == len({points[i] for i in under})
-        assert tree.highest_under(box) == min(under, key=lambda i: (-points[i].level, i), default=None)
         largest, smallest = tree.cell_query(box)
+        assert (0 if largest is None else largest.count) == len({points[i] for i in under})
+        assert tree.highest_under(box) == min(under, key=lambda i: (-points[i].level, i), default=None)
         assert (largest and largest.cell, smallest.cell) == cell_query_scan(stored, box)
 
 
