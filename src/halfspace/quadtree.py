@@ -74,9 +74,13 @@ LEAF = "leaf"
 # The deepest level a tree takes a box at.  A build lifts every key's
 # coordinates to the lowest key's level (zorder_key) and point location
 # floors at one level below the lowest node, so a key at level L costs
-# shifts by -L bits: at level -10**30 no such integer can be made.
+# shifts by -L bits: at level -10**30 no such integer can be made.  A
+# tree must also write its keys (json.dumps), and by default Python
+# turns no int of more than 4,300 digits into a str: a coordinate at
+# level L is at most 2^-L - 1, and 2^14284 - 1 is the largest such
+# number with 4,300 digits.
 # Float heights reach level -1074; discrete inputs may go down to here.
-DEEPEST_LEVEL = -(1 << 16)
+DEEPEST_LEVEL = -14284
 
 # The highest dimension a tree takes.  Every construction is 2^O(D):
 # an ordinary node lists 2^(D-1) children, the AVD refinement lists

@@ -15,24 +15,28 @@ nodes under each neighbor box from one pass
 (:meth:`QuadTree.neighbor_rows`) with no descent from the root, which
 lists a node only if it holds an input, so neither filters; the rows
 below an empty row of a compressed gap are shared and never computed,
-so the pass costs the nodes plus the non-empty gap levels.
-The neighbor checks compare the coordinates of those nodes' occupied
-child boxes; a compressed node's partners are searched from them by
-the pruned boundary descent the AVD's representatives use as well
+so the pass costs the nodes plus the non-empty gap levels.  A
+compressed node's partners are searched from those nodes by the pruned
+boundary descent the AVD's representatives use as well
 (:func:`~halfspace.quadtree.compressed_on_boundary`).  The enumeration
 is deliberately conservative; extra bridges only add Steiner vertices.
 
-In the hyperbolic plane (D = 2) a box has one coordinate ``k``, its
-neighbor boxes are ``k - 1`` and ``k + 1``, and the pass runs on
-integers, picked by the tree's coordinate count as point location and
-:func:`~halfspace.metrics.d2_argmin` pick their scalar steps: the
-neighbor checks compare child coordinates with no neighbor list and no
-cell, a gap bridge's apexes come from the scalar climb of
-``d2_argmin`` (one lift shift, one bit length, at most one fix-up
-shift), which starts where :func:`~halfspace.metrics.d2_path`'s climb
-starts and so stops at the same apexes, and a bridge stays an integer
-key ``(level, lo, hi)`` until the two cells of each kept bridge are
-built.  D >= 3 keeps the coordinate loop.
+A neighbor check keeps the pair of boxes ``k`` and ``k + off`` when
+one side is stored, or when an occupied child of one lies 2 or more
+from an occupied child of the other on some axis ``j`` (that pair's
+path cannot bridge lower).  The children of ``k`` lie in ``2k_j`` and
+``2k_j + 1``.  At ``off_j = -1`` the neighbor's lie in ``2k_j - 2`` and
+``2k_j - 1``, so only the node's highest child against the neighbor's
+lowest can be 2 apart; at ``+1`` the roles swap; at 0 no pair is.  So
+on each axis the farthest pair decides, and each side is read once as
+the per-axis extent of its occupied children, with no neighbor cell.
+In the hyperbolic plane (D = 2) a box has one coordinate, and the pass
+runs on integers, picked by the tree's coordinate count as point
+location and :func:`~halfspace.metrics.d2_argmin` pick their scalar
+steps: an extent is two ints, a gap bridge's apexes come from the
+scalar climb of ``d2_argmin``, which stops at the apexes of
+:func:`~halfspace.metrics.d2_path`, and a bridge stays an integer key
+``(level, lo, hi)`` until the two cells of each kept bridge are built.
 
 Bridges and vertical edges are each unique and never share a pair, so
 :func:`build_spanner` collects them in one list and sorts it once.  The
@@ -50,13 +54,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
 from .metrics import d2_path, lambda_
 from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder_key
 from .quadtree import box_adjacent  # noqa: F401  (bench/tracer.py wraps spanner.box_adjacent)
 from .shortcut import check_hop_budget, forest_height, shortcut_forest
-from .tiling import CellId, HPoint, center, horizontal_neighbors, is_ancestor_or_self
+from .tiling import CellId, HPoint, center, is_ancestor_or_self, neighbor_offsets
 
 INPUT = "input"
 STEINER = "steiner"
@@ -132,42 +137,6 @@ class SpannerGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _occupied_children(box: CellId, top: QuadNode) -> list[tuple[int, ...]]:
-    """Coordinates, at ``box.level - 1``, of the child boxes of ``box``
-    holding inputs; ``top`` is the topmost node on or below ``box``."""
-    lev = box.level - 1
-    nodes = [top] if top.cell.level != box.level else [ch for ch in top.children if ch.count]
-    out = []
-    for nu in nodes:
-        s = lev - nu.cell.level
-        out.append(tuple([k >> s for k in nu.cell.coords]) if s else nu.cell.coords)
-    return out
-
-
-def bridge_candidate(r: CellId, top: QuadNode, r2: CellId, top2: QuadNode) -> bool:
-    """Can (r, r2) be the bridge of some input pair's d2-path?
-
-    ``top`` and ``top2`` are the topmost nodes on or below the two
-    boxes, both holding inputs.  True when ``r`` is itself an input, or
-    some occupied child of one side is not a neighbor of some occupied
-    child of the other (that pair's path cannot bridge lower): two
-    children are neighbors when no coordinate differs by 2 or more.
-
-    Whether ``r2`` is an input need not be asked: an input box is an
-    occupied node, and :func:`enumerate_bridges` tests the same pair
-    from that node's side, where ``r2`` is the first box.
-    """
-    if top.cell.level == r.level and top.stored_index is not None:
-        return True
-    kids_r2 = _occupied_children(r2, top2)
-    for c in _occupied_children(r, top):
-        for c2 in kids_r2:
-            for a, b in zip(c, c2):
-                if not -2 < a - b < 2:
-                    return True
-    return False
-
-
 def bridge_key(a: CellId, b: CellId) -> tuple:
     """Sort key of the bridge between same-level cells ``a`` and ``b``:
     the level, then both ends' coordinates in order.  A CellId orders
@@ -175,6 +144,18 @@ def bridge_key(a: CellId, b: CellId) -> tuple:
     ``(left, right)`` does, compared in C rather than by the dataclass's
     Python-level ``__lt__``."""
     return (a.level, a.coords, b.coords) if a.coords < b.coords else (a.level, b.coords, a.coords)
+
+
+def _child_extent(top: QuadNode, lev: int) -> list[tuple[int, int]] | None:
+    """The per-axis ``(lo, hi)`` coordinates, at ``lev - 1``, of the
+    occupied child boxes of the box at ``lev`` whose topmost node is
+    ``top``; None when there is none, as under a stored leaf."""
+    nodes = [top] if top.cell.level != lev else [ch for ch in top.children if ch.count]
+    kids = []
+    for nu in nodes:
+        s = lev - 1 - nu.cell.level
+        kids.append([k >> s for k in nu.cell.coords] if s else nu.cell.coords)
+    return [(min(c), max(c)) for c in zip(*kids)] if kids else None
 
 
 def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
@@ -186,10 +167,15 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     below an empty row of a compressed gap are shared and never
     computed, so the pass costs the nodes plus the non-empty gap
     levels).  Bridges with a stored endpoint box come from per-node
-    neighbor checks, which build a node's neighbor boxes only when a
-    row entry is not None and compare occupied children as coordinate
-    tuples.  Bridges inside compressed gaps come from
-    adjacent pairs of occupied compressed nodes, each found from its
+    neighbor checks.  A stored node keeps every occupied neighbor; any
+    other node keeps a neighbor when the two sides' occupied children
+    lie 2 or more apart on some axis, decided from per-axis extents
+    (:func:`_child_extent`): the node's once, each occupied neighbor's
+    once.  A neighbor's coordinates are the node's plus its offset
+    (:func:`~halfspace.tiling.neighbor_offsets`, the order of
+    ``rows[0]``), so no neighbor cell is built.  Bridges inside
+    compressed gaps come from adjacent pairs of occupied compressed
+    nodes, each found from its
     larger (or equal) member nu2: the other's ancestor at nu2's level
     touches nu2, so it is one of nu2's neighbor boxes, and the pruned
     boundary descent (:func:`~halfspace.quadtree.compressed_on_boundary`)
@@ -199,24 +185,36 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     bridges are built from the sorted keys, in ``(left, right)`` order.
 
     With one coordinate (D = 2, read off the tree) the pass runs on
-    integers (:func:`_one_axis_bridges`): the neighbor boxes of box
-    ``k`` are ``k - 1`` and ``k + 1``, the two entries of ``rows[0]``,
-    and a gap bridge's apexes come from the scalar climb of
+    integers (:func:`_one_axis_bridges`): the same extent rule on two
+    ints per side, and a gap bridge's apexes from the scalar climb of
     :func:`~halfspace.metrics.d2_argmin` instead of a
-    :func:`~halfspace.metrics.d2_path`.  Cells are built for the kept
-    bridges only.  D >= 3 keeps the loop.
+    :func:`~halfspace.metrics.d2_path`.
     """
     if tree.dim == 2:
         return _one_axis_bridges(tree)
+    offsets = neighbor_offsets(tree.dim - 1)
     found: set[tuple] = set()  # bridge_key of each bridge
     for node, rows in tree.neighbor_rows():
         if node.count == 0:
             continue
         r, row = node.cell, rows[0]
         if any(row):
-            for r2, top2 in zip(horizontal_neighbors(r), row):
-                if top2 is not None and bridge_candidate(r, node, r2, top2):
-                    found.add(bridge_key(r, r2))
+            lev, k = r.level, r.coords
+            # a stored node keeps every occupied neighbor
+            mine = None if node.stored_index is not None else _child_extent(node, lev)
+            for off, top2 in zip(offsets, row):
+                if top2 is None:
+                    continue
+                if mine is not None:
+                    # on each axis only the farthest pair can lie 2 apart
+                    theirs = _child_extent(top2, lev)
+                    if theirs is None or not any(
+                        hi - lo2 >= 2 if o < 0 else o > 0 and hi2 - lo >= 2
+                        for o, (lo, hi), (lo2, hi2) in zip(off, mine, theirs)
+                    ):
+                        continue
+                k2 = tuple(map(add, k, off))
+                found.add((lev, k, k2) if k < k2 else (lev, k2, k))
         if node.kind != COMPRESSED:
             continue
         # bridges with neither endpoint stored: both endpoints span
@@ -233,14 +231,16 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
     return [Bridge(CellId(lev, lo), CellId(lev, hi)) for lev, lo, hi in sorted(found)]
 
 
-def _one_axis_children(top: QuadNode, lev: int) -> list[int]:
-    """:func:`_occupied_children` with one coordinate: the coordinates,
-    at ``lev - 1``, of the occupied child boxes of the box at ``lev``
-    whose topmost node is ``top``."""
+def _one_axis_extent(top: QuadNode, lev: int) -> tuple[int, int] | None:
+    """:func:`_child_extent` with one coordinate, as two ints.  Children
+    follow :func:`~halfspace.tiling.children` order, so the later
+    occupied child is the higher one."""
     cell = top.cell
     if cell.level != lev:
-        return [cell.coords[0] >> (lev - 1 - cell.level)]
-    return [ch.cell.coords[0] >> (lev - 1 - ch.cell.level) for ch in top.children if ch.count]
+        k = cell.coords[0] >> (lev - 1 - cell.level)
+        return k, k
+    ks = [ch.cell.coords[0] >> (lev - 1 - ch.cell.level) for ch in top.children if ch.count]
+    return (ks[0], ks[-1]) if ks else None
 
 
 def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
@@ -248,15 +248,12 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
 
     A bridge is the integer key ``(level, lo, hi)`` until the end.  Box
     ``k`` at level ``lev`` has the neighbor boxes ``k - 1`` and
-    ``k + 1``, the two entries of ``rows[0]`` in
-    :func:`~halfspace.tiling.horizontal_neighbors` order (None unless
-    occupied), so a check builds no neighbor list and tests no count.
-    :func:`bridge_candidate` turns scalar: a
-    stored node proves every bridge to an occupied neighbor outright;
-    otherwise a pair of occupied children, one per side, proves it when
-    their coordinates one level down differ by 2 or more.  The
-    children of box ``k`` lie in ``2k`` and ``2k + 1``, left of those of
-    box ``k + 1``, so the farthest pair decides.
+    ``k + 1``, the two entries of ``rows[0]`` (None unless occupied), so
+    a check builds no neighbor list and tests no count.  A stored node
+    keeps every occupied neighbor; otherwise the extent rule runs on
+    two ints per side (:func:`_one_axis_extent`): against the left
+    neighbor the node's highest child and the neighbor's lowest decide,
+    against the right one the neighbor's highest and the node's lowest.
 
     A gap bridge is the bridge of the d2-path between the two gap
     bottoms, found by the climb :func:`~halfspace.metrics.d2_argmin`
@@ -285,14 +282,14 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
             if right is not None:
                 add((lev, k, k + 1))
         elif left is not None or right is not None:
-            mine = _one_axis_children(node, lev)
+            mine_lo, mine_hi = _one_axis_extent(node, lev)
             if left is not None:
-                theirs = _one_axis_children(left, lev)
-                if theirs and max(mine) - min(theirs) >= 2:
+                theirs = _one_axis_extent(left, lev)
+                if theirs is not None and mine_hi - theirs[0] >= 2:
                     add((lev, k - 1, k))
             if right is not None:
-                theirs = _one_axis_children(right, lev)
-                if theirs and max(theirs) - min(mine) >= 2:
+                theirs = _one_axis_extent(right, lev)
+                if theirs is not None and theirs[1] - mine_lo >= 2:
                     add((lev, k, k + 1))
         if node.kind != COMPRESSED:
             continue

@@ -51,8 +51,18 @@ class CellId:
         return len(self.coords) + 1
 
     def __repr__(self) -> str:
-        ks = ",".join(str(k) for k in self.coords)
-        return f"Cell({self.level};[{ks}])"
+        ks = ",".join(map(_int_repr, self.coords))
+        return f"Cell({_int_repr(self.level)};[{ks}])"
+
+
+def _int_repr(k: int) -> str:
+    """``k`` in decimal, or ``<N-bit int>`` past Python's digit limit for
+    int to str conversion, so a message naming a deep cell keeps its
+    own text."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"{'-' if k < 0 else ''}<{k.bit_length()}-bit int>"
 
 
 @dataclass(frozen=True)

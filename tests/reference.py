@@ -5,7 +5,9 @@ the d2-path, ``meet``, point location and the spanner's vertical edges
 (``*_climb``); the point location, the d2 argmin and the bridge pass
 that loop over the coordinates at every dimension, which the one-axis
 steps for D = 2 must match (``smallest_containing_general``,
-``d2_argmin_general``, ``enumerate_bridges_general``);
+``d2_argmin_general``, ``enumerate_bridges_general``), the last with the
+all-pairs neighbor check ``bridge_candidate`` that the per-axis child
+extents of both bridge passes must match;
 the Z-order key by string formatting (``zorder_key_format``); all-pairs and root-lookup scans for the AVD
 annotation, the representatives (with their region predicates
 ``adjacent_to_region`` and ``touches_boundary``, and box adjacency by
@@ -507,27 +509,59 @@ def bridges_scan(tree) -> list:
     return sorted(bridges, key=lambda b: (b.left, b.right))
 
 
-def enumerate_bridges_general(tree) -> list:
-    """:func:`halfspace.spanner.enumerate_bridges` with the coordinate
-    loop at every dimension: a neighbor list and a
-    :func:`~halfspace.spanner.bridge_candidate` per node, a
-    :func:`~halfspace.metrics.d2_path` per gap partner, and cells for
-    every candidate.
+def _occupied_children(box: CellId, top) -> list[tuple[int, ...]]:
+    """Coordinates, at ``box.level - 1``, of the child boxes of ``box``
+    holding inputs; ``top`` is the topmost node on or below ``box``."""
+    lev = box.level - 1
+    nodes = [top] if top.cell.level != box.level else [ch for ch in top.children if ch.count]
+    out = []
+    for nu in nodes:
+        s = lev - nu.cell.level
+        out.append(tuple([k >> s for k in nu.cell.coords]) if s else nu.cell.coords)
+    return out
 
-    Reference for the one-axis pass the library takes at D = 2.  Its
-    names are looked up in :mod:`halfspace.spanner` when it runs, so a
-    patch there reaches it.
+
+def bridge_candidate(r: CellId, top, r2: CellId, top2) -> bool:
+    """Can (r, r2) be the bridge of some input pair's d2-path?
+
+    ``top`` and ``top2`` are the topmost nodes on or below the two
+    boxes, both holding inputs.  True when ``r`` is itself an input, or
+    some occupied child of one side is not a neighbor of some occupied
+    child of the other (that pair's path cannot bridge lower): two
+    children are neighbors when no coordinate differs by 2 or more.
+
+    Whether ``r2`` is an input need not be asked: an input box is an
+    occupied node, and :func:`enumerate_bridges_general` tests the same
+    pair from that node's side, where ``r2`` is the first box.
+
+    Reference for the per-axis extents of
+    :func:`halfspace.spanner.enumerate_bridges`, where on each axis the
+    farthest pair of occupied children decides.
     """
-    from halfspace.spanner import (
-        COMPRESSED,
-        Bridge,
-        QuadNode,
-        bridge_candidate,
-        bridge_key,
-        compressed_on_boundary,
-        d2_path,
-        horizontal_neighbors,
-    )
+    if top.cell.level == r.level and top.stored_index is not None:
+        return True
+    kids_r2 = _occupied_children(r2, top2)
+    for c in _occupied_children(r, top):
+        for c2 in kids_r2:
+            for a, b in zip(c, c2):
+                if not -2 < a - b < 2:
+                    return True
+    return False
+
+
+def enumerate_bridges_general(tree) -> list:
+    """:func:`halfspace.spanner.enumerate_bridges` as a coordinate loop
+    at every dimension: a neighbor list and a :func:`bridge_candidate`
+    per node, a :func:`~halfspace.metrics.d2_path` per gap partner, and
+    cells for every candidate.
+
+    Reference for both of the library's passes.  ``d2_path`` and the
+    other spanner names are looked up in :mod:`halfspace.spanner`, and
+    ``horizontal_neighbors`` in :mod:`halfspace.tiling`, when it runs,
+    so a patch there reaches it.
+    """
+    from halfspace.spanner import COMPRESSED, Bridge, QuadNode, bridge_key, compressed_on_boundary, d2_path
+    from halfspace.tiling import horizontal_neighbors
 
     found: dict[tuple, tuple[CellId, CellId]] = {}  # bridge_key -> the two cells
     for node, rows in tree.neighbor_rows():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from halfspace import avd, quadtree, spanner
+from halfspace import avd, quadtree, spanner, tiling
 from halfspace.avd import annotate, refine, select_representatives
 from halfspace.quadtree import (
     COMPRESSED,
@@ -22,7 +22,7 @@ from halfspace.quadtree import (
 )
 from halfspace.hyperbolic import normalize_and_embed
 from halfspace.sampling import STRATIFIED, sample_continuous, sample_margin_cells
-from halfspace.spanner import enumerate_bridges
+from halfspace.spanner import Bridge, enumerate_bridges
 from halfspace.tiling import CellId, HPoint, ancestor_at, horizontal_neighbors
 
 from conftest import random_cell_in_root
@@ -461,8 +461,8 @@ def one_axis_sets(draw):
     return cells
 
 
-def _check_one_axis(cells):
-    """The one-axis pass against the coordinate loop, and on small trees
+def _check_against_general(cells):
+    """The bridge pass against the coordinate loop, and on small trees
     against the all-pairs scan."""
     tree = build_quadtree(cells)
     bridges = enumerate_bridges(tree)
@@ -478,41 +478,118 @@ def _check_one_axis(cells):
 @example([CellId(-4, (10,)), CellId(-4, (6,)), CellId(-3, (1,))])  # children exactly 2 apart
 @example([CellId(-2, (1,)), CellId(-5, (2,))])  # a stored box with a child
 def test_one_axis_bridges_match_general_loop(cells):
-    _check_one_axis(cells)
+    _check_against_general(cells)
 
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_one_axis_bridges_match_general_loop_on_deep_chain(g):
     """1,000 boxes around x = 3/10, one every ``g`` levels."""
-    _check_one_axis([CellId(-lev, ((3 << lev) // 10,)) for lev in range(2, g * 1000 + 2, g)])
+    _check_against_general([CellId(-lev, ((3 << lev) // 10,)) for lev in range(2, g * 1000 + 2, g)])
 
 
 def test_one_axis_bridges_match_general_loop_on_two_chains():
     """Two chains of 250 boxes each meeting at x = 1/2: every box of one
     touches every box of the other."""
     cells = [c for lev in range(3, 503, 2) for c in (CellId(-lev, ((1 << (lev - 1)) - 1,)), CellId(-lev - 1, (1 << lev,)))]
-    _check_one_axis(cells)
+    _check_against_general(cells)
     assert len(enumerate_bridges(build_quadtree(cells))) == 499
 
 
-def test_one_axis_bridges_build_two_cells_per_bridge(monkeypatch):
-    """Cost guard: at D = 2 the pass builds the two cells of each kept
-    bridge and nothing else, and makes no d2-path and no neighbor list."""
-    points = sample_continuous(random.Random(3), 2, 120, STRATIFIED, min_level=-40)
+# -- the per-axis extents (D >= 3) ---------------------------------------------
+
+
+@st.composite
+def extent_sets(draw):
+    """D = 3-5 cell sets for the per-axis extent check: the stacked lines
+    of :func:`stacked_sets`, or clusters of boxes around a few points,
+    each box an ancestor of its point moved by up to two boxes on each
+    axis, so neighbor boxes often hold children 2 apart on some axes
+    and not on others."""
+    dim = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        return draw(stacked_sets(dim, margin=False))
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        depth = draw(st.integers(1, 12))
+        xs = [draw(st.integers(0, (1 << depth) - 1)) for _ in range(dim - 1)]
+        for _ in range(draw(st.integers(1, 6))):
+            lev = draw(st.integers(1, depth))
+            ks = tuple((x >> (depth - lev)) + draw(st.integers(-2, 2)) for x in xs)
+            if all(0 <= k < 1 << lev for k in ks):
+                cells.append(CellId(-lev, ks))
+    assume(cells)
+    return cells
+
+
+# The node at box (1, 1) of level -2 holds two children; the filler at
+# (0, 0) (and at (3, 3)) leaves no two compressed nodes with inputs
+# that touch.  The neighbor box (2, 1) holds one deep leaf in a
+# compressed gap, so its topmost node lies below it; the diagonal
+# neighbor (2, 2) holds children 2 apart from the node's on the first
+# axis and 1 apart on the second.
+EXTENT_BELOW = [CellId(-3, (2, 2)), CellId(-3, (3, 2)), CellId(-5, (16, 8)), CellId(-2, (0, 0))]
+EXTENT_DIAGONAL = [CellId(-3, (2, 3)), CellId(-3, (3, 3)), CellId(-3, (4, 4)), CellId(-3, (5, 4))]
+EXTENT_DIAGONAL += [CellId(-2, (0, 0)), CellId(-2, (3, 3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(extent_sets())
+# a stored box with a lower child beside a stored leaf, and an ordinary
+# node beside a stored leaf: the leaf has no children, so no extent
+@example([CellId(-2, (1, 1)), CellId(-4, (7, 4)), CellId(-2, (2, 1))])
+@example([CellId(-3, (2, 2)), CellId(-3, (3, 3)), CellId(-2, (2, 1))])
+# a neighbor node lying below its box
+@example(EXTENT_BELOW)
+# a diagonal neighbor whose children are 2 apart on the first axis only
+@example(EXTENT_DIAGONAL)
+@example([CellId(-3, (2, 3, 1)), CellId(-3, (3, 3, 1)), CellId(-3, (4, 4, 2)), CellId(-3, (5, 4, 2))])
+def test_bridges_match_general_loop_d3_to_d5(cells):
+    _check_against_general(cells)
+
+
+def test_extent_examples_decide_without_gap_paths(monkeypatch):
+    """The bridge between the boxes (1, 1) and (2, 1) or (2, 2) at level
+    -2 of the examples comes from the extent rule: no two compressed
+    nodes with inputs touch, so no gap path is made."""
+
+    def no_gap_path(*args):
+        raise AssertionError("a gap bridge's d2-path")
+
+    monkeypatch.setattr(spanner, "d2_path", no_gap_path)
+    a = CellId(-2, (1, 1))
+    assert Bridge.of(a, CellId(-2, (2, 1))) in enumerate_bridges(build_quadtree(EXTENT_BELOW))
+    assert Bridge.of(a, CellId(-2, (2, 2))) in enumerate_bridges(build_quadtree(EXTENT_DIAGONAL))
+    # children 1 apart on every axis: no bridge
+    close = [CellId(-3, (3, 2)), CellId(-3, (3, 3)), CellId(-3, (4, 2)), CellId(-3, (4, 3)), CellId(-2, (0, 0))]
+    bridges = enumerate_bridges(build_quadtree(close + [CellId(-2, (3, 0))]))
+    assert Bridge.of(a, CellId(-2, (2, 1))) not in bridges
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_bridges_build_two_cells_per_bridge_and_per_d2_path(monkeypatch, dim):
+    """Cost guard: the pass builds the two cells of each kept bridge and
+    the two apexes of each gap bridge's d2-path, and no neighbor cell;
+    at D = 2 it makes no d2-path either."""
+    points = sample_continuous(random.Random(3), dim, 120, STRATIFIED, min_level=-40)
     tree = build_quadtree(normalize_and_embed(points)[2])
     calls = Counter()
-    for name in ("d2_path", "horizontal_neighbors"):
 
-        def counted(*args, _name=name, _fn=getattr(spanner, name)):
-            calls[_name] += 1
-            return _fn(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
 
-        monkeypatch.setattr(spanner, name, counted)
+        return counted
+
+    monkeypatch.setattr(spanner, "d2_path", counting("d2_path", spanner.d2_path))
+    # the reference loop reads horizontal_neighbors from the tiling module
+    monkeypatch.setattr(tiling, "horizontal_neighbors", counting("horizontal_neighbors", tiling.horizontal_neighbors))
     builds = CellBuilds(monkeypatch)
     bridges = enumerate_bridges(tree)
-    assert builds.n == 2 * len(bridges) > 0
-    assert not calls
-    # the reference loop reads both names from the spanner module, so
-    # both patches are live
-    assert builds.during(enumerate_bridges_general, tree) > 2 * len(bridges)
+    assert builds.n == 2 * len(bridges) + 2 * calls["d2_path"]
+    assert len(bridges) > 0 and not calls["horizontal_neighbors"]
+    assert (calls["d2_path"] == 0) if dim == 2 else (calls["d2_path"] > 0)
+    # both patches are live in the reference loop, which builds more
+    calls.clear()
+    assert builds.during(enumerate_bridges_general, tree) > 2 * len(bridges) + 2 * calls["d2_path"]
     assert calls["d2_path"] > 0 and calls["horizontal_neighbors"] > 0

@@ -133,7 +133,7 @@ def test_build_level_minus_10_pow_30_exits_2(tmp_path, capsys, what):
     pts.write_text(DISCRETE_2 + '{"coords": [0], "level": -%d}\n' % 10**30)
     code, out, err = run(["build", "--what", what, "--in", str(pts)], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == f"Cell(-{10**30};[0]) lies below level -65536, the deepest a tree takes"
+    assert json.loads(err)["error"] == f"Cell(-{10**30};[0]) lies below level -14284, the deepest a tree takes"
 
 
 CONTINUOUS_2 = '{"dim": 2, "kind": "continuous"}\n{"x": [0.25], "z": 0.5}\n'

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace.avd import fill_highest, refine
+from halfspace.avd import AvdIndex, build_avd, fill_highest, refine
 from halfspace.oracle import cell_query_scan
 from halfspace.quadtree import (
     COMPRESSED,
@@ -159,13 +159,13 @@ def test_rejects_points_outside_root():
 
 
 def test_build_level_minus_10_pow_30():
-    with pytest.raises(ValueError, match=r"Cell\(-10{30};\[0\]\) lies below level -65536"):
+    with pytest.raises(ValueError, match=r"Cell\(-10{30};\[0\]\) lies below level -14284"):
         build_quadtree([C(-2, 1), C(-(10**30), 0)])
 
 
 def test_insert_box_level_minus_10_pow_30():
     tree = build_quadtree([C(-2, 1)])
-    with pytest.raises(ValueError, match=r"Cell\(-10{30};\[0\]\) lies below level -65536"):
+    with pytest.raises(ValueError, match=r"Cell\(-10{30};\[0\]\) lies below level -14284"):
         tree.insert_box(C(-(10**30), 0))
 
 
@@ -174,7 +174,7 @@ def test_from_dict_node_level_minus_10_pow_30():
     data = QuadTree(2, [C(-2, 1)], [C(-3, 0)]).to_dict()
     (k,) = [k for k, node in enumerate(data["nodes"]) if node["cell"] == [-3, [0]]]
     data["nodes"][k]["cell"] = [-(10**30), [0]]
-    with pytest.raises(ValueError, match=rf"node {k}'s cell Cell\(-10{{30}};\[0\]\) lies below level -65536"):
+    with pytest.raises(ValueError, match=rf"node {k}'s cell Cell\(-10{{30}};\[0\]\) lies below level -14284"):
         QuadTree.from_dict(data)
 
 
@@ -184,8 +184,44 @@ def test_from_dict_point_level_minus_10_pow_30():
     for node in data["nodes"]:
         if node["cell"] == [-3, [0]]:
             node["cell"] = [-(10**30), [0]]
-    with pytest.raises(ValueError, match=r"point 0's cell Cell\(-10{30};\[0\]\) lies below level -65536"):
+    with pytest.raises(ValueError, match=r"point 0's cell Cell\(-10{30};\[0\]\) lies below level -14284"):
         QuadTree.from_dict(data)
+
+
+# A coordinate past Python's 4,300-digit limit for int to str
+# conversion made CellId's repr raise, so the message naming the cell
+# reported the digit limit instead of its own text.
+
+
+def test_quadtree_cell_at_level_minus_70000_coordinate_3_shl_69998():
+    with pytest.raises(ValueError, match=r"^Cell\(-70000;\[<70000-bit int>\]\) lies below level -14284, the deepest"):
+        QuadTree(2, [C(-70000, 3 << 69998)])
+
+
+# A tree took keys down to level -65536 but json.dumps cannot write a
+# coordinate past 4,300 digits: build_avd on this input made an index
+# whose to_json raised json's bare digit-limit error, naming no node.
+
+
+def test_build_avd_cell_at_level_minus_14300_coordinate_3_shl_14297():
+    with pytest.raises(ValueError, match=r"^Cell\(-14300;\[<14299-bit int>\]\) lies below level -14284, the deepest"):
+        build_avd([C(-14300, 3 << 14297), C(-2, 1)])
+
+
+def test_index_at_deepest_level_with_the_largest_coordinate_round_trips():
+    # the largest coordinate at DEEPEST_LEVEL has 4,300 digits; in the
+    # margin [1/4, 1/2] that build_avd's discrete inputs need, the
+    # largest is one bit shorter and has 4,300 digits too
+    top, margin_top = (1 << -DEEPEST_LEVEL) - 1, (1 << (-DEEPEST_LEVEL - 1)) - 1
+    assert len(str(top)) == len(str(margin_top)) == 4300
+    text = build_avd([C(DEEPEST_LEVEL, margin_top), C(-2, 1)]).to_json()
+    assert AvdIndex.from_json(text).to_json() == text
+    tree = build_quadtree([C(DEEPEST_LEVEL, top), C(-2, 1)])
+    data = json.loads(json.dumps(tree.to_dict()))
+    assert QuadTree.from_dict(data).to_dict() == tree.to_dict()
+    # one level lower is refused, naming the cell
+    with pytest.raises(ValueError, match=rf"^Cell\({DEEPEST_LEVEL - 1};\[{top}\]\) lies below level {DEEPEST_LEVEL}"):
+        build_avd([C(DEEPEST_LEVEL - 1, top), C(-2, 1)])
 
 
 def test_deepest_level_builds_and_locates():

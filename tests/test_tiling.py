@@ -63,6 +63,13 @@ def test_parent_child_roundtrip(c):
     assert len(x_shadows) == len(kids)
 
 
+def test_repr_of_cell_at_level_minus_70000_coordinate_3_shl_69998():
+    # str() of this coordinate raised "Exceeds the limit (4300 digits)"
+    assert repr(CellId(-70000, (3 << 69998,))) == "Cell(-70000;[<70000-bit int>])"
+    assert repr(CellId(-(10**5000), (-(1 << 20000), 5))) == "Cell(-<16610-bit int>;[-<20001-bit int>,5])"
+    assert repr(CellId(-3, (1, 2))) == "Cell(-3;[1,2])"
+
+
 def test_horizontal_neighbors_1d():
     assert set(horizontal_neighbors(CellId(0, (7,)))) == {CellId(0, (6,)), CellId(0, (8,))}
 
