@@ -153,7 +153,7 @@ class NormalizeTransform:
                 coords = tuple([floor_scaled(scale * v + s, level) for v, s in zip(x, self.shift)])
         except OverflowError:
             raise ValueError(f"query x = {p.x!r} moves out of the finite floats at scale {scale!r}") from None
-        return CellId(level, coords)
+        return CellId.derived(level, coords)
 
 
 # Horizontal diameter target: strictly below 1/4 so every mapped cell

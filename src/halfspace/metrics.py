@@ -154,8 +154,8 @@ def d2_path(p: CellId, q: CellId) -> D2Path:
         # neighbors), so a climb stops at 1 before the chains can merge
         top = p if p.level >= q.level else q
         return D2Path(p, q, top, top, has_bridge=False)
-    apex_p = CellId(level + s, tuple([x >> s for x in a]))
-    apex_q = CellId(level + s, tuple([y >> s for y in b]))
+    apex_p = CellId.derived(level + s, tuple([x >> s for x in a]))
+    apex_q = CellId.derived(level + s, tuple([y >> s for y in b]))
     return D2Path(p, q, apex_p, apex_q, has_bridge=True)
 
 

@@ -108,7 +108,8 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
                     _integer(v, "each coordinate", lineno)
                 if len(coords) != dim - 1:
                     raise PointFileError(f"line {lineno}: expected {dim - 1} coordinates")
-                points.append(CellId(_integer(level, "level", lineno), tuple(coords)))
+                # the checks above cover all that CellId checks
+                points.append(CellId.derived(_integer(level, "level", lineno), tuple(coords)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, PointFileError):
                 raise

@@ -205,7 +205,7 @@ def meet(a: CellId, b: CellId) -> CellId:
         if diff < 0:
             raise ValueError(f"{a!r} and {b!r} share no ancestor")
         s = max(s, diff.bit_length())
-    return CellId(level + s, tuple([x >> s for x in ka]))
+    return CellId.derived(level + s, tuple([x >> s for x in ka]))
 
 
 @functools.cache
@@ -568,7 +568,7 @@ class QuadTree:
         if not all(0.0 <= v < 1.0 for v in x):
             raise ValueError(f"point {x} is outside the root shadow [0,1)^(D-1)")
         lev = self._locate_level
-        return self.smallest_containing(CellId(lev, tuple([floor_scaled(v, lev) for v in x])))
+        return self.smallest_containing(CellId.derived(lev, tuple([floor_scaled(v, lev) for v in x])))
 
     @staticmethod
     def shadow_holds(cell: CellId, x: tuple[float, ...]) -> bool:

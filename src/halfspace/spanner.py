@@ -228,7 +228,7 @@ def enumerate_bridges(tree: QuadTree) -> list[Bridge]:
         for nu2 in partners:
             path = d2_path(node.children[0].cell, nu2.children[0].cell)
             found.add(bridge_key(path.apex_p, path.apex_q))
-    return [Bridge(CellId(lev, lo), CellId(lev, hi)) for lev, lo, hi in sorted(found)]
+    return [Bridge(CellId.derived(lev, lo), CellId.derived(lev, hi)) for lev, lo, hi in sorted(found)]
 
 
 def _one_axis_extent(top: QuadNode, lev: int) -> tuple[int, int] | None:
@@ -313,7 +313,7 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
             if abs(a - b) > 1:
                 a, b, t = a >> 1, b >> 1, t + 1
             add((level + t, a, b) if a < b else (level + t, b, a))
-    return [Bridge(CellId(lev, (lo,)), CellId(lev, (hi,))) for lev, lo, hi in sorted(found)]
+    return [Bridge(CellId.derived(lev, (lo,)), CellId.derived(lev, (hi,))) for lev, lo, hi in sorted(found)]
 
 
 def build_spanner(points: list[CellId]) -> SpannerGraph:

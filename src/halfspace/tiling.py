@@ -45,6 +45,26 @@ class CellId:
             if type(k) is not int:
                 raise ValueError(f"cell coordinate {k!r} is no int")
 
+    @staticmethod
+    def derived(level: int, coords: tuple[int, ...]) -> CellId:
+        """The cell ``(level, coords)``, built with no checks.
+
+        For values the library derived from valid cells or computed as
+        ints itself: ``level`` an ``int`` and ``coords`` a nonempty
+        tuple of ``int``.  Values from outside go through ``CellId(...)``,
+        which checks them.  The fields are set with
+        ``object.__setattr__`` only, never through the instance
+        ``__dict__``: writing that dict makes CPython give the object
+        its own dict, which slows every later attribute read and ``==``.
+        Equality, ordering and hashing are those of ``(level, coords)``,
+        as for a checked cell.  Call it as ``CellId.derived`` so one
+        patch of the class attribute reaches every trusted site.
+        """
+        cell = _new(CellId)
+        _set(cell, "level", level)
+        _set(cell, "coords", coords)
+        return cell
+
     @property
     def dim(self) -> int:
         """Ambient dimension D."""
@@ -53,6 +73,10 @@ class CellId:
     def __repr__(self) -> str:
         ks = ",".join(map(_int_repr, self.coords))
         return f"Cell({_int_repr(self.level)};[{ks}])"
+
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _int_repr(k: int) -> str:
@@ -67,13 +91,14 @@ def _int_repr(k: int) -> str:
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point of the halfspace: D-1 finite horizontal coordinates and a
-    finite height z > 0.
+    """A point of the halfspace: D-1 >= 1 finite horizontal coordinates
+    and a finite height z > 0.
 
     Each value must be an ``int`` or a ``float`` whose float value is
     finite; anything else (``bool``, ``str``, an int past the float
-    range) raises ``ValueError`` naming the value.  Values are stored as
-    given, except that a non-tuple ``x`` becomes a tuple of floats."""
+    range) raises ``ValueError`` naming the value, as does an empty
+    ``x``.  Values are stored as given, except that a non-tuple ``x``
+    becomes a tuple of floats."""
 
     x: tuple[float, ...]
     z: float
@@ -82,6 +107,8 @@ class HPoint:
         x = self.x
         if not isinstance(x, tuple):
             x = tuple(x)
+        if not x:
+            raise ValueError("a point needs at least one horizontal coordinate (D >= 2)")
         for v in x:
             if not finite_number(v):
                 raise ValueError(f"x coordinate {v!r} is no finite int or float")
@@ -113,7 +140,7 @@ def finite_number(v) -> bool:
 
 def parent(c: CellId) -> CellId:
     """The cell one level up whose bottom facet carries the top facet of ``c``."""
-    return CellId(c.level + 1, tuple(k >> 1 for k in c.coords))
+    return CellId.derived(c.level + 1, tuple([k >> 1 for k in c.coords]))
 
 
 def children(c: CellId) -> list[CellId]:
@@ -123,7 +150,8 @@ def children(c: CellId) -> list[CellId]:
     for k in c.coords:
         k <<= 1
         rows = [row + (x,) for row in rows for x in (k, k + 1)]
-    return [CellId(c.level - 1, row) for row in rows]
+    level = c.level - 1
+    return [CellId.derived(level, row) for row in rows]
 
 
 @functools.cache
@@ -136,7 +164,7 @@ def neighbor_offsets(axes: int) -> tuple[tuple[int, ...], ...]:
 def horizontal_neighbors(c: CellId) -> list[CellId]:
     """The 3^(D-1)-1 same-level cells touching ``c``, diagonals included."""
     level, coords = c.level, c.coords
-    return [CellId(level, tuple(map(add, coords, off))) for off in neighbor_offsets(len(coords))]
+    return [CellId.derived(level, tuple(map(add, coords, off))) for off in neighbor_offsets(len(coords))]
 
 
 def center(c: CellId) -> HPoint:
@@ -159,7 +187,7 @@ def level_of_height(z: float) -> int:
     Uses the exact binary exponent of the float, so heights that are
     powers of two land on the higher level without log2 rounding noise.
     """
-    if not z > 0 or math.isinf(z) or math.isnan(z):
+    if not 0.0 < z < math.inf:
         raise ValueError(f"height must be a positive finite number, got {z}")
     mantissa, exponent = math.frexp(z)  # z = mantissa * 2^exponent, mantissa in [0.5, 1)
     return exponent - 1
@@ -173,13 +201,27 @@ def cell_of(p: HPoint) -> CellId:
     box is taken as [k*2^i, (k+1)*2^i), with k from :func:`floor_scaled`.
     """
     i = level_of_height(p.z)
-    return CellId(i, tuple(floor_scaled(x, i) for x in p.x))
+    return CellId.derived(i, tuple([floor_scaled(x, i) for x in p.x]))
 
 
 def floor_scaled(x: float, level: int) -> int:
     """floor(x / 2^level), exactly: the index of the level's dyadic
-    interval holding ``x``.  Float scaling by ``ldexp`` would overflow
-    at subnormal levels (down to -1074)."""
+    interval holding ``x``.
+
+    For a float ``x`` at ``level <= 0``, ``ldexp(x, -level)`` multiplies
+    by a power of two, which is exact unless the result overflows, and
+    ``floor`` of a finite float is exact, so one ``ldexp`` gives the
+    answer.  Otherwise the floor is taken on the exact ratio of ``x``:
+    when ``ldexp`` overflows (a large ``x`` at a deep level), for an int
+    (past 2^53 it would round on its way to a float), and at
+    ``level > 0``, where scaling down could round a tiny negative value
+    to -0.0 and its floor to 0 instead of -1.
+    """
+    if level <= 0 and type(x) is float:
+        try:
+            return math.floor(math.ldexp(x, -level))
+        except OverflowError:
+            pass
     n, d = x.as_integer_ratio()  # d is a power of 2
     if level <= 0:
         return (n << -level) // d
@@ -193,7 +235,7 @@ def ancestor_at(c: CellId, level: int) -> CellId:
         raise ValueError(f"level {level} is below the cell's level {c.level}")
     if shift == 0:
         return c
-    return CellId(level, tuple(k >> shift for k in c.coords))
+    return CellId.derived(level, tuple([k >> shift for k in c.coords]))
 
 
 def is_ancestor_or_self(a: CellId, c: CellId) -> bool:

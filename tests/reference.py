@@ -29,7 +29,9 @@ float; and the spanner assembly that gathered edges in sets of
 the halfspace distance that tests every range in turn
 (``hyperbolic_distance_general``); and the exact rational membership
 test that :func:`halfspace.tiling.cell_of` must agree with
-(``contains_point``).  The bodies are the replaced code, unchanged but for absolute
+(``contains_point``); and the floor on the exact integer ratio that
+the ``ldexp`` path of :func:`halfspace.tiling.floor_scaled` must
+match (``floor_scaled_ratio``).  The bodies are the replaced code, unchanged but for absolute
 imports.  The tests compare the library's fast paths against them;
 nothing in ``halfspace`` calls them.  The brute-force oracles the
 verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
@@ -924,3 +926,15 @@ def contains_point(c: CellId, p: HPoint) -> bool:
         return False
     w = Fraction(2) ** c.level
     return all(k * w <= Fraction(x) < (k + 1) * w for k, x in zip(c.coords, p.x))
+
+
+def floor_scaled_ratio(x: float, level: int) -> int:
+    """floor(x / 2^level), exactly, on the integer ratio of ``x`` at
+    every level and for ints and floats alike.
+
+    Reference for :func:`halfspace.tiling.floor_scaled`.
+    """
+    n, d = x.as_integer_ratio()  # d is a power of 2
+    if level <= 0:
+        return (n << -level) // d
+    return n // (d << level)

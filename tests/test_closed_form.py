@@ -205,17 +205,24 @@ def test_ordinary_children_keep_children_order(dim):
 
 
 class CellBuilds:
-    """Counts :class:`CellId` constructions while installed."""
+    """Counts :class:`CellId` constructions while installed, checked
+    (``CellId(...)``) and trusted (``CellId.derived``) alike."""
 
     def __init__(self, monkeypatch):
         self.n = 0
         original = CellId.__post_init__
+        original_derived = CellId.derived
 
         def counted(cell):
             self.n += 1
             original(cell)
 
+        def counted_derived(level, coords):
+            self.n += 1
+            return original_derived(level, coords)
+
         monkeypatch.setattr(CellId, "__post_init__", counted)
+        monkeypatch.setattr(CellId, "derived", staticmethod(counted_derived))
 
     def during(self, fn, *args):
         before = self.n

@@ -244,7 +244,8 @@ def test_query_hyperbolic_moved_x_beyond_the_floats():
 
 
 class Builds:
-    """Counts constructions of one dataclass while installed."""
+    """Counts constructions of one dataclass while installed, through
+    its checks and, where it has one, its trusted ``derived``."""
 
     def __init__(self, monkeypatch, cls):
         self.n = 0
@@ -255,6 +256,14 @@ class Builds:
             original(obj)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+        if hasattr(cls, "derived"):
+            original_derived = cls.derived
+
+            def counted_derived(*fields):
+                self.n += 1
+                return original_derived(*fields)
+
+            monkeypatch.setattr(cls, "derived", staticmethod(counted_derived))
 
 
 def test_query_path_builds_one_cell_and_no_point(monkeypatch):

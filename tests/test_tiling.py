@@ -12,6 +12,7 @@ from halfspace.tiling import (
     cell_of,
     center,
     children,
+    floor_scaled,
     horizontal_neighbors,
     is_ancestor_or_self,
     level_of_height,
@@ -19,7 +20,7 @@ from halfspace.tiling import (
     parent,
 )
 
-from reference import contains_point
+from reference import contains_point, floor_scaled_ratio
 
 cells = st.builds(
     CellId,
@@ -130,6 +131,46 @@ def test_level_of_height_exact_at_powers_of_two():
         level_of_height(0.0)
     with pytest.raises(ValueError):
         level_of_height(-1.0)
+
+
+@pytest.mark.parametrize("z", [0, -1, math.inf, math.nan])
+def test_level_of_height_rejects_0_minus_1_inf_and_nan(z):
+    with pytest.raises(ValueError, match=f"^height must be a positive finite number, got {z}$"):
+        level_of_height(z)
+
+
+@given(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=-(1 << 80), max_value=1 << 80)),
+    st.integers(min_value=-1200, max_value=1200),
+)
+def test_floor_scaled_matches_the_exact_ratio(x, level):
+    assert floor_scaled(x, level) == floor_scaled_ratio(x, level)
+
+
+def test_floor_scaled_minus_5e_324_at_level_0_is_minus_1():
+    assert floor_scaled(-5e-324, 0) == -1
+
+
+def test_floor_scaled_minus_zero_is_0():
+    assert floor_scaled(-0.0, 0) == 0
+    assert floor_scaled(-0.0, -1074) == 0
+    assert floor_scaled(-0.0, 7) == 0
+
+
+def test_floor_scaled_1e308_at_level_minus_100_takes_the_overflow_fallback():
+    with pytest.raises(OverflowError):
+        math.ldexp(1e308, 100)
+    assert floor_scaled(1e308, -100) == int(1e308) << 100 == floor_scaled_ratio(1e308, -100)
+
+
+def test_floor_scaled_2_pow_60_plus_1_at_level_minus_3():
+    # as a float, 2^60 + 1 would round to 2^60
+    assert floor_scaled(2**60 + 1, -3) == (2**60 + 1) << 3
+
+
+def test_floor_scaled_minus_5e_324_at_level_5_is_minus_1():
+    # ldexp(-5e-324, -5) rounds to -0.0, whose floor is 0
+    assert floor_scaled(-5e-324, 5) == -1
 
 
 @given(cells)
@@ -301,6 +342,13 @@ def test_neighbors_differ_by_one_per_axis(c):
     for nb in horizontal_neighbors(c):
         assert all(abs(a - b) <= 1 for a, b in zip(c.coords, nb.coords))
         assert nb.level == c.level
+
+
+def test_hpoint_with_empty_x_is_refused():
+    # its cell would have no coordinate; cell_of builds cells unchecked
+    for x in ((), []):
+        with pytest.raises(ValueError, match="at least one horizontal coordinate"):
+            HPoint(x, 1.0)
 
 
 def test_hpoint_from_list_x_1_and_0_5():
