@@ -54,7 +54,7 @@ from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2_argmin
 from .pointfile import CONTINUOUS, DISCRETE
 from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, compressed_on_boundary, is_index, json_fields, meets_boundary, shadow_within
-from .tiling import CellId, HPoint, horizontal_neighbors
+from .tiling import CellId, HPoint, collector_paused, horizontal_neighbors
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
 
@@ -294,58 +294,60 @@ class AvdIndex:
         annotate; a query landing there raises ``ValueError``.  One
         pass, O(nodes + reps).
         """
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, or nesting too deep
-            raise ValueError(f"index is no JSON: {exc}") from None
-        fields = itemgetter("annotations", "highest_index", "source_kind", "transform")
-        annotations, highest, source_kind, t = json_fields(data, fields, "index")
-        tree, nodes = QuadTree.from_dict_with_nodes(data)
-        if type(annotations) is not list:
-            raise ValueError(f"annotations is no JSON array: {reprlib.repr(annotations)}")
-        if len(annotations) != len(nodes):
-            raise ValueError(f"index has {len(nodes)} nodes but {len(annotations)} annotations")
-        n = len(tree.points)
-        fields = itemgetter("h", "n2", "reps")
-        for k, (node, extra) in enumerate(zip(nodes, annotations)):
-            h, n2, reps = json_fields(extra, fields, "annotation", k)
-            if not (
-                (h is None or is_index(h, n))
-                and (n2 is None or is_index(n2, n))
-                and (reps is None or (type(reps) is list and all(is_index(i, n) for i in reps)))
-            ):
-                raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
-            node.h_index, node.n2_index, node.reps = h, n2, reps
-        if not is_index(highest, n):
-            raise ValueError(f"highest_index {highest!r} is no input index in range({n})")
-        if nodes[0].h_index not in (None, highest):
-            raise ValueError(f"highest_index {highest!r} is not node 0's h {nodes[0].h_index!r}, the root's highest input")
-        if t is None:
-            transform = None
-        else:
-            scale, shift = json_fields(t, itemgetter("scale", "shift"), "transform")
-            if type(shift) is not list or len(shift) != tree.dim - 1:
-                raise ValueError(f"transform shift {shift!r} is no list of {tree.dim - 1} numbers")
-            transform = NormalizeTransform(scale, tuple(shift))
-        index = cls(tree, transform, highest)
-        if source_kind != index.source_kind:
-            raise ValueError(f"source_kind {source_kind!r} is not {index.source_kind!r}, as the transform implies")
-        return index
+        with collector_paused():
+            try:
+                data = json.loads(text)
+            except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, or nesting too deep
+                raise ValueError(f"index is no JSON: {exc}") from None
+            fields = itemgetter("annotations", "highest_index", "source_kind", "transform")
+            annotations, highest, source_kind, t = json_fields(data, fields, "index")
+            tree, nodes = QuadTree.from_dict_with_nodes(data)
+            if type(annotations) is not list:
+                raise ValueError(f"annotations is no JSON array: {reprlib.repr(annotations)}")
+            if len(annotations) != len(nodes):
+                raise ValueError(f"index has {len(nodes)} nodes but {len(annotations)} annotations")
+            n = len(tree.points)
+            fields = itemgetter("h", "n2", "reps")
+            for k, (node, extra) in enumerate(zip(nodes, annotations)):
+                h, n2, reps = json_fields(extra, fields, "annotation", k)
+                if not (
+                    (h is None or is_index(h, n))
+                    and (n2 is None or is_index(n2, n))
+                    and (reps is None or (type(reps) is list and all(is_index(i, n) for i in reps)))
+                ):
+                    raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
+                node.h_index, node.n2_index, node.reps = h, n2, reps
+            if not is_index(highest, n):
+                raise ValueError(f"highest_index {highest!r} is no input index in range({n})")
+            if nodes[0].h_index not in (None, highest):
+                raise ValueError(f"highest_index {highest!r} is not node 0's h {nodes[0].h_index!r}, the root's highest input")
+            if t is None:
+                transform = None
+            else:
+                scale, shift = json_fields(t, itemgetter("scale", "shift"), "transform")
+                if type(shift) is not list or len(shift) != tree.dim - 1:
+                    raise ValueError(f"transform shift {shift!r} is no list of {tree.dim - 1} numbers")
+                transform = NormalizeTransform(scale, tuple(shift))
+            index = cls(tree, transform, highest)
+            if source_kind != index.source_kind:
+                raise ValueError(f"source_kind {source_kind!r} is not {index.source_kind!r}, as the transform implies")
+            return index
 
 
 def build_avd(points: list[HPoint] | list[CellId]) -> AvdIndex:
     """Index a point set; continuous inputs are normalized and embedded."""
     if not points:
         raise ValueError("cannot index an empty point set")
-    if isinstance(points[0], HPoint):
-        transform, _, cells = normalize_and_embed(points)
-    else:
-        transform, cells = None, list(points)
-    base = QuadTree(cells[0].dim, cells)
-    refined = refine(base)
-    annotate(refined)
-    select_representatives(refined, base)
-    return AvdIndex(refined, transform, refined.root.h_index)
+    with collector_paused():
+        if isinstance(points[0], HPoint):
+            transform, _, cells = normalize_and_embed(points)
+        else:
+            transform, cells = None, list(points)
+        base = QuadTree(cells[0].dim, cells)
+        refined = refine(base)
+        annotate(refined)
+        select_representatives(refined, base)
+        return AvdIndex(refined, transform, refined.root.h_index)
 
 
 def query(ix: AvdIndex, q: CellId) -> int:
@@ -381,6 +383,4 @@ def query_hyperbolic(ix: AvdIndex, q: HPoint) -> int:
     t = ix.transform
     if t is None:
         raise ValueError("index was built from discrete cells; no transform stored")
-    if len(q.x) != len(t.shift):
-        raise ValueError(f"query {q!r} has dimension {q.dim}, the index {len(t.shift) + 1}")
     return query(ix, t.cell_of(q))

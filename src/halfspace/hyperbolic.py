@@ -39,12 +39,17 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     and the argument of ``asinh`` is finite.  Anything else goes to
     :func:`_rescaled_distance`, which keeps every bit of subnormal and
     huge inputs.  Both paths are symmetric in ``p`` and ``q`` bit for
-    bit.
+    bit.  At D = 2 the gap is one two-argument ``hypot``, the same call
+    the general form makes with one coordinate, so the floats agree.
     """
     px, qx, pz, qz = p.x, q.x, p.z, q.z
-    if len(px) != len(qx):
+    axes = len(px)
+    if axes != len(qx):
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    gap = hypot(*map(sub, px, qx), pz - qz)
+    if axes == 1:
+        gap = hypot(px[0] - qx[0], pz - qz)
+    else:
+        gap = hypot(*map(sub, px, qx), pz - qz)
     zz = pz * qz
     if _FLOAT_MIN <= zz < _INF:
         # an infinite gap gives an infinite argument
@@ -123,6 +128,11 @@ class NormalizeTransform:
             raise ValueError(f"transform shift {shift!r} is no nonempty tuple of finite ints or floats")
 
     def apply(self, p: HPoint) -> HPoint:
+        """``p`` after the move, a checked :class:`HPoint`.  Raises
+        ``ValueError`` naming both dimensions when ``p``'s is not the
+        transform's."""
+        if len(p.x) != len(self.shift):
+            raise ValueError(f"point {p!r} has dimension {p.dim}, the transform {len(self.shift) + 1}")
         return HPoint(
             tuple(self.scale * x + t for x, t in zip(p.x, self.shift)),
             self.scale * p.z,
@@ -134,23 +144,28 @@ class NormalizeTransform:
 
         The one path by which a continuous point reaches its cell, at
         build (:func:`normalize_and_embed`) and at query time.  With one
-        coordinate (D = 2, the point's coordinate count decides) the
-        floor is taken on its own, with no list or ``zip``.  Raises
-        ``ValueError`` when the move takes the height to 0.0 or a
-        coordinate out of the floats; the messages name a query, as
-        :func:`normalize` rejects such inputs before a build places them.
+        coordinate (D = 2) the floor is taken on its own, with no list
+        or ``zip``.  Raises ``ValueError`` when ``p``'s dimension is not
+        the transform's, naming both, and when the move takes the height
+        to 0.0 or a coordinate out of the floats; the messages name a
+        query, as :func:`normalize` rejects such inputs before a build
+        places them.
         """
         x = p.x
+        shift = self.shift
+        axes = len(x)
+        if axes != len(shift):
+            raise ValueError(f"query {p!r} has dimension {p.dim}, the index {len(shift) + 1}")
         scale = self.scale
         z = scale * p.z
         if z == 0.0:
             raise ValueError(f"query height {p.z!r} underflows to 0.0 at scale {scale!r}")
         level = level_of_height(z)
         try:
-            if len(x) == 1:
-                coords = (floor_scaled(scale * x[0] + self.shift[0], level),)
+            if axes == 1:
+                coords = (floor_scaled(scale * x[0] + shift[0], level),)
             else:
-                coords = tuple([floor_scaled(scale * v + s, level) for v, s in zip(x, self.shift)])
+                coords = tuple([floor_scaled(scale * v + s, level) for v, s in zip(x, shift)])
         except OverflowError:
             raise ValueError(f"query x = {p.x!r} moves out of the finite floats at scale {scale!r}") from None
         return CellId.derived(level, coords)
@@ -202,15 +217,20 @@ def normalize(points: Sequence[HPoint]) -> tuple[NormalizeTransform, list[HPoint
         if scale * p.z == 0.0:
             raise ValueError(f"point {i}: height {p.z!r} underflows to 0.0 at scale {scale!r}")
     transform = NormalizeTransform(scale, tuple(shift))
-    moved = [transform.apply(p) for p in points]
-    for i, (p, m) in enumerate(zip(points, moved)):
-        for x, mx, t in zip(p.x, m.x, shift):
+    # the moved points are NormalizeTransform.apply's floats; the checks
+    # here (heights above 0.0, coordinates in [1/4, 1/2)) cover all that
+    # HPoint checks, so the points are built trusted
+    moved = []
+    for i, p in enumerate(points):
+        mxs = tuple([scale * x + t for x, t in zip(p.x, shift)])
+        for x, mx, t in zip(p.x, mxs, shift):
             if not _X_LOW_CORNER <= mx < 2 * _X_LOW_CORNER:
                 # the floats near the moved x are too far apart to hold it
                 raise ValueError(
                     f"point {i}: x = {x!r} moves to {mx!r}, outside [1/4, 1/2): "
                     f"at scale {scale!r} the shift {t!r} loses the 1/4 offset"
                 )
+        moved.append(HPoint.derived(mxs, scale * p.z))
     return transform, moved
 
 

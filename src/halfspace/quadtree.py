@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from operator import add, itemgetter
 from typing import Iterable
 
-from .tiling import CellId, children, floor_scaled, is_ancestor_or_self, lift_pair, neighbor_offsets
+from .tiling import CellId, children, collector_paused, floor_scaled, is_ancestor_or_self, lift_pair, neighbor_offsets
 
 ORDINARY = "ordinary"
 COMPRESSED = "compressed"
@@ -749,82 +749,83 @@ class QuadTree:
     def from_dict_with_nodes(cls, data: dict) -> tuple["QuadTree", list[QuadNode]]:
         """:meth:`from_dict`, plus the nodes in the order the file lists
         them, which need not be :meth:`iter_nodes` order."""
-        dim, point_specs, node_specs = json_fields(data, itemgetter("dim", "points", "nodes"), "tree")
-        if type(dim) is not int or dim < 2:
-            raise ValueError(f"dim {dim!r} is no integer >= 2")
-        if type(point_specs) is not list or type(node_specs) is not list or not node_specs:
-            raise ValueError("a tree needs a JSON array of points and one of nodes, its root node first")
-        tree = cls.__new__(cls)
-        tree.dim = dim
-        # node 0's cell holds dim - 1 coordinates of the file itself, so
-        # it is loaded before anything of size dim is built
-        root = tree._loaded_cell(json_fields(node_specs[0], itemgetter("cell"), "node", 0), "node", 0)
-        if root.level or any(root.coords):
-            raise ValueError(f"node 0 is the root and must be {root_cell(dim)!r}, got {root!r}")
-        tree.root_cell = root
-        tree.points = points = [tree._loaded_cell(spec, "point", i) for i, spec in enumerate(point_specs)]
-        index_of = first_indices(points)
-        built: list[QuadNode] = []
-        ups: list[int | None] = []  # each node's parent index
-        width = {ORDINARY: 1 << (dim - 1), COMPRESSED: 1, LEAF: 0}
-        low = 0
-        fields = itemgetter("cell", "kind", "parent", "stored")
-        for k, spec in enumerate(node_specs):
-            cell, kind, up, stored = json_fields(spec, fields, "node", k)
-            cell = tree._loaded_cell(cell, "node", k)
-            if type(kind) is not str or kind not in width:
-                raise ValueError(f"node {k}'s kind {kind!r} is none of {ORDINARY}, {COMPRESSED}, {LEAF}")
-            if stored is not None and not is_index(stored, len(points)):
-                raise ValueError(f"node {k} stores {stored!r}, no input index in range({len(points)})")
-            node = QuadNode(cell, kind, stored_index=stored)
-            if k == 0:
-                ups.append(None)
-                if up is not None:
-                    raise ValueError(f"node 0 is the root and takes no parent, got {up!r}")
-            elif is_index(up, k):
-                above = built[up]
-                slot = len(above.children)
-                lev = cell.level
-                if above.kind == ORDINARY:
-                    # child number slot of the children() order: one level
-                    # down, inside the box, coordinate bits spelling slot
-                    i = 0
-                    for c in cell.coords:
-                        i = (i << 1) | (c & 1)
-                    if i != slot or lev != above.cell.level - 1 or not shadow_within(cell, above.cell):
-                        raise ValueError(f"node {k} {cell!r} is not child {slot} of ordinary node {up} in children() order")
-                elif slot == width[above.kind] or lev == above.cell.level or not shadow_within(cell, above.cell):
-                    raise ValueError(f"node {k} {cell!r} is no lone child strictly inside the box of {above.kind} node {up}")
-                ups.append(up)
-                above.children.append(node)
-                if lev < low:
-                    low = lev
-            else:
-                raise ValueError(f"node {k}'s parent {up!r} is not an earlier node")
-            if stored is not None and index_of.get(cell) != stored:
-                first = index_of.get(cell)
-                has = "is no input" if first is None else f"is first input {first}"
-                raise ValueError(f"node {k} {cell!r} stores {stored!r}, but its cell {has}")
-            built.append(node)
-        tree.root = built[0]
-        tree._locate_level = low - 1
-        storing = 0
-        for k in range(len(built) - 1, -1, -1):  # children before parents
-            node = built[k]
-            if len(node.children) != width[node.kind]:
-                raise ValueError(f"{node.kind} node {k} {node.cell!r} has {len(node.children)} children, not {width[node.kind]}")
-            if node.stored_index is not None:
-                node.count += 1
-                storing += 1
-            if k:
-                built[ups[k]].count += node.count
-        if storing != len(index_of):
-            # the shape makes node cells distinct, and each storing node
-            # its own cell's index: some input cell has no node storing
-            # it (a node there storing nothing included)
-            missing = min(set(index_of.values()) - {node.stored_index for node in built})
-            raise ValueError(f"input {missing} {points[missing]!r} has no node storing it")
-        return tree, built
+        with collector_paused():
+            dim, point_specs, node_specs = json_fields(data, itemgetter("dim", "points", "nodes"), "tree")
+            if type(dim) is not int or dim < 2:
+                raise ValueError(f"dim {dim!r} is no integer >= 2")
+            if type(point_specs) is not list or type(node_specs) is not list or not node_specs:
+                raise ValueError("a tree needs a JSON array of points and one of nodes, its root node first")
+            tree = cls.__new__(cls)
+            tree.dim = dim
+            # node 0's cell holds dim - 1 coordinates of the file itself, so
+            # it is loaded before anything of size dim is built
+            root = tree._loaded_cell(json_fields(node_specs[0], itemgetter("cell"), "node", 0), "node", 0)
+            if root.level or any(root.coords):
+                raise ValueError(f"node 0 is the root and must be {root_cell(dim)!r}, got {root!r}")
+            tree.root_cell = root
+            tree.points = points = [tree._loaded_cell(spec, "point", i) for i, spec in enumerate(point_specs)]
+            index_of = first_indices(points)
+            built: list[QuadNode] = []
+            ups: list[int | None] = []  # each node's parent index
+            width = {ORDINARY: 1 << (dim - 1), COMPRESSED: 1, LEAF: 0}
+            low = 0
+            fields = itemgetter("cell", "kind", "parent", "stored")
+            for k, spec in enumerate(node_specs):
+                cell, kind, up, stored = json_fields(spec, fields, "node", k)
+                cell = tree._loaded_cell(cell, "node", k)
+                if type(kind) is not str or kind not in width:
+                    raise ValueError(f"node {k}'s kind {kind!r} is none of {ORDINARY}, {COMPRESSED}, {LEAF}")
+                if stored is not None and not is_index(stored, len(points)):
+                    raise ValueError(f"node {k} stores {stored!r}, no input index in range({len(points)})")
+                node = QuadNode(cell, kind, stored_index=stored)
+                if k == 0:
+                    ups.append(None)
+                    if up is not None:
+                        raise ValueError(f"node 0 is the root and takes no parent, got {up!r}")
+                elif is_index(up, k):
+                    above = built[up]
+                    slot = len(above.children)
+                    lev = cell.level
+                    if above.kind == ORDINARY:
+                        # child number slot of the children() order: one level
+                        # down, inside the box, coordinate bits spelling slot
+                        i = 0
+                        for c in cell.coords:
+                            i = (i << 1) | (c & 1)
+                        if i != slot or lev != above.cell.level - 1 or not shadow_within(cell, above.cell):
+                            raise ValueError(f"node {k} {cell!r} is not child {slot} of ordinary node {up} in children() order")
+                    elif slot == width[above.kind] or lev == above.cell.level or not shadow_within(cell, above.cell):
+                        raise ValueError(f"node {k} {cell!r} is no lone child strictly inside the box of {above.kind} node {up}")
+                    ups.append(up)
+                    above.children.append(node)
+                    if lev < low:
+                        low = lev
+                else:
+                    raise ValueError(f"node {k}'s parent {up!r} is not an earlier node")
+                if stored is not None and index_of.get(cell) != stored:
+                    first = index_of.get(cell)
+                    has = "is no input" if first is None else f"is first input {first}"
+                    raise ValueError(f"node {k} {cell!r} stores {stored!r}, but its cell {has}")
+                built.append(node)
+            tree.root = built[0]
+            tree._locate_level = low - 1
+            storing = 0
+            for k in range(len(built) - 1, -1, -1):  # children before parents
+                node = built[k]
+                if len(node.children) != width[node.kind]:
+                    raise ValueError(f"{node.kind} node {k} {node.cell!r} has {len(node.children)} children, not {width[node.kind]}")
+                if node.stored_index is not None:
+                    node.count += 1
+                    storing += 1
+                if k:
+                    built[ups[k]].count += node.count
+            if storing != len(index_of):
+                # the shape makes node cells distinct, and each storing node
+                # its own cell's index: some input cell has no node storing
+                # it (a node there storing nothing included)
+                missing = min(set(index_of.values()) - {node.stored_index for node in built})
+                raise ValueError(f"input {missing} {points[missing]!r} has no node storing it")
+            return tree, built
 
     def _loaded_cell(self, spec, entry: str, k: int) -> CellId:
         """The cell ``[level, coords]`` of a loaded tree's entry ``k``, or

@@ -61,7 +61,7 @@ from .metrics import d2_path, lambda_
 from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder_key
 from .quadtree import box_adjacent  # noqa: F401  (bench/tracer.py wraps spanner.box_adjacent)
 from .shortcut import check_hop_budget, forest_height, shortcut_forest
-from .tiling import CellId, HPoint, center, is_ancestor_or_self, neighbor_offsets
+from .tiling import CellId, HPoint, center, collector_paused, is_ancestor_or_self, neighbor_offsets
 
 INPUT = "input"
 STEINER = "steiner"
@@ -320,42 +320,43 @@ def build_spanner(points: list[CellId]) -> SpannerGraph:
     """The 2-additive Steiner spanner of the given cells under d1."""
     if not points:
         raise ValueError("cannot build a spanner over an empty point set")
-    tree = build_quadtree(points)
-    bridges = enumerate_bridges(tree)
+    with collector_paused():
+        tree = build_quadtree(points)
+        bridges = enumerate_bridges(tree)
 
-    graph = SpannerGraph(metric="d1-weighted")
-    vid = graph.vertex_of_cell
-    for i, c in enumerate(points):
-        if c not in vid:
-            graph.add_vertex(INPUT, cell=c, input_index=i)
-    steiner_cells = sorted(
-        {c for b in bridges for c in (b.left, b.right)}.difference(vid), key=lambda c: (c.level, c.coords)
-    )
-    for c in steiner_cells:
-        graph.add_vertex(STEINER, cell=c)
+        graph = SpannerGraph(metric="d1-weighted")
+        vid = graph.vertex_of_cell
+        for i, c in enumerate(points):
+            if c not in vid:
+                graph.add_vertex(INPUT, cell=c, input_index=i)
+        steiner_cells = sorted(
+            {c for b in bridges for c in (b.left, b.right)}.difference(vid), key=lambda c: (c.level, c.coords)
+        )
+        for c in steiner_cells:
+            graph.add_vertex(STEINER, cell=c)
 
-    # bridges (same level) and vertical edges (one per vertex, upward)
-    # are each unique and never share a pair: one list, sorted once
-    edges: list[tuple[int, int, float]] = []
-    for b in bridges:
-        u, v = vid[b.left], vid[b.right]
-        edges.append((u, v, 1.0) if u < v else (v, u, 1.0))
-    # each vertex's nearest strict ancestor among the vertices: in Z-order
-    # every cell follows its ancestors, and the stack holds the vertex
-    # cells containing the last one
-    key = zorder_key(min(v.cell.level for v in graph.vertices), tree.dim - 1)
-    stack: list[SpannerVertex] = []
-    for v in sorted(graph.vertices, key=lambda v: key(v.cell)):
-        while stack and not is_ancestor_or_self(stack[-1].cell, v.cell):
-            stack.pop()
-        if stack:
-            up = stack[-1]
-            w = float(up.cell.level - v.cell.level)
-            edges.append((v.id, up.id, w) if v.id < up.id else (up.id, v.id, w))
-        stack.append(v)
-    edges.sort()
-    graph.edges = edges
-    return graph
+        # bridges (same level) and vertical edges (one per vertex, upward)
+        # are each unique and never share a pair: one list, sorted once
+        edges: list[tuple[int, int, float]] = []
+        for b in bridges:
+            u, v = vid[b.left], vid[b.right]
+            edges.append((u, v, 1.0) if u < v else (v, u, 1.0))
+        # each vertex's nearest strict ancestor among the vertices: in Z-order
+        # every cell follows its ancestors, and the stack holds the vertex
+        # cells containing the last one
+        key = zorder_key(min(v.cell.level for v in graph.vertices), tree.dim - 1)
+        stack: list[SpannerVertex] = []
+        for v in sorted(graph.vertices, key=lambda v: key(v.cell)):
+            while stack and not is_ancestor_or_self(stack[-1].cell, v.cell):
+                stack.pop()
+            if stack:
+                up = stack[-1]
+                w = float(up.cell.level - v.cell.level)
+                edges.append((v.id, up.id, w) if v.id < up.id else (up.id, v.id, w))
+            stack.append(v)
+        edges.sort()
+        graph.edges = edges
+        return graph
 
 
 def up_edge_map(graph: SpannerGraph) -> dict[int, int | None]:
@@ -421,12 +422,13 @@ def build_embedding_graph(points: list[HPoint]) -> tuple[SpannerGraph, dict[int,
     """
     if not points:
         raise ValueError("cannot embed an empty point set")
-    transform, _, cells = normalize_and_embed(points)
-    graph = build_spanner(cells)
-    graph.metric = "ln2-scaled"
-    graph.edges = [(u, v, w * math.log(2.0)) for u, v, w in graph.edges]
-    mapping = {i: graph.vertex_of_cell[c] for i, c in enumerate(cells)}
-    return graph, mapping, transform
+    with collector_paused():
+        transform, _, cells = normalize_and_embed(points)
+        graph = build_spanner(cells)
+        graph.metric = "ln2-scaled"
+        graph.edges = [(u, v, w * math.log(2.0)) for u, v, w in graph.edges]
+        mapping = {i: graph.vertex_of_cell[c] for i, c in enumerate(cells)}
+        return graph, mapping, transform
 
 
 def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
@@ -442,38 +444,39 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
     check_hop_budget(k)
     if not points:
         raise ValueError("cannot build a spanner over an empty point set")
-    _, moved, cells = normalize_and_embed(points)
-    base = build_spanner(cells)
-    parent = up_edge_map(base)
-    # beyond the forest height the budget is saturated: spend it on the
-    # full closure so every vertical run collapses to a single edge
-    cuts = shortcut_forest(parent, 1 if k >= forest_height(parent) else k)
+    with collector_paused():
+        _, moved, cells = normalize_and_embed(points)
+        base = build_spanner(cells)
+        parent = up_edge_map(base)
+        # beyond the forest height the budget is saturated: spend it on the
+        # full closure so every vertical run collapses to a single edge
+        cuts = shortcut_forest(parent, 1 if k >= forest_height(parent) else k)
 
-    # the d1 spanner is this call's own: its vertices turn into the
-    # Steiner vertices at their cell centers, keeping their ids and cell
-    # map, and the inputs follow them
-    vertices = base.vertices
-    for v in vertices:
-        v.kind, v.point, v.input_index = STEINER, center(v.cell), None
-    m = len(vertices)
-    vertices += [SpannerVertex(m + i, INPUT, None, p, i) for i, p in enumerate(moved)]
-    # the d1 spanner's edges are its bridges and the forest's parent
-    # edges: each vertex has one upward edge, to its nearest ancestor
-    # vertex.  Add the shortcut extras and each input's edge to the
-    # vertex of its cell, then weigh every pair once, in sorted order.
-    # A pair u < v is the integer u * n + v: with v < n these order as
-    # the (u, v) tuples do
-    n = len(vertices)
-    pairs = {u * n + v for u, v, _w in base.edges}
-    pairs.update(u * n + w if u < w else w * n + u for u, w in cuts.extra_edges)
-    vid = base.vertex_of_cell
-    pairs.update(vid[c] * n + m + i for i, c in enumerate(cells))
-    at = [v.point for v in vertices]
-    # the edges hold each vertex's own id object, not a new int per end:
-    # a smaller graph, and a query touches fewer objects
-    ids = [v.id for v in vertices]
-    edges = []
-    for pair in sorted(pairs):
-        u, v = divmod(pair, n)
-        edges.append((ids[u], ids[v], hyperbolic_distance(at[u], at[v])))
-    return SpannerGraph("hyperbolic", vertices, edges, vid)
+        # the d1 spanner is this call's own: its vertices turn into the
+        # Steiner vertices at their cell centers, keeping their ids and cell
+        # map, and the inputs follow them
+        vertices = base.vertices
+        for v in vertices:
+            v.kind, v.point, v.input_index = STEINER, center(v.cell), None
+        m = len(vertices)
+        vertices += [SpannerVertex(m + i, INPUT, None, p, i) for i, p in enumerate(moved)]
+        # the d1 spanner's edges are its bridges and the forest's parent
+        # edges: each vertex has one upward edge, to its nearest ancestor
+        # vertex.  Add the shortcut extras and each input's edge to the
+        # vertex of its cell, then weigh every pair once, in sorted order.
+        # A pair u < v is the integer u * n + v: with v < n these order as
+        # the (u, v) tuples do
+        n = len(vertices)
+        pairs = {u * n + v for u, v, _w in base.edges}
+        pairs.update(u * n + w if u < w else w * n + u for u, w in cuts.extra_edges)
+        vid = base.vertex_of_cell
+        pairs.update(vid[c] * n + m + i for i, c in enumerate(cells))
+        at = [v.point for v in vertices]
+        # the edges hold each vertex's own id object, not a new int per end:
+        # a smaller graph, and a query touches fewer objects
+        ids = [v.id for v in vertices]
+        edges = []
+        for pair in sorted(pairs):
+            u, v = divmod(pair, n)
+            edges.append((ids[u], ids[v], hyperbolic_distance(at[u], at[v])))
+        return SpannerGraph("hyperbolic", vertices, edges, vid)

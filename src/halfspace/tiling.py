@@ -12,7 +12,9 @@ are the vertices of the discrete models in :mod:`halfspace.metrics`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import math
 from dataclasses import dataclass
@@ -118,6 +120,24 @@ class HPoint:
         if not (finite_number(z) and z > 0):
             raise ValueError(f"z must be a positive finite int or float, got {z!r}")
 
+    @staticmethod
+    def derived(x: tuple[float, ...], z: float) -> HPoint:
+        """The point ``(x, z)``, built with no checks.
+
+        For values the library computed itself and checked as it did:
+        ``x`` a nonempty tuple of finite floats and ``z`` a positive
+        finite float.  Values from outside go through ``HPoint(...)``,
+        which checks them.  As for :meth:`CellId.derived`, the fields
+        are set with ``object.__setattr__`` only, never through the
+        instance ``__dict__``, and equality and hashing are those of
+        ``(x, z)``.  Call it as ``HPoint.derived`` so one patch of the
+        class attribute reaches every trusted site.
+        """
+        point = _new(HPoint)
+        _set(point, "x", x)
+        _set(point, "z", z)
+        return point
+
     @property
     def dim(self) -> int:
         return len(self.x) + 1
@@ -172,13 +192,23 @@ def center(c: CellId) -> HPoint:
 
     Each x_j is the correctly rounded quotient (2k_j + 1) / 2^(1-i), so
     it stays finite below level -1024, where k_j + 1/2 overflows a float.
+    Raises ``ValueError`` naming the cell when the center leaves the
+    finite positive floats: the height overflows above level 1023 and
+    rounds to 0.0 below level -1075, and a far coordinate overflows.
+    The height is taken first, so no shift by a huge level is tried.
     """
     s = c.level - 1
-    if s < 0:
-        xs = tuple((2 * k + 1) / (1 << -s) for k in c.coords)
-    else:
-        xs = tuple(float((2 * k + 1) << s) for k in c.coords)
-    return HPoint(xs, math.ldexp(3.0, s))
+    try:
+        z = math.ldexp(3.0, s)
+        if z > 0.0:
+            if s < 0:
+                xs = tuple([(2 * k + 1) / (1 << -s) for k in c.coords])
+            else:
+                xs = tuple([float((2 * k + 1) << s) for k in c.coords])
+            return HPoint.derived(xs, z)
+    except OverflowError:
+        pass
+    raise ValueError(f"the center of {c!r} leaves the finite positive floats")
 
 
 def level_of_height(z: float) -> int:
@@ -268,3 +298,44 @@ def lift_pair(p: CellId, q: CellId) -> tuple[int, tuple[int, ...], tuple[int, ..
     if s < 0:
         return p.level, p.coords, tuple([k >> -s for k in q.coords])
     return p.level, p.coords, q.coords
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Run the block with Python's cyclic garbage collector paused.
+
+    This touches process-global state: while the block runs, no thread
+    of the process gets a cyclic collection, another thread's included.
+    It is safe for the library's builders and loaders because they make
+    no reference cycles (``test_builds_leave_no_cyclic_garbage``), so
+    the passes the collector would make over their new objects find
+    nothing to free; they only cost time, about a seventh of a D = 2
+    spanner build.
+
+    If the collector is already off, the block runs as it is and the
+    state is left alone, so nested calls and callers that turned the
+    collector off themselves keep it off.  Otherwise it is turned off
+    and, in a ``finally``, turned back on.  Before that, while it is
+    still off, one generation-1 collection runs if the block left at
+    least a generation-1 cycle's worth of new tracked objects
+    (threshold 0 times threshold 1, 7,000 by default).  Without it the
+    collections a large build owes, full ones included, start at the
+    caller's next allocations, inside whatever the caller times next;
+    one collection of generations 0 and 1 here moves the survivors to
+    the oldest generation at once.  A small block, a few thousand
+    objects, pays no collection, as one on every call would bring the
+    next full collection closer.  The count is read before the
+    collector is back on: any allocation after ``gc.enable()`` can
+    start a generation-0 collection that resets it.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        young, older, _ = gc.get_threshold()
+        if gc.get_count()[0] >= young * older:
+            gc.collect(1)
+        gc.enable()

@@ -31,7 +31,10 @@ the halfspace distance that tests every range in turn
 test that :func:`halfspace.tiling.cell_of` must agree with
 (``contains_point``); and the floor on the exact integer ratio that
 the ``ldexp`` path of :func:`halfspace.tiling.floor_scaled` must
-match (``floor_scaled_ratio``).  The bodies are the replaced code, unchanged but for absolute
+match (``floor_scaled_ratio``); and the halfspace distance that takes
+the gap from ``hypot`` over a ``map`` at every dimension, which the
+D = 2 branch of :func:`halfspace.hyperbolic.hyperbolic_distance` must
+match bit for bit (``hyperbolic_distance_map``).  The bodies are the replaced code, unchanged but for absolute
 imports.  The tests compare the library's fast paths against them;
 nothing in ``halfspace`` calls them.  The brute-force oracles the
 verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
@@ -39,9 +42,13 @@ verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Collection, Sequence
 from fractions import Fraction
+from math import asinh, hypot, inf, sqrt
+from operator import sub
 
+from halfspace.hyperbolic import _rescaled_distance
 from halfspace.metrics import d2 as d2_fast
 from halfspace.metrics import D2Path, _climb, d2_path, lambda_
 from halfspace.shortcut import ShortcutSet
@@ -938,3 +945,22 @@ def floor_scaled_ratio(x: float, level: int) -> int:
     if level <= 0:
         return (n << -level) // d
     return n // (d << level)
+
+
+def hyperbolic_distance_map(p: HPoint, q: HPoint) -> float:
+    """Closed-form halfspace distance, the gap from ``hypot`` over a
+    ``map`` of the coordinate differences at every dimension.
+
+    Reference for :func:`halfspace.hyperbolic.hyperbolic_distance`.
+    """
+    px, qx, pz, qz = p.x, q.x, p.z, q.z
+    if len(px) != len(qx):
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    gap = hypot(*map(sub, px, qx), pz - qz)
+    zz = pz * qz
+    if sys.float_info.min <= zz < inf:
+        # an infinite gap gives an infinite argument
+        arg = 0.5 * gap / sqrt(zz)
+        if arg < inf:
+            return 2.0 * asinh(arg)
+    return _rescaled_distance(p, q, gap, zz)

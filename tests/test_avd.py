@@ -12,7 +12,7 @@ from halfspace.hyperbolic import hyperbolic_distance
 from halfspace.metrics import d2
 from halfspace.oracle import nn_bruteforce
 from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadTree, build_quadtree, shadow_within
-from halfspace.spanner import build_hyperbolic_spanner
+from halfspace.spanner import build_embedding_graph, build_hyperbolic_spanner, build_spanner
 from halfspace.tiling import CellId, HPoint, is_ancestor_or_self
 
 from reference import annotate_scan
@@ -547,9 +547,12 @@ def test_builds_leave_no_cyclic_garbage():
         build_avd(cells)
         AvdIndex.from_json(text)
         build_hyperbolic_spanner(points, 2)
+        build_spanner(cells)
+        build_embedding_graph(points)
         tree = build_quadtree(cells)
         for _ in range(3):
             tree.insert_box(random_query_cell(rng, 3))
+        QuadTree.from_dict(tree.to_dict())
         del tree
         assert gc.collect() == 0
     finally:

@@ -19,12 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from halfspace import hyperbolic
 from halfspace.avd import build_avd
 from halfspace.hyperbolic import distortion_report, hyperbolic_distance, normalize, normalize_and_embed
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
 from halfspace.tiling import HPoint, cell_of
 
-from reference import build_hyperbolic_spanner_triples, build_spanner_triples, hyperbolic_distance_general
+from reference import build_hyperbolic_spanner_triples, build_spanner_triples, hyperbolic_distance_general, hyperbolic_distance_map
 
 heights = st.one_of(st.sampled_from((5e-324, 1e-323, 1e308)), st.floats(5e-324, 1e308))
 coords = st.one_of(st.sampled_from((0.0, 5e-324, 1e-323, 1e308, -1e308)), st.floats(-1e308, 1e308))
@@ -99,6 +100,45 @@ def test_hyperbolic_distance_matches_general_reference_bit_for_bit(pair):
     assert hyperbolic_distance_general(q, p).hex() == want
     assert hyperbolic_distance(p, q).hex() == want
     assert hyperbolic_distance(q, p).hex() == want
+
+
+# pairs whose gap, height product or argument leaves the normal floats
+_RESCALED = [
+    (HPoint((0.3,), 5e-324), HPoint((0.3,), 1e-323)),
+    (HPoint((0.0,), 5e-324), HPoint((1e308,), 1e-320)),
+    (HPoint((1e308,), 1.0), HPoint((-1e308,), 1.0)),
+    (HPoint((-1e308,), 5e-324), HPoint((1e308,), 1e308)),
+    (HPoint((0.0,), 1e200), HPoint((0.0,), 1e300)),
+    (HPoint((1e308, -1e308), 1e-320), HPoint((-1e308, 1e308), 5e-324)),
+    (HPoint((-1e308, 0.0), 1e308), HPoint((1e308, 5e-324), 1e308)),
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda dim: st.tuples(points_of(dim), points_of(dim))))
+@example(_RESCALED[0])
+@example(_RESCALED[1])
+@example(_RESCALED[2])
+@example(_RESCALED[3])
+@example(_RESCALED[4])
+@example(_RESCALED[5])
+@example(_RESCALED[6])
+@example((HPoint((5e-324,), 5e-324), HPoint((-5e-324,), 1e-323)))
+@example((HPoint((0.3, 0.4), 1.0), HPoint((0.3, 0.4), 1.0)))
+def test_hyperbolic_distance_matches_the_map_form_bit_for_bit(pair):
+    # the D = 2 branch takes the gap as hypot(dx, dz), the call
+    # hypot(*map(sub, px, qx), dz) makes with one coordinate
+    p, q = pair
+    assert hyperbolic_distance(p, q).hex() == hyperbolic_distance_map(p, q).hex()
+    assert hyperbolic_distance(q, p).hex() == hyperbolic_distance_map(q, p).hex()
+
+
+def test_rescaled_examples_take_the_fallback(monkeypatch):
+    taken = []
+    monkeypatch.setattr(hyperbolic, "_rescaled_distance", lambda *args: taken.append(args) or 0.0)
+    for p, q in _RESCALED:
+        hyperbolic_distance(p, q)
+    assert len(taken) == len(_RESCALED)
 
 
 @st.composite

@@ -287,6 +287,28 @@ def test_transform_rejects_scale_or_shift(scale, shift):
         NormalizeTransform(scale, shift)
 
 
+def test_transform_cell_of_x_0_3_0_9_z_0_5_on_shift_0_25():
+    # the one-coordinate branch read x[0] and returned Cell(-1;[1])
+    with pytest.raises(ValueError, match="dimension 3, the index 2"):
+        NormalizeTransform(1.0, (0.25,)).cell_of(HPoint((0.3, 0.9), 0.5))
+
+
+def test_transform_cell_of_x_0_3_z_0_5_on_shift_0_25_0_25():
+    # zip dropped the second shift and returned Cell(-1;[1])
+    with pytest.raises(ValueError, match="dimension 2, the index 3"):
+        NormalizeTransform(1.0, (0.25, 0.25)).cell_of(HPoint((0.3,), 0.5))
+
+
+def test_transform_apply_x_0_3_0_9_z_0_5_on_shift_0_25():
+    with pytest.raises(ValueError, match="dimension 3, the transform 2"):
+        NormalizeTransform(1.0, (0.25,)).apply(HPoint((0.3, 0.9), 0.5))
+
+
+def test_transform_apply_x_0_3_z_0_5_on_shift_0_25_0_25():
+    with pytest.raises(ValueError, match="dimension 2, the transform 3"):
+        NormalizeTransform(1.0, (0.25, 0.25)).apply(HPoint((0.3,), 0.5))
+
+
 def test_transform_takes_int_scale_and_shift():
     t = NormalizeTransform(2, (1, 0.5))
     assert (t.scale, t.shift) == (2, (1, 0.5))

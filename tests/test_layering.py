@@ -17,6 +17,12 @@ check.
 
 The fourth check reads ``tests/*.py``: every name a top-level import
 binds (``__future__`` aside) must be read somewhere in the file.
+
+The collector's switches are process-global, so one module owns them:
+the fifth check fails on a call of ``gc.disable``, ``gc.enable``,
+``gc.collect``, ``gc.freeze`` or ``gc.set_threshold``, and on importing
+one of them from ``gc``, in every module but the one that defines
+``collector_paused``.
 """
 
 import ast
@@ -198,3 +204,55 @@ def test_check_flags_unused_imports(tmp_path):
         "m.py:3 imports os, never used",
         "m.py:5 imports HPoint, never used",
     ]
+
+
+GC_SWITCHES = {"disable", "enable", "collect", "freeze", "set_threshold"}
+
+
+def collector_switches(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if any(isinstance(node, ast.FunctionDef) and node.name == "collector_paused" for node in tree.body):
+        return []
+    modules = {alias.asname or "gc" for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names if alias.name == "gc"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found += [f"{path.name}:{node.lineno} imports gc.{alias.name}" for alias in node.names if alias.name in GC_SWITCHES]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute) and f.attr in GC_SWITCHES and isinstance(f.value, ast.Name) and f.value.id in modules:
+                found.append(f"{path.name}:{node.lineno} calls gc.{f.attr}")
+    return found
+
+
+def test_only_collector_paused_switches_the_collector():
+    owners = [path.name for path in sorted(PACKAGE.glob("*.py")) if "def collector_paused" in path.read_text()]
+    assert owners == ["tiling.py"]
+    found = [v for path in sorted(PACKAGE.glob("*.py")) for v in collector_switches(path)]
+    assert not found, "\n".join(found)
+
+
+def test_check_flags_collector_switches(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import gc\n"
+        "import gc as collector\n"
+        "from gc import freeze, get_count\n"
+        "def f():\n"
+        "    gc.disable()\n"
+        "    collector.set_threshold(1)\n"
+        "    gc.isenabled()\n"
+        "    return gc.get_count(), get_count()\n"
+        "def g(tree):\n"
+        "    tree.collect()\n"
+        "    gc.collect(1)\n"
+    )
+    assert collector_switches(src) == [
+        "m.py:3 imports gc.freeze",
+        "m.py:5 calls gc.disable",
+        "m.py:6 calls gc.set_threshold",
+        "m.py:11 calls gc.collect",
+    ]
+    owner = tmp_path / "owner.py"
+    owner.write_text("import gc\ndef collector_paused():\n    gc.disable()\n    gc.collect(1)\n    gc.enable()\n")
+    assert collector_switches(owner) == []

@@ -109,6 +109,39 @@ def test_center_of_cell_of_height_5e_324():
     assert b.z == 1e-323
 
 
+def test_center_of_level_1024_coordinate_0():
+    # the height 3 * 2^1023 overflowed with a bare OverflowError
+    with pytest.raises(ValueError, match=r"center of Cell\(1024;\[0\]\) leaves the finite positive floats"):
+        center(CellId(1024, (0,)))
+
+
+def test_center_of_level_minus_1076_coordinate_0():
+    # the height 3 * 2^-1077 rounds to 0.0; HPoint refused it naming no cell
+    with pytest.raises(ValueError, match=r"center of Cell\(-1076;\[0\]\) leaves the finite positive floats"):
+        center(CellId(-1076, (0,)))
+
+
+def test_center_of_level_minus_1075_coordinate_0():
+    # the deepest level whose center height is above 0.0
+    assert center(CellId(-1075, (0,))) == HPoint((0.0,), 5e-324)
+
+
+def test_center_of_level_1023_coordinate_0():
+    assert center(CellId(1023, (0,))) == HPoint((2.0**1022,), 3.0 * 2.0**1022)
+
+
+def test_center_of_level_0_coordinate_10_pow_400():
+    with pytest.raises(ValueError, match=r"center of Cell\(0;\[1000+\]\) leaves"):
+        center(CellId(0, (10**400,)))
+
+
+def test_derived_point_equals_the_checked_point():
+    p = HPoint.derived((0.25, 0.5), 0.75)
+    q = HPoint((0.25, 0.5), 0.75)
+    assert (p.x, p.z, p.dim) == (q.x, q.z, q.dim)
+    assert p == q and hash(p) == hash(q)
+
+
 def test_cell_of_examples():
     assert cell_of(HPoint((0.3,), 1.5)) == CellId(0, (0,))
     # z exactly on a facet goes to the bigger cell above (maximum level)

@@ -1,9 +1,10 @@
 """Every cell the library builds through the trusted ``CellId.derived``
-passes the checks of ``CellId(...)``.
+passes the checks of ``CellId(...)``, and every point it builds through
+``HPoint.derived`` those of ``HPoint(...)``.
 
 With ``derived`` patched to the checking constructor, which also asks
-for a coordinate tuple, each build below must raise nothing and give
-the same output as the unpatched build.
+for a coordinate tuple (and, for points, floats only), each build below
+must raise nothing and give the same output as the unpatched build.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from halfspace.pointfile import read_points, write_points
 from halfspace.sampling import STRATIFIED, sample_continuous, sample_margin_cells
 from halfspace.spanner import build_hyperbolic_spanner
 from halfspace.tiling import CellId, HPoint
+from halfspace.verification import run_verification
 
 from test_golden_artifacts import CASES, GOLDEN
 
@@ -39,10 +41,41 @@ class CheckedDerived:
         monkeypatch.setattr(CellId, "derived", staticmethod(checked))
 
 
+class CheckedPoints:
+    """Routes ``HPoint.derived`` through ``HPoint(...)`` while installed
+    and counts the calls."""
+
+    def __init__(self, monkeypatch):
+        self.n = 0
+
+        def checked(x, z):
+            self.n += 1
+            if type(x) is not tuple or not all(type(v) is float for v in (*x, z)):
+                raise ValueError(f"point values {x!r}, {z!r} are no tuple of floats and a float")
+            return HPoint(x, z)
+
+        monkeypatch.setattr(HPoint, "derived", staticmethod(checked))
+
+
+CHECKED = {"cells": CheckedDerived, "points": CheckedPoints}
+
+# the golden cases built from continuous points, which normalize moves
+CONTINUOUS_CASES = ["avd-continuous-d2", "avd-continuous-d3", "embedding-d2", "spanner-d2", "spanner-d3"]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_artifacts_build_the_same_with_checked_derived_cells(monkeypatch, name):
     build, dim, n, seed = CASES[name]
     checked = CheckedDerived(monkeypatch)
+    digest = hashlib.sha256(build(dim, n, seed).encode()).hexdigest()
+    assert digest == GOLDEN[name]
+    assert checked.n > 0
+
+
+@pytest.mark.parametrize("name", CONTINUOUS_CASES)
+def test_golden_artifacts_build_the_same_with_checked_derived_points(monkeypatch, name):
+    build, dim, n, seed = CASES[name]
+    checked = CheckedPoints(monkeypatch)
     digest = hashlib.sha256(build(dim, n, seed).encode()).hexdigest()
     assert digest == GOLDEN[name]
     assert checked.n > 0
@@ -79,4 +112,20 @@ def test_builds_and_answers_are_the_same_with_checked_derived_cells(monkeypatch,
     expected = build()
     checked = CheckedDerived(monkeypatch)
     assert build() == expected
+    assert checked.n > 0
+
+
+def test_d2_hyperbolic_spanner_and_answers_are_the_same_with_checked_derived_points(monkeypatch):
+    # moved inputs (normalize) and Steiner centers (center) are trusted
+    expected = _d2_hyperbolic_spanner_and_answers()
+    checked = CheckedPoints(monkeypatch)
+    assert _d2_hyperbolic_spanner_and_answers() == expected
+    assert checked.n > 0
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKED))
+def test_verify_dim_2_n_32_is_the_same_with_checked_derived_values(monkeypatch, kind):
+    expected = run_verification(dim=2, n=32, seed=0)
+    checked = CHECKED[kind](monkeypatch)
+    assert run_verification(dim=2, n=32, seed=0) == expected
     assert checked.n > 0
