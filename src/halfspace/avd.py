@@ -234,6 +234,14 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
             stack.append((child, out2, in2, below, below is not low))
 
 
+def _annotation_record(node: QuadNode) -> str:
+    """A node's ``{"h": .., "n2": .., "reps": [..]}`` as JSON text, as
+    ``json.dumps(..., sort_keys=True)`` writes it: ``null`` for None,
+    and ``reps`` as Python writes a list of ints, which is JSON's text."""
+    h, n2, reps = node.h_index, node.n2_index, node.reps
+    return f'{{"h": {"null" if h is None else h}, "n2": {"null" if n2 is None else n2}, "reps": {"null" if reps is None else reps}}}'
+
+
 @dataclass
 class AvdIndex:
     """Refined, annotated tree plus everything a query needs."""
@@ -264,15 +272,24 @@ class AvdIndex:
         return self.tree.smallest_containing(q)
 
     def to_json(self) -> str:
-        data = self.tree.to_dict()
-        extras = []
-        for node in self.tree.iter_nodes():
-            extras.append({"h": node.h_index, "n2": node.n2_index, "reps": node.reps})
-        data["annotations"] = extras
-        data["highest_index"] = self.highest_index
-        data["source_kind"] = self.source_kind
-        data["transform"] = None if self.transform is None else asdict(self.transform)
-        return json.dumps(data, sort_keys=True)
+        """The index as JSON text, written in the tree's one preorder
+        pass (:meth:`QuadTree.to_json`).
+
+        A JSON object with sorted keys: ``annotations``, one
+        ``{"h": .., "n2": .., "reps": [..]}`` per node, annotation k for
+        node k; ``dim``; ``highest_index``; ``nodes``, in preorder, each
+        with its parent's index; ``points``; ``source_kind``; and
+        ``transform``, null or ``{"scale": .., "shift": [..]}``.  The
+        text is byte for byte what ``json.dumps(data, sort_keys=True)``
+        writes of the same data, which :meth:`from_json` reads back.
+        """
+        t = self.transform
+        return self.tree.to_json(
+            _annotation_record,
+            highest_index=json.dumps(self.highest_index),
+            source_kind=json.dumps(self.source_kind),
+            transform="null" if t is None else json.dumps(asdict(t), sort_keys=True),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "AvdIndex":

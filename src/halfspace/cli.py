@@ -88,7 +88,7 @@ def cmd_build(args) -> int:
     dim, kind, points = _load_points(args.input)
     if args.what == "quadtree":
         tree = build_quadtree(_cells_from(kind, points))
-        _write_out(args.out, _dump(tree.to_dict()))
+        _write_out(args.out, tree.to_json() + "\n")
     elif args.what == "spanner":
         graph = build_spanner(_cells_from(kind, points))
         if args.format == "edges":

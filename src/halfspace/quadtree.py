@@ -60,10 +60,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import reprlib
 from dataclasses import dataclass, field
 from operator import add, itemgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .tiling import CellId, children, collector_paused, floor_scaled, is_ancestor_or_self, lift_pair, neighbor_offsets
 
@@ -75,10 +76,11 @@ LEAF = "leaf"
 # coordinates to the lowest key's level (zorder_key) and point location
 # floors at one level below the lowest node, so a key at level L costs
 # shifts by -L bits: at level -10**30 no such integer can be made.  A
-# tree must also write its keys (json.dumps), and by default Python
-# turns no int of more than 4,300 digits into a str: a coordinate at
-# level L is at most 2^-L - 1, and 2^14284 - 1 is the largest such
-# number with 4,300 digits.
+# tree must also write its keys (QuadTree.to_json writes each int with
+# str, as json.dumps does), and by default Python turns no int of more
+# than 4,300 digits into a str: a coordinate at level L is at most
+# 2^-L - 1, and 2^14284 - 1 is the largest such number with 4,300
+# digits.
 # Float heights reach level -1074; discrete inputs may go down to here.
 DEEPEST_LEVEL = -14284
 
@@ -180,6 +182,23 @@ def json_fields(value, fields: itemgetter, *entry) -> tuple:
         return fields(value)
     except KeyError as exc:
         raise ValueError(f"{' '.join(map(str, entry))} has no key {exc}") from None
+
+
+def _cell_record(cell: CellId) -> str:
+    """``[level, coords]`` as JSON text, as ``json.dumps`` writes it."""
+    return f"[{cell.level}, [{', '.join(map(str, cell.coords))}]]"
+
+
+def node_record(node: QuadNode, parent: int | None) -> str:
+    """One node's record in :meth:`QuadTree.to_json`, as JSON text:
+    ``{"cell": [level, coords], "kind": kind, "parent": parent,
+    "stored": stored}``, byte for byte what ``json.dumps(...,
+    sort_keys=True)`` writes of that dict (``null`` for None)."""
+    stored = node.stored_index
+    return (
+        f'{{"cell": {_cell_record(node.cell)}, "kind": "{node.kind}", '
+        f'"parent": {"null" if parent is None else parent}, "stored": {"null" if stored is None else stored}}}'
+    )
 
 
 def first_indices(points: list[CellId]) -> dict[CellId, int]:
@@ -695,23 +714,44 @@ class QuadTree:
 
     # -- serialization -------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """The tree as JSON-ready data: the points, then the nodes in
-        :meth:`iter_nodes` order, each with the index of its parent
-        (taken from the traversal's own stack, as no node links up)."""
-        nodes = []
+    def to_json(self, note: Callable[[QuadNode], str] | None = None, **members: str) -> str:
+        """The tree as JSON text, written in one preorder pass.
+
+        The text is a JSON object with sorted keys: ``dim``; ``nodes``,
+        the nodes in :meth:`iter_nodes` order, each the record
+        :func:`node_record` writes with the index of its parent (taken
+        from the pass's own stack, as no node links up); and ``points``,
+        each ``[level, coords]``.  ``note``, when given, writes each
+        node's annotation in the same pass, and annotation k, of node k,
+        goes under ``annotations``.  ``members`` adds top-level members
+        whose values are JSON text already.  The text is byte for byte
+        what ``json.dumps(data, sort_keys=True)`` writes of the same
+        data: its default separators, ``null`` for None, and ints
+        through ``str``, whose digit limit json shares.
+        """
+        records: list[str] = []
+        notes: list[str] = []
+        repeat = itertools.repeat
         stack: list[tuple[QuadNode, int | None]] = [(self.root, None)]
         while stack:
             node, up = stack.pop()
-            k = len(nodes)
-            cell = node.cell
-            nodes.append({"cell": [cell.level, list(cell.coords)], "kind": node.kind, "parent": up, "stored": node.stored_index})
-            stack.extend([(child, k) for child in reversed(node.children)])
-        return {
-            "dim": self.dim,
-            "points": [[c.level, list(c.coords)] for c in self.points],
-            "nodes": nodes,
-        }
+            k = len(records)
+            records.append(node_record(node, up))
+            if note is not None:
+                notes.append(note(node))
+            if node.children:
+                stack.extend(zip(reversed(node.children), repeat(k)))
+        members["dim"] = str(self.dim)
+        members["nodes"] = f"[{', '.join(records)}]"
+        members["points"] = f"[{', '.join(map(_cell_record, self.points))}]"
+        if note is not None:
+            members["annotations"] = f"[{', '.join(notes)}]"
+        return "{" + ", ".join(f'"{key}": {value}' for key, value in sorted(members.items())) + "}"
+
+    def to_dict(self) -> dict:
+        """The data :meth:`to_json` writes, parsed back: a fresh dict
+        :meth:`from_dict` takes."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuadTree":

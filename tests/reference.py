@@ -34,16 +34,23 @@ the ``ldexp`` path of :func:`halfspace.tiling.floor_scaled` must
 match (``floor_scaled_ratio``); and the halfspace distance that takes
 the gap from ``hypot`` over a ``map`` at every dimension, which the
 D = 2 branch of :func:`halfspace.hyperbolic.hyperbolic_distance` must
-match bit for bit (``hyperbolic_distance_map``).  The bodies are the replaced code, unchanged but for absolute
-imports.  The tests compare the library's fast paths against them;
-nothing in ``halfspace`` calls them.  The brute-force oracles the
+match bit for bit (``hyperbolic_distance_map``); and the writers that
+built a dict per node and annotation for ``json.dumps`` to walk, which
+the one-pass text writers of :meth:`halfspace.quadtree.QuadTree.to_json`
+and :meth:`halfspace.avd.AvdIndex.to_json` must match byte for byte
+(``quadtree_to_dict``, ``avd_to_json``).  The bodies are the replaced
+code, unchanged but for absolute imports and ``self`` made an argument.
+The tests compare the library's fast paths against them; nothing in
+``halfspace`` calls them.  The brute-force oracles the
 verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from collections.abc import Collection, Sequence
+from dataclasses import asdict
 from fractions import Fraction
 from math import asinh, hypot, inf, sqrt
 from operator import sub
@@ -51,6 +58,7 @@ from operator import sub
 from halfspace.hyperbolic import _rescaled_distance
 from halfspace.metrics import d2 as d2_fast
 from halfspace.metrics import D2Path, _climb, d2_path, lambda_
+from halfspace.quadtree import QuadNode
 from halfspace.shortcut import ShortcutSet
 from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, horizontal_neighbors, level_of_height, parent
 
@@ -964,3 +972,45 @@ def hyperbolic_distance_map(p: HPoint, q: HPoint) -> float:
         if arg < inf:
             return 2.0 * asinh(arg)
     return _rescaled_distance(p, q, gap, zz)
+
+
+# -- the writers that built dicts for json.dumps ------------------------
+
+
+def quadtree_to_dict(tree) -> dict:
+    """The tree as JSON-ready data: the points, then the nodes in
+    :meth:`iter_nodes` order, each with the index of its parent
+    (taken from the traversal's own stack, as no node links up).
+
+    Reference for :meth:`halfspace.quadtree.QuadTree.to_json`, which
+    must write ``json.dumps(quadtree_to_dict(tree), sort_keys=True)``.
+    """
+    nodes = []
+    stack: list[tuple[QuadNode, int | None]] = [(tree.root, None)]
+    while stack:
+        node, up = stack.pop()
+        k = len(nodes)
+        cell = node.cell
+        nodes.append({"cell": [cell.level, list(cell.coords)], "kind": node.kind, "parent": up, "stored": node.stored_index})
+        stack.extend([(child, k) for child in reversed(node.children)])
+    return {
+        "dim": tree.dim,
+        "points": [[c.level, list(c.coords)] for c in tree.points],
+        "nodes": nodes,
+    }
+
+
+def avd_to_json(ix) -> str:
+    """The index as ``json.dumps`` of a dict per node and annotation.
+
+    Reference for :meth:`halfspace.avd.AvdIndex.to_json`.
+    """
+    data = quadtree_to_dict(ix.tree)
+    extras = []
+    for node in ix.tree.iter_nodes():
+        extras.append({"h": node.h_index, "n2": node.n2_index, "reps": node.reps})
+    data["annotations"] = extras
+    data["highest_index"] = ix.highest_index
+    data["source_kind"] = ix.source_kind
+    data["transform"] = None if ix.transform is None else asdict(ix.transform)
+    return json.dumps(data, sort_keys=True)

@@ -5,7 +5,8 @@ found, and run one generation-1 collection on exit only when the block
 left a generation-1 cycle's worth of new objects.  The cost guard
 counts, with ``gc.callbacks``, the collections that start inside each
 paused entry point: no full collection, and at most one of any kind
-per call.
+per call.  The index writer runs unpaused, and builds too few objects
+the collector tracks to need the pause: the same bound holds for it.
 """
 
 import gc
@@ -17,7 +18,7 @@ import pytest
 from halfspace.avd import AvdIndex, build_avd
 from halfspace.hyperbolic import normalize_and_embed
 from halfspace.quadtree import QuadTree, build_quadtree
-from halfspace.sampling import STRATIFIED, sample_continuous
+from halfspace.sampling import STRATIFIED, sample_continuous, sample_margin_cells
 from halfspace.spanner import build_embedding_graph, build_hyperbolic_spanner, build_spanner
 from halfspace.tiling import collector_paused
 
@@ -155,3 +156,16 @@ def test_small_build_avd_takes_no_closing_collection(collector_on):
 
 def test_spanner_build_takes_the_closing_collection(collector_on):
     assert (1, False) in collections_during(build_hyperbolic_spanner, _POINTS, 2)
+
+
+# eight avd-build-sized indexes: 128 D = 3 margin cells down to level -13
+_INDEXES = [build_avd(sample_margin_cells(random.Random(1101 + s), 3, 128, min_level=-13)) for s in range(8)]
+
+
+@pytest.mark.parametrize("s", range(len(_INDEXES)))
+def test_index_writer_starts_no_full_collection_and_at_most_one(collector_on, s):
+    # building a dict per node and annotation for json.dumps started
+    # 11-13 collections per call on these indexes
+    starts = collections_during(_INDEXES[s].to_json)
+    assert all(generation < 2 for generation, _ in starts)
+    assert len(starts) <= 1

@@ -23,6 +23,14 @@ the fifth check fails on a call of ``gc.disable``, ``gc.enable``,
 ``gc.collect``, ``gc.freeze`` or ``gc.set_threshold``, and on importing
 one of them from ``gc``, in every module but the one that defines
 ``collector_paused``.
+
+Every tree and index artifact goes through the one text writer,
+:meth:`QuadTree.to_json`: the sixth check fails on a dict built with
+the keys of a node record (``cell`` and ``parent``) or of an
+annotation (``h``, ``n2`` and ``reps``), as a display or through
+``dict(...)``, and on a call of ``to_dict`` on anything but a spanner
+graph.  It reads names, not types: a spanner graph's dict is taken
+from a name ``graph``.
 """
 
 import ast
@@ -256,3 +264,50 @@ def test_check_flags_collector_switches(tmp_path):
     owner = tmp_path / "owner.py"
     owner.write_text("import gc\ndef collector_paused():\n    gc.disable()\n    gc.collect(1)\n    gc.enable()\n")
     assert collector_switches(owner) == []
+
+
+RECORD_KEYS = ({"cell", "parent"}, {"h", "n2", "reps"})
+
+
+def record_dicts(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict":
+            keys = {k.arg for k in node.keywords}
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "to_dict":
+            receiver = node.func.value
+            if not (isinstance(receiver, ast.Name) and receiver.id == "graph"):
+                found.append(f"{path.name}:{node.lineno} calls to_dict on {ast.unparse(receiver)}")
+            continue
+        else:
+            continue
+        if any(need <= keys for need in RECORD_KEYS):
+            found.append(f"{path.name}:{node.lineno} builds a record dict")
+    return found
+
+
+def test_trees_and_indexes_are_written_by_the_one_text_writer():
+    found = [v for path in sorted(PACKAGE.glob("*.py")) for v in record_dicts(path)]
+    assert not found, "\n".join(found)
+
+
+def test_check_flags_record_dicts(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def f(tree, graph, node, up):\n"
+        "    a = tree.to_dict()\n"
+        "    b = graph.to_dict()\n"
+        "    c = {'cell': node.cell, 'kind': node.kind, 'parent': up}\n"
+        "    d = dict(h=node.h_index, n2=node.n2_index, reps=node.reps)\n"
+        "    e = {'cell': node.cell, 'kind': node.kind}\n"
+        "    return self.index.tree.to_dict(), a, b, c, d, e\n"
+    )
+    assert record_dicts(src) == [
+        "m.py:2 calls to_dict on tree",
+        "m.py:4 builds a record dict",
+        "m.py:5 builds a record dict",
+        "m.py:7 calls to_dict on self.index.tree",
+    ]
