@@ -53,7 +53,7 @@ from operator import itemgetter
 from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2_argmin
 from .pointfile import CONTINUOUS, DISCRETE
-from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, compressed_on_boundary, is_index, json_fields, meets_boundary, shadow_within
+from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, are_indices, compressed_on_boundary, is_index, json_fields, meets_boundary, shadow_within
 from .tiling import CellId, HPoint, collector_paused, horizontal_neighbors
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
@@ -325,15 +325,35 @@ class AvdIndex:
                 raise ValueError(f"index has {len(nodes)} nodes but {len(annotations)} annotations")
             n = len(tree.points)
             fields = itemgetter("h", "n2", "reps")
-            for k, (node, extra) in enumerate(zip(nodes, annotations)):
-                h, n2, reps = json_fields(extra, fields, "annotation", k)
-                if not (
-                    (h is None or is_index(h, n))
-                    and (n2 is None or is_index(n2, n))
-                    and (reps is None or (type(reps) is list and all(is_index(i, n) for i in reps)))
-                ):
-                    raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
-                node.h_index, node.n2_index, node.reps = h, n2, reps
+            # the reps entries of all annotations are checked at once, in
+            # C-level passes; on any fault the entry-by-entry loop below
+            # runs and names the first faulty annotation
+            checked = False
+            listed: list = []
+            try:
+                for node, extra in zip(nodes, annotations):
+                    h, n2, reps = fields(extra)
+                    if not ((h is None or is_index(h, n)) and (n2 is None or is_index(n2, n))):
+                        break
+                    if reps is not None:
+                        if type(reps) is not list:
+                            break
+                        listed += reps
+                    node.h_index, node.n2_index, node.reps = h, n2, reps
+                else:
+                    checked = are_indices(listed, n)
+            except (KeyError, TypeError):  # an annotation that is no object or lacks a key
+                pass
+            if not checked:
+                for k, (node, extra) in enumerate(zip(nodes, annotations)):
+                    h, n2, reps = json_fields(extra, fields, "annotation", k)
+                    if not (
+                        (h is None or is_index(h, n))
+                        and (n2 is None or is_index(n2, n))
+                        and (reps is None or (type(reps) is list and all(is_index(i, n) for i in reps)))
+                    ):
+                        raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
+                    node.h_index, node.n2_index, node.reps = h, n2, reps
             if not is_index(highest, n):
                 raise ValueError(f"highest_index {highest!r} is no input index in range({n})")
             if nodes[0].h_index not in (None, highest):

@@ -1,17 +1,29 @@
 """JSON-lines point files.
 
-First line is a header ``{"dim": D, "kind": "continuous"|"discrete"}``;
-every following line is one point, either ``{"x": [...], "z": ...}`` or
-``{"level": i, "coords": [...]}``.  Files are homogeneous in kind and
-dimension.
+The grammar :func:`read_points` accepts, line by line:
+
+- line 1, the header: one JSON object ``{"dim": D, "kind":
+  "continuous"|"discrete"}``;
+- every following line: one JSON value, a point, either ``{"x": [...],
+  "z": ...}`` or ``{"level": i, "coords": [...]}``, with nothing but
+  JSON whitespace (space, tab, CR, LF) before and after it;
+- blank lines, of any whitespace, are skipped.
+
+Files are homogeneous in kind and dimension.  Each point line is
+decoded once, and once the reader's own checks hold (types, lengths,
+finite coordinates and a positive height) the point or cell is built
+trusted (``HPoint.derived``, ``CellId.derived``), with no second check.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
+from math import isfinite
+from operator import itemgetter
 from typing import Sequence, TextIO
 
-from .tiling import CellId, HPoint
+from .tiling import CellId, HPoint, collector_paused
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -19,6 +31,14 @@ DISCRETE = "discrete"
 
 class PointFileError(ValueError):
     pass
+
+
+# one decoder for every point line: a JSON value from the start of the text
+_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+_HEADER = itemgetter("dim", "kind")
+_POINT = itemgetter("x", "z")
+_CELL = itemgetter("level", "coords")
 
 
 def write_points(fp: TextIO, points: Sequence[HPoint] | Sequence[CellId]) -> None:
@@ -54,6 +74,10 @@ def _integer(value, what: str, lineno: int) -> int:
     return value
 
 
+def _no_object(lineno: int, value) -> PointFileError:
+    return PointFileError(f"line {lineno} is no JSON object: {reprlib.repr(value)}")
+
+
 def read_points(fp: TextIO) -> tuple[int, str, list]:
     """Returns (dim, kind, points).
 
@@ -61,35 +85,51 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
     be a list of JSON numbers and ``z`` a JSON number, read as floats.
     Anything else, a value the floats cannot hold or an integer past
     Python's string-conversion digit limit included, raises
-    :class:`PointFileError` naming the line.
+    :class:`PointFileError` naming the line.  The read runs with the
+    cyclic collector paused: the points hold no reference cycles.
     """
-    header_line = fp.readline()
-    if not header_line.strip():
-        raise PointFileError("missing header line")
-    try:
-        header = json.loads(header_line)
-        dim = header["dim"]
-        kind = header["kind"]
-    except (ValueError, RecursionError, KeyError, TypeError) as exc:  # ValueError: bad JSON or too many digits
-        raise PointFileError(f"line 1: bad header: {exc}") from exc
-    dim = _integer(dim, "dim", 1)
-    if kind not in (CONTINUOUS, DISCRETE):
-        raise PointFileError(f"line 1: unknown kind {kind!r}")
-    if dim < 2:
-        raise PointFileError(f"line 1: dimension must be at least 2, got {dim}")
-    points = []
-    for lineno, line in enumerate(fp, start=2):
-        if not line.strip():
-            continue
+    with collector_paused():
+        header_line = fp.readline()
+        if not header_line.strip():
+            raise PointFileError("missing header line")
         try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
-            raise PointFileError(f"line {lineno}: invalid JSON") from exc
-        except ValueError as exc:  # an integer past int's string-conversion digit limit
-            raise PointFileError(f"line {lineno}: {exc}") from exc
+            header = json.loads(header_line)
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or too many digits
+            raise PointFileError(f"line 1: bad header: {exc}") from exc
+        if type(header) is not dict:
+            raise _no_object(1, header)
         try:
-            if kind == CONTINUOUS:
-                xs, z = obj["x"], obj["z"]
+            dim, kind = _HEADER(header)
+        except KeyError as exc:
+            raise PointFileError(f"line 1 has no key {exc}") from None
+        dim = _integer(dim, "dim", 1)
+        if kind not in (CONTINUOUS, DISCRETE):
+            raise PointFileError(f"line 1: unknown kind {kind!r}")
+        if dim < 2:
+            raise PointFileError(f"line 1: dimension must be at least 2, got {dim}")
+        continuous = kind == CONTINUOUS
+        fields = _POINT if continuous else _CELL
+        points = []
+        for lineno, line in enumerate(fp, start=2):
+            text = line.strip(_JSON_SPACE)
+            try:
+                obj, end = _decode(text)
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
+                if not line.strip():
+                    continue  # a blank line, Unicode whitespace included
+                raise PointFileError(f"line {lineno}: invalid JSON") from exc
+            except ValueError as exc:  # an integer past int's string-conversion digit limit
+                raise PointFileError(f"line {lineno}: {exc}") from exc
+            if end != len(text):  # a second value, or a character JSON does not take as space
+                raise PointFileError(f"line {lineno}: invalid JSON")
+            if type(obj) is not dict:
+                raise _no_object(lineno, obj)
+            try:
+                first, second = fields(obj)
+            except KeyError as exc:
+                raise PointFileError(f"line {lineno} has no key {exc}") from None
+            if continuous:
+                xs, z = first, second
                 if type(xs) is not list:
                     raise PointFileError(f"line {lineno}: x must be a list, got {xs!r}")
                 for v in xs:
@@ -99,9 +139,15 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
                     raise PointFileError(f"line {lineno}: z must be a JSON number, got {z!r}")
                 if len(xs) != dim - 1:
                     raise PointFileError(f"line {lineno}: expected {dim - 1} x-coordinates")
-                points.append(HPoint(tuple(map(float, xs)), float(z)))
+                try:
+                    x, z = tuple(map(float, xs)), float(z)
+                    # the checks of HPoint, on floats: HPoint(...) runs only to
+                    # raise its message
+                    points.append(HPoint.derived(x, z) if isfinite(z) and z > 0 and all(map(isfinite, x)) else HPoint(x, z))
+                except (ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
+                    raise PointFileError(f"line {lineno}: {exc}") from exc
             else:
-                level, coords = obj["level"], obj["coords"]
+                level, coords = first, second
                 if type(coords) is not list:
                     raise PointFileError(f"line {lineno}: coords must be a list, got {coords!r}")
                 for v in coords:
@@ -110,10 +156,6 @@ def read_points(fp: TextIO) -> tuple[int, str, list]:
                     raise PointFileError(f"line {lineno}: expected {dim - 1} coordinates")
                 # the checks above cover all that CellId checks
                 points.append(CellId.derived(_integer(level, "level", lineno), tuple(coords)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, PointFileError):
-                raise
-            raise PointFileError(f"line {lineno}: {exc}") from exc
-    if not points:
-        raise PointFileError("point file holds no points")
-    return dim, kind, points
+        if not points:
+            raise PointFileError("point file holds no points")
+        return dim, kind, points

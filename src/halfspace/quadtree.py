@@ -171,6 +171,17 @@ def is_index(value, n: int) -> bool:
     return type(value) is int and 0 <= value < n
 
 
+_INT_ONLY = {int}
+
+
+def are_indices(values: list, n: int) -> bool:
+    """Is every entry of a loaded list an index into a list of length
+    ``n``, as :func:`is_index` asks?  Checked in C-level passes over the
+    list, one for the entries' types and one each for ``min`` and
+    ``max``, with no call per entry."""
+    return not values or ({*map(type, values)} == _INT_ONLY and 0 <= min(values) and max(values) < n)
+
+
 def json_fields(value, fields: itemgetter, *entry) -> tuple:
     """The values ``fields`` takes from a loaded JSON object, or
     ``ValueError`` naming the entry (the words of ``entry``, such as
@@ -184,9 +195,16 @@ def json_fields(value, fields: itemgetter, *entry) -> tuple:
         raise ValueError(f"{' '.join(map(str, entry))} has no key {exc}") from None
 
 
-def _cell_record(cell: CellId) -> str:
+def cell_record(cell: CellId) -> str:
     """``[level, coords]`` as JSON text, as ``json.dumps`` writes it."""
     return f"[{cell.level}, [{', '.join(map(str, cell.coords))}]]"
+
+
+def json_object(members: dict[str, str]) -> str:
+    """A JSON object of members whose values are JSON text already, as
+    ``json.dumps(..., sort_keys=True)`` writes it: sorted keys and the
+    default separators."""
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in sorted(members.items())) + "}"
 
 
 def node_record(node: QuadNode, parent: int | None) -> str:
@@ -196,7 +214,7 @@ def node_record(node: QuadNode, parent: int | None) -> str:
     sort_keys=True)`` writes of that dict (``null`` for None)."""
     stored = node.stored_index
     return (
-        f'{{"cell": {_cell_record(node.cell)}, "kind": "{node.kind}", '
+        f'{{"cell": {cell_record(node.cell)}, "kind": "{node.kind}", '
         f'"parent": {"null" if parent is None else parent}, "stored": {"null" if stored is None else stored}}}'
     )
 
@@ -743,10 +761,10 @@ class QuadTree:
                 stack.extend(zip(reversed(node.children), repeat(k)))
         members["dim"] = str(self.dim)
         members["nodes"] = f"[{', '.join(records)}]"
-        members["points"] = f"[{', '.join(map(_cell_record, self.points))}]"
+        members["points"] = f"[{', '.join(map(cell_record, self.points))}]"
         if note is not None:
             members["annotations"] = f"[{', '.join(notes)}]"
-        return "{" + ", ".join(f'"{key}": {value}' for key, value in sorted(members.items())) + "}"
+        return json_object(members)
 
     def to_dict(self) -> dict:
         """The data :meth:`to_json` writes, parsed back: a fresh dict
@@ -826,16 +844,24 @@ class QuadTree:
                     above = built[up]
                     slot = len(above.children)
                     lev = cell.level
+                    box = above.cell
                     if above.kind == ORDINARY:
                         # child number slot of the children() order: one level
-                        # down, inside the box, coordinate bits spelling slot
+                        # down, inside the box (each coordinate shifts to the
+                        # box's; i = -1, no slot, when one does not), its
+                        # coordinate bits spelling slot
                         i = 0
-                        for c in cell.coords:
+                        for c, b in zip(cell.coords, box.coords):
+                            if c >> 1 != b:
+                                i = -1
+                                break
                             i = (i << 1) | (c & 1)
-                        if i != slot or lev != above.cell.level - 1 or not shadow_within(cell, above.cell):
+                        if i != slot or lev != box.level - 1:
                             raise ValueError(f"node {k} {cell!r} is not child {slot} of ordinary node {up} in children() order")
-                    elif slot == width[above.kind] or lev == above.cell.level or not shadow_within(cell, above.cell):
-                        raise ValueError(f"node {k} {cell!r} is no lone child strictly inside the box of {above.kind} node {up}")
+                    else:
+                        s = box.level - lev
+                        if slot == width[above.kind] or s <= 0 or any(c >> s != b for c, b in zip(cell.coords, box.coords)):
+                            raise ValueError(f"node {k} {cell!r} is no lone child strictly inside the box of {above.kind} node {up}")
                     ups.append(up)
                     above.children.append(node)
                     if lev < low:
@@ -873,7 +899,22 @@ class QuadTree:
         integers, no booleans) and :meth:`in_root` passes.  Anything but
         a two-entry list fails to unpack or fails :class:`CellId`'s
         checks, as JSON object keys and the items of a string are
-        strings.  A cell below :data:`DEEPEST_LEVEL` is refused too."""
+        strings.  A cell below :data:`DEEPEST_LEVEL` is refused too.
+
+        The checks run on the loaded ints first: a list of an int level
+        from :data:`DEEPEST_LEVEL` to 0 and a list of ``dim - 1`` ints
+        each in ``range(2 ** -level)`` is built with ``CellId.derived``.
+        Anything else goes through ``CellId(...)`` and :meth:`in_root`,
+        which raise the messages or accept what those checks passed
+        over, such as a tuple."""
+        if type(spec) is list and len(spec) == 2:
+            level, coords = spec
+            if type(level) is int and DEEPEST_LEVEL <= level <= 0 and type(coords) is list and len(coords) == self.dim - 1:
+                for c in coords:
+                    if type(c) is not int or c >> -level:  # a negative c shifts to -1
+                        break
+                else:
+                    return CellId.derived(level, tuple(coords))
         try:
             level, coords = spec
             cell = CellId(level, tuple(coords))

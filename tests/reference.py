@@ -38,7 +38,15 @@ match bit for bit (``hyperbolic_distance_map``); and the writers that
 built a dict per node and annotation for ``json.dumps`` to walk, which
 the one-pass text writers of :meth:`halfspace.quadtree.QuadTree.to_json`
 and :meth:`halfspace.avd.AvdIndex.to_json` must match byte for byte
-(``quadtree_to_dict``, ``avd_to_json``).  The bodies are the replaced
+(``quadtree_to_dict``, ``avd_to_json``); and the loaders that decoded
+each point line with ``json.loads`` and built each point through
+``HPoint(...)`` (``read_points_loads``), checked each loaded cell
+through ``CellId(...)`` and each child through ``shadow_within``
+(``loaded_cell_checked``, ``tree_from_dict_checked``) and each ``reps``
+entry with one ``is_index`` call (``avd_from_json_checked``), which
+:func:`halfspace.pointfile.read_points`, :meth:`QuadTree.from_dict`
+and :meth:`AvdIndex.from_json` must match point for point and message
+for message.  The bodies are the replaced
 code, unchanged but for absolute imports and ``self`` made an argument.
 The tests compare the library's fast paths against them; nothing in
 ``halfspace`` calls them.  The brute-force oracles the
@@ -48,19 +56,23 @@ verifier, the CLI and the demos use stay in :mod:`halfspace.oracle`.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from collections.abc import Collection, Sequence
 from dataclasses import asdict
 from fractions import Fraction
 from math import asinh, hypot, inf, sqrt
-from operator import sub
+from operator import itemgetter, sub
+from typing import TextIO
 
-from halfspace.hyperbolic import _rescaled_distance
+from halfspace.avd import AvdIndex
+from halfspace.hyperbolic import NormalizeTransform, _rescaled_distance
 from halfspace.metrics import d2 as d2_fast
 from halfspace.metrics import D2Path, _climb, d2_path, lambda_
-from halfspace.quadtree import QuadNode
+from halfspace.pointfile import CONTINUOUS, DISCRETE, PointFileError, _integer
+from halfspace.quadtree import COMPRESSED, DEEPEST_LEVEL, LEAF, ORDINARY, QuadNode, QuadTree, first_indices, is_index, json_fields, root_cell, shadow_within
 from halfspace.shortcut import ShortcutSet
-from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, horizontal_neighbors, level_of_height, parent
+from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, horizontal_neighbors, level_of_height, parent
 
 
 def d1_climb(p: CellId, q: CellId) -> int:
@@ -1014,3 +1026,242 @@ def avd_to_json(ix) -> str:
     data["source_kind"] = ix.source_kind
     data["transform"] = None if ix.transform is None else asdict(ix.transform)
     return json.dumps(data, sort_keys=True)
+
+
+# -- the loaders that checked through CellId(...) and one call per entry --
+
+
+def read_points_loads(fp: TextIO) -> tuple[int, str, list]:
+    """Returns (dim, kind, points), one ``json.loads`` per line.
+
+    Reference for :func:`halfspace.pointfile.read_points`, which must
+    return equal points or refuse the same line.
+
+    ``dim``, ``level`` and ``coords`` must be JSON integers; ``x`` must
+    be a list of JSON numbers and ``z`` a JSON number, read as floats.
+    Anything else, a value the floats cannot hold or an integer past
+    Python's string-conversion digit limit included, raises
+    :class:`PointFileError` naming the line.
+    """
+    header_line = fp.readline()
+    if not header_line.strip():
+        raise PointFileError("missing header line")
+    try:
+        header = json.loads(header_line)
+        dim = header["dim"]
+        kind = header["kind"]
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:  # ValueError: bad JSON or too many digits
+        raise PointFileError(f"line 1: bad header: {exc}") from exc
+    dim = _integer(dim, "dim", 1)
+    if kind not in (CONTINUOUS, DISCRETE):
+        raise PointFileError(f"line 1: unknown kind {kind!r}")
+    if dim < 2:
+        raise PointFileError(f"line 1: dimension must be at least 2, got {dim}")
+    points = []
+    for lineno, line in enumerate(fp, start=2):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
+            raise PointFileError(f"line {lineno}: invalid JSON") from exc
+        except ValueError as exc:  # an integer past int's string-conversion digit limit
+            raise PointFileError(f"line {lineno}: {exc}") from exc
+        try:
+            if kind == CONTINUOUS:
+                xs, z = obj["x"], obj["z"]
+                if type(xs) is not list:
+                    raise PointFileError(f"line {lineno}: x must be a list, got {xs!r}")
+                for v in xs:
+                    if type(v) is not float and type(v) is not int:
+                        raise PointFileError(f"line {lineno}: each x-coordinate must be a JSON number, got {v!r}")
+                if type(z) is not float and type(z) is not int:
+                    raise PointFileError(f"line {lineno}: z must be a JSON number, got {z!r}")
+                if len(xs) != dim - 1:
+                    raise PointFileError(f"line {lineno}: expected {dim - 1} x-coordinates")
+                points.append(HPoint(tuple(map(float, xs)), float(z)))
+            else:
+                level, coords = obj["level"], obj["coords"]
+                if type(coords) is not list:
+                    raise PointFileError(f"line {lineno}: coords must be a list, got {coords!r}")
+                for v in coords:
+                    _integer(v, "each coordinate", lineno)
+                if len(coords) != dim - 1:
+                    raise PointFileError(f"line {lineno}: expected {dim - 1} coordinates")
+                # the checks above cover all that CellId checks
+                points.append(CellId.derived(_integer(level, "level", lineno), tuple(coords)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if isinstance(exc, PointFileError):
+                raise
+            raise PointFileError(f"line {lineno}: {exc}") from exc
+    if not points:
+        raise PointFileError("point file holds no points")
+    return dim, kind, points
+
+
+def loaded_cell_checked(tree, spec, entry: str, k: int) -> CellId:
+    """The cell ``[level, coords]`` of a loaded tree's entry ``k``, or
+    ``ValueError`` naming the entry: what :class:`CellId` takes (JSON
+    integers, no booleans) and :meth:`in_root` passes.  Anything but
+    a two-entry list fails to unpack or fails :class:`CellId`'s
+    checks, as JSON object keys and the items of a string are
+    strings.  A cell below :data:`DEEPEST_LEVEL` is refused too."""
+    try:
+        level, coords = spec
+        cell = CellId(level, tuple(coords))
+    except (TypeError, ValueError):
+        cell = None
+    if cell is None or not tree.in_root(cell):
+        raise ValueError(f"{entry} {k}'s cell {spec!r} is no [level, {tree.dim - 1} coordinates] of integers inside the root shadow")
+    if cell.level < DEEPEST_LEVEL:
+        raise ValueError(f"{entry} {k}'s cell {cell!r} lies below level {DEEPEST_LEVEL}, the deepest a tree takes")
+    return cell
+
+
+def tree_from_dict_checked(data: dict):
+    """:meth:`QuadTree.from_dict_with_nodes` with every cell checked by
+    ``CellId(...)`` and ``in_root`` and every child by
+    :func:`shadow_within`.
+
+    Reference for the loader's integer checks, which must load the same
+    tree or raise the same message."""
+    with collector_paused():
+        dim, point_specs, node_specs = json_fields(data, itemgetter("dim", "points", "nodes"), "tree")
+        if type(dim) is not int or dim < 2:
+            raise ValueError(f"dim {dim!r} is no integer >= 2")
+        if type(point_specs) is not list or type(node_specs) is not list or not node_specs:
+            raise ValueError("a tree needs a JSON array of points and one of nodes, its root node first")
+        tree = QuadTree.__new__(QuadTree)
+        tree.dim = dim
+        # node 0's cell holds dim - 1 coordinates of the file itself, so
+        # it is loaded before anything of size dim is built
+        root = loaded_cell_checked(tree, json_fields(node_specs[0], itemgetter("cell"), "node", 0), "node", 0)
+        if root.level or any(root.coords):
+            raise ValueError(f"node 0 is the root and must be {root_cell(dim)!r}, got {root!r}")
+        tree.root_cell = root
+        tree.points = points = [loaded_cell_checked(tree, spec, "point", i) for i, spec in enumerate(point_specs)]
+        index_of = first_indices(points)
+        built: list[QuadNode] = []
+        ups: list[int | None] = []  # each node's parent index
+        width = {ORDINARY: 1 << (dim - 1), COMPRESSED: 1, LEAF: 0}
+        low = 0
+        fields = itemgetter("cell", "kind", "parent", "stored")
+        for k, spec in enumerate(node_specs):
+            cell, kind, up, stored = json_fields(spec, fields, "node", k)
+            cell = loaded_cell_checked(tree, cell, "node", k)
+            if type(kind) is not str or kind not in width:
+                raise ValueError(f"node {k}'s kind {kind!r} is none of {ORDINARY}, {COMPRESSED}, {LEAF}")
+            if stored is not None and not is_index(stored, len(points)):
+                raise ValueError(f"node {k} stores {stored!r}, no input index in range({len(points)})")
+            node = QuadNode(cell, kind, stored_index=stored)
+            if k == 0:
+                ups.append(None)
+                if up is not None:
+                    raise ValueError(f"node 0 is the root and takes no parent, got {up!r}")
+            elif is_index(up, k):
+                above = built[up]
+                slot = len(above.children)
+                lev = cell.level
+                if above.kind == ORDINARY:
+                    # child number slot of the children() order: one level
+                    # down, inside the box, coordinate bits spelling slot
+                    i = 0
+                    for c in cell.coords:
+                        i = (i << 1) | (c & 1)
+                    if i != slot or lev != above.cell.level - 1 or not shadow_within(cell, above.cell):
+                        raise ValueError(f"node {k} {cell!r} is not child {slot} of ordinary node {up} in children() order")
+                elif slot == width[above.kind] or lev == above.cell.level or not shadow_within(cell, above.cell):
+                    raise ValueError(f"node {k} {cell!r} is no lone child strictly inside the box of {above.kind} node {up}")
+                ups.append(up)
+                above.children.append(node)
+                if lev < low:
+                    low = lev
+            else:
+                raise ValueError(f"node {k}'s parent {up!r} is not an earlier node")
+            if stored is not None and index_of.get(cell) != stored:
+                first = index_of.get(cell)
+                has = "is no input" if first is None else f"is first input {first}"
+                raise ValueError(f"node {k} {cell!r} stores {stored!r}, but its cell {has}")
+            built.append(node)
+        tree.root = built[0]
+        tree._locate_level = low - 1
+        storing = 0
+        for k in range(len(built) - 1, -1, -1):  # children before parents
+            node = built[k]
+            if len(node.children) != width[node.kind]:
+                raise ValueError(f"{node.kind} node {k} {node.cell!r} has {len(node.children)} children, not {width[node.kind]}")
+            if node.stored_index is not None:
+                node.count += 1
+                storing += 1
+            if k:
+                built[ups[k]].count += node.count
+        if storing != len(index_of):
+            # the shape makes node cells distinct, and each storing node
+            # its own cell's index: some input cell has no node storing
+            # it (a node there storing nothing included)
+            missing = min(set(index_of.values()) - {node.stored_index for node in built})
+            raise ValueError(f"input {missing} {points[missing]!r} has no node storing it")
+        return tree, built
+
+
+def avd_from_json_checked(text: str):
+    """Load an index written by :meth:`AvdIndex.to_json`, checking each
+    ``reps`` entry with one :func:`is_index` call.
+
+    Reference for :meth:`halfspace.avd.AvdIndex.from_json`, which must
+    load the same index or raise the same message.
+
+    Annotation k belongs to node k of the file, in whatever order
+    the file lists its nodes.  Raises ``ValueError``, naming the
+    entry, unless the text is JSON whose integers Python converts
+    (within its digit limit), a JSON object holding a tree
+    :meth:`QuadTree.from_dict` takes, one annotation object per
+    node, ``highest_index``, ``source_kind`` and ``transform``;
+    every input index (``h``, ``n2``, ``reps`` and
+    ``highest_index``) lies in ``range(len(points))``; node 0's
+    ``h``, the root's highest input, is null or ``highest_index``;
+    and the transform is null with source kind "discrete", or an
+    object whose scale and ``dim - 1`` shift values
+    :class:`NormalizeTransform` takes, with source kind
+    "continuous".  ``null`` marks a node the AVD passes did not
+    annotate; a query landing there raises ``ValueError``.  One
+    pass, O(nodes + reps).
+    """
+    with collector_paused():
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, or nesting too deep
+            raise ValueError(f"index is no JSON: {exc}") from None
+        fields = itemgetter("annotations", "highest_index", "source_kind", "transform")
+        annotations, highest, source_kind, t = json_fields(data, fields, "index")
+        tree, nodes = tree_from_dict_checked(data)
+        if type(annotations) is not list:
+            raise ValueError(f"annotations is no JSON array: {reprlib.repr(annotations)}")
+        if len(annotations) != len(nodes):
+            raise ValueError(f"index has {len(nodes)} nodes but {len(annotations)} annotations")
+        n = len(tree.points)
+        fields = itemgetter("h", "n2", "reps")
+        for k, (node, extra) in enumerate(zip(nodes, annotations)):
+            h, n2, reps = json_fields(extra, fields, "annotation", k)
+            if not (
+                (h is None or is_index(h, n))
+                and (n2 is None or is_index(n2, n))
+                and (reps is None or (type(reps) is list and all(is_index(i, n) for i in reps)))
+            ):
+                raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
+            node.h_index, node.n2_index, node.reps = h, n2, reps
+        if not is_index(highest, n):
+            raise ValueError(f"highest_index {highest!r} is no input index in range({n})")
+        if nodes[0].h_index not in (None, highest):
+            raise ValueError(f"highest_index {highest!r} is not node 0's h {nodes[0].h_index!r}, the root's highest input")
+        if t is None:
+            transform = None
+        else:
+            scale, shift = json_fields(t, itemgetter("scale", "shift"), "transform")
+            if type(shift) is not list or len(shift) != tree.dim - 1:
+                raise ValueError(f"transform shift {shift!r} is no list of {tree.dim - 1} numbers")
+            transform = NormalizeTransform(scale, tuple(shift))
+        index = AvdIndex(tree, transform, highest)
+        if source_kind != index.source_kind:
+            raise ValueError(f"source_kind {source_kind!r} is not {index.source_kind!r}, as the transform implies")
+        return index

@@ -4,12 +4,14 @@
 found, and run one generation-1 collection on exit only when the block
 left a generation-1 cycle's worth of new objects.  The cost guard
 counts, with ``gc.callbacks``, the collections that start inside each
-paused entry point: no full collection, and at most one of any kind
-per call.  The index writer runs unpaused, and builds too few objects
-the collector tracks to need the pause: the same bound holds for it.
+paused entry point, the point-file reader included: no full
+collection, and at most one of any kind per call.  The index writer
+runs unpaused, and builds too few objects the collector tracks to need
+the pause: the same bound holds for it.
 """
 
 import gc
+import io
 import json
 import random
 
@@ -17,6 +19,7 @@ import pytest
 
 from halfspace.avd import AvdIndex, build_avd
 from halfspace.hyperbolic import normalize_and_embed
+from halfspace.pointfile import read_points, write_points
 from halfspace.quadtree import QuadTree, build_quadtree
 from halfspace.sampling import STRATIFIED, sample_continuous, sample_margin_cells
 from halfspace.spanner import build_embedding_graph, build_hyperbolic_spanner, build_spanner
@@ -128,6 +131,14 @@ _SMALL = sample_continuous(random.Random(1101), 2, 128, mode=STRATIFIED, min_lev
 _SMALL_INDEX = build_avd(_SMALL).to_json()
 _TREE = json.loads(json.dumps(build_quadtree(_CELLS).to_dict()))
 
+
+def _read(text: str):
+    return read_points(io.StringIO(text))
+
+
+_POINT_FILE = io.StringIO()
+write_points(_POINT_FILE, _POINTS)
+
 ENTRY_POINTS = {
     "build_hyperbolic_spanner_768": (build_hyperbolic_spanner, _POINTS, 2),
     "build_spanner_768": (build_spanner, _CELLS),
@@ -135,13 +146,15 @@ ENTRY_POINTS = {
     "build_avd_128": (build_avd, _SMALL),
     "avd_from_json_128": (AvdIndex.from_json, _SMALL_INDEX),
     "quadtree_from_dict_768": (QuadTree.from_dict, _TREE),
+    "read_points_768": (_read, _POINT_FILE.getvalue()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_paused_entry_point_starts_no_full_collection_and_at_most_one(collector_on, name):
     # unpaused, one D = 2 spanner build of 768 points started about 50
-    # generation-0, 5 generation-1 and 0-1 full collections
+    # generation-0, 5 generation-1 and 0-1 full collections, and one read
+    # of its point file 2 generation-0 collections
     call, *args = ENTRY_POINTS[name]
     starts = collections_during(call, *args)
     assert all(generation < 2 for generation, _ in starts)

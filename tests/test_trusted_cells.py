@@ -1,6 +1,7 @@
 """Every cell the library builds through the trusted ``CellId.derived``
 passes the checks of ``CellId(...)``, and every point it builds through
-``HPoint.derived`` those of ``HPoint(...)``.
+``HPoint.derived`` those of ``HPoint(...)``: the point-file reader's and
+the index loader's, built after their own checks, included.
 
 With ``derived`` patched to the checking constructor, which also asks
 for a coordinate tuple (and, for points, floats only), each build below
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from halfspace.avd import build_avd, query, query_hyperbolic
+from halfspace.avd import AvdIndex, build_avd, query, query_hyperbolic
 from halfspace.oracle import d1_bfs
 from halfspace.pointfile import read_points, write_points
 from halfspace.sampling import STRATIFIED, sample_continuous, sample_margin_cells
@@ -105,6 +106,28 @@ def _points_and_moves():
     fp.seek(0)
     _, _, back = read_points(fp)
     return back, [d1_bfs(cells[0], c) for c in cells[1:6]]
+
+
+def _read_and_loaded():
+    # the reader's points and cells and the loader's cells, which are
+    # built trusted after the reader's and the loader's own checks
+    files = []
+    for points in (sample_continuous(random.Random(26), 3, 40, mode=STRATIFIED, min_level=-20), sample_margin_cells(random.Random(27), 2, 40, min_level=-16)):
+        fp = io.StringIO()
+        write_points(fp, points)
+        fp.seek(0)
+        files.append(read_points(fp))
+    ix = AvdIndex.from_json(build_avd(files[0][2]).to_json())
+    probes = sample_continuous(random.Random(28), 3, 40, mode=STRATIFIED, min_level=-22)
+    return files, ix.to_json(), [query_hyperbolic(ix, q) for q in probes]
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKED))
+def test_read_and_loaded_values_are_the_same_when_checked(monkeypatch, kind):
+    expected = _read_and_loaded()
+    checked = CHECKED[kind](monkeypatch)
+    assert _read_and_loaded() == expected
+    assert checked.n > 0
 
 
 @pytest.mark.parametrize("build", [_d3_avd_and_answers, _d2_hyperbolic_spanner_and_answers, _points_and_moves])
