@@ -325,35 +325,29 @@ class AvdIndex:
                 raise ValueError(f"index has {len(nodes)} nodes but {len(annotations)} annotations")
             n = len(tree.points)
             fields = itemgetter("h", "n2", "reps")
-            # the reps entries of all annotations are checked at once, in
-            # C-level passes; on any fault the entry-by-entry loop below
-            # runs and names the first faulty annotation
-            checked = False
+            # one pass checks h and n2 and links each annotation; the reps
+            # entries of all of them are checked at once after it, in C-level
+            # passes (are_indices), so a fault is named after the pass
             listed: list = []
-            try:
-                for node, extra in zip(nodes, annotations):
+            for k, (node, extra) in enumerate(zip(nodes, annotations)):
+                try:
                     h, n2, reps = fields(extra)
-                    if not ((h is None or is_index(h, n)) and (n2 is None or is_index(n2, n))):
-                        break
-                    if reps is not None:
-                        if type(reps) is not list:
-                            break
-                        listed += reps
-                    node.h_index, node.n2_index, node.reps = h, n2, reps
-                else:
-                    checked = are_indices(listed, n)
-            except (KeyError, TypeError):  # an annotation that is no object or lacks a key
-                pass
-            if not checked:
-                for k, (node, extra) in enumerate(zip(nodes, annotations)):
-                    h, n2, reps = json_fields(extra, fields, "annotation", k)
-                    if not (
-                        (h is None or is_index(h, n))
-                        and (n2 is None or is_index(n2, n))
-                        and (reps is None or (type(reps) is list and all(is_index(i, n) for i in reps)))
-                    ):
-                        raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
-                    node.h_index, node.n2_index, node.reps = h, n2, reps
+                except (KeyError, TypeError):  # no object, or a key missing
+                    break
+                if not ((h is None or is_index(h, n)) and (n2 is None or is_index(n2, n)) and (reps is None or type(reps) is list)):
+                    break
+                if reps:
+                    listed += reps
+                node.h_index, node.n2_index, node.reps = h, n2, reps
+            else:
+                k = len(annotations)
+            if k < len(annotations) or not are_indices(listed, n):
+                # the first faulty annotation: one before k whose reps hold
+                # no input index, else k itself
+                k = next((j for j, extra in enumerate(annotations[:k]) if not are_indices(extra["reps"] or [], n)), k)
+                extra = annotations[k]
+                json_fields(extra, fields, "annotation", k)
+                raise ValueError(f"annotation {k} {extra!r}: h, n2 and reps must be null or input indices in range({n})")
             if not is_index(highest, n):
                 raise ValueError(f"highest_index {highest!r} is no input index in range({n})")
             if nodes[0].h_index not in (None, highest):

@@ -94,21 +94,20 @@ def cmd_build(args) -> int:
         if args.format == "edges":
             _write_out(args.out, graph.to_edge_list())
         else:
-            _write_out(args.out, graph.to_json() + "\n")
+            _write_out(args.out, _dump(graph.to_dict()))
     elif args.what == "embedding":
         if kind != CONTINUOUS:
             raise ValueError("embedding graphs need a continuous point file")
         graph, mapping, transform = build_embedding_graph(points)
-        text = graph.to_json(
-            input_vertex=json.dumps([mapping[i] for i in range(len(points))]),
-            transform=json.dumps({"scale": transform.scale, "shift": list(transform.shift)}, sort_keys=True),
-        )
-        _write_out(args.out, text + "\n")
+        data = graph.to_dict()
+        data["input_vertex"] = [mapping[i] for i in range(len(points))]
+        data["transform"] = {"scale": transform.scale, "shift": list(transform.shift)}
+        _write_out(args.out, _dump(data))
     elif args.what == "hyperbolic-spanner":
         if kind != CONTINUOUS:
             raise ValueError("hyperbolic spanners need a continuous point file")
         graph = build_hyperbolic_spanner(points, args.k)
-        _write_out(args.out, graph.to_json() + "\n")
+        _write_out(args.out, _dump(graph.to_dict()))
     else:  # avd
         _write_out(args.out, avd_mod.build_avd(points).to_json() + "\n")
     return 0

@@ -165,6 +165,11 @@ def compressed_on_boundary(start: QuadNode, box: CellId, out: list) -> None:
             todo.extend(nu.children)
 
 
+# What a loaded cell and its coordinates may be: JSON gives lists, and
+# callers of QuadTree.from_dict may pass tuples.
+_LOADED_SEQUENCES = (list, tuple)
+
+
 def is_index(value, n: int) -> bool:
     """Is a loaded value an index into a list of length ``n``?  JSON
     floats and booleans are not."""
@@ -195,16 +200,9 @@ def json_fields(value, fields: itemgetter, *entry) -> tuple:
         raise ValueError(f"{' '.join(map(str, entry))} has no key {exc}") from None
 
 
-def cell_record(cell: CellId) -> str:
+def _cell_record(cell: CellId) -> str:
     """``[level, coords]`` as JSON text, as ``json.dumps`` writes it."""
     return f"[{cell.level}, [{', '.join(map(str, cell.coords))}]]"
-
-
-def json_object(members: dict[str, str]) -> str:
-    """A JSON object of members whose values are JSON text already, as
-    ``json.dumps(..., sort_keys=True)`` writes it: sorted keys and the
-    default separators."""
-    return "{" + ", ".join(f'"{key}": {value}' for key, value in sorted(members.items())) + "}"
 
 
 def node_record(node: QuadNode, parent: int | None) -> str:
@@ -214,7 +212,7 @@ def node_record(node: QuadNode, parent: int | None) -> str:
     sort_keys=True)`` writes of that dict (``null`` for None)."""
     stored = node.stored_index
     return (
-        f'{{"cell": {cell_record(node.cell)}, "kind": "{node.kind}", '
+        f'{{"cell": {_cell_record(node.cell)}, "kind": "{node.kind}", '
         f'"parent": {"null" if parent is None else parent}, "stored": {"null" if stored is None else stored}}}'
     )
 
@@ -761,10 +759,10 @@ class QuadTree:
                 stack.extend(zip(reversed(node.children), repeat(k)))
         members["dim"] = str(self.dim)
         members["nodes"] = f"[{', '.join(records)}]"
-        members["points"] = f"[{', '.join(map(cell_record, self.points))}]"
+        members["points"] = f"[{', '.join(map(_cell_record, self.points))}]"
         if note is not None:
             members["annotations"] = f"[{', '.join(notes)}]"
-        return json_object(members)
+        return "{" + ", ".join(f'"{key}": {value}' for key, value in sorted(members.items())) + "}"
 
     def to_dict(self) -> dict:
         """The data :meth:`to_json` writes, parsed back: a fresh dict
@@ -895,36 +893,25 @@ class QuadTree:
 
     def _loaded_cell(self, spec, entry: str, k: int) -> CellId:
         """The cell ``[level, coords]`` of a loaded tree's entry ``k``, or
-        ``ValueError`` naming the entry: what :class:`CellId` takes (JSON
-        integers, no booleans) and :meth:`in_root` passes.  Anything but
-        a two-entry list fails to unpack or fails :class:`CellId`'s
-        checks, as JSON object keys and the items of a string are
-        strings.  A cell below :data:`DEEPEST_LEVEL` is refused too.
-
-        The checks run on the loaded ints first: a list of an int level
-        from :data:`DEEPEST_LEVEL` to 0 and a list of ``dim - 1`` ints
-        each in ``range(2 ** -level)`` is built with ``CellId.derived``.
-        Anything else goes through ``CellId(...)`` and :meth:`in_root`,
-        which raise the messages or accept what those checks passed
-        over, such as a tuple."""
-        if type(spec) is list and len(spec) == 2:
+        ``ValueError`` naming the entry: a list (or tuple) of an int
+        level and a list (or tuple) of ``dim - 1`` int coordinates,
+        booleans refused, inside the root shadow (:meth:`in_root`: a
+        level <= 0 and each coordinate in ``range(2 ** -level)``) and
+        no deeper than :data:`DEEPEST_LEVEL`.  Checked on the loaded
+        ints with shifts and built with ``CellId.derived``, which takes
+        what these checks passed."""
+        if type(spec) in _LOADED_SEQUENCES and len(spec) == 2:
             level, coords = spec
-            if type(level) is int and DEEPEST_LEVEL <= level <= 0 and type(coords) is list and len(coords) == self.dim - 1:
+            if type(level) is int and level <= 0 and type(coords) in _LOADED_SEQUENCES and len(coords) == self.dim - 1:
                 for c in coords:
                     if type(c) is not int or c >> -level:  # a negative c shifts to -1
                         break
                 else:
-                    return CellId.derived(level, tuple(coords))
-        try:
-            level, coords = spec
-            cell = CellId(level, tuple(coords))
-        except (TypeError, ValueError):
-            cell = None
-        if cell is None or not self.in_root(cell):
-            raise ValueError(f"{entry} {k}'s cell {spec!r} is no [level, {self.dim - 1} coordinates] of integers inside the root shadow")
-        if cell.level < DEEPEST_LEVEL:
-            raise ValueError(f"{entry} {k}'s cell {cell!r} lies below level {DEEPEST_LEVEL}, the deepest a tree takes")
-        return cell
+                    cell = CellId.derived(level, tuple(coords))
+                    if level < DEEPEST_LEVEL:
+                        raise ValueError(f"{entry} {k}'s cell {cell!r} lies below level {DEEPEST_LEVEL}, the deepest a tree takes")
+                    return cell
+        raise ValueError(f"{entry} {k}'s cell {spec!r} is no [level, {self.dim - 1} coordinates] of integers inside the root shadow")
 
 
 def build_quadtree(points: list[CellId]) -> QuadTree:

@@ -52,14 +52,13 @@ pair.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from operator import add
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
 from .metrics import d2_path, lambda_
-from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, cell_record, compressed_on_boundary, json_object, zorder_key
+from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder_key
 from .quadtree import box_adjacent  # noqa: F401  (bench/tracer.py wraps spanner.box_adjacent)
 from .shortcut import check_hop_budget, forest_height, shortcut_forest
 from .tiling import CellId, HPoint, center, collector_paused, is_ancestor_or_self, neighbor_offsets
@@ -132,35 +131,10 @@ class SpannerGraph:
             "edges": [[u, v, w] for u, v, w in self.edges],
         }
 
-    def to_json(self, **members: str) -> str:
-        """The graph as JSON text, written in one pass: byte for byte
-        ``json.dumps(self.to_dict(), sort_keys=True)``, plus ``members``,
-        top-level members whose values are JSON text already.  Each
-        vertex is one f-string record; coordinates, heights and weights
-        are finite ints and floats, which ``repr`` writes as json does.
-        """
-        records = []
-        for v in self.vertices:
-            cell, point, i = v.cell, v.point, v.input_index
-            records.append(
-                f'{{"cell": {"null" if cell is None else cell_record(cell)}, "id": {v.id}, '
-                f'"input_index": {"null" if i is None else i}, "kind": "{v.kind}", '
-                f'"point": {"null" if point is None else _point_record(point)}}}'
-            )
-        members["edges"] = f"[{', '.join([f'[{u}, {v}, {w!r}]' for u, v, w in self.edges])}]"
-        members["metric"] = json.dumps(self.metric)
-        members["vertices"] = f"[{', '.join(records)}]"
-        return json_object(members)
-
     def to_edge_list(self) -> str:
         """Plain `u v w` lines for external tools."""
         lines = [f"{u} {v} {w}" for u, v, w in self.edges]
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _point_record(p: HPoint) -> str:
-    """``{"x": [...], "z": z}`` as JSON text, as ``json.dumps`` writes it."""
-    return f'{{"x": {list(p.x)}, "z": {p.z!r}}}'
 
 
 def bridge_key(a: CellId, b: CellId) -> tuple:

@@ -7,9 +7,6 @@ writers built (``tests/reference.py``): for trees and indexes at D = 2-5
 from discrete and continuous inputs, for loaded indexes holding ``null``
 annotations, empty ``reps`` and an int transform scale, and for the
 index whose coordinate has the most digits a tree takes.
-:meth:`SpannerGraph.to_json` writes a spanner graph in one pass, byte
-for byte ``json.dumps(graph.to_dict(), sort_keys=True)`` with any extra
-members, for the three graph builds and for graphs of odd values.
 """
 
 import json
@@ -21,8 +18,7 @@ from hypothesis import strategies as st
 from halfspace.avd import AvdIndex, build_avd
 from halfspace.quadtree import DEEPEST_LEVEL, QuadTree, build_quadtree
 from halfspace.sampling import STRATIFIED, sample_cells, sample_continuous, sample_margin_cells
-from halfspace.spanner import INPUT, STEINER, SpannerGraph, build_embedding_graph, build_hyperbolic_spanner, build_spanner
-from halfspace.tiling import CellId, HPoint
+from halfspace.tiling import CellId
 
 from reference import avd_to_json, quadtree_to_dict
 
@@ -79,43 +75,3 @@ def test_index_at_deepest_level_with_the_largest_coordinate_writes_as_before():
     ix = build_avd([CellId(DEEPEST_LEVEL, (margin_top,)), CellId(-2, (1,))])
     assert_written_as_before(ix)
     assert_written_as_before(AvdIndex.from_json(ix.to_json()))
-
-
-# -- spanner graphs ------------------------------------------------------------
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 40), st.integers(0, 2**32), st.sampled_from(["spanner", "embedding", "hyperbolic"]))
-def test_spanner_text_equals_json_dumps_of_to_dict(dim, n, seed, what):
-    rng = random.Random(seed)
-    points = sample_continuous(rng, dim, n, mode=STRATIFIED, min_level=-20)
-    if what == "spanner":
-        graph = build_spanner(sample_margin_cells(rng, dim, n, min_level=-12))
-    elif what == "embedding":
-        graph = build_embedding_graph(points)[0]
-    else:
-        graph = build_hyperbolic_spanner(points, 2)
-    assert graph.to_json() == json.dumps(graph.to_dict(), sort_keys=True)
-
-
-_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**80), 2**80))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_spanner_text_of_odd_values_and_extra_members_equals_json_dumps(data):
-    graph = SpannerGraph(data.draw(st.sampled_from(["d1-weighted", "ln2-scaled", "hyperbolic"])))
-    axes = data.draw(st.integers(1, 3))
-    for _ in range(data.draw(st.integers(0, 6))):
-        level = data.draw(st.integers(-200, 0))
-        cell = data.draw(st.none() | st.lists(st.integers(0, (1 << -level) - 1), min_size=axes, max_size=axes).map(lambda ks: CellId(level, tuple(ks))))
-        point = data.draw(st.none() | st.builds(HPoint, st.tuples(*[_FINITE] * axes), st.floats(min_value=5e-324, allow_infinity=False)))
-        graph.add_vertex(data.draw(st.sampled_from([INPUT, STEINER])), cell, point, data.draw(st.none() | st.integers(0, 10**6)))
-    count = len(graph.vertices)
-    if count:
-        graph.edges = data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, count - 1), _FINITE), max_size=8))
-    members = {"input_vertex": list(range(count)), "transform": {"scale": 0.5, "shift": [-1, 2.5]}}
-    expected = {**graph.to_dict(), **members}
-    text = graph.to_json(**{key: json.dumps(value, sort_keys=True) for key, value in members.items()})
-    assert text == json.dumps(expected, sort_keys=True)
-    assert graph.to_json() == json.dumps(graph.to_dict(), sort_keys=True)

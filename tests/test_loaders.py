@@ -206,8 +206,8 @@ def test_loader_refuses_a_child_cell_outside_its_parent(k, cell, message):
 
 
 def test_loader_takes_a_tuple_cell_as_the_checked_loader():
-    # from_dict takes data from callers too; what the integer checks pass
-    # over goes through CellId(...), which takes a tuple
+    # from_dict takes data from callers too, and the checked loader's
+    # CellId(...) took a tuple cell
     data = build_avd([CellId(-2, (1,)), CellId(-3, (3,))]).tree.to_dict()
     data["points"][0] = tuple(data["points"][0])
     assert QuadTree.from_dict(data).to_json() == tree_from_dict_checked(data)[0].to_json()
