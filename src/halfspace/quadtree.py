@@ -6,8 +6,9 @@ such boxes (not raw points), so one input can sit above another.
 
 A tree is made from its *keys*: the input boxes, any boxes that must be
 nodes without storing an input (the AVD refinement's neighbor boxes),
-the root, and the ``meet`` of every two of them.  One rule gives each
-key its kind from the keys right below it (its key children):
+the root, and the join of every two of them, the lowest box holding
+both.  One rule gives each key its kind from the keys right below it
+(its key children):
 
 * ordinary -- two or more key children, or an input box with another
   input strictly below it.  All 2^(D-1) child cells are nodes, in
@@ -21,10 +22,12 @@ key its kind from the keys right below it (its key children):
 
 Every tree (base, refined, or grown by :meth:`QuadTree.insert_box`)
 comes from one iterative pass over its keys in Z-order, so its shape
-depends on the set of keys alone.  Nodes (:class:`QuadNode`) are
-slotted and link only down, to their children: a tree holds no
-reference cycle, so reference counting frees it, and passes that need
-a node's parent carry it on their own stacks.
+depends on the set of keys alone.  The pass sorts the keys by their
+Morton integers (the linear quadtree of Gargantini, 1982) and reads
+each join off the highest bit in which two neighbors' integers differ.
+Nodes (:class:`QuadNode`) are slotted and link only down, to their
+children: a tree holds no reference cycle, so reference counting frees
+it, and passes that need a node's parent carry it on their own stacks.
 
 One preorder pass (:meth:`QuadTree.neighbor_rows`) hands each node
 the topmost nodes holding inputs under its horizontal neighbor boxes
@@ -66,7 +69,7 @@ from dataclasses import dataclass, field
 from operator import add, itemgetter
 from typing import Callable, Iterable
 
-from .tiling import CellId, children, collector_paused, floor_scaled, is_ancestor_or_self, lift_pair, neighbor_offsets
+from .tiling import CellId, children, collector_paused, floor_scaled, is_ancestor_or_self, neighbor_offsets
 
 ORDINARY = "ordinary"
 COMPRESSED = "compressed"
@@ -225,24 +228,6 @@ def first_indices(points: list[CellId]) -> dict[CellId, int]:
     return index_of
 
 
-def meet(a: CellId, b: CellId) -> CellId:
-    """The lowest box whose shadow contains the shadows of both cells.
-
-    After lifting the lower cell, the ancestors ``s`` levels up agree
-    iff every ``x >> s == y >> s``, i.e. iff no coordinate pair differs
-    in a bit at or above ``s``: the highest differing bit gives ``s``.
-    Cells on opposite sides of zero in some axis have no common box.
-    """
-    level, ka, kb = lift_pair(a, b)
-    s = 0
-    for x, y in zip(ka, kb):
-        diff = x ^ y
-        if diff < 0:
-            raise ValueError(f"{a!r} and {b!r} share no ancestor")
-        s = max(s, diff.bit_length())
-    return CellId.derived(level + s, tuple([x >> s for x in ka]))
-
-
 @functools.cache
 def _bit_spread(axes: int) -> tuple[int, ...]:
     """Per byte value: its bits moved apart, bit ``b`` to bit ``b * axes``."""
@@ -349,9 +334,10 @@ class QuadTree:
     stores, so distance ties resolve to the smallest index everywhere
     downstream.  ``boxes`` must become nodes as well but store no input
     (the AVD refinement passes the neighbors of the occupied boxes).
-    Besides ``points`` the tree keeps ``dim``, ``root_cell`` and
-    ``root``, the nodes hanging below it; lookups by cell descend from
-    the root.  A point or box outside the root shadow or below
+    A tree holds ``dim``, ``points`` and ``root``, the node of
+    :func:`root_cell` with the nodes hanging below it, and the level
+    :meth:`locate` starts from; lookups by cell descend from the root.
+    A point or box outside the root shadow or below
     :data:`DEEPEST_LEVEL` raises ``ValueError`` naming it, and so does a
     dimension above :data:`MAX_DIM`, before anything of its size is made.
     """
@@ -361,12 +347,11 @@ class QuadTree:
             raise ValueError(f"dimension {dim} is above {MAX_DIM}, the highest a tree takes")
         self.dim = dim
         self.points = list(points)
-        self.root_cell = root_cell(dim)
         boxes = list(boxes)
         for box in itertools.chain(self.points, boxes):
             self._check_key(box)
         index_of = first_indices(self.points)
-        self._assemble(index_of, [self.root_cell, *index_of, *boxes])
+        self._assemble(index_of, [root_cell(dim), *index_of, *boxes])
 
     # -- construction -------------------------------------------------
 
@@ -374,39 +359,51 @@ class QuadTree:
         """Make ``cells``, the root among them, the key boxes of a fresh
         tree whose inputs' first indices are ``index_of``.
 
-        The keys, sorted in preorder of the dyadic tree
-        (:func:`zorder_key`), pass once through a stack holding the keys
-        above the last one.  The ``meet`` of each adjacent pair joins the
-        keys, between two stacked ones if new, and a key is linked below
-        the nearest key above it once its subtree, and so its input
-        count, is complete.  A top-down pass then sets the kinds by the
-        module's rule and gives each ordinary node its child cells, the
-        keys' slots read off coordinate bits.  O(n log n), no recursion.
+        The keys, sorted by :func:`zorder_key` into preorder of the
+        dyadic tree, pass once through a stack holding the keys above
+        the last one.  Adjacent keys join at their lowest common box:
+        their Morton integers, lifted to the lowest level ``low``, agree
+        above the highest differing bit, ``axes = D - 1`` bits per
+        level, so the join lies at the higher of the two levels or at
+        ``low + ceil(bit_length(z ^ z') / axes)``.  The previous key,
+        whose integer is the one kept, is the top of the stack; a join
+        that is no key yet goes in between two stacked keys, the one
+        cell the pass makes.  A key is linked below the nearest key
+        above it once its subtree, and so its input count, is complete.
+        A top-down pass then sets the kinds by the module's rule and
+        gives each ordinary node its child cells, the keys' slots read
+        off coordinate bits.  O(n log n), no recursion.
         """
         low = min(c.level for c in cells)
         self._locate_level = low - 1
-        order = sorted(set(cells), key=zorder_key(low, self.dim - 1))
+        axes = self.dim - 1
+        key = zorder_key(low, axes)
+        order = sorted([(*key(c), c) for c in set(cells)])  # distinct cells never tie on the key
 
         def link(up: QuadNode, down: QuadNode) -> None:
             up.children.append(down)
             up.count += down.count
 
         stack: list[QuadNode] = []
-        for cell in order:
+        z = 0  # the lifted Morton integer of stack[-1], the previous key
+        for zc, _, cell in order:
             i = index_of.get(cell)
             node = QuadNode(cell, LEAF, stored_index=i, count=0 if i is None else 1)
             if stack:
-                m = meet(stack[-1].cell, cell)
-                while len(stack) > 1 and stack[-2].cell.level <= m.level:
+                level = cell.level
+                lev = max(stack[-1].cell.level, level, low - (-(z ^ zc).bit_length() // axes))
+                while len(stack) > 1 and stack[-2].cell.level <= lev:
                     down = stack.pop()
                     link(stack[-1], down)
-                if stack[-1].cell.level != m.level:
-                    # no key lies at m: a key there would be on the stack,
-                    # so m is no input either
-                    up = QuadNode(m, LEAF)
+                if stack[-1].cell.level != lev:
+                    # no key lies at the join: a key there would be on the
+                    # stack, so the join is no input either
+                    s = lev - level
+                    up = QuadNode(CellId.derived(lev, tuple([k >> s for k in cell.coords])), LEAF)
                     link(up, stack[-1])
                     stack[-1] = up
             stack.append(node)
+            z = zc
         while len(stack) > 1:
             down = stack.pop()
             link(stack[-1], down)
@@ -818,7 +815,6 @@ class QuadTree:
             root = tree._loaded_cell(json_fields(node_specs[0], itemgetter("cell"), "node", 0), "node", 0)
             if root.level or any(root.coords):
                 raise ValueError(f"node 0 is the root and must be {root_cell(dim)!r}, got {root!r}")
-            tree.root_cell = root
             tree.points = points = [tree._loaded_cell(spec, "point", i) for i, spec in enumerate(point_specs)]
             index_of = first_indices(points)
             built: list[QuadNode] = []

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadNode, QuadTree, meet, root_cell, shadow_within
+from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadNode, QuadTree, root_cell, shadow_within
 from halfspace.tiling import CellId, ancestor_at, children, horizontal_neighbors
+
+from reference import meet
 
 
 @dataclass(eq=False, slots=True)
@@ -41,7 +43,6 @@ class ReferenceQuadTree(QuadTree):
     def __init__(self, dim: int, points: list[CellId]):
         self.dim = dim
         self.points = list(points)
-        self.root_cell = root_cell(dim)
         self._index_of: dict[CellId, int] = {}
         for i, c in enumerate(points):
             if c.dim != dim:
@@ -51,7 +52,7 @@ class ReferenceQuadTree(QuadTree):
             self._index_of.setdefault(c, i)
         distinct = sorted(self._index_of, key=self._index_of.get)
         self.nodes_by_cell: dict[CellId, QuadNode] = {}
-        self.root = self._build(self.root_cell, distinct)
+        self.root = self._build(root_cell(dim), distinct)
         self._refresh_counts()
 
     @classmethod

@@ -72,7 +72,7 @@ from halfspace.metrics import D2Path, _climb, d2_path, lambda_
 from halfspace.pointfile import CONTINUOUS, DISCRETE, PointFileError, _integer
 from halfspace.quadtree import COMPRESSED, DEEPEST_LEVEL, LEAF, ORDINARY, QuadNode, QuadTree, first_indices, is_index, json_fields, root_cell, shadow_within
 from halfspace.shortcut import ShortcutSet
-from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, horizontal_neighbors, level_of_height, parent
+from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, horizontal_neighbors, level_of_height, lift_pair, parent
 
 
 def d1_climb(p: CellId, q: CellId) -> int:
@@ -113,18 +113,25 @@ def d2_path_climb(p: CellId, q: CellId) -> D2Path:
     return D2Path(p, q, a, b, has_bridge=True)
 
 
-def meet_climb(a: CellId, b: CellId) -> CellId:
-    """The lowest common box, climbing one level at a time.
+def meet(a: CellId, b: CellId) -> CellId:
+    """The lowest box whose shadow contains the shadows of both cells.
 
-    Reference for :func:`halfspace.quadtree.meet`.
+    After lifting the lower cell, the ancestors ``s`` levels up agree
+    iff every ``x >> s == y >> s``, i.e. iff no coordinate pair differs
+    in a bit at or above ``s``: the highest differing bit gives ``s``.
+    Cells on opposite sides of zero in some axis have no common box.
+
+    The quadtree's old per-pair meet, kept as the reference for the
+    joins the Z-order build reads off Morton integers.
     """
-    if a.level < b.level:
-        a = ancestor_at(a, b.level)
-    elif b.level < a.level:
-        b = ancestor_at(b, a.level)
-    while a != b:
-        a, b = parent(a), parent(b)
-    return a
+    level, ka, kb = lift_pair(a, b)
+    s = 0
+    for x, y in zip(ka, kb):
+        diff = x ^ y
+        if diff < 0:
+            raise ValueError(f"{a!r} and {b!r} share no ancestor")
+        s = max(s, diff.bit_length())
+    return CellId.derived(level + s, tuple([x >> s for x in ka]))
 
 
 def zorder_key_format(low: int, axes: int):
@@ -1138,7 +1145,6 @@ def tree_from_dict_checked(data: dict):
         root = loaded_cell_checked(tree, json_fields(node_specs[0], itemgetter("cell"), "node", 0), "node", 0)
         if root.level or any(root.coords):
             raise ValueError(f"node 0 is the root and must be {root_cell(dim)!r}, got {root!r}")
-        tree.root_cell = root
         tree.points = points = [loaded_cell_checked(tree, spec, "point", i) for i, spec in enumerate(point_specs)]
         index_of = first_indices(points)
         built: list[QuadNode] = []

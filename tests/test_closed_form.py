@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from halfspace.avd import AvdIndex, refine
 from halfspace.metrics import d1, d2, d2_path
-from halfspace.quadtree import ORDINARY, QuadTree, build_quadtree, meet
+from halfspace.quadtree import ORDINARY, QuadTree, build_quadtree
 from halfspace.sampling import sample_margin_cells
-from halfspace.tiling import CellId, ancestor_at, children, lift_pair
+from halfspace.tiling import CellId, ancestor_at, children
 
 from conftest import random_cell_in_root
-from reference import d1_climb, d2_path_climb, meet_climb, smallest_containing_climb, smallest_containing_general
+from reference import d1_climb, d2_path_climb, smallest_containing_climb, smallest_containing_general
 
 MIN_LEVEL = -1074  # the deepest level a float height reaches
 
@@ -73,20 +73,6 @@ def test_metric_kernel_matches_climb(pair):
     assert d1(p, q) == d1_climb(p, q)
 
 
-@settings(max_examples=300, deadline=None)
-@given(cell_pairs())
-def test_meet_matches_climb(pair):
-    p, q = pair
-    _, a, b = lift_pair(p, q)
-    if any((x < 0) != (y < 0) for x, y in zip(a, b)):
-        # opposite signs in some axis: no common ancestor, and the
-        # climb would never stop
-        with pytest.raises(ValueError):
-            meet(p, q)
-        return
-    assert meet(p, q) == meet_climb(p, q)
-
-
 def test_near_power_of_two_examples():
     # differences of 2^e and 2^e + 1 put the bit-length start one level
     # below or at the answer
@@ -97,7 +83,6 @@ def test_near_power_of_two_examples():
             p, q = CellId(-1074, (1 << 1073,)), CellId(-1074, ((1 << 1073) + diff,))
             assert d2_path(p, q) == d2_path_climb(p, q), diff
             assert d1(p, q) == d1_climb(p, q), diff
-            assert meet(p, q) == meet_climb(p, q), diff
 
 
 # -- point location ---------------------------------------------------------
@@ -206,10 +191,11 @@ def test_ordinary_children_keep_children_order(dim):
 
 class CellBuilds:
     """Counts :class:`CellId` constructions while installed, checked
-    (``CellId(...)``) and trusted (``CellId.derived``) alike."""
+    (``CellId(...)``) and trusted (``CellId.derived``) alike; ``trusted``
+    counts the trusted ones alone."""
 
     def __init__(self, monkeypatch):
-        self.n = 0
+        self.n = self.trusted = 0
         original = CellId.__post_init__
         original_derived = CellId.derived
 
@@ -219,6 +205,7 @@ class CellBuilds:
 
         def counted_derived(level, coords):
             self.n += 1
+            self.trusted += 1
             return original_derived(level, coords)
 
         monkeypatch.setattr(CellId, "__post_init__", counted)
@@ -240,10 +227,8 @@ def test_metric_kernel_builds_constant_cells_at_depth_1000(monkeypatch):
     assert builds.during(d2, p, q) == 0
     assert builds.during(d2, p, up) == 0
     assert builds.during(d2_path, p, q) <= 2
-    assert builds.during(meet, p, q) <= 1
     # the references climb one level at a time, so the patch is live
     assert builds.during(d1_climb, p, q) > 500
-    assert builds.during(meet_climb, p, q) > 500
 
 
 def test_smallest_containing_builds_no_cells_down_a_400_level_chain(monkeypatch):

@@ -15,8 +15,13 @@ Every import sits at the top of its module, where the import graph can
 be read at a glance: an ``import`` inside a function fails the third
 check.
 
-The fourth check reads ``tests/*.py``: every name a top-level import
-binds (``__future__`` aside) must be read somewhere in the file.
+The fourth check reads ``tests/*.py`` and ``src/halfspace/*.py``:
+every name a top-level import binds (``__future__`` aside) must be read
+somewhere in the file.  A module's ``__all__`` counts as reading the
+names it lists (the package's re-exports), and a library module
+imports the functions ``bench/tracer.py`` wraps in it by name so the
+tracer can patch them there (``spanner.box_adjacent``): those names
+need no reader.
 
 The collector's switches are process-global, so one module owns them:
 the fifth check fails on a call of ``gc.disable``, ``gc.enable``,
@@ -35,6 +40,8 @@ from a name ``graph``.
 
 import ast
 from pathlib import Path
+
+from test_tracer_contract import _tracer_names
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "halfspace"
 
@@ -176,9 +183,10 @@ def test_check_flags_function_imports(tmp_path):
 TESTS = Path(__file__).resolve().parent
 
 
-def unused_imports(path: Path) -> list[str]:
+def unused_imports(path: Path, exempt: frozenset[str] = frozenset()) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     bound = {}  # name -> line of the top-level import binding it
+    used = set(exempt)
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -186,12 +194,24 @@ def unused_imports(path: Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    used.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
     return [f"{path.name}:{line} imports {name}, never used" for name, line in bound.items() if name not in used]
 
 
 def test_no_unused_imports_in_tests():
     found = [v for path in sorted(TESTS.glob("*.py")) for v in unused_imports(path)]
+    assert not found, "\n".join(found)
+
+
+def test_no_unused_imports_in_the_package():
+    traced = _tracer_names()["FUNCTIONS"]
+    found = [
+        v
+        for path in sorted(PACKAGE.glob("*.py"))
+        for v in unused_imports(path, frozenset(fname for modname, fname, _kind in traced if modname == path.stem))
+    ]
     assert not found, "\n".join(found)
 
 
@@ -203,6 +223,8 @@ def test_check_flags_unused_imports(tmp_path):
         "import os.path\n"
         "import random as rnd\n"
         "from halfspace.tiling import CellId, HPoint\n"
+        "from .quadtree import lift_pair, shadow_within, box_adjacent\n"
+        "__all__ = ['shadow_within']\n"
         "@rnd.seed\n"
         "def f(c: CellId, math=None):\n"
         "    return rnd.random()\n"
@@ -211,7 +233,10 @@ def test_check_flags_unused_imports(tmp_path):
         "m.py:2 imports math, never used",
         "m.py:3 imports os, never used",
         "m.py:5 imports HPoint, never used",
+        "m.py:6 imports lift_pair, never used",
+        "m.py:6 imports box_adjacent, never used",
     ]
+    assert unused_imports(src, frozenset({"box_adjacent"}))[-1] == "m.py:6 imports lift_pair, never used"
 
 
 GC_SWITCHES = {"disable", "enable", "collect", "freeze", "set_threshold"}

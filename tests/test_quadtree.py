@@ -15,7 +15,6 @@ from halfspace.quadtree import (
     ORDINARY,
     QuadTree,
     build_quadtree,
-    meet,
     root_cell,
     shadow_within,
 )
@@ -23,6 +22,7 @@ from halfspace.sampling import sample_margin_cells
 from halfspace.tiling import CellId, HPoint, cell_of, children
 
 from conftest import random_cell_in_root
+from reference import meet
 
 
 def C(level, *coords):
@@ -101,12 +101,6 @@ def test_root_cell():
     assert root_cell(3) == C(0, 0, 0)
     with pytest.raises(ValueError):
         root_cell(1)
-
-
-def test_meet():
-    assert meet(C(-2, 0), C(-2, 3)) == C(0, 0)
-    assert meet(C(-3, 1), C(-1, 0)) == C(-1, 0)
-    assert meet(C(-1, 0), C(-1, 0)) == C(-1, 0)
 
 
 def test_single_point_tree():

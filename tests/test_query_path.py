@@ -124,7 +124,7 @@ def test_in_root_matches_shadow_within(seed):
         level = rng.choice([rng.randint(MIN_LEVEL, 0), rng.randint(-8, 2)])
         axes = rng.choice([dim - 1, dim - 1, dim - 1, rng.randint(1, 4)])
         cell = CellId(level, random_coords(rng, axes, level))
-        assert tree.in_root(cell) == shadow_within(cell, tree.root_cell), cell
+        assert tree.in_root(cell) == shadow_within(cell, tree.root.cell), cell
 
 
 @st.composite

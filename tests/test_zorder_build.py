@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from halfspace.avd import build_avd, query_hyperbolic, refine
 from halfspace.hyperbolic import normalize_and_embed
-from halfspace.quadtree import COMPRESSED, LEAF, ORDINARY, QuadTree, build_quadtree, zorder_key
+from halfspace.quadtree import COMPRESSED, DEEPEST_LEVEL, LEAF, MAX_DIM, ORDINARY, QuadTree, build_quadtree, root_cell, zorder_key
 from halfspace.sampling import sample_margin_cells
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
 from halfspace.tiling import CellId, HPoint, ancestor_at
 
 from conftest import random_cell_in_root
 from quadtree_reference import ReferenceQuadTree, reference_refine, shape
-from reference import vertical_edges_climb, zorder_key_format
+from reference import meet, vertical_edges_climb, zorder_key_format
 from test_boundary_search import stacked_sets
 from test_closed_form import CellBuilds
 
@@ -28,14 +28,18 @@ def C(level, *coords):
 
 
 @st.composite
-def random_sets(draw):
-    """Random boxes at D = 2..4 with repeats, often around a nested
-    chain (every level, or every few levels, of one deep box)."""
-    dim = draw(st.integers(2, 4))
+def random_sets(draw, max_dim=4):
+    """Random boxes at D = 2..``max_dim`` with repeats, often around a
+    nested chain (every level, or every few levels, of one deep box).
+    Above D = 4, where an ordinary node has 16 or more children, the
+    sets are smaller and the chains shallower."""
+    dim = draw(st.integers(2, max_dim))
+    small = dim > 4
     rng = random.Random(draw(st.integers(0, 2**32)))
-    cells = [random_cell_in_root(rng, dim, min_level=-draw(st.integers(1, 12))) for _ in range(draw(st.integers(0, 14)))]
+    n = draw(st.integers(0, 6 if small else 14))
+    cells = [random_cell_in_root(rng, dim, min_level=-draw(st.integers(1, 12))) for _ in range(n)]
     if draw(st.booleans()):
-        deep = random_cell_in_root(rng, dim, min_level=-60)
+        deep = random_cell_in_root(rng, dim, min_level=-16 if small else -60)
         cells.extend(ancestor_at(deep, lev) for lev in range(deep.level, 1, draw(st.integers(1, 4))))
     if cells:
         cells.extend(rng.choice(cells) for _ in range(draw(st.integers(0, 3))))
@@ -46,11 +50,86 @@ def random_sets(draw):
 # -- the build ----------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
-@given(random_sets())
+@settings(max_examples=200, deadline=None)
+@given(random_sets(max_dim=MAX_DIM))
 def test_build_matches_reference_on_random_sets(data):
     dim, cells, _ = data
     assert shape(QuadTree(dim, cells)) == shape(ReferenceQuadTree(dim, cells))
+
+
+def _joined(dim, a, b, join):
+    """The tree of inputs ``a`` and ``b``, checked against the recursive
+    build, with ``join`` (their lowest common box, worked out by hand)
+    a node."""
+    assert meet(a, b) == join
+    tree = QuadTree(dim, [a, b])
+    assert shape(tree) == shape(ReferenceQuadTree(dim, [a, b]))
+    assert tree.node_for(join).cell == join
+    return tree
+
+
+@pytest.mark.parametrize(
+    "a, b, join",
+    [
+        # D = 3, two bits per level: the lifted keys' xor has 6 bits
+        # (first axis, bit 2), so the join is 6 / 2 levels up; 7 bits
+        # (last axis, bit 3) round up to 4 levels
+        (C(-6, 40, 9), C(-6, 44, 9), C(-3, 5, 1)),
+        (C(-6, 40, 9), C(-6, 40, 1), C(-2, 2, 0)),
+        # the same bits with one key higher up, lifted to the lower one
+        (C(-6, 40, 9), C(-4, 11, 2), C(-3, 5, 1)),
+        (C(-6, 40, 9), C(-5, 20, 0), C(-2, 2, 0)),
+        # D = 5, four bits per level: 8 bits (first axis, bit 1) and
+        # 9 bits (last axis, bit 2)
+        (C(-5, 7, 19, 3, 30), C(-5, 5, 19, 3, 30), C(-3, 1, 4, 0, 7)),
+        (C(-5, 7, 19, 3, 30), C(-5, 7, 19, 3, 26), C(-2, 0, 2, 0, 3)),
+        # keys differing only in the last axis, in its lowest bit
+        (C(-4, 5, 6), C(-4, 5, 7), C(-3, 2, 3)),
+        (C(-4, 5, 6, 9, 1), C(-4, 5, 6, 9, 0), C(-3, 2, 3, 4, 0)),
+    ],
+)
+def test_join_at_the_bit_length_ceiling(a, b, join):
+    tree = _joined(a.dim, a, b, join)
+    assert tree.node_for(join).kind == ORDINARY
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_join_of_an_ancestor_and_its_descendant_is_the_ancestor(dim, monkeypatch):
+    up, down = C(-2, *[1] * (dim - 1)), C(-5, *[9] * (dim - 1))
+    tree = _joined(dim, up, down, up)
+    assert [n.cell for n in tree.iter_nodes()].count(up) == 1
+    # the ancestor's child cells and no join node
+    builds = CellBuilds(monkeypatch)
+    QuadTree(dim, [up, down])
+    assert builds.trusted == 1 << (dim - 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_join_of_the_deepest_corners_is_the_root(dim):
+    top = (1 << -DEEPEST_LEVEL) - 1
+    a, b = C(DEEPEST_LEVEL, *[0] * (dim - 1)), C(DEEPEST_LEVEL, *[top] * (dim - 1))
+    tree = _joined(dim, a, b, root_cell(dim))
+    assert tree.root.kind == ORDINARY
+    kids = tree.root.children
+    assert [ch.kind for ch in (kids[0], kids[-1])] == [COMPRESSED, COMPRESSED]
+    assert (kids[0].children[0].cell, kids[-1].children[0].cell) == (a, b)
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_joins_at_near_power_of_two_differences(axis):
+    """Differences of 2^e and 2^e + 1 put the highest differing bit just
+    below or at a level boundary, at D = 2 (``axis`` None) and in either
+    axis at D = 3."""
+    base = 1 << 1073
+    for e in (0, 1, 2, 5, 100, 1000):
+        for diff in ((1 << e) - 1, 1 << e, (1 << e) + 1, (4 << e) + 1, (5 << e) - 1, 5 << e):
+            if axis is None:
+                p, q = C(-1074, base), C(-1074, base + diff)
+            else:
+                other = [base, base]
+                other[axis] += diff
+                p, q = C(-1074, base, base), C(-1074, *other)
+            _joined(p.dim, p, q, meet(p, q))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -213,12 +292,39 @@ def test_build_1074_nested_continuous_inputs():
     _check_edges_against_climb(build_spanner(normalize_and_embed(pts)[2]))
 
 
-def test_build_constructs_at_most_4_cells_per_box_down_a_400_level_chain(monkeypatch):
-    """Cost guard: one meet per adjacent pair and the child cells of each
-    ordinary node, not a regrouping per level."""
+def _chain_400():
     x = (1 << 399) + 0x5A5A5
-    chain = [CellId(-lev, (x >> (400 - lev),)) for lev in range(1, 401)]
+    return [CellId(-lev, (x >> (400 - lev),)) for lev in range(1, 401)]
+
+
+def test_build_constructs_at_most_4_cells_per_box_down_a_400_level_chain(monkeypatch):
+    """Cost guard: the child cells of each ordinary node and the join
+    nodes, not a regrouping per level."""
+    chain = _chain_400()
     builds = CellBuilds(monkeypatch)
     assert builds.during(build_quadtree, chain) <= 4 * len(chain)
     # the recursive build regroups every box below each level
     assert builds.during(ReferenceQuadTree, 2, chain) > 50 * len(chain)
+
+
+@pytest.mark.parametrize(
+    "dim, cells, made",
+    [
+        (2, _chain_400(), 798),
+        (3, sample_margin_cells(random.Random(11), 3, 128), None),
+    ],
+    ids=["chain-400", "margin-d3-128"],
+)
+def test_build_makes_only_child_cells_and_joins(dim, cells, made, monkeypatch):
+    """Cost guard: besides the root cell a build makes 2^(D-1) cells per
+    ordinary node and one per join node it adds, and none per pair of
+    Z-order neighbors."""
+    builds = CellBuilds(monkeypatch)
+    tree = build_quadtree(cells)
+    n = builds.trusted
+    keys = {*cells, root_cell(dim)}
+    ordinary = [node for node in tree.iter_nodes() if node.kind == ORDINARY]
+    joins = sum(1 for node in ordinary if node.cell not in keys)
+    assert n == (len(ordinary) << (dim - 1)) + joins
+    if made is not None:
+        assert n == made
