@@ -399,7 +399,7 @@ def query(ix: AvdIndex, q: CellId) -> int:
         return ix.highest_index
     if not node.reps:
         raise ValueError(f"region {node.cell!r} carries no representatives")
-    return d2_argmin(q, ix.points, node.reps)
+    return d2_argmin(q, ix.tree.points, node.reps)
 
 
 def query_hyperbolic(ix: AvdIndex, q: HPoint) -> int:

@@ -7,12 +7,13 @@ inequality can fail) but never exceeds ``d1 + 2``, and between any two
 cells there is a unique d2-path: an up-run, at most one horizontal
 "bridge" move, and a down-run.
 
-Both are computed in closed form on the raw coordinates.  The lower
-cell is lifted to the other's level L (one shift per coordinate); with
-``a`` and ``b`` the two coordinate tuples there, the ancestors ``s``
-levels further up are ``a >> s`` and ``b >> s``, at horizontal distance
+Both are computed in closed form on the cells' own coordinate tuples
+``a`` and ``b``, read in place.  With ``sa`` and ``sb`` the shifts that
+lift them to the higher of the two levels (one is 0, the other the
+level gap), the ancestors ``s`` levels above it are ``a >> (sa + s)``
+and ``b >> (sb + s)``, at horizontal distance
 
-    lambda(s) = max_j |(a_j >> s) - (b_j >> s)|.
+    lambda(s) = max_j |(a_j >> (sa + s)) - (b_j >> (sb + s))|.
 
 The d2-path climbs to the smallest ``s`` with lambda(s) <= 1 and d1's
 normal form (up-run, at most four horizontal moves, down-run) to the
@@ -20,7 +21,7 @@ smallest ``s`` with lambda(s) <= 4; both lengths then follow from the
 level gap, ``s`` and lambda(s).  Shifting halves a difference up to
 rounding, lambda(s+1) <= (lambda(s) + 1) // 2, so once a threshold
 t >= 1 holds it keeps holding and the smallest ``s`` can be searched
-from any lower bound upwards.  With Delta = max_j |a_j - b_j| every
+from any lower bound upwards.  With Delta = lambda(0) every
 lambda(s) lies between floor(Delta / 2^s) and ceil(Delta / 2^s).  The
 search starts at the smallest ``s`` with floor(Delta / 2^s) <= t,
 which is the bit length of Delta // (t + 1).  There Delta is below
@@ -28,15 +29,15 @@ which is the bit length of Delta // (t + 1).  There Delta is below
 every t >= 1: at most one fix-up shift follows.  This is the shift-and-compare trick of Chan,
 "Closest-point problems simplified on the RAM" (SODA 2002): a metric
 evaluation is a constant number of big-integer operations however many
-levels apart the cells are, and builds no cell except the apexes a
-:class:`D2Path` returns.
+levels apart the cells are, and builds no lifted tuple and no cell
+but the apexes a :class:`D2Path` returns.
 
 In the hyperbolic plane (D = 2) a cell has one coordinate, Delta is one
 ``abs`` and lambda(s) one shift pair, so :func:`d2_argmin`, which serves
 every AVD query, runs that case as scalar integer code: one lift shift,
 the start ``s``, and at most the one fix-up shift.  It picks the case
 from the coordinate count it reads anyway, the same count that makes a
-per-coordinate list and loop pure overhead; D >= 3 keeps the loop.
+per-coordinate loop pure overhead; D >= 3 keeps the in-place loop.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
-from .tiling import CellId, is_ancestor_or_self, lift_pair, parent
+from .tiling import CellId, is_ancestor_or_self, parent
 
 
 @dataclass(frozen=True)
@@ -103,22 +104,27 @@ def lambda_(p: CellId, q: CellId) -> int:
     return max(abs(a - b) for a, b in zip(p.coords, q.coords))
 
 
-def _climb(a: tuple[int, ...], b: tuple[int, ...], t: int) -> tuple[int, int]:
+def _climb(a: tuple[int, ...], b: tuple[int, ...], sa: int, sb: int, t: int) -> tuple[int, int]:
     """The smallest shift s >= 0 with lambda(s) <= t, and lambda(s).
 
-    Starts at the lower bound from Delta (see the module docstring) and
-    shifts up while the threshold fails, at most once.
+    ``a``, ``b`` are the cells' own coordinates and ``sa``, ``sb`` their
+    lifting shifts (module docstring).  Returns Delta = lambda(0) if it
+    meets ``t``, else starts at the lower bound from Delta and shifts up
+    while the threshold fails, at most once.
     """
     delta = 0
     for x, y in zip(a, b):
-        v = abs(x - y)
+        v = abs((x >> sa) - (y >> sb))
         if v > delta:
             delta = v
+    if delta <= t:
+        return 0, delta
     s = (delta // (t + 1)).bit_length()
     while True:
+        u, w = sa + s, sb + s
         lam = 0
         for x, y in zip(a, b):
-            v = abs((x >> s) - (y >> s))
+            v = abs((x >> u) - (y >> w))
             if v > lam:
                 lam = v
         if lam <= t:
@@ -134,9 +140,10 @@ def d1(p: CellId, q: CellId) -> int:
     lockstep (two moves per level) while the horizontal distance
     exceeds 4, and cross the rest horizontally.
     """
-    _, a, b = lift_pair(p, q)
-    s, lam = _climb(a, b, 4)
-    return abs(p.level - q.level) + 2 * s + lam
+    _check_same_dim(p, q)
+    gap = q.level - p.level
+    s, lam = _climb(p.coords, q.coords, gap, 0, 4) if gap > 0 else _climb(p.coords, q.coords, 0, -gap, 4)
+    return abs(gap) + 2 * s + lam
 
 
 def d2_path(p: CellId, q: CellId) -> D2Path:
@@ -146,38 +153,40 @@ def d2_path(p: CellId, q: CellId) -> D2Path:
     two ancestors are equal (ancestor/descendant case, no bridge) or
     horizontal neighbors (the bridge, found at the lowest such level).
     """
-    level, a, b = lift_pair(p, q)
-    s, lam = _climb(a, b, 1)
+    _check_same_dim(p, q)
+    gap = q.level - p.level
+    sp, sq, top = (gap, 0, q) if gap > 0 else (0, -gap, p)
+    s, lam = _climb(p.coords, q.coords, sp, sq, 1)
     if lam == 0:
         # only at s == 0: above it lambda(s - 1) >= 2 forces
         # lambda(s) >= 1 (distinct children of one cell are horizontal
         # neighbors), so a climb stops at 1 before the chains can merge
-        top = p if p.level >= q.level else q
         return D2Path(p, q, top, top, has_bridge=False)
-    apex_p = CellId.derived(level + s, tuple([x >> s for x in a]))
-    apex_q = CellId.derived(level + s, tuple([y >> s for y in b]))
+    apex_p = CellId.derived(top.level + s, tuple([x >> (sp + s) for x in p.coords]))
+    apex_q = CellId.derived(top.level + s, tuple([y >> (sq + s) for y in q.coords]))
     return D2Path(p, q, apex_p, apex_q, has_bridge=True)
 
 
 def d2(p: CellId, q: CellId) -> int:
     """Length of the d2-path between p and q: up to the apex level, one
     bridge move if the apexes differ, and down."""
-    level, a, b = lift_pair(p, q)
-    s, lam = _climb(a, b, 1)
-    return 2 * (level + s) - p.level - q.level + lam
+    _check_same_dim(p, q)
+    gap = q.level - p.level
+    s, lam = _climb(p.coords, q.coords, gap, 0, 1) if gap > 0 else _climb(p.coords, q.coords, 0, -gap, 1)
+    return abs(gap) + 2 * s + lam
 
 
 def d2_argmin(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> int:
     """The ``i`` in ``indices`` minimizing ``(d2(q, cells[i]), i)``.
 
     The AVD's one argmin: a query over its region's representatives and
-    the annotation over a node's candidates.  ``indices`` is a nonempty
-    list or set.  A single candidate is returned without evaluating
-    anything.  Otherwise each candidate costs one :func:`_climb` on the
-    coordinates, the lower cell's lifted in place: no :func:`d2` or
-    :func:`~halfspace.tiling.lift_pair` call and no cell is made.
-    Raises ``ValueError`` on a dimension mismatch of an evaluated
-    candidate.
+    the annotation over a node's candidates.  ``indices`` is a list or
+    set.  A single candidate is returned without evaluating anything.
+    Otherwise each candidate costs one :func:`_climb` on ``q``'s and the
+    candidate's own coordinate tuples, the level gap passed as a shift:
+    no :func:`d2` call, and no lifted tuple or cell is made.  Raises
+    ``ValueError`` on empty ``indices`` and on a dimension mismatch of
+    an evaluated candidate.
 
     With one coordinate (D = 2, read off ``q``) the climb is scalar: one
     lift shift, the start ``t`` = bit length of ``|a - b| // 2``, and at
@@ -187,6 +196,8 @@ def d2_argmin(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> i
     if len(indices) == 1:
         (only,) = indices
         return only
+    if not indices:
+        raise ValueError(f"no candidates to rank for the query {q!r}")
     lq, kq = q.level, q.coords
     axes = len(kq)
     best = best_i = None
@@ -217,7 +228,7 @@ def d2_argmin(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> i
         if len(kc) != axes:
             raise ValueError(f"dimension mismatch: {q.dim} vs {c.dim}")
         s = c.level - lq
-        t, lam = _climb([k >> s for k in kq] if s > 0 else kq, [k >> -s for k in kc] if s < 0 else kc, 1)
+        t, lam = _climb(kq, kc, s, 0, 1) if s > 0 else _climb(kq, kc, 0, -s, 1)
         dist = 2 * t + lam + abs(s)  # d2: the level gap, t levels up and down, lam across
         if best is None or dist < best or (dist == best and i < best_i):
             best, best_i = dist, i

@@ -637,15 +637,16 @@ class QuadTree:
         where the first axis is the most significant bit of the index,
         so the child holding ``box`` is read off the coordinates' bits
         at the child's level.  The descent builds no cell and hashes
-        nothing: one shift and one mask per coordinate and node passed.
-        ``box`` must pass :meth:`in_root`; the callers check that first.
+        nothing: per coordinate, one shift and one mask at an ordinary
+        node and one shift and one compare with the child's coordinate,
+        in place, at a compressed node.  ``box`` must pass
+        :meth:`in_root`; the callers check that first.
 
         With one coordinate (D = 2, read off ``box``) the step is scalar:
         an ordinary node's child is ``children[(k >> s) & 1]``, and a
         compressed node's test is one shift and one compare against its
-        child's coordinate, with no loop and no :func:`shadow_within`.
-        It relies on the tree's shape, which construction and
-        :meth:`from_dict` guarantee.
+        child's coordinate, with no loop.  It relies on the tree's shape,
+        which construction and :meth:`from_dict` guarantee.
         """
         node = self.root
         level, coords = box.level, box.coords
@@ -668,7 +669,11 @@ class QuadTree:
                 return node
             if node.kind == COMPRESSED:
                 child = node.children[0]
-                if shadow_within(box, child.cell):
+                s = child.cell.level - level
+                if s >= 0:
+                    for k, x in zip(coords, child.cell.coords):
+                        if k >> s != x:
+                            return node
                     node = child
                     continue
                 return node

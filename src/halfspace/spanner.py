@@ -259,9 +259,9 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
     bottoms, found by the climb :func:`~halfspace.metrics.d2_argmin`
     runs at D = 2: lift the lower bottom with one shift, start at
     ``t`` = bit length of ``|a - b| // 2`` and shift once more if the
-    ancestors there are still 2 or more apart.  That is
-    :func:`~halfspace.metrics._climb` with threshold 1 on one
-    coordinate, whose start ``(delta // 2).bit_length()`` is the same
+    ancestors there are still 2 or more apart, as the one-axis case of
+    :func:`~halfspace.metrics._climb` (threshold 1, the level gap as a
+    shift) does: its start ``(delta // 2).bit_length()`` is the same
     number, so the apexes ``a >> t`` and ``b >> t`` at level ``L + t``
     are those of :func:`~halfspace.metrics.d2_path`.
 

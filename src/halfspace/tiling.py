@@ -283,23 +283,6 @@ def is_ancestor_or_self(a: CellId, c: CellId) -> bool:
     return True
 
 
-def lift_pair(p: CellId, q: CellId) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The higher of the two cells' levels and both cells' coordinates there.
-
-    The lower cell's ancestor at that level is taken with one shift per
-    coordinate, and no cell is built.  Raises ``ValueError`` when the
-    dimensions differ.
-    """
-    if len(p.coords) != len(q.coords):
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    s = q.level - p.level
-    if s > 0:
-        return q.level, tuple([k >> s for k in p.coords]), q.coords
-    if s < 0:
-        return p.level, p.coords, tuple([k >> -s for k in q.coords])
-    return p.level, p.coords, q.coords
-
-
 @contextlib.contextmanager
 def collector_paused():
     """Run the block with Python's cyclic garbage collector paused.

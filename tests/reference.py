@@ -2,9 +2,14 @@
 
 Level-by-level climbs and descents, one cell per level, for ``d1``,
 the d2-path, ``meet``, point location and the spanner's vertical edges
-(``*_climb``); the point location, the d2 argmin and the bridge pass
-that loop over the coordinates at every dimension, which the one-axis
-steps for D = 2 must match (``smallest_containing_general``,
+(``*_climb``); the lift of the lower cell to the other's level as new
+coordinate tuples (``lift_pair``) and the closed-form climb on such
+lifted tuples (``_climb``), which the in-place climb of
+:mod:`halfspace.metrics` must match; the point location (with
+:func:`shadow_within` at compressed nodes), the d2 argmin (on lifted
+tuples) and the bridge pass that loop over the coordinates at every
+dimension, which the one-axis steps for D = 2 (and the in-place steps
+above it) must match (``smallest_containing_general``,
 ``d2_argmin_general``, ``enumerate_bridges_general``), the last with the
 all-pairs neighbor check ``bridge_candidate`` that the per-axis child
 extents of both bridge passes must match;
@@ -68,11 +73,55 @@ from typing import TextIO
 from halfspace.avd import AvdIndex
 from halfspace.hyperbolic import NormalizeTransform, _rescaled_distance
 from halfspace.metrics import d2 as d2_fast
-from halfspace.metrics import D2Path, _climb, d2_path, lambda_
+from halfspace.metrics import D2Path, d2_path, lambda_
 from halfspace.pointfile import CONTINUOUS, DISCRETE, PointFileError, _integer
 from halfspace.quadtree import COMPRESSED, DEEPEST_LEVEL, LEAF, ORDINARY, QuadNode, QuadTree, first_indices, is_index, json_fields, root_cell, shadow_within
 from halfspace.shortcut import ShortcutSet
-from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, horizontal_neighbors, level_of_height, lift_pair, parent
+from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, horizontal_neighbors, level_of_height, parent
+
+
+def lift_pair(p: CellId, q: CellId) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The higher of the two cells' levels and both cells' coordinates there.
+
+    The lower cell's ancestor at that level is taken with one shift per
+    coordinate, and no cell is built.  Raises ``ValueError`` when the
+    dimensions differ.
+    """
+    if len(p.coords) != len(q.coords):
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    s = q.level - p.level
+    if s > 0:
+        return q.level, tuple([k >> s for k in p.coords]), q.coords
+    if s < 0:
+        return p.level, p.coords, tuple([k >> -s for k in q.coords])
+    return p.level, p.coords, q.coords
+
+
+def _climb(a: tuple[int, ...], b: tuple[int, ...], t: int) -> tuple[int, int]:
+    """The smallest shift s >= 0 with max_j |(a_j >> s) - (b_j >> s)| <= t,
+    and that maximum, on coordinates already lifted to one level.
+
+    Starts at the lower bound from Delta (see the
+    :mod:`halfspace.metrics` docstring) and shifts up while the
+    threshold fails, at most once.  Reference for
+    :func:`halfspace.metrics._climb`, which reads both cells'
+    coordinates in place.
+    """
+    delta = 0
+    for x, y in zip(a, b):
+        v = abs(x - y)
+        if v > delta:
+            delta = v
+    s = (delta // (t + 1)).bit_length()
+    while True:
+        lam = 0
+        for x, y in zip(a, b):
+            v = abs((x >> s) - (y >> s))
+            if v > lam:
+                lam = v
+        if lam <= t:
+            return s, lam
+        s += 1
 
 
 def d1_climb(p: CellId, q: CellId) -> int:
@@ -186,7 +235,8 @@ def smallest_containing_general(tree, box: CellId):
     compressed node, at every dimension.
 
     Reference for the one-axis step of
-    :meth:`halfspace.quadtree.QuadTree.smallest_containing`.
+    :meth:`halfspace.quadtree.QuadTree.smallest_containing` and for its
+    compressed step above D = 2, which compares coordinates in place.
     """
     from halfspace.quadtree import COMPRESSED, LEAF, shadow_within
 
@@ -210,10 +260,11 @@ def smallest_containing_general(tree, box: CellId):
 
 def d2_argmin_general(q: CellId, cells: Sequence[CellId], indices: Collection[int]) -> int:
     """The ``i`` in ``indices`` minimizing ``(d2(q, cells[i]), i)``, with
-    one :func:`~halfspace.metrics._climb` on coordinate lists per
-    candidate at every dimension.
+    one :func:`_climb` on the lifted coordinates per candidate at every
+    dimension.
 
-    Reference for the one-axis loop of :func:`halfspace.metrics.d2_argmin`.
+    Reference for :func:`halfspace.metrics.d2_argmin`: its one-axis loop
+    at D = 2 and its in-place climb above.
     """
     if len(indices) == 1:
         (only,) = indices

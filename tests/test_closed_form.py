@@ -1,7 +1,8 @@
 """The closed-form metric kernel and the bit-indexed point location
 against the level-by-level references in ``reference.py`` (and, for
-the one-axis step at D = 2, against the coordinate loop), plus cost
-guards that count cell constructions."""
+the one-axis step at D = 2, against the coordinate loop), the in-place
+climb against the climb on lifted tuples, at D = 2..8, plus cost
+guards that count cell constructions and lifted copies."""
 
 import random
 
@@ -9,21 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfspace import metrics
 from halfspace.avd import AvdIndex, refine
-from halfspace.metrics import d1, d2, d2_path
-from halfspace.quadtree import ORDINARY, QuadTree, build_quadtree
+from halfspace.metrics import d1, d2, d2_argmin, d2_path
+from halfspace.quadtree import MAX_DIM, ORDINARY, QuadTree, build_quadtree
 from halfspace.sampling import sample_margin_cells
 from halfspace.tiling import CellId, ancestor_at, children
 
 from conftest import random_cell_in_root
-from reference import d1_climb, d2_path_climb, smallest_containing_climb, smallest_containing_general
+from reference import _climb, d1_climb, d2_path_climb, lift_pair, smallest_containing_climb, smallest_containing_general
 
 MIN_LEVEL = -1074  # the deepest level a float height reaches
 
 
 @st.composite
 def cell_pairs(draw):
-    """Pairs of cells at D = 2..4, levels down to -1074.
+    """Pairs of cells at D = 2..8, levels down to -1074.
 
     Kinds: equal cells, ancestor pairs, horizontal neighbors, unrelated
     cells at mixed levels over a shared stretch, and pairs whose
@@ -31,7 +33,7 @@ def cell_pairs(draw):
     puts the largest difference just above or below a power of two
     (and around the thresholds 1 and 4 after ``e`` shifts).
     """
-    axes = draw(st.integers(1, 3))
+    axes = draw(st.integers(1, MAX_DIM - 1))
     kind = draw(st.sampled_from(["equal", "ancestor", "neighbor", "mixed", "near_power"]))
     level = draw(st.integers(MIN_LEVEL, 4))
     bits = draw(st.integers(0, max(0, -level) + 3))
@@ -71,6 +73,10 @@ def test_metric_kernel_matches_climb(pair):
     assert d2_path(p, q) == path
     assert d2(p, q) == path.length
     assert d1(p, q) == d1_climb(p, q)
+    _, a, b = lift_pair(p, q)
+    gap = q.level - p.level
+    for t in (1, 2, 4):
+        assert metrics._climb(p.coords, q.coords, max(gap, 0), max(-gap, 0), t) == _climb(a, b, t)
 
 
 def test_near_power_of_two_examples():
@@ -90,19 +96,28 @@ def test_near_power_of_two_examples():
 
 @st.composite
 def trees_and_boxes(draw):
-    """A tree over random boxes (some on nested chains), with a few boxes
-    inserted, and boxes to locate at D = 2..4."""
-    dim = draw(st.integers(2, 4))
+    """A tree over random boxes (some on nested chains down to level
+    -1074), with a few boxes inserted, and boxes to locate at D = 2..8:
+    random cells down to -1074, nodes, and cells below nodes.  Above
+    D = 4, where an ordinary node has 16 or more children, the sets are
+    smaller and the chains sparser."""
+    dim = draw(st.integers(2, MAX_DIM))
+    small = dim > 4
     rng = random.Random(draw(st.integers(0, 2**32)))
-    cells = [random_cell_in_root(rng, dim, min_level=-draw(st.integers(1, 40))) for _ in range(draw(st.integers(1, 12)))]
+    cells = [random_cell_in_root(rng, dim, min_level=-draw(st.integers(1, 40))) for _ in range(draw(st.integers(1, 6 if small else 12)))]
     if draw(st.booleans()):
-        deep = random_cell_in_root(rng, dim, min_level=-60)
-        cells.extend(ancestor_at(deep, lev) for lev in range(deep.level, 1, 3))
+        deep = random_cell_in_root(rng, dim, min_level=draw(st.sampled_from([-60, MIN_LEVEL])))
+        step = draw(st.integers(3, 6)) * (40 if small else 4 if deep.level < -60 else 1)
+        cells.extend(ancestor_at(deep, lev) for lev in range(deep.level, 1, step))
     tree = build_quadtree(cells)
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 3 if small else 6))):
         tree.insert_box(random_cell_in_root(rng, dim, min_level=-30))
-    boxes = [random_cell_in_root(rng, dim, min_level=-70) for _ in range(20)]
-    boxes += [n.cell for n in tree.iter_nodes()][:20]
+    boxes = [random_cell_in_root(rng, dim, min_level=MIN_LEVEL) for _ in range(20)]
+    nodes = [n.cell for n in tree.iter_nodes()]
+    boxes += nodes[:20]
+    for c in rng.sample(nodes, min(len(nodes), 10)):
+        r = rng.randint(1, c.level - MIN_LEVEL)
+        boxes.append(CellId(c.level - r, tuple((k << r) + rng.randrange(1 << r) for k in c.coords)))
     return tree, boxes
 
 
@@ -111,7 +126,9 @@ def trees_and_boxes(draw):
 def test_smallest_containing_matches_climb(data):
     tree, boxes = data
     for box in boxes:
-        assert tree.smallest_containing(box) is smallest_containing_climb(tree, box)
+        want = smallest_containing_climb(tree, box)
+        assert tree.smallest_containing(box) is want
+        assert smallest_containing_general(tree, box) is want
 
 
 @st.composite
@@ -229,6 +246,35 @@ def test_metric_kernel_builds_constant_cells_at_depth_1000(monkeypatch):
     assert builds.during(d2_path, p, q) <= 2
     # the references climb one level at a time, so the patch is live
     assert builds.during(d1_climb, p, q) > 500
+
+
+def test_metric_kernel_climbs_on_the_cells_own_coordinates(monkeypatch):
+    """Cost guard: at D = 3..8 every climb of ``d1``, ``d2``,
+    ``d2_path`` and ``d2_argmin`` gets both cells' own coordinate
+    tuples, above, below and at the other's level: no lifted copy."""
+    seen = []
+    original = metrics._climb
+
+    def spy(a, b, *rest):
+        seen.append((a, b))
+        return original(a, b, *rest)
+
+    monkeypatch.setattr(metrics, "_climb", spy)
+    rng = random.Random(31)
+    for dim in range(3, MAX_DIM + 1):
+        q = random_cell_in_root(rng, dim, min_level=-40)
+        cells = [random_cell_in_root(rng, dim, min_level=-40) for _ in range(8)]
+        cells += [CellId(q.level, tuple(k ^ 1 for k in q.coords)), ancestor_at(q, q.level + 3), CellId(q.level - 5, tuple(k << 5 for k in q.coords))]
+        assert {(c.level > q.level) - (c.level < q.level) for c in cells} == {-1, 0, 1}
+        for c in cells:
+            for fn in (d1, d2, d2_path):
+                seen.clear()
+                fn(q, c)
+                assert len(seen) == 1 and seen[0][0] is q.coords and seen[0][1] is c.coords, (fn, q, c)
+        seen.clear()
+        d2_argmin(q, cells, list(range(len(cells))))
+        assert len(seen) == len(cells)
+        assert all(a is q.coords and b is c.coords for (a, b), c in zip(seen, cells))
 
 
 def test_smallest_containing_builds_no_cells_down_a_400_level_chain(monkeypatch):

@@ -3,13 +3,15 @@
 ``query`` and ``query_hyperbolic`` are checked against their copies in
 ``reference.py`` (one ``d2`` per representative, a moved ``HPoint`` per
 continuous query), ``d2_argmin`` against the plain ``min`` over
-``(d2, index)`` and, for D = 2, against the coordinate loop it
-skips (``reference.d2_argmin_general``), and ``QuadTree.in_root`` against ``shadow_within`` of
-the root cell; cost guards count the cells and points a query builds.
+``(d2, index)`` and against the climb on lifted coordinate tuples at
+D = 2..8 (``reference.d2_argmin_general``), and ``QuadTree.in_root``
+against ``shadow_within`` of the root cell; cost guards count the
+cells and points a query builds.
 """
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from halfspace.avd import AvdIndex, build_avd, query, query_hyperbolic
 from halfspace.hyperbolic import NormalizeTransform
 from halfspace.metrics import d2, d2_argmin
-from halfspace.quadtree import shadow_within
+from halfspace.quadtree import MAX_DIM, shadow_within
 from halfspace.sampling import sample_margin_cells
 from halfspace.tiling import CellId, HPoint, ancestor_at
 
@@ -129,9 +131,9 @@ def test_in_root_matches_shadow_within(seed):
 
 @st.composite
 def argmin_cases(draw):
-    """A query cell and candidates at D = 2..4 on levels down to -1074,
+    """A query cell and candidates at D = 2..8 on levels down to -1074,
     repeated cells included, with the indices as a list or a set."""
-    axes = draw(st.integers(1, 3))
+    axes = draw(st.integers(1, MAX_DIM - 1))
     rng = random.Random(draw(st.integers(0, 2**32)))
     top = draw(st.integers(MIN_LEVEL, 2))
     low = draw(st.integers(MIN_LEVEL, top))
@@ -153,7 +155,9 @@ def argmin_cases(draw):
 @given(argmin_cases())
 def test_d2_argmin_matches_min(case):
     q, cells, indices = case
-    assert d2_argmin(q, cells, indices) == min((d2(q, cells[i]), i) for i in indices)[1]
+    want = min((d2(q, cells[i]), i) for i in indices)[1]
+    assert d2_argmin(q, cells, indices) == want
+    assert reference.d2_argmin_general(q, cells, indices) == want
 
 
 @st.composite
@@ -221,6 +225,12 @@ def test_d2_argmin_single_candidate_evaluates_nothing():
     assert d2_argmin(CellId(-3, (1,)), [CellId(-2, (1, 1))], {0}) == 0
     with pytest.raises(ValueError):
         d2_argmin(CellId(-3, (1,)), [CellId(-2, (1,)), CellId(-2, (1, 1))], [0, 1])
+
+
+def test_d2_argmin_empty_indices_raises():
+    for q, cells, indices in ((CellId(-2, (1, 1)), [CellId(-2, (1, 1))], []), (CellId(-2, (1,)), [CellId(-2, (1,))], set())):
+        with pytest.raises(ValueError, match=re.escape(repr(q))):
+            d2_argmin(q, cells, indices)
 
 
 def test_d2_argmin_ties_to_smallest_index():

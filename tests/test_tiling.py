@@ -16,11 +16,10 @@ from halfspace.tiling import (
     horizontal_neighbors,
     is_ancestor_or_self,
     level_of_height,
-    lift_pair,
     parent,
 )
 
-from reference import contains_point, floor_scaled_ratio
+from reference import contains_point, floor_scaled_ratio, lift_pair
 
 cells = st.builds(
     CellId,
