@@ -3,7 +3,9 @@
 Construction: build the compressed quadtree of the input cells, refine
 it by building a second tree whose nodes also include the horizontal
 neighbors of every occupied box (for compressed nodes both the outer
-and the inner box contribute; one Z-order build, no insertions), then
+and the inner box contribute; the boxes are gathered as integer tuples
+in one set, one cell is made per distinct box, and one Z-order build
+takes them, with no insertions), then
 annotate the refined tree bottom-up with the highest input per subtree
 and top-down with the nearest input to every box center.  The top-down
 pass reads the nodes under each box's horizontal neighbors from
@@ -24,7 +26,9 @@ hands each refined node's boundary candidates down to its children and
 searches only below the node's own box, never from the root, so a
 nested chain costs a constant per level.  The search is the pruned
 boundary descent :func:`~halfspace.quadtree.compressed_on_boundary`,
-which the spanner's bridge search shares.  A query
+which the spanner's bridge search shares; at an ordinary node each
+candidate is tested once against the whole block of children
+(:func:`~halfspace.quadtree.block_meets`), not once per child.  A query
 locates its region and takes the exact-d2 argmin over representatives,
 ties to the smallest input index: one region descent, one closed-form
 climb per representative beyond the first
@@ -48,13 +52,14 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import asdict, dataclass
+from itertools import product
 from operator import itemgetter
 
 from .hyperbolic import NormalizeTransform, normalize_and_embed
 from .metrics import d2_argmin
 from .pointfile import CONTINUOUS, DISCRETE
-from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, are_indices, compressed_on_boundary, is_index, json_fields, meets_boundary, shadow_within
-from .tiling import CellId, HPoint, collector_paused, horizontal_neighbors
+from .quadtree import COMPRESSED, ORDINARY, QuadNode, QuadTree, are_indices, block_meets, compressed_on_block, compressed_on_boundary, is_index, json_fields, meets_boundary, shadow_within
+from .tiling import CellId, HPoint, collector_paused
 
 _MARGIN_NOTE = "input x-projections must lie in [1/4, 1/2] per axis"
 
@@ -92,15 +97,27 @@ def refine(tree: QuadTree) -> QuadTree:
 
     One build over the inputs plus those boxes; the input tree is left
     untouched.  Boxes that would leave the root shadow are skipped: the
-    [1/4, 1/2] margin precondition makes them empty anyway.
+    [1/4, 1/2] margin precondition makes them empty anyway.  The boxes
+    are gathered as ``(level, coords)`` integer tuples in one set, per
+    axis only the neighbor coordinates in ``range(2 ** -level)`` (the
+    test of :meth:`QuadTree.in_root`), and one cell is made per distinct
+    box.
     """
     if not tree.points:
         raise ValueError("refinement needs a nonempty point set")
     for c in tree.points:
         if not _within_margin(c):
             raise ValueError(f"{c!r} violates the margin precondition: {_MARGIN_NOTE}")
-    boxes = {nb for node in tree.iter_nodes() if node.count > 0 for nb in horizontal_neighbors(node.cell)}
-    return QuadTree(tree.dim, tree.points, [nb for nb in boxes if tree.in_root(nb)])
+    boxes = set()
+    add = boxes.add
+    for node in tree.iter_nodes():
+        if node.count:
+            level, coords = node.cell.level, node.cell.coords
+            top = 1 << -level
+            for nb in product(*[[x for x in (k - 1, k, k + 1) if 0 <= x < top] for k in coords]):
+                if nb != coords:
+                    add((level, nb))
+    return QuadTree(tree.dim, tree.points, [CellId.derived(level, nb) for level, nb in boxes])
 
 
 def annotate(tree: QuadTree) -> None:
@@ -133,10 +150,13 @@ def annotate(tree: QuadTree) -> None:
         if node is not root:
             # n2_index holds the parent's n2 until the node is visited
             candidates = {node.n2_index, node.h_index}
+            add = candidates.add
             last = None
             for row in rows:
                 if row is not last:  # a gap's shared empty rows are read once
-                    candidates.update(t.h_index for t in row if t is not None)
+                    for t in row:
+                        if t is not None:
+                            add(t.h_index)
                     last = row
             candidates.discard(None)
             node.n2_index = d2_argmin(node.cell, points, candidates)
@@ -189,6 +209,23 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
       alone, so its inside descent is skipped;
     * B(R') is R' when R' is unrefined, and B(R) otherwise.
 
+    At an ordinary R the children form a block of 2^(D-1) boxes, and
+    each outside node and each node a descent from a start reaches is
+    tested once against the whole block (:func:`block_meets`, a bitmask
+    of the children whose closed box it meets) instead of once per
+    child with :func:`meets_boundary`.  That is exact because every
+    such node is interior-disjoint from the children it is tested
+    against: an outside node lies outside R's box, and a start, with
+    every node below it, lies in one child, its home, whose bit the
+    descent (:func:`compressed_on_block`) drops.  For a box
+    interior-disjoint from a child, meeting the child's closed box is
+    meeting its boundary, since a point of the box inside the child's
+    open interior would put part of the box's interior there.  The
+    starts lie in distinct children: they
+    are the child cells of an ordinary unrefined node, or one node.  A
+    compressed R has one child and keeps :func:`meets_boundary`, as does
+    the home child's inside descent (:func:`compressed_on_boundary`).
+
     Nothing descends from the root: per node the work is the boundary
     nodes carried from the parent plus the descents below its box, so a
     nested chain costs a constant per level.
@@ -205,23 +242,57 @@ def select_representatives(refined: QuadTree, base: QuadTree) -> None:
             node.reps = [node.n2_index]
         else:
             reps = {node.n2_index}
+            add = reps.add
             if node.kind == COMPRESSED and node.children[0].h_index is not None:
-                reps.add(node.children[0].h_index)
-            reps.update(nu.h_index for nu in outside)
-            reps.update(nu.h_index for nu in inside)
+                add(node.children[0].h_index)
+            for nu in outside:
+                add(nu.h_index)
+            for nu in inside:
+                add(nu.h_index)
             if not own and low.kind == COMPRESSED and low.count:
-                reps.add(low.h_index)
+                add(low.h_index)
             node.reps = sorted(reps)
-        if not node.children:
+        kids = node.children
+        if not kids:
             continue
         if own or (low.kind == COMPRESSED and shadow_within(low.children[0].cell, box)):
             starts = low.children
         else:
-            starts = []
-        for child in node.children:
+            starts = ()
+        if node.kind == ORDINARY:
+            # one test per node against the whole block of children
+            outs: list[list[QuadNode]] = [[] for _ in kids]
+            homes: list[QuadNode | None] = [None] * len(kids)
+            for nu in outside:
+                m = block_meets(nu.cell, box)
+                i = 0
+                while m:
+                    if m & 1:
+                        outs[i].append(nu)
+                    m >>= 1
+                    i += 1
+            lev = box.level - 1
+            for s in starts:
+                t = lev - s.cell.level
+                i = 0
+                for k in s.cell.coords:
+                    i = (i << 1) | ((k >> t) & 1)
+                compressed_on_block(s, box, i, outs)
+                homes[i] = s  # the starts lie in distinct children
+            for child, out2, s in zip(kids, outs, homes):
+                in2: list[QuadNode] = []
+                below = low
+                if s is not None:
+                    if child.kind != ORDINARY:
+                        compressed_on_boundary(s, child.cell, in2)
+                    if s.cell.level == lev:
+                        below = s  # the child is an unrefined node
+                stack.append((child, out2, in2, below, below is not low))
+        else:
+            (child,) = kids
             c = child.cell
             out2 = [nu for nu in outside if meets_boundary(nu.cell, c)]
-            in2: list[QuadNode] = []
+            in2 = []
             below = low
             for s in starts:
                 if not shadow_within(s.cell, c):

@@ -54,9 +54,12 @@ shape, which every build and :meth:`QuadTree.from_dict` check.  D >= 3
 keeps the loop.
 
 The predicates on dyadic boxes (containment, adjacency, touching a
-boundary) live here as well, with the one pruned descent along a box's
-boundary (:func:`compressed_on_boundary`) that both the spanner's
-bridge search and the AVD's representatives pass use.
+boundary, and :func:`block_meets`, which tests a box against all the
+children of another at once) live here as well, with the one pruned
+descent along a box's boundary (:func:`compressed_on_boundary`) that
+both the spanner's bridge search and the AVD's representatives pass
+use, and its form for a whole block of children
+(:func:`compressed_on_block`).
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from dataclasses import dataclass, field
 from operator import add, itemgetter
 from typing import Callable, Iterable
 
-from .tiling import CellId, children, collector_paused, floor_scaled, is_ancestor_or_self, neighbor_offsets
+from .tiling import CellId, collector_paused, floor_scaled, is_ancestor_or_self, neighbor_offsets
 
 ORDINARY = "ordinary"
 COMPRESSED = "compressed"
@@ -166,6 +169,95 @@ def compressed_on_boundary(start: QuadNode, box: CellId, out: list) -> None:
             if nu.kind == COMPRESSED:
                 out.append(nu)
             todo.extend(nu.children)
+
+
+@functools.cache
+def _slot_bits(axes: int) -> tuple[tuple[int, ...], ...]:
+    """Per child slot of a box, in :func:`~halfspace.tiling.children`
+    order, the bit it adds to each doubled coordinate."""
+    return tuple(itertools.product((0, 1), repeat=axes))
+
+
+def _halves_masks(axes: int) -> tuple[tuple[int, ...], ...]:
+    """Per axis and per set of halves of a box's interval on it (bit 0
+    the lower half, bit 1 the upper), the bitmask of the box's children,
+    bit ``i`` for child ``i`` in :func:`~halfspace.tiling.children`
+    order, whose interval on that axis is one of those halves."""
+    slots = _slot_bits(axes)
+    return tuple(tuple(sum(1 << i for i, b in enumerate(slots) if h >> b[j] & 1) for h in range(4)) for j in range(axes))
+
+
+# _halves_masks per coordinate count, for block_meets
+_HALVES = tuple(_halves_masks(axes) for axes in range(MAX_DIM))
+
+
+def block_meets(box: CellId, parent: CellId) -> int:
+    """The bitmask of the children of ``parent`` whose closed shadow the
+    closed shadow of ``box`` meets: bit ``i`` for child ``i`` in
+    :func:`~halfspace.tiling.children` order.
+
+    Closed boxes meet iff their intervals meet on every axis.  Per axis
+    the test reads which halves of the parent's interval ``box``'s
+    meets, in units of the smaller of ``box`` and a child, and a table
+    (:func:`_halves_masks`) turns that into a mask of children; the
+    result is the AND over the axes.  Where ``box`` is interior-disjoint
+    from a child, meeting the child's closed shadow is meeting its
+    boundary (a point of ``box`` in the child's open interior would put
+    part of ``box``'s interior there), and where ``box`` contains the
+    child both hold.  So a bit agrees with :func:`meets_boundary` for
+    every child that does not strictly contain ``box``: one call in
+    place of one :func:`meets_boundary` per child.
+    """
+    masks = _HALVES[len(parent.coords)]
+    s = box.level - parent.level + 1  # box's level above the children's
+    m = -1
+    if s >= 0:  # in units of a child
+        w = 1 << s
+        for ka, kp, halves in zip(box.coords, parent.coords, masks):
+            lo = ka << s
+            mid = 2 * kp + 1  # where the two halves meet
+            if lo > mid + 1 or lo + w < mid - 1:
+                return 0
+            m &= halves[(lo <= mid) | (lo + w >= mid) << 1]
+    else:  # in units of box
+        s = -s
+        w = 1 << s
+        for ka, kp, halves in zip(box.coords, parent.coords, masks):
+            mid = (2 * kp + 1) << s
+            if ka > mid + w or ka + 1 < mid - w:
+                return 0
+            m &= halves[(ka <= mid) | (ka + 1 >= mid) << 1]
+    return m
+
+
+def compressed_on_block(start: QuadNode, parent: CellId, home: int, outs: list[list]) -> None:
+    """:func:`compressed_on_boundary` from ``start`` for every child of
+    ``parent`` but child ``home``, which holds ``start``, in one descent:
+    append to ``outs[i]`` the occupied compressed nodes on or below
+    ``start`` whose closed box meets the boundary of child ``i``.
+
+    Every node below ``start`` lies in child ``home`` and so is
+    interior-disjoint from the other children, for which
+    :func:`block_meets` reads meeting the boundary: one test per node
+    against the whole block.  Meeting a child is monotone upward in the
+    tree, so the descent enters a node exactly when some child is met,
+    as the per-child descents together do.
+    """
+    away = ~(1 << home)
+    todo = [start]
+    while todo:
+        nu = todo.pop()
+        if nu.count:
+            m = block_meets(nu.cell, parent) & away
+            if m:
+                if nu.kind == COMPRESSED:
+                    i = 0
+                    while m:
+                        if m & 1:
+                            outs[i].append(nu)
+                        m >>= 1
+                        i += 1
+                todo.extend(nu.children)
 
 
 # What a loaded cell and its coordinates may be: JSON gives lists, and
@@ -296,7 +388,7 @@ def _block_plan(axes: int) -> tuple[tuple, tuple]:
             slot = (slot << 1) | (x & 1)
         where[v] = len(block)
         block.append((v, position[tuple([x >> 1 for x in v])], slot))
-    slots = list(itertools.product((0, 1), repeat=axes))
+    slots = _slot_bits(axes)
     for i, b in enumerate(slots):
         where[b] = len(block) + i
     takes = tuple(itemgetter(*[where[tuple(map(add, b, off))] for off in offsets]) for b in slots)
@@ -372,17 +464,18 @@ class QuadTree:
         above it once its subtree, and so its input count, is complete.
         A top-down pass then sets the kinds by the module's rule and
         gives each ordinary node its child cells, the keys' slots read
-        off coordinate bits.  O(n log n), no recursion.
+        off coordinate bits.  It makes a cell only for a slot it keeps
+        a new node in: a new compressed node over a lower key, at the
+        key's coordinates shifted to the child level, or an empty leaf,
+        at the doubled parent coordinates plus the slot's bits.  A key
+        right at the child level is the child itself.  So a build makes
+        one cell per node that is no key.  O(n log n), no recursion.
         """
         low = min(c.level for c in cells)
         self._locate_level = low - 1
         axes = self.dim - 1
         key = zorder_key(low, axes)
         order = sorted([(*key(c), c) for c in set(cells)])  # distinct cells never tie on the key
-
-        def link(up: QuadNode, down: QuadNode) -> None:
-            up.children.append(down)
-            up.count += down.count
 
         stack: list[QuadNode] = []
         z = 0  # the lifted Morton integer of stack[-1], the previous key
@@ -394,21 +487,25 @@ class QuadTree:
                 lev = max(stack[-1].cell.level, level, low - (-(z ^ zc).bit_length() // axes))
                 while len(stack) > 1 and stack[-2].cell.level <= lev:
                     down = stack.pop()
-                    link(stack[-1], down)
+                    up = stack[-1]
+                    up.children.append(down)
+                    up.count += down.count
                 if stack[-1].cell.level != lev:
                     # no key lies at the join: a key there would be on the
                     # stack, so the join is no input either
                     s = lev - level
-                    up = QuadNode(CellId.derived(lev, tuple([k >> s for k in cell.coords])), LEAF)
-                    link(up, stack[-1])
-                    stack[-1] = up
+                    down = stack[-1]
+                    stack[-1] = QuadNode(CellId.derived(lev, tuple([k >> s for k in cell.coords])), LEAF, children=[down], count=down.count)
             stack.append(node)
             z = zc
         while len(stack) > 1:
             down = stack.pop()
-            link(stack[-1], down)
+            up = stack[-1]
+            up.children.append(down)
+            up.count += down.count
 
         self.root = stack[0]
+        bits = _slot_bits(axes)
         todo = [self.root]
         while todo:
             node = todo.pop()
@@ -416,20 +513,25 @@ class QuadTree:
             if len(below) > 1 or (node.stored_index is not None and node.count > 1):
                 node.kind = ORDINARY
                 lev = node.cell.level - 1
-                slots: list[QuadNode | None] = [None] * (1 << (self.dim - 1))
+                kids: list[QuadNode | None] = [None] * len(bits)
                 for key in below:
+                    coords = key.cell.coords
                     s = lev - key.cell.level
+                    if s:
+                        # a compressed node over the key, at the child cell
+                        coords = tuple([k >> s for k in coords])
+                        key = QuadNode(CellId.derived(lev, coords), COMPRESSED, children=[key], count=key.count)
                     i = 0
-                    for k in key.cell.coords:
-                        i = (i << 1) | ((k >> s) & 1)
-                    slots[i] = key
-                node.children = []
-                for cc, child in zip(children(node.cell), slots):
-                    if child is None:
-                        child = QuadNode(cc, LEAF)
-                    elif child.cell.level < lev:
-                        child = QuadNode(cc, COMPRESSED, children=[child], count=child.count)
-                    node.children.append(child)
+                    for k in coords:
+                        i = (i << 1) | (k & 1)
+                    kids[i] = key
+                if len(below) < len(kids):
+                    # the slots no key reaches are empty leaves
+                    doubled = [k << 1 for k in node.cell.coords]
+                    for i, kid in enumerate(kids):
+                        if kid is None:
+                            kids[i] = QuadNode(CellId.derived(lev, tuple(map(add, doubled, bits[i]))), LEAF)
+                node.children = kids
             elif below:
                 node.kind = COMPRESSED
             todo.extend(node.children)
@@ -499,9 +601,11 @@ class QuadTree:
         block, slices = _block_plan(axes)
         empty = [None] * (1 << axes)  # the children of a gap's box one level up
 
-        def find(row, first, lev):
+        def find(row, first, lev, kids):
             # the block around the children of a box with the given row,
-            # its first child at coordinates first on level lev
+            # its first child at coordinates first on level lev, followed
+            # by the box's children kids that hold an input (None for the
+            # others)
             out = []
             append = out.append
             for v, u, slot in block:
@@ -518,6 +622,8 @@ class QuadTree:
                         if not t.count or tuple([k >> s for k in t.cell.coords]) != tuple(map(add, first, v)):
                             t = None  # t is empty or lies in another child of the parent box
                 append(t)
+            for kid in kids:
+                append(kid if kid.count else None)
             return out
 
         stack = [(self.root, [[None] * (3**axes - 1)])]
@@ -527,8 +633,7 @@ class QuadTree:
             kids = node.children
             if node.kind == ORDINARY:
                 # each child's row is one slice of the block and the children
-                src = find(rows[0], kids[0].cell.coords, node.cell.level - 1)
-                src += [kid if kid.count else None for kid in kids]
+                src = find(rows[0], kids[0].cell.coords, node.cell.level - 1, kids)
                 for child, take in zip(reversed(kids), reversed(slices)):
                     stack.append((child, [take(src)]))
             elif kids:
@@ -545,7 +650,7 @@ class QuadTree:
                         k >>= s
                         p = (p << 1) | (k & 1)
                         first.append(k & -2)
-                    src = find(row, first, lev)
+                    src = find(row, first, lev, ())
                     src += empty
                     row = slices[p](src)
                     below.append(row)

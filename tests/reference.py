@@ -19,9 +19,11 @@ annotation, the representatives (with their region predicates
 interval overlap, ``box_adjacent_overlap``) and the spanner
 bridges (``*_scan``); the pruned boundary descent from the root
 (``compressed_on_boundary_from_root``) and the representatives by one
-such descent per region (``select_representatives_descent``), which the
-carried boundary sets of :func:`halfspace.avd.select_representatives`
-must match region for region; the AVD queries with one ``d2`` per
+such descent per region (``select_representatives_descent``) or by the
+carried pass with one boundary test per child
+(``select_representatives_per_child``), which the carried boundary sets
+of :func:`halfspace.avd.select_representatives`, tested once per block
+of children, must match region for region; the AVD queries with one ``d2`` per
 representative and a moved ``HPoint`` per continuous query (``query``,
 ``query_hyperbolic``); the recursive separator shortcutting
 (``shortcut_forest`` with ``solve``); and the hop-bounded
@@ -525,6 +527,103 @@ def select_representatives_descent(refined, base) -> None:
             if not shadow_within(node.cell, nu.children[0].cell):
                 reps.add(nu.h_index)
         node.reps = sorted(reps)
+
+
+def select_representatives_per_child(refined, base) -> None:
+    """Attach representative input indices to every refined node.
+
+    Reference for :func:`halfspace.avd.select_representatives`: the
+    carried pass with one :func:`meets_boundary` test per child for each
+    carried outside node and one :func:`compressed_on_boundary` descent
+    per child from each start, where the library tests each such node
+    once against an ordinary node's whole block of children.
+
+    An ordinary region keeps its node's nearest input alone.  A leaf or
+    compressed region R keeps that input, its child's highest input when
+    R is compressed (bridges landing inside R's own gap), and the
+    highest input of every occupied compressed node nu of the unrefined
+    tree whose box meets the boundary of R's box and whose child box does
+    not contain R: nu's gap can host the far end of a query's bridge.
+
+    The rule is exact: it gives the sets of the region-adjacency test,
+    which also counts the nodes touching a compressed R's inner box I
+    from inside.  Refinement only adds keys, so every node of the unrefined
+    tree is a node of the refined one, and none lies under a leaf R or
+    in a compressed R's annulus.  A node inside I touching the boundary
+    of I away from that of R would put its horizontal neighbor across
+    that face, which refinement makes a node, in the annulus; so every
+    such node meets R's boundary, except I itself, whose highest input R
+    keeps already (as does a node whose box is R).
+
+    The candidates come from one top-down pass over the refined tree.
+    For each node R it carries the occupied compressed unrefined nodes
+    whose closed box meets R's boundary without strictly containing R's
+    box, split into those outside R's box and those inside it, and
+    B(R), the lowest unrefined node containing R's box.  Of the nodes
+    containing R's box only B(R) can have a child box missing R, so
+    B(R) is the one container a region may keep.  For a refined child
+    R' of R:
+
+    * a node outside R's box that meets the closed box of R' touches R,
+      so it is among R's outside nodes, and stays if it meets the
+      boundary of R';
+    * the nodes inside R's box lie under the unrefined nodes right below
+      it: R's own children when R is unrefined, else B(R)'s child if it
+      lies inside R.  No unrefined node lies strictly between R' and R,
+      so each of these lies, with its subtree, inside R' or outside it.
+      A pruned descent from each (:func:`compressed_on_boundary`)
+      finds the rest, since meeting a boundary is monotone upward in
+      the tree; it passes through the other kinds of node and keeps
+      the compressed ones.  An ordinary R' keeps its nearest input
+      alone, so its inside descent is skipped;
+    * B(R') is R' when R' is unrefined, and B(R) otherwise.
+
+    Nothing descends from the root: per node the work is the boundary
+    nodes carried from the parent plus the descents below its box, so a
+    nested chain costs a constant per level.
+    """
+    from halfspace.avd import fill_highest
+    from halfspace.quadtree import compressed_on_boundary, meets_boundary
+
+    fill_highest(base)
+    inside: list[QuadNode] = []
+    compressed_on_boundary(base.root, refined.root.cell, inside)
+    # (refined node, outside nodes, inside nodes, B(node), node is unrefined)
+    stack = [(refined.root, [], inside, base.root, True)]
+    while stack:
+        node, outside, inside, low, own = stack.pop()
+        box = node.cell
+        if node.kind == ORDINARY:
+            node.reps = [node.n2_index]
+        else:
+            reps = {node.n2_index}
+            if node.kind == COMPRESSED and node.children[0].h_index is not None:
+                reps.add(node.children[0].h_index)
+            reps.update(nu.h_index for nu in outside)
+            reps.update(nu.h_index for nu in inside)
+            if not own and low.kind == COMPRESSED and low.count:
+                reps.add(low.h_index)
+            node.reps = sorted(reps)
+        if not node.children:
+            continue
+        if own or (low.kind == COMPRESSED and shadow_within(low.children[0].cell, box)):
+            starts = low.children
+        else:
+            starts = []
+        for child in node.children:
+            c = child.cell
+            out2 = [nu for nu in outside if meets_boundary(nu.cell, c)]
+            in2: list[QuadNode] = []
+            below = low
+            for s in starts:
+                if not shadow_within(s.cell, c):
+                    compressed_on_boundary(s, c, out2)
+                    continue
+                if s.cell.level == c.level:
+                    below = s  # the child is an unrefined node
+                if child.kind != ORDINARY:
+                    compressed_on_boundary(s, c, in2)
+            stack.append((child, out2, in2, below, below is not low))
 
 
 def _count_under(tree, box: CellId) -> int:

@@ -14,6 +14,7 @@ from halfspace.avd import annotate, refine, select_representatives
 from halfspace.quadtree import (
     COMPRESSED,
     QuadTree,
+    block_meets,
     box_adjacent,
     build_quadtree,
     compressed_on_boundary,
@@ -23,7 +24,7 @@ from halfspace.quadtree import (
 from halfspace.hyperbolic import normalize_and_embed
 from halfspace.sampling import STRATIFIED, sample_continuous, sample_margin_cells
 from halfspace.spanner import Bridge, enumerate_bridges
-from halfspace.tiling import CellId, HPoint, ancestor_at, horizontal_neighbors
+from halfspace.tiling import CellId, HPoint, ancestor_at, children, horizontal_neighbors
 
 from conftest import random_cell_in_root
 from reference import (
@@ -34,6 +35,7 @@ from reference import (
     enumerate_bridges_general,
     representatives_scan,
     select_representatives_descent,
+    select_representatives_per_child,
     touches_boundary,
 )
 from test_closed_form import MIN_LEVEL, CellBuilds
@@ -70,8 +72,9 @@ def stacked_sets(draw, dim, margin):
 
 
 def _check_representatives(cells):
-    """The carried pass against the all-pairs scan and the per-region
-    descent from the root it replaced."""
+    """The carried pass against the all-pairs scan, the per-region
+    descent from the root and the carried pass with one boundary test
+    per child that it replaced."""
     base = build_quadtree(cells)
     refined = refine(base)
     annotate(refined)
@@ -79,6 +82,8 @@ def _check_representatives(cells):
     carried = [node.reps for node in refined.iter_nodes()]
     assert carried == representatives_scan(refined, base)
     select_representatives_descent(refined, base)
+    assert carried == [node.reps for node in refined.iter_nodes()]
+    select_representatives_per_child(refined, base)
     assert carried == [node.reps for node in refined.iter_nodes()]
 
 
@@ -281,16 +286,19 @@ def test_annotate_and_bridges_never_descend_from_root(monkeypatch):
 
 
 def _count_boundary_tests(monkeypatch, *modules) -> list:
-    """Record every ``meets_boundary`` call made through ``modules``."""
+    """Record every ``meets_boundary`` and ``block_meets`` call made
+    through ``modules``."""
     calls = []
-    test = quadtree.meets_boundary
+    for name in ("meets_boundary", "block_meets"):
+        test = getattr(quadtree, name)
 
-    def counted(box, b):
-        calls.append(box)
-        return test(box, b)
+        def counted(box, b, test=test):
+            calls.append(box)
+            return test(box, b)
 
-    for mod in modules:
-        monkeypatch.setattr(mod, "meets_boundary", counted)
+        for mod in modules:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -337,8 +345,9 @@ def test_representatives_match_descent_sampled_d4(seed, n):
 
 def test_representatives_cost_on_deep_chain(monkeypatch):
     """Cost guard: on 2,000 nested boxes around x = 3/10 the carried
-    pass makes at most 5 boundary tests per refined node (the descent
-    per region made about 670)."""
+    pass makes at most 5 boundary tests per refined node, a test of a
+    whole block of children counted as one (the descent per region made
+    about 670)."""
     chain = [CellId(-lev, ((3 << lev) // 10,)) for lev in range(2, 2002)]
     base = build_quadtree(chain)
     refined = refine(base)
@@ -392,6 +401,50 @@ def test_meets_boundary_matches_predicates(rng):
                 or (shadow_within(a, b) and touches_boundary(a, b))
             )
             assert meets_boundary(a, b) == expected, (a, b)
+
+
+@st.composite
+def boxes_near_a_parent(draw):
+    """A parent box at D = 2-5 and a box around its boundary: equal to
+    it, containing it, beside it or touching a corner, or inside it on
+    or off its faces, at any level down to -60 (below the children's
+    level too)."""
+    dim = draw(st.integers(2, 5))
+    top = draw(st.integers(-59, 0))
+    parent = tuple(draw(st.integers(0, (1 << -top) - 1)) for _ in range(dim - 1))
+    level = draw(st.integers(-60, 0))
+    coords = []
+    for k in parent:
+        if level <= top:
+            lo, hi = k << (top - level), (k + 1) << (top - level)
+            c = draw(st.one_of(st.sampled_from((lo - 1, lo, hi - 1, hi)), st.integers(lo - 1, hi)))
+        else:
+            c = (k >> (level - top)) + draw(st.sampled_from((-1, 0, 1)))
+        coords.append(min(max(c, 0), (1 << -level) - 1))
+    return CellId(top, parent), CellId(level, tuple(coords))
+
+
+@settings(max_examples=400, deadline=None)
+@given(boxes_near_a_parent())
+@example((CellId(-3, (2, 5)), CellId(-3, (2, 5))))  # the parent itself
+@example((CellId(-3, (2, 5)), CellId(-1, (0, 1))))  # a box containing it
+@example((CellId(-3, (2, 5)), CellId(-3, (3, 5))))  # beside it
+@example((CellId(-3, (2, 5)), CellId(-3, (3, 6))))  # at a corner
+@example((CellId(-3, (2, 5, 1, 7)), CellId(-7, (47, 80, 16, 127))))  # below the children, on faces
+@example((CellId(-59, (1, 2)), CellId(-60, (3, 4))))  # a child, 60 levels down
+def test_block_meets_matches_meets_boundary_per_child(case):
+    """Bit i of the block mask says whether the box's closed shadow meets
+    child i's, by interval overlap, and agrees with ``meets_boundary``
+    for every child that does not strictly contain the box."""
+    parent, box = case
+    m = block_meets(box, parent)
+    kids = children(parent)
+    assert m >> len(kids) == 0
+    for i, child in enumerate(kids):
+        met = bool(m >> i & 1)
+        assert met == (shadow_within(box, child) or shadow_within(child, box) or box_adjacent_overlap(box, child)), (i, child)
+        if box == child or not shadow_within(box, child):
+            assert met == meets_boundary(box, child), (i, child)
 
 
 def test_box_adjacent_matches_interval_overlap(rng):

@@ -310,21 +310,22 @@ def test_build_constructs_at_most_4_cells_per_box_down_a_400_level_chain(monkeyp
 @pytest.mark.parametrize(
     "dim, cells, made",
     [
-        (2, _chain_400(), 798),
-        (3, sample_margin_cells(random.Random(11), 3, 128), None),
+        (2, _chain_400(), 399),
+        (3, sample_margin_cells(random.Random(11), 3, 128), 126),
     ],
     ids=["chain-400", "margin-d3-128"],
 )
 def test_build_makes_only_child_cells_and_joins(dim, cells, made, monkeypatch):
-    """Cost guard: besides the root cell a build makes 2^(D-1) cells per
-    ordinary node and one per join node it adds, and none per pair of
-    Z-order neighbors."""
+    """Cost guard: besides the root cell a build makes one cell per node
+    it keeps that is no key: an empty child slot, a compressed node over
+    a lower key, or a join.  It makes none per child slot a key already
+    fills and none per pair of Z-order neighbors."""
     builds = CellBuilds(monkeypatch)
     tree = build_quadtree(cells)
     n = builds.trusted
     keys = {*cells, root_cell(dim)}
-    ordinary = [node for node in tree.iter_nodes() if node.kind == ORDINARY]
-    joins = sum(1 for node in ordinary if node.cell not in keys)
-    assert n == (len(ordinary) << (dim - 1)) + joins
-    if made is not None:
-        assert n == made
+    kept = [node for node in tree.iter_nodes() if node.cell not in keys]
+    empty = sum(1 for node in kept if node.kind == LEAF)
+    compressed = sum(1 for node in kept if node.kind == COMPRESSED)
+    joins = sum(1 for node in kept if node.kind == ORDINARY)
+    assert n == empty + compressed + joins == made
