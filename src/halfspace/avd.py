@@ -40,8 +40,10 @@ no moved point.  In the hyperbolic plane (D = 2) every cell has one
 coordinate, and the whole query path takes a scalar branch picked by
 that count: the moved coordinate is floored on its own, each descent
 step and each d2 is a few integer shifts and compares, and no list,
-``zip`` or per-coordinate loop is made.  D >= 3 keeps the loops; the
-answers are the same either way.
+``zip`` or per-coordinate loop is made.  At D = 3 the descent and the
+climb take two-axis steps, the two coordinates unpacked and no ``zip``
+made.  Both branches are picked by the coordinate count the code reads
+anyway; D >= 4 keeps the loops.  The answers are the same either way.
 
 Queries whose x-projection leaves the unit box, or that sit above the
 root level, return the highest input point outright.

@@ -49,9 +49,11 @@ level compare answers :meth:`QuadTree.node_for`,
 starts at the root and reads the child's slot off coordinate bits.
 With one coordinate (D = 2, the box's coordinate count decides) each
 step is one shift and one mask, or at a compressed node one shift and
-one compare, with no per-coordinate loop; it relies on the tree's
-shape, which every build and :meth:`QuadTree.from_dict` check.  D >= 3
-keeps the loop.
+one compare, with no per-coordinate loop; with two (D = 3) it is two
+of each, written out.  Both rely on the tree's shape, which every
+build and :meth:`QuadTree.from_dict` check.  D >= 4 keeps the loop:
+the count is read anyway, so the written-out steps cost the higher
+dimensions one compare per descent.
 
 The predicates on dyadic boxes (containment, adjacency, touching a
 boundary, and :func:`block_meets`, which tests a box against all the
@@ -750,8 +752,12 @@ class QuadTree:
         With one coordinate (D = 2, read off ``box``) the step is scalar:
         an ordinary node's child is ``children[(k >> s) & 1]``, and a
         compressed node's test is one shift and one compare against its
-        child's coordinate, with no loop.  It relies on the tree's shape,
-        which construction and :meth:`from_dict` guarantee.
+        child's coordinate, with no loop.  With two (D = 3) it takes
+        two-axis steps: ``children[(((k0 >> s) & 1) << 1) | ((k1 >> s) &
+        1)]``, and two shifted compares against the child's coordinates,
+        with no ``zip``.  Both rely on the tree's shape, which
+        construction and :meth:`from_dict` guarantee.  D >= 4 keeps the
+        loops.
         """
         node = self.root
         level, coords = box.level, box.coords
@@ -769,6 +775,23 @@ class QuadTree:
                         continue
                     return node
                 node = node.children[(k >> (top - 1 - level)) & 1]
+        if len(coords) == 2:
+            k0, k1 = coords
+            while True:
+                kind, top = node.kind, node.cell.level
+                if kind == LEAF or top == level:
+                    return node
+                if kind == COMPRESSED:
+                    child = node.children[0]
+                    s = child.cell.level - level
+                    if s >= 0:
+                        c0, c1 = child.cell.coords
+                        if k0 >> s == c0 and k1 >> s == c1:
+                            node = child
+                            continue
+                    return node
+                s = top - 1 - level
+                node = node.children[(((k0 >> s) & 1) << 1) | ((k1 >> s) & 1)]
         while True:
             if node.kind == LEAF or node.cell.level == level:
                 return node

@@ -8,8 +8,8 @@ lifted tuples (``_climb``), which the in-place climb of
 :mod:`halfspace.metrics` must match; the point location (with
 :func:`shadow_within` at compressed nodes), the d2 argmin (on lifted
 tuples) and the bridge pass that loop over the coordinates at every
-dimension, which the one-axis steps for D = 2 (and the in-place steps
-above it) must match (``smallest_containing_general``,
+dimension, which the one-axis steps for D = 2, the two-axis steps for
+D = 3 (and the in-place steps above it) must match (``smallest_containing_general``,
 ``d2_argmin_general``, ``enumerate_bridges_general``), the last with the
 all-pairs neighbor check ``bridge_candidate`` that the per-axis child
 extents of both bridge passes must match;
@@ -236,9 +236,9 @@ def smallest_containing_general(tree, box: CellId):
     one mask per coordinate and node, and :func:`shadow_within` at a
     compressed node, at every dimension.
 
-    Reference for the one-axis step of
+    Reference for the one- and two-axis steps of
     :meth:`halfspace.quadtree.QuadTree.smallest_containing` and for its
-    compressed step above D = 2, which compares coordinates in place.
+    compressed step above D = 3, which compares coordinates in place.
     """
     from halfspace.quadtree import COMPRESSED, LEAF, shadow_within
 
@@ -266,7 +266,7 @@ def d2_argmin_general(q: CellId, cells: Sequence[CellId], indices: Collection[in
     dimension.
 
     Reference for :func:`halfspace.metrics.d2_argmin`: its one-axis loop
-    at D = 2 and its in-place climb above.
+    at D = 2, its two-axis climb at D = 3 and its in-place loop above.
     """
     if len(indices) == 1:
         (only,) = indices

@@ -1,6 +1,7 @@
 """The closed-form metric kernel and the bit-indexed point location
 against the level-by-level references in ``reference.py`` (and, for
-the one-axis step at D = 2, against the coordinate loop), the in-place
+the one- and two-axis steps at D = 2 and 3, against the coordinate
+loop), the in-place
 climb against the climb on lifted tuples, at D = 2..8, plus cost
 guards that count cell constructions and lifted copies."""
 
@@ -132,16 +133,16 @@ def test_smallest_containing_matches_climb(data):
 
 
 @st.composite
-def one_axis_trees_and_boxes(draw):
-    """A D = 2 tree with deep compressed chains (one box every ``g``
-    levels down to level -400), and boxes to locate: every node's cell,
-    a cell under every node down to below ``_locate_level``, and random
-    cells of the root shadow."""
+def column_trees_and_boxes(draw, dim):
+    """A D = 2 or 3 tree with deep compressed chains (one box every
+    ``g`` levels down to level -400), and boxes to locate: every node's
+    cell, a cell under every node down to below ``_locate_level``, and
+    random cells of the root shadow."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    cells = [random_cell_in_root(rng, 2, min_level=-draw(st.integers(1, 40))) for _ in range(draw(st.integers(0, 8)))]
+    cells = [random_cell_in_root(rng, dim, min_level=-draw(st.integers(1, 40))) for _ in range(draw(st.integers(0, 8)))]
     for chain in range(draw(st.integers(1, 3))):
         level = -rng.randint(20, 400)
-        deep = CellId(level, (rng.randrange(1 << -level),))
+        deep = CellId(level, tuple(rng.randrange(1 << -level) for _ in range(dim - 1)))
         g = draw(st.integers(2 if chain == 0 else 1, 5))
         cells.extend(ancestor_at(deep, lev) for lev in range(level, 1, g))
     tree = build_quadtree(cells)
@@ -151,15 +152,12 @@ def one_axis_trees_and_boxes(draw):
         c = node.cell
         boxes.append(c)
         r = rng.randint(1, c.level - low + 2)
-        boxes.append(CellId(c.level - r, ((c.coords[0] << r) + rng.randrange(1 << r),)))
-    boxes += [random_cell_in_root(rng, 2, min_level=low - 3) for _ in range(20)]
+        boxes.append(CellId(c.level - r, tuple((k << r) + rng.randrange(1 << r) for k in c.coords)))
+    boxes += [random_cell_in_root(rng, dim, min_level=low - 3) for _ in range(20)]
     return tree, boxes
 
 
-@settings(max_examples=60, deadline=None)
-@given(one_axis_trees_and_boxes())
-def test_smallest_containing_one_axis_matches_climb(data):
-    tree, boxes = data
+def check_column_descent(tree, boxes):
     loaded = QuadTree.from_dict(tree.to_dict())
     assert any(node.kind == "compressed" for node in tree.iter_nodes())
     for box in boxes:
@@ -167,6 +165,18 @@ def test_smallest_containing_one_axis_matches_climb(data):
         assert tree.smallest_containing(box) is want
         assert smallest_containing_general(tree, box) is want
         assert loaded.smallest_containing(box).cell == want.cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_trees_and_boxes(2))
+def test_smallest_containing_one_axis_matches_climb(data):
+    check_column_descent(*data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(column_trees_and_boxes(3))
+def test_smallest_containing_two_axis_matches_climb(data):
+    check_column_descent(*data)
 
 
 def test_smallest_containing_on_refined_trees(rng):

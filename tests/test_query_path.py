@@ -4,11 +4,14 @@
 ``reference.py`` (one ``d2`` per representative, a moved ``HPoint`` per
 continuous query), ``d2_argmin`` against the plain ``min`` over
 ``(d2, index)`` and against the climb on lifted coordinate tuples at
-D = 2..8 (``reference.d2_argmin_general``), and ``QuadTree.in_root``
-against ``shadow_within`` of the root cell; cost guards count the
-cells and points a query builds.
+D = 2..8 (``reference.d2_argmin_general``, the only reference for
+the two-axis climb at D = 3, which ``d2`` shares), and
+``QuadTree.in_root`` against ``shadow_within`` of the root cell; cost
+guards count the cells and points a query builds and the ``zip``
+calls of a D = 3 query.
 """
 
+import itertools
 import math
 import random
 import re
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfspace import metrics, quadtree
 from halfspace.avd import AvdIndex, build_avd, query, query_hyperbolic
 from halfspace.hyperbolic import NormalizeTransform
 from halfspace.metrics import d2, d2_argmin
@@ -161,45 +165,53 @@ def test_d2_argmin_matches_min(case):
 
 
 @st.composite
-def one_axis_argmin_cases(draw):
-    """A query cell and candidates with one coordinate (D = 2): ``q`` on
-    a level down to -1074, candidates up to 1,074 levels above or below
-    it, in ``q``'s column (``q``, its ancestors, cells below it) or
-    beside it by ``m * 2^e`` plus or minus a little, which puts the
-    climb's start one level below the answer or at it; repeated cells,
-    and the indices as a list or a set."""
+def column_argmin_cases(draw, axes):
+    """A query cell and candidates with ``axes`` coordinates (D = 2 or
+    3): ``q`` on a level down to -1074, candidates up to 1,074 levels
+    above or below it, in ``q``'s column (``q``, its ancestors, cells
+    below it) or beside it on one axis or on several by ``m * 2^e``
+    plus or minus a little, which puts the climb's start one level
+    below the answer or at it; repeated cells, and the indices as a
+    list or a set."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     lq = draw(st.integers(MIN_LEVEL, 2))
-    kq = rng.randrange(1 << max(0, -lq))
-    q = CellId(lq, (kq,))
+    kq = tuple(rng.randrange(1 << max(0, -lq)) for _ in range(axes))
+    q = CellId(lq, kq)
+    sides = [js for r in range(1, axes + 1) for js in itertools.combinations(range(axes), r)]
 
-    # a cluster shares one level gap and one scale 2^e and sits beside
-    # q's column, so that several candidates lie at equal or nearly
-    # equal d2 from q and the fix-up shift decides between them
+    # a cluster shares one level gap, one scale 2^e and the axes it is
+    # beside q's column on, so that several candidates lie at equal or
+    # nearly equal d2 from q and the fix-up shift decides between them
     cluster_gap = rng.choice([0, rng.randint(-3, 3), rng.randint(-1074, 1074)])
     cluster_e = rng.randint(0, 6)
+    cluster_sides = rng.choice(sides)
 
     def column(gap):
-        """q's ancestor ``gap`` levels up, or a cell ``-gap`` levels below q."""
+        """The coordinates of q's ancestor ``gap`` levels up, or of a
+        cell ``-gap`` levels below q."""
         if gap >= 0:
-            return kq >> gap
-        return (kq << -gap) + rng.randrange(1 << -gap)
+            return [k >> gap for k in kq]
+        return [(k << -gap) + rng.randrange(1 << -gap) for k in kq]
 
     def cell():
         if rng.random() < 0.6:
-            k = column(cluster_gap) + rng.choice([-1, 1]) * ((rng.randint(1, 9) << cluster_e) + rng.randint(-3, 3))
-            return CellId(lq + cluster_gap, (k,))
+            k = column(cluster_gap)
+            for j in cluster_sides:
+                k[j] += rng.choice([-1, 1]) * ((rng.randint(1, 9) << cluster_e) + rng.randint(-3, 3))
+            return CellId(lq + cluster_gap, tuple(k))
         gap = rng.choice([0, rng.randint(-3, 3), rng.randint(-1074, 1074)])
         level = lq + gap
         pick = rng.random()
         if pick < 0.2:
             k = column(gap)
         elif pick < 0.8:
+            k = column(gap)
             e = rng.randint(0, max(0, -level) + 2)
-            k = column(gap) + rng.choice([-1, 1]) * ((rng.choice([1, 2, 3, 4, 5, 6, 8, 9]) << e) + rng.randint(-3, 3))
+            for j in rng.choice(sides):
+                k[j] += rng.choice([-1, 1]) * ((rng.choice([1, 2, 3, 4, 5, 6, 8, 9]) << e) + rng.randint(-3, 3))
         else:
-            k = random_coords(rng, 1, level)[0]
-        return CellId(level, (k,))
+            k = random_coords(rng, axes, level)
+        return CellId(level, tuple(k))
 
     cells = [cell() for _ in range(draw(st.integers(2, 10)))]
     cells += [rng.choice(cells) for _ in range(draw(st.integers(0, 3)))]
@@ -211,12 +223,27 @@ def one_axis_argmin_cases(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(one_axis_argmin_cases())
+@given(column_argmin_cases(1))
 def test_d2_argmin_one_axis_matches_min(case):
     q, cells, indices = case
     want = min((d2(q, cells[i]), i) for i in indices)[1]
     assert d2_argmin(q, cells, indices) == want
     assert reference.d2_argmin_general(q, cells, indices) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(column_argmin_cases(2))
+def test_d2_argmin_two_axis_matches_general(case):
+    """D = 3: ``d2`` shares the two-axis climb, so the references are
+    the climb on lifted tuples alone."""
+    q, cells, indices = case
+    assert d2_argmin(q, cells, indices) == reference.d2_argmin_general(q, cells, indices)
+    for i in indices:
+        c = cells[i]
+        _, a, b = reference.lift_pair(q, c)
+        gap = c.level - q.level
+        for t in (1, 2, 4):
+            assert metrics._climb(q.coords, c.coords, max(gap, 0), max(-gap, 0), t) == reference._climb(a, b, t), (q, c, t)
 
 
 def test_d2_argmin_single_candidate_evaluates_nothing():
@@ -297,3 +324,33 @@ def test_query_path_builds_one_cell_and_no_point(monkeypatch):
     # the reference moves an HPoint per query, so the patch is live
     reference.query_hyperbolic(ix, qs[0])
     assert point_builds.n == 1
+
+
+def test_d3_query_makes_no_zip_call(monkeypatch):
+    """Cost guard: at D = 3 the descent and the climb take two-axis
+    steps, so a query zips no coordinates in ``metrics`` or
+    ``quadtree``; at D = 4 they keep the loops, so the patch is live."""
+    calls = []
+
+    def counted(*iterables):
+        calls.append(len(iterables))
+        return zip(*iterables)
+
+    for module in (metrics, quadtree):
+        monkeypatch.setattr(module, "zip", counted, raising=False)
+    rng = random.Random(33)
+    for dim in (3, 4):
+        ix = build_avd(sample_margin_cells(rng, dim, 64, min_level=-14))
+        cells = [rng.choice(ix.points) for _ in range(100)]
+        for c in rng.sample(ix.points, 20):
+            below = rng.randint(c.level - 30, c.level)
+            cells.append(CellId(below, tuple((k << (c.level - below)) + rng.randrange(1 << (c.level - below)) for k in c.coords)))
+        cells += [CellId(-20, random_coords(rng, dim - 1, -20)) for _ in range(100)]
+        assert sum(len(ix.region_of(c).reps) > 1 for c in cells if ix.tree.in_root(c)) > 20
+        calls.clear()
+        for c in cells:
+            query(ix, c)
+        if dim == 3:
+            assert calls == []
+        else:
+            assert calls
