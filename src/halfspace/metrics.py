@@ -41,8 +41,10 @@ shares, takes two-axis steps: four shifts and two ``abs`` per level
 tried, with no ``zip`` and no loop.  Both pick the case from the
 coordinate count they read anyway, the same count that makes a
 per-coordinate loop pure overhead; D >= 4 keeps the in-place loops.
-In-process, one D = 3 AVD query took 2.4 microseconds against 3.2
-with the loops (``ROADMAP.md``, measurement notes).
+In-process on a shared 2-core host, the two-axis climb took a D = 3
+AVD query's argmin over its representatives from 2.3 to 1.3
+microseconds, and the whole query from 4.0-4.1 to 2.7-2.8 with the
+two-axis descent (``ROADMAP.md``, measurement notes).
 """
 
 from __future__ import annotations
