@@ -30,8 +30,11 @@ which the spanner's bridge search shares; at an ordinary node each
 candidate is tested once against the whole block of children
 (:func:`~halfspace.quadtree.block_meets`), not once per child.  A query
 locates its region and takes the exact-d2 argmin over representatives,
-ties to the smallest input index: one region descent, one closed-form
-climb per representative beyond the first
+ties to the smallest input index: one region lookup
+(:meth:`~halfspace.quadtree.QuadTree.smallest_containing`: a jump to
+the tree's start table, then a descent that takes a step or two at
+the median on indexes of 800 to 2,500 nodes), one closed-form climb
+per representative beyond the first
 (:func:`~halfspace.metrics.d2_argmin`, the one argmin, which the
 annotation shares), and for a continuous query one :class:`CellId`:
 :meth:`~halfspace.hyperbolic.NormalizeTransform.cell_of` places the
@@ -457,7 +460,7 @@ def build_avd(points: list[HPoint] | list[CellId]) -> AvdIndex:
 def query(ix: AvdIndex, q: CellId) -> int:
     """Index of the exact d2-nearest input, ties to the smallest index.
 
-    One region descent and one :func:`~halfspace.metrics.d2_argmin`
+    One region lookup and one :func:`~halfspace.metrics.d2_argmin`
     over the region's representatives: no d2 for a single one.  A cell
     outside the root shadow gets the highest input, unless its
     dimension is not the index's: that raises ``ValueError``.

@@ -38,22 +38,36 @@ plus the non-empty gap levels.  Each row is one slice of a block of
 neighbor boxes, filled once per ordinary node for all its children and
 once per non-empty gap level.
 
-A tree holds only its root, its nodes and its points (with its
-dimension and the level :meth:`QuadTree.locate` starts from), and no
-table of nodes or inputs by cell.  Every lookup by cell goes through
+A tree holds its root, its nodes and its points (with its dimension
+and the level :meth:`QuadTree.locate` starts from), and no map from a
+node's or input's own cell to it.  Every lookup by cell goes through
 the one descent, point location (:meth:`QuadTree.smallest_containing`),
 which ends at a cell exactly when that cell is a node: after it one
 level compare answers :meth:`QuadTree.node_for`,
 :meth:`QuadTree.stored_index`, the topmost node under a box and
-:meth:`QuadTree.insert_box`'s "already a node" test.  The descent
-starts at the root and reads the child's slot off coordinate bits.
-With one coordinate (D = 2, the box's coordinate count decides) each
-step is one shift and one mask, or at a compressed node one shift and
-one compare, with no per-coordinate loop; with two (D = 3) it is two
-of each, written out.  Both rely on the tree's shape, which every
-build and :meth:`QuadTree.from_dict` check.  D >= 4 keeps the loop:
-the count is read anyway, so the written-out steps cost the higher
-dimensions one compare per descent.
+:meth:`QuadTree.insert_box`'s "already a node" test.
+
+The descent starts at a node read off the tree's start table, a direct
+address over one level -d of the dyadic grid, the front end of a
+linear quadtree (Gargantini, 1982): per level -d cell, the lowest node
+containing it.  The nodes containing a box form one chain from the
+root down to the answer, and the entry over the box's level -d
+ancestor lies on it, so the descent from there ends where the one from
+the root does; a box above -d starts at the root.  ``d`` is the
+largest depth whose 2^((D-1) d) cells are at most the tree's nodes (at
+most 2^:data:`START_BITS`), set wherever nodes are made: the build,
+:meth:`QuadTree.insert_box`'s rebuild and the loader, each of which
+drops the table.  The tree's first location fills it, in one top-down
+pass that slice-fills the entries under each leaf, compressed node and
+level -d node and builds no cell; builds locate nothing, so they never
+fill one.  Below the table the descent reads the child's slot off
+coordinate bits.  With one coordinate (D = 2, the box's coordinate
+count decides) each step is one shift and one mask, or at a
+compressed node one shift and one compare, with no per-coordinate
+loop; with two (D = 3) it is two of each, written out.  Both rely on
+the tree's shape, which every build and :meth:`QuadTree.from_dict`
+check.  D >= 4 keeps the loop: the count is read anyway, so the
+written-out steps cost the higher dimensions one compare per descent.
 
 The predicates on dyadic boxes (containment, adjacency, touching a
 boundary, and :func:`block_meets`, which tests a box against all the
@@ -91,6 +105,10 @@ LEAF = "leaf"
 # digits.
 # Float heights reach level -1074; discrete inputs may go down to here.
 DEEPEST_LEVEL = -14284
+
+# The most bits of a start table's index (QuadTree.smallest_containing):
+# at most 2^16 entries, a 512 KiB list, however many nodes a tree has.
+START_BITS = 16
 
 # The highest dimension a tree takes.  Every construction is 2^O(D):
 # an ordinary node lists 2^(D-1) children, the AVD refinement lists
@@ -429,8 +447,10 @@ class QuadTree:
     downstream.  ``boxes`` must become nodes as well but store no input
     (the AVD refinement passes the neighbors of the occupied boxes).
     A tree holds ``dim``, ``points`` and ``root``, the node of
-    :func:`root_cell` with the nodes hanging below it, and the level
-    :meth:`locate` starts from; lookups by cell descend from the root.
+    :func:`root_cell` with the nodes hanging below it, the level
+    :meth:`locate` starts from and the start table of
+    :meth:`smallest_containing`; lookups by cell descend from the
+    table's entry.
     A point or box outside the root shadow or below
     :data:`DEEPEST_LEVEL` raises ``ValueError`` naming it, and so does a
     dimension above :data:`MAX_DIM`, before anything of its size is made.
@@ -508,9 +528,11 @@ class QuadTree:
 
         self.root = stack[0]
         bits = _slot_bits(axes)
+        nodes = 0
         todo = [self.root]
         while todo:
             node = todo.pop()
+            nodes += 1
             below = node.children
             if len(below) > 1 or (node.stored_index is not None and node.count > 1):
                 node.kind = ORDINARY
@@ -537,6 +559,7 @@ class QuadTree:
             elif below:
                 node.kind = COMPRESSED
             todo.extend(node.children)
+        self._reset_start(nodes)
 
     # -- traversal ----------------------------------------------------
 
@@ -732,13 +755,76 @@ class QuadTree:
             return node.children[0], node
         return None, node
 
+    def _reset_start(self, nodes: int) -> None:
+        """Drop the start table, so the next location fills it afresh,
+        and set its depth ``d`` from the tree's ``nodes``: the largest
+        with 2^((D-1) d) entries at most ``nodes`` and at most
+        2^:data:`START_BITS`.  Called wherever nodes are made."""
+        self._start: list[QuadNode] | None = None
+        self._start_depth = min(nodes.bit_length() - 1, START_BITS) // (self.dim - 1)
+
+    def _fill_start(self) -> list[QuadNode]:
+        """Fill the start table: per cell of level -d (``d`` the start
+        depth), in row-major order of its coordinates (first axis most
+        significant, ``d`` bits per axis), the lowest node containing
+        that cell.
+
+        One top-down pass.  An ordinary node above level -d hands over
+        to its children, which partition its box.  Any other node at or
+        above -d is the lowest node over every level -d cell of its box,
+        so its entries are slice-filled, one slice per row of the last
+        axis; a compressed node's child that lies at or above -d then
+        overwrites its own box's entries, as the stack pops it next.
+        The pass builds no cell and locates nothing.
+        """
+        d = self._start_depth
+        table: list = [None] * (1 << ((self.dim - 1) * d))
+        todo = [self.root]
+        while todo:
+            node = todo.pop()
+            w = node.cell.level + d  # levels above the table's
+            kind = node.kind
+            if w and kind == ORDINARY:
+                todo.extend(node.children)
+                continue
+            *lead, last = node.cell.coords
+            run = 1 << w
+            fill = [node] * run
+            for row in itertools.product(*[range(k << w, (k + 1) << w) for k in lead]):
+                i = 0
+                for a in row:
+                    i = (i << d) | a
+                i = (i << d) | (last << w)
+                table[i : i + run] = fill
+            if kind == COMPRESSED and node.children[0].cell.level + d >= 0:
+                todo.append(node.children[0])
+        self._start = table
+        return table
+
     def smallest_containing(self, box: CellId) -> QuadNode:
         """The lowest node whose box contains ``box`` (point location).
 
-        Descends from the root: an ordinary node hands over to its child
-        cell containing ``box``, a compressed node to its child if that
-        still contains ``box``.  The descent stops at a leaf, at a
-        compressed node whose gap holds ``box``, or at ``box`` itself.
+        Jumps to a start node, then descends: an ordinary node hands
+        over to its child cell containing ``box``, a compressed node to
+        its child if that still contains ``box``.  The descent stops at
+        a leaf, at a compressed node whose gap holds ``box``, or at
+        ``box`` itself.
+
+        The start is read off a table over one level -d of the tree
+        (:meth:`_fill_start`, filled on the tree's first location and
+        dropped whenever nodes are made): the lowest node containing
+        the level -d cell over ``box``, whose index is the box's
+        coordinates shifted up to level -d.  A box above level -d
+        starts at the root.  The start is exact.  Node boxes are nested
+        or interior-disjoint, so the nodes containing ``box`` form one
+        chain from the root down to the answer, the path the descent
+        from the root takes.  The start contains the level -d cell and
+        so ``box``: it lies on that chain, and the descent from it ends
+        where the descent from the root does.  ``d`` grows with the
+        tree (:meth:`_reset_start`), and the table holds at most as
+        many entries as the tree has nodes.  Below the table a box
+        still descends one step per level, so a deep chain costs its
+        depth.
 
         An ordinary node keeps its children in :func:`children` order,
         where the first axis is the most significant bit of the index,
@@ -759,10 +845,15 @@ class QuadTree:
         construction and :meth:`from_dict` guarantee.  D >= 4 keeps the
         loops.
         """
-        node = self.root
+        table = self._start
+        if table is None:
+            table = self._fill_start()
+        d = self._start_depth
         level, coords = box.level, box.coords
+        t = -d - level  # the box's depth below the table's level
         if len(coords) == 1:
             (k,) = coords
+            node = table[k >> t] if t >= 0 else self.root
             while True:
                 kind, top = node.kind, node.cell.level
                 if kind == LEAF or top == level:
@@ -777,6 +868,7 @@ class QuadTree:
                 node = node.children[(k >> (top - 1 - level)) & 1]
         if len(coords) == 2:
             k0, k1 = coords
+            node = table[((k0 >> t) << d) | (k1 >> t)] if t >= 0 else self.root
             while True:
                 kind, top = node.kind, node.cell.level
                 if kind == LEAF or top == level:
@@ -792,6 +884,13 @@ class QuadTree:
                     return node
                 s = top - 1 - level
                 node = node.children[(((k0 >> s) & 1) << 1) | ((k1 >> s) & 1)]
+        if t >= 0:
+            i = 0
+            for k in coords:
+                i = (i << d) | (k >> t)
+            node = table[i]
+        else:
+            node = self.root
         while True:
             if node.kind == LEAF or node.cell.level == level:
                 return node
@@ -816,7 +915,7 @@ class QuadTree:
     def node_for(self, box: CellId) -> QuadNode | None:
         """The node whose box is ``box``, if any.
 
-        The tree keeps no table of its nodes by cell: the descent
+        The tree keeps no map from a node's cell to it: the descent
         (:meth:`smallest_containing`) ends at ``box`` exactly when
         ``box`` is a node, so one level compare decides.  A cell
         outside the root shadow, or of another dimension, is no node.
@@ -1002,6 +1101,7 @@ class QuadTree:
                 built.append(node)
             tree.root = built[0]
             tree._locate_level = low - 1
+            tree._reset_start(len(built))
             storing = 0
             for k in range(len(built) - 1, -1, -1):  # children before parents
                 node = built[k]

@@ -54,6 +54,13 @@ class ReferenceQuadTree(QuadTree):
         self.nodes_by_cell: dict[CellId, QuadNode] = {}
         self.root = self._build(root_cell(dim), distinct)
         self._refresh_counts()
+        self._reset_start(1)
+
+    def _reset_start(self, nodes: int) -> None:
+        """A start table of one entry, the root: insertions splice nodes
+        in place, and the root is the one node a splice never replaces,
+        so every location starts there."""
+        super()._reset_start(1)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReferenceQuadTree":

@@ -65,6 +65,7 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
+import weakref
 from collections.abc import Collection, Sequence
 from dataclasses import asdict
 from fractions import Fraction
@@ -208,27 +209,36 @@ def zorder_key_format(low: int, axes: int):
     return key
 
 
+# Per tree: its root when last read, its nodes by (level, coords) and
+# the lowest node level, for smallest_containing_climb.  A rebuild
+# (QuadTree.insert_box) makes a new root, which makes a new entry.
+_NODE_CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def smallest_containing_climb(tree, box: CellId):
-    """The lowest node containing ``box``, descending through the child
-    of each ordinary node whose cell is the box's ancestor one level
-    down, found by comparing cells.
+    """The lowest node containing ``box``: the node at the lowest
+    ancestor-or-self cell of ``box`` that is a node.  Climbs from the
+    box one level at a time, the ancestor's coordinates shifted off the
+    box's, and looks each one up among the tree's node cells; no node
+    lies below the lowest, so the climb starts there at the deepest,
+    and the root ends it.
 
-    Reference for :meth:`halfspace.quadtree.QuadTree.smallest_containing`.
+    Reference for :meth:`halfspace.quadtree.QuadTree.smallest_containing`,
+    kept apart from it: it walks no path down the tree, reads no start
+    table and no child slot, and builds no cell.
     """
-    from halfspace.quadtree import COMPRESSED, LEAF, shadow_within
-
-    node = tree.root
-    while True:
-        if node.kind == LEAF or node.cell.level == box.level:
+    got = _NODE_CELLS.get(tree)
+    if got is None or got[0] is not tree.root:
+        nodes = {(n.cell.level, n.cell.coords): n for n in tree.iter_nodes()}
+        got = _NODE_CELLS[tree] = (tree.root, nodes, min(level for level, _ in nodes))
+    _, nodes, lowest = got
+    level, coords = box.level, box.coords
+    for lev in range(max(level, lowest), 1):
+        s = lev - level
+        node = nodes.get((lev, tuple([k >> s for k in coords])))
+        if node is not None:
             return node
-        if node.kind == COMPRESSED:
-            child = node.children[0]
-            if shadow_within(box, child.cell):
-                node = child
-                continue
-            return node
-        up = ancestor_at(box, node.cell.level - 1)
-        (node,) = [child for child in node.children if child.cell == up]
+    raise ValueError(f"{box!r} lies outside the root cell's shadow")
 
 
 def smallest_containing_general(tree, box: CellId):
@@ -1341,6 +1351,7 @@ def tree_from_dict_checked(data: dict):
             built.append(node)
         tree.root = built[0]
         tree._locate_level = low - 1
+        tree._reset_start(len(built))
         storing = 0
         for k in range(len(built) - 1, -1, -1):  # children before parents
             node = built[k]

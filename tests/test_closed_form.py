@@ -5,17 +5,21 @@ loop), the in-place
 climb against the climb on lifted tuples, at D = 2..8, plus cost
 guards that count cell constructions and lifted copies."""
 
+import inspect
 import random
+import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfspace import metrics
-from halfspace.avd import AvdIndex, refine
+from halfspace.avd import AvdIndex, build_avd, query, refine
 from halfspace.metrics import d1, d2, d2_argmin, d2_path
-from halfspace.quadtree import MAX_DIM, ORDINARY, QuadTree, build_quadtree
-from halfspace.sampling import sample_margin_cells
+from halfspace.quadtree import DEEPEST_LEVEL, MAX_DIM, ORDINARY, QuadTree, build_quadtree
+from halfspace.sampling import sample_continuous, sample_margin_cells
+from halfspace.spanner import build_hyperbolic_spanner
 from halfspace.tiling import CellId, ancestor_at, children
 
 from conftest import random_cell_in_root
@@ -173,10 +177,71 @@ def test_smallest_containing_one_axis_matches_climb(data):
     check_column_descent(*data)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(column_trees_and_boxes(3))
 def test_smallest_containing_two_axis_matches_climb(data):
     check_column_descent(*data)
+
+
+def start_table_boxes(rng, tree):
+    """Boxes to locate around a tree's start table at level -d: random
+    cells above, at and below -d, cells under every node down to below
+    the lowest node, and cells at :data:`DEEPEST_LEVEL`."""
+    dim, top = tree.dim, -tree._start_depth
+    boxes = [random_cell_in_root(rng, dim, min_level=top) for _ in range(10)]
+    boxes += [CellId(top, tuple(rng.randrange(1 << -top) for _ in range(dim - 1))) for _ in range(10)]
+    boxes += [random_cell_in_root(rng, dim, min_level=tree._locate_level - 3) for _ in range(10)]
+    boxes += [random_cell_in_root(rng, dim, min_level=DEEPEST_LEVEL) for _ in range(3)]
+    for node in tree.iter_nodes():
+        c = node.cell
+        r = rng.randint(1, c.level - tree._locate_level + 2)
+        boxes.append(c)
+        boxes.append(CellId(c.level - r, tuple((k << r) + rng.randrange(1 << r) for k in c.coords)))
+        r = c.level - DEEPEST_LEVEL
+        boxes.append(CellId(DEEPEST_LEVEL, tuple((k << r) + rng.randrange(1 << r) for k in c.coords)))
+    return boxes
+
+
+def check_start_table(tree, boxes):
+    for box in boxes:
+        assert tree.smallest_containing(box) is smallest_containing_climb(tree, box), box
+    # entry i is the lowest node over the level -d cell whose
+    # coordinates are i's d-bit fields, first axis most significant
+    table, d, axes = tree._start, tree._start_depth, tree.dim - 1
+    assert len(table) == 1 << (d * axes) <= len(tree)
+    for i, node in enumerate(table):
+        cell = CellId(-d, tuple((i >> (d * (axes - 1 - j))) & ((1 << d) - 1) for j in range(axes)))
+        assert node is smallest_containing_climb(tree, cell), cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, MAX_DIM), st.sampled_from(["insert_box", "from_dict", "from_json"]), st.integers(0, 2**32))
+def test_start_table_matches_climb(dim, how, seed):
+    """The start table answers as the climb on a tree located before
+    and after it grows by :meth:`QuadTree.insert_box`, and on trees
+    loaded through :meth:`QuadTree.from_dict` and
+    :meth:`AvdIndex.from_json`, each a tree whose nodes are new: a
+    table kept from the old nodes would hand out nodes of no tree."""
+    rng = random.Random(seed)
+    small = dim > 4
+    cells = [random_cell_in_root(rng, dim, min_level=-rng.randint(1, 30)) for _ in range(rng.randint(1, 8 if small else 60))]
+    tree = build_quadtree(cells)
+    assert tree._start is None
+    check_start_table(tree, start_table_boxes(rng, tree))
+    if how == "insert_box":
+        for _ in range(3):
+            box = random_cell_in_root(rng, dim, min_level=-40)
+            grown, old = tree.node_for(box) is None, tree._start
+            tree.insert_box(box)  # which locates the box after a rebuild
+            assert (tree._start is not old) == grown
+            check_start_table(tree, start_table_boxes(rng, tree))
+        return
+    if how == "from_dict":
+        back = QuadTree.from_dict(tree.to_dict())
+    else:
+        back = AvdIndex.from_json(AvdIndex(tree, None, 0).to_json()).tree
+    assert back._start is None and back._start_depth == tree._start_depth
+    check_start_table(back, start_table_boxes(rng, back))
 
 
 def test_smallest_containing_on_refined_trees(rng):
@@ -288,17 +353,89 @@ def test_metric_kernel_climbs_on_the_cells_own_coordinates(monkeypatch):
 
 
 def test_smallest_containing_builds_no_cells_down_a_400_level_chain(monkeypatch):
-    """Cost guard: point location reads coordinate bits, not cells."""
+    """Cost guard: point location reads coordinate bits, not cells, and
+    so does the first one, which fills the start table (D = 2 and 3)."""
     x = (1 << 399) + 0x5A5A5
-    chain = [CellId(-lev, (x >> (400 - lev),)) for lev in range(1, 401)]
-    tree = build_quadtree(chain)
-    below = CellId(-430, (x << 30,))
     builds = CellBuilds(monkeypatch)
-    for box in (chain[-1], chain[200], below):
-        n = builds.during(tree.smallest_containing, box)
-        assert n == 0, box
-    assert tree.smallest_containing(below).cell == chain[-1]
-    assert builds.during(smallest_containing_climb, tree, chain[-1]) > 300
+    for axes in (1, 2):
+        chain = [CellId(-lev, (x >> (400 - lev),) * axes) for lev in range(1, 401)]
+        tree = build_quadtree(chain)
+        below = CellId(-430, (x << 30,) * axes)
+        assert tree._start is None and tree._start_depth > 1
+        for box in (chain[-1], chain[200], below, chain[0]):
+            n = builds.during(tree.smallest_containing, box)
+            assert n == 0, box
+        assert tree._start is not None
+        assert tree.smallest_containing(below).cell == chain[-1]
+    # the patch is live: an ancestor is one cell
+    assert builds.during(ancestor_at, below, 0) == 1
+
+
+def descent_steps(tree: QuadTree, boxes) -> list[int]:
+    """Per box, the iterations of :meth:`QuadTree.smallest_containing`'s
+    descent loop, counted as line events on the first line of each
+    ``while True:`` body of the method."""
+    code = QuadTree.smallest_containing.__code__
+    lines, first = inspect.getsourcelines(QuadTree.smallest_containing)
+    heads = {first + i + 1 for i, line in enumerate(lines) if line.strip() == "while True:"}
+    assert len(heads) == 3
+    counts = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in heads:
+            counts[-1] += 1
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is code:
+            counts.append(0)
+            return local
+        return None
+
+    sys.settrace(calls)
+    try:
+        for box in boxes:
+            tree.smallest_containing(box)
+    finally:
+        sys.settrace(None)
+    return counts
+
+
+def test_location_jumps_past_the_top_of_the_tree():
+    """Cost guard: a location descends at most 2 steps at the median on
+    a stratified D = 2 index and a D = 3 margin index (about 800 and
+    2,500 nodes), where a descent from the root took 10 and 7."""
+    rng = random.Random(34)
+    ix = build_avd(sample_continuous(rng, 2, 128, mode="stratified", min_level=-24))
+    cells = [ix.transform.cell_of(q) for q in sample_continuous(rng, 2, 2000, mode="stratified", min_level=-24)]
+    cells = [c for c in cells if ix.tree.in_root(c)]
+    assert len(cells) > 1500
+    assert statistics.median(descent_steps(ix.tree, cells)) <= 2
+    ix = build_avd(sample_margin_cells(rng, 3, 128, min_level=-13))
+    assert statistics.median(descent_steps(ix.tree, sample_margin_cells(rng, 3, 2000, min_level=-14))) <= 2
+    # the count is live: the boxes above the table's level start at the root
+    assert min(descent_steps(ix.tree, [CellId(-1, (0, 0)), CellId(-1, (1, 1))])) >= 2
+
+
+def test_builds_fill_no_start_table(monkeypatch):
+    """Cost guard: the AVD and spanner builds locate nothing, so no tree
+    they build fills its start table; the index's first query does."""
+    filled = []
+    fill = QuadTree._fill_start
+
+    def counted(tree):
+        filled.append(tree)
+        return fill(tree)
+
+    monkeypatch.setattr(QuadTree, "_fill_start", counted)
+    rng = random.Random(35)
+    points = sample_continuous(rng, 2, 64, mode="stratified", min_level=-20)
+    build_hyperbolic_spanner(points, 2)
+    for ix in (build_avd(points), build_avd(sample_margin_cells(rng, 3, 64, min_level=-12))):
+        assert filled == [] and ix.tree._start is None
+        query(ix, ix.points[0])
+        assert filled == [ix.tree]
+        filled.clear()
 
 
 def test_d2_path_cells_of_ancestor_pair():
