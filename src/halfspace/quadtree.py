@@ -771,11 +771,12 @@ class QuadTree:
 
         One top-down pass.  An ordinary node above level -d hands over
         to its children, which partition its box.  Any other node at or
-        above -d is the lowest node over every level -d cell of its box,
-        so its entries are slice-filled, one slice per row of the last
-        axis; a compressed node's child that lies at or above -d then
-        overwrites its own box's entries, as the stack pops it next.
-        The pass builds no cell and locates nothing.
+        above -d contains every level -d cell of its box, so its
+        entries are slice-filled, one slice per row of the last axis.
+        Below it only a compressed node's child can contain such a
+        cell, and only if it lies at or above -d: the stack pops that
+        child next, and it overwrites its own box's entries.  The pass
+        builds no cell and locates nothing.
         """
         d = self._start_depth
         table: list = [None] * (1 << ((self.dim - 1) * d))

@@ -65,7 +65,6 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
-import weakref
 from collections.abc import Collection, Sequence
 from dataclasses import asdict
 from fractions import Fraction
@@ -209,36 +208,33 @@ def zorder_key_format(low: int, axes: int):
     return key
 
 
-# Per tree: its root when last read, its nodes by (level, coords) and
-# the lowest node level, for smallest_containing_climb.  A rebuild
-# (QuadTree.insert_box) makes a new root, which makes a new entry.
-_NODE_CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def smallest_containing_climb(tree, box: CellId):
-    """The lowest node containing ``box``: the node at the lowest
-    ancestor-or-self cell of ``box`` that is a node.  Climbs from the
-    box one level at a time, the ancestor's coordinates shifted off the
-    box's, and looks each one up among the tree's node cells; no node
-    lies below the lowest, so the climb starts there at the deepest,
-    and the root ends it.
+def smallest_containing_climb(tree):
+    """The reference point location of ``tree`` as it stands now: a
+    function taking a box to the lowest node containing it, the node at
+    the lowest ancestor-or-self cell of the box that is a node.  It
+    climbs from the box one level at a time, the ancestor's coordinates
+    shifted off the box's, and looks each one up among the tree's node
+    cells, listed once here; no node lies below the lowest, so the
+    climb starts there at the deepest, and the root ends it.  Make a
+    new one after the tree is rebuilt.
 
     Reference for :meth:`halfspace.quadtree.QuadTree.smallest_containing`,
     kept apart from it: it walks no path down the tree, reads no start
     table and no child slot, and builds no cell.
     """
-    got = _NODE_CELLS.get(tree)
-    if got is None or got[0] is not tree.root:
-        nodes = {(n.cell.level, n.cell.coords): n for n in tree.iter_nodes()}
-        got = _NODE_CELLS[tree] = (tree.root, nodes, min(level for level, _ in nodes))
-    _, nodes, lowest = got
-    level, coords = box.level, box.coords
-    for lev in range(max(level, lowest), 1):
-        s = lev - level
-        node = nodes.get((lev, tuple([k >> s for k in coords])))
-        if node is not None:
-            return node
-    raise ValueError(f"{box!r} lies outside the root cell's shadow")
+    nodes = {(n.cell.level, n.cell.coords): n for n in tree.iter_nodes()}
+    lowest = min(level for level, _ in nodes)
+
+    def climb(box: CellId):
+        level, coords = box.level, box.coords
+        for lev in range(max(level, lowest), 1):
+            s = lev - level
+            node = nodes.get((lev, tuple([k >> s for k in coords])))
+            if node is not None:
+                return node
+        raise ValueError(f"{box!r} lies outside the root cell's shadow")
+
+    return climb
 
 
 def smallest_containing_general(tree, box: CellId):

@@ -1,9 +1,10 @@
 """The closed-form metric kernel and the bit-indexed point location
 against the level-by-level references in ``reference.py`` (and, for
 the one- and two-axis steps at D = 2 and 3, against the coordinate
-loop), the in-place
-climb against the climb on lifted tuples, at D = 2..8, plus cost
-guards that count cell constructions and lifted copies."""
+loop), the point location's start table against the climb before and
+after rebuilds and loads, the in-place climb against the climb on
+lifted tuples, at D = 2..8, plus cost guards that count cell
+constructions, lifted copies, descent steps and table fills."""
 
 import inspect
 import random
@@ -130,8 +131,9 @@ def trees_and_boxes(draw):
 @given(trees_and_boxes())
 def test_smallest_containing_matches_climb(data):
     tree, boxes = data
+    climb = smallest_containing_climb(tree)
     for box in boxes:
-        want = smallest_containing_climb(tree, box)
+        want = climb(box)
         assert tree.smallest_containing(box) is want
         assert smallest_containing_general(tree, box) is want
 
@@ -164,8 +166,9 @@ def column_trees_and_boxes(draw, dim):
 def check_column_descent(tree, boxes):
     loaded = QuadTree.from_dict(tree.to_dict())
     assert any(node.kind == "compressed" for node in tree.iter_nodes())
+    climb = smallest_containing_climb(tree)
     for box in boxes:
-        want = smallest_containing_climb(tree, box)
+        want = climb(box)
         assert tree.smallest_containing(box) is want
         assert smallest_containing_general(tree, box) is want
         assert loaded.smallest_containing(box).cell == want.cell
@@ -203,15 +206,16 @@ def start_table_boxes(rng, tree):
 
 
 def check_start_table(tree, boxes):
+    climb = smallest_containing_climb(tree)
     for box in boxes:
-        assert tree.smallest_containing(box) is smallest_containing_climb(tree, box), box
+        assert tree.smallest_containing(box) is climb(box), box
     # entry i is the lowest node over the level -d cell whose
     # coordinates are i's d-bit fields, first axis most significant
     table, d, axes = tree._start, tree._start_depth, tree.dim - 1
     assert len(table) == 1 << (d * axes) <= len(tree)
     for i, node in enumerate(table):
         cell = CellId(-d, tuple((i >> (d * (axes - 1 - j))) & ((1 << d) - 1) for j in range(axes)))
-        assert node is smallest_containing_climb(tree, cell), cell
+        assert node is climb(cell), cell
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,9 +251,10 @@ def test_start_table_matches_climb(dim, how, seed):
 def test_smallest_containing_on_refined_trees(rng):
     for dim in (2, 3, 4):
         tree = refine(build_quadtree(sample_margin_cells(rng, dim, 30, min_level=-12)))
+        climb = smallest_containing_climb(tree)
         for _ in range(300):
             box = random_cell_in_root(rng, dim, min_level=-16)
-            assert tree.smallest_containing(box) is smallest_containing_climb(tree, box)
+            assert tree.smallest_containing(box) is climb(box)
 
 
 # -- children order ----------------------------------------------------------
