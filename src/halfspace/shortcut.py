@@ -12,12 +12,30 @@ contiguous run, so no traversal recurses.  That construction already
 achieves the two-hop bound, so larger ``k`` only skips shallow
 components; measured sizes stay near ``n log n`` and are reported, not
 asserted, against the inverse-Ackermann row reference values.
+
+Subtree sizes are counted once, up the whole preorder, and kept across
+the worklist, each the size of a vertex's subtree within its current
+component.  They stay exact: a vertex inside the separator's subtree
+keeps its whole subtree in the separator's child subtree, so its size
+holds, and in the remainder only the separator's ancestors lose
+vertices, the separator's subtree size each.  A piece of at most
+``k + 1`` vertices is at most ``k`` deep, so it is never queued; larger
+pieces are skipped when their height (the largest depth less the top's)
+is at most ``k``.
+
+An extra is made when the first of its two ends becomes a separator
+while both share a component, and the two never share one afterwards,
+so no pair is made twice.  The extras are gathered as integers
+``(u - lo) * span + (a - lo)``, ``lo`` the smallest label and ``span``
+the label range, which order as the ``(u, a)`` tuples do for any int
+labels; they are sorted once and split back with ``divmod``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 
 @dataclass(frozen=True)
@@ -72,11 +90,6 @@ def _preorder(parent: dict[int, int | None]) -> tuple[list[int], dict[int, int]]
     return order, depth
 
 
-def forest_height(parent: dict[int, int | None]) -> int:
-    """Depth of the deepest vertex of an upward forest (0 when empty)."""
-    return max(_preorder(parent)[1].values(), default=0)
-
-
 def check_hop_budget(k: int) -> None:
     """Raise ``ValueError`` unless ``k`` is an ``int`` (not a ``bool``)
     of at least 1."""
@@ -86,13 +99,19 @@ def check_hop_budget(k: int) -> None:
 
 def shortcut_forest(parent: dict[int, int | None], k: int) -> ShortcutSet:
     """Extra edges so every ancestor is reachable within ``k`` hops;
-    ``k`` is an ``int`` of at least 1 (else ``ValueError``)."""
+    ``k`` is an ``int`` of at least 1 (else ``ValueError``).
+
+    ``k = 1`` gives the full closure; ``k >= 2`` runs the separator
+    worklist with the kept subtree sizes and the integer pair keys of the
+    module docstring, which skips every piece of at most ``k + 1``
+    vertices (at most ``k`` deep).  The keys need ``int`` labels, so for
+    ``k >= 2`` any other label (a ``bool`` or a ``float`` included) is a
+    ``ValueError``."""
     check_hop_budget(k)
     order, depth = _preorder(parent)
 
-    extras: set[tuple[int, int]] = set()
-
     if k == 1:
+        extras: set[tuple[int, int]] = set()
         for v in parent:
             a = parent[v]
             if a is None:
@@ -103,21 +122,39 @@ def shortcut_forest(parent: dict[int, int | None], k: int) -> ShortcutSet:
                 a = parent[a]
         return ShortcutSet(dict(parent), k, tuple(sorted(extras)))
 
+    if not set(map(type, parent)) <= {int}:
+        label = next(v for v in parent if type(v) is not int)
+        raise ValueError(f"vertex labels must be ints when k >= 2, got {label!r}")
     # a component is a connected piece of one tree in preorder, its root
-    # first; every subtree in it is a contiguous run
+    # first; every subtree in it is a contiguous run.  size[v] counts v's
+    # subtree within v's current component, kept exact as the module
+    # docstring argues
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order):
+        p = parent[v]
+        if p is not None:
+            size[p] += size[v]
+    # an extra (u, a) is the key (u - lo) * span + (a - lo); shift folds
+    # both "- lo" into one constant
+    lo = min(parent, default=0)
+    span = max(parent, default=0) - lo + 1
+    shift = lo * (span + 1)
+    keys: list[int] = []
+    # a piece of at most k + 1 vertices is at most k deep: never queued
+    small = k + 1
     work: list[list[int]] = []
-    for v in order:
-        if depth[v] == 0:
-            work.append([])
-        work[-1].append(v)
+    i = 0
+    while i < len(order):
+        j = i + size[order[i]]
+        if j - i > small:
+            work.append(order[i:j])
+        i = j
+    depth_of = depth.__getitem__
     while work:
         comp = work.pop()
         top = depth[comp[0]]
-        if max(depth[v] for v in comp) - top <= k:
+        if max(map(depth_of, comp)) - top <= k:
             continue
-        size = dict.fromkeys(comp, 1)
-        for v in reversed(comp[1:]):
-            size[parent[v]] += size[v]
         # the separator: the deepest vertex whose subtree holds at least
         # half the component; at most one child of a vertex can qualify
         half = (len(comp) + 1) // 2
@@ -129,23 +166,33 @@ def shortcut_forest(parent: dict[int, int | None], k: int) -> ShortcutSet:
             else:
                 j += size[comp[j]]
         sep = comp[s]
-        end = s + size[sep]
+        cut = size[sep]
+        end = s + cut
         # wire the separator's subtree to it, and it to its ancestors
-        for u in comp[s + 1 : end]:
-            if parent[u] != sep:
-                extras.add((u, sep))
-        a = parent[sep]
-        for _ in range(depth[sep] - top - 1):
-            a = parent[a]
-            extras.add((sep, a))
-        # go on with the remainder and with the separator's child subtrees
+        down = sep - shift
+        keys += [u * span + down for u in comp[s + 1 : end] if parent[u] != sep]
         if s:
-            work.append(comp[:s] + comp[end:])
+            up = sep * span - shift
+            a = parent[sep]
+            size[a] -= cut
+            for _ in range(depth[sep] - top - 1):
+                a = parent[a]
+                size[a] -= cut
+                keys.append(up + a)
+            # go on with the remainder and with the separator's child subtrees
+            if len(comp) - cut > small:
+                work.append(comp[:s] + comp[end:])
         j = s + 1
         while j < end:
-            work.append(comp[j : j + size[comp[j]]])
-            j += size[comp[j]]
-    return ShortcutSet(dict(parent), k, tuple(sorted(extras)))
+            c = size[comp[j]]
+            if c > small:
+                work.append(comp[j : j + c])
+            j += c
+    keys.sort()
+    pairs = map(divmod, keys, repeat(span))
+    if lo:
+        pairs = ((u + lo, a + lo) for u, a in pairs)
+    return ShortcutSet(dict(parent), k, tuple(pairs))
 
 
 def reference_size(k: int, n: int) -> float:

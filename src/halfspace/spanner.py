@@ -42,12 +42,19 @@ Bridges and vertical edges are each unique and never share a pair, so
 :func:`build_spanner` collects them in one list and sorts it once.  The
 hyperbolic spanner (:func:`build_hyperbolic_spanner`) keeps the d1
 spanner's vertices, ids and cell map, moves each vertex to its cell
-center and appends the inputs; its edges are one set of pairs (the d1
+center and appends the inputs; its edges are one list of pairs (the d1
 edges, the shortcut extras, each input's edge to its cell's vertex),
 each ``u < v`` held as the integer ``u * n + v`` over ``n`` vertices,
-which orders as the ``(u, v)`` tuple does; the set is sorted once and
+which orders as the ``(u, v)`` tuple does; the list is sorted once and
 weighed by one :func:`~halfspace.hyperbolic.hyperbolic_distance` per
-pair.
+pair.  No pair comes twice, so no set is needed: the d1 edges are
+unique, as above; an extra joins a vertex to an ancestor at least two
+forest edges up, so it is neither a parent edge nor a bridge (whose
+ends share a level), and the shortcut makes each extra once; an input's
+edge is the only pair holding that input's vertex.  Whether the budget
+``k`` saturates (the forest at most ``k`` deep, when the full closure
+is taken) is decided by a depth probe that stops at the first vertex
+deeper than ``k``, so the forest's one preorder is the shortcut's own.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_e
 from .metrics import d2_path, lambda_
 from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder_key
 from .quadtree import box_adjacent  # noqa: F401  (bench/tracer.py wraps spanner.box_adjacent)
-from .shortcut import check_hop_budget, forest_height, shortcut_forest
+from .shortcut import check_hop_budget, shortcut_forest
 from .tiling import CellId, HPoint, center, collector_paused, is_ancestor_or_self, neighbor_offsets
 
 INPUT = "input"
@@ -450,7 +457,7 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
         parent = up_edge_map(base)
         # beyond the forest height the budget is saturated: spend it on the
         # full closure so every vertical run collapses to a single edge
-        cuts = shortcut_forest(parent, 1 if k >= forest_height(parent) else k)
+        cuts = shortcut_forest(parent, k if _deeper_than(parent, k) else 1)
 
         # the d1 spanner is this call's own: its vertices turn into the
         # Steiner vertices at their cell centers, keeping their ids and cell
@@ -464,19 +471,48 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
         # edges: each vertex has one upward edge, to its nearest ancestor
         # vertex.  Add the shortcut extras and each input's edge to the
         # vertex of its cell, then weigh every pair once, in sorted order.
-        # A pair u < v is the integer u * n + v: with v < n these order as
-        # the (u, v) tuples do
+        # No pair comes twice (see the module docstring), so they go into
+        # one list.  A pair u < v is the integer u * n + v: with v < n
+        # these order as the (u, v) tuples do
         n = len(vertices)
-        pairs = {u * n + v for u, v, _w in base.edges}
-        pairs.update(u * n + w if u < w else w * n + u for u, w in cuts.extra_edges)
+        pairs = [u * n + v for u, v, _w in base.edges]
+        pairs += [u * n + w if u < w else w * n + u for u, w in cuts.extra_edges]
         vid = base.vertex_of_cell
-        pairs.update(vid[c] * n + m + i for i, c in enumerate(cells))
+        pairs += [vid[c] * n + m + i for i, c in enumerate(cells)]
+        pairs.sort()
         at = [v.point for v in vertices]
         # the edges hold each vertex's own id object, not a new int per end:
         # a smaller graph, and a query touches fewer objects
         ids = [v.id for v in vertices]
         edges = []
-        for pair in sorted(pairs):
+        for pair in pairs:
             u, v = divmod(pair, n)
             edges.append((ids[u], ids[v], hyperbolic_distance(at[u], at[v])))
         return SpannerGraph("hyperbolic", vertices, edges, vid)
+
+
+def _deeper_than(parent: dict[int, int | None], k: int) -> bool:
+    """Whether a vertex of the upward forest ``parent`` lies more than
+    ``k`` edges below its root.
+
+    Each vertex climbs until a root or a vertex whose depth is known, and
+    the depths found on the way are kept, so every vertex is read about
+    once; a climb that passes ``k + 1`` unknown vertices has found a vertex
+    deeper than ``k`` and ends the probe, as does the first such depth.
+    """
+    depth: dict[int, int] = {}
+    for v in parent:
+        path = []
+        u = v
+        while u is not None and u not in depth:
+            if len(path) > k:
+                return True
+            path.append(u)
+            u = parent[u]
+        d = -1 if u is None else depth[u]
+        for w in reversed(path):
+            d += 1
+            depth[w] = d
+        if d > k:
+            return True
+    return False

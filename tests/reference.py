@@ -901,14 +901,14 @@ def build_hyperbolic_spanner_triples(points: list[HPoint], k: int):
     """Purely additive spanner embedded in the halfspace, copying the d1
     spanner's vertices and weighing a set of ``(u, v, w)`` triples.
 
-    Built on :func:`build_spanner_triples` and
-    :func:`hyperbolic_distance_general`.  Reference for
-    :func:`halfspace.spanner.build_hyperbolic_spanner`.
+    Built on :func:`build_spanner_triples`, :func:`hyperbolic_distance_general`
+    and the recursive :func:`shortcut_forest` below: the forest comes from
+    the vertical edges of the triples and its height from
+    :func:`_depths_and_children`, so no library forest or shortcut code
+    runs.  Reference for :func:`halfspace.spanner.build_hyperbolic_spanner`.
     """
     from halfspace.hyperbolic import normalize_and_embed
-    from halfspace.shortcut import forest_height
-    from halfspace.shortcut import shortcut_forest as shortcut_forest_fast
-    from halfspace.spanner import INPUT, STEINER, SpannerGraph, up_edge_map
+    from halfspace.spanner import INPUT, STEINER, SpannerGraph
     from halfspace.tiling import center
 
     if k < 1:
@@ -917,10 +917,19 @@ def build_hyperbolic_spanner_triples(points: list[HPoint], k: int):
         raise ValueError("cannot build a spanner over an empty point set")
     _, moved, cells = normalize_and_embed(points)
     base = build_spanner_triples(cells)
-    parent = up_edge_map(base)
+    # the upward forest: each vertical edge (its ends on two levels) points
+    # from the lower end to the higher one
+    parent: dict[int, int | None] = {v.id: None for v in base.vertices}
+    for u, v, _w in base.edges:
+        lu, lv = base.vertices[u].cell.level, base.vertices[v].cell.level
+        if lu < lv:
+            parent[u] = v
+        elif lv < lu:
+            parent[v] = u
+    height = max(_depths_and_children(parent)[2].values(), default=0)
     # beyond the forest height the budget is saturated: spend it on the
     # full closure so every vertical run collapses to a single edge
-    cuts = shortcut_forest_fast(parent, 1 if k >= forest_height(parent) else k)
+    cuts = shortcut_forest(parent, 1 if k >= height else k)
 
     graph = SpannerGraph(metric="hyperbolic")
     for v in base.vertices:

@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfspace.shortcut import forest_height, reference_size, shortcut_forest
+from halfspace.shortcut import reference_size, shortcut_forest
 
 import reference
 
@@ -12,13 +12,6 @@ import reference
 def path_parent(n):
     """Upward path 0 -> 1 -> ... -> n-1 (n-1 is the root)."""
     return {i: (i + 1 if i + 1 < n else None) for i in range(n)}
-
-
-def test_forest_height_path_5000():
-    # deeper than the interpreter's recursion limit
-    assert forest_height(path_parent(5000)) == 4999
-    assert forest_height({}) == 0
-    assert forest_height({0: None, 1: 0, 2: 0, 3: 2}) == 2
 
 
 def random_tree_parent(rng, n):
@@ -95,6 +88,19 @@ def test_shortcut_forest_k_true():
         shortcut_forest(path_parent(5), True)
 
 
+def test_shortcut_forest_labels_0_0_to_0_9_k_2():
+    # float labels 0.1 apart made integer pair keys that neither order nor
+    # split back as the (descendant, ancestor) tuples
+    parent = {v / 10: (v + 1) / 10 if v < 9 else None for v in range(10)}
+    with pytest.raises(ValueError, match="got 0.0"):
+        shortcut_forest(parent, 2)
+
+
+def test_shortcut_forest_label_true_k_2():
+    with pytest.raises(ValueError, match="True"):
+        shortcut_forest({True: None, 2: True, 3: 2, 4: 3}, 2)
+
+
 def test_k1_path_is_full_closure():
     n = 20
     cuts = check_hop_bound(path_parent(n), 1)
@@ -164,8 +170,10 @@ def test_reference_size_values():
 
 @st.composite
 def forests(draw):
-    """Upward forests of one to four trees, each a path or a random tree,
-    with the vertex labels shuffled half of the time."""
+    """Upward forests of one to four trees, each a path or a random tree.
+    The labels are ``range(n)`` as drawn, shuffled, or distinct ints drawn
+    anywhere in +-2^40, negative ones included, so the shortcut's integer
+    pair keys are checked on sparse labels too."""
     parent: dict[int, int | None] = {}
     for _ in range(draw(st.integers(1, 4))):
         base = len(parent)
@@ -173,14 +181,21 @@ def forests(draw):
         parent[base] = None
         for v in range(1, draw(st.integers(1, 60))):
             parent[base + v] = base + (v - 1 if path else draw(st.integers(0, v - 1)))
-    if draw(st.booleans()):
-        label = draw(st.permutations(range(len(parent))))
+    labels = draw(st.sampled_from(("range", "shuffled", "sparse")))
+    if labels != "range":
+        n = len(parent)
+        if labels == "shuffled":
+            label = draw(st.permutations(range(n)))
+        else:
+            label = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n, unique=True))
         parent = {label[v]: None if p is None else label[p] for v, p in parent.items()}
     return parent
 
 
 @settings(max_examples=200, deadline=None)
 @given(forests(), st.integers(1, 6))
+@example({}, 2)
+@example({0: None}, 2)
 def test_matches_recursive_reference(parent, k):
     assert shortcut_forest(parent, k) == reference.shortcut_forest(parent, k)
 
@@ -189,3 +204,12 @@ def test_matches_recursive_reference(parent, k):
 def test_path_5000_matches_recursive_reference(k):
     parent = path_parent(5000)
     assert shortcut_forest(parent, k) == reference.shortcut_forest(parent, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_path_64_labels_minus_3v_minus_7_matches_recursive_reference(k):
+    # sparse negative labels: the pair keys count from the smallest label
+    parent = {-3 * v - 7: (-3 * v - 10 if v < 63 else None) for v in range(64)}
+    cuts = shortcut_forest(parent, k)
+    assert cuts == reference.shortcut_forest(parent, k)
+    assert cuts.extra_edges and all(u < -6 and a < -6 for u, a in cuts.extra_edges)

@@ -1,9 +1,11 @@
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from halfspace import shortcut, spanner
 from halfspace.hyperbolic import hyperbolic_distance, normalize_and_embed
 from halfspace.layouts import SPANNER_DEMO_DISTANCE_2_5, SPANNER_DEMO_POINTS
 from halfspace.metrics import d1, d2, d2_path
@@ -22,7 +24,7 @@ from halfspace.spanner import (
 from halfspace.tiling import CellId, HPoint, horizontal_neighbors, is_ancestor_or_self
 
 from conftest import random_cell_in_root
-from reference import build_hyperbolic_spanner_triples, build_spanner_triples
+from reference import _depths_and_children, build_hyperbolic_spanner_triples, build_spanner_triples
 
 
 def C(level, *coords):
@@ -348,3 +350,42 @@ def test_saturated_k_gives_short_paths(rng):
         dist = hop_bounded_distances(len(g.vertices), adj, vids[i], 5)
         for j in vids:
             assert dist[vids[j]] != math.inf
+
+
+@pytest.mark.parametrize("k", [2, 10**6])
+def test_hyperbolic_spanner_walks_the_forest_once(monkeypatch, rng, k):
+    # the closure-or-k decision probes depths without a preorder: the one
+    # preorder runs inside shortcut_forest and no forest_height runs; the
+    # d1 spanner and the shortcut run once each, under the module-level
+    # names bench/tracer.py wraps
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name, None)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted, raising=False)
+
+    count(shortcut, "_preorder")
+    count(spanner, "forest_height")
+    count(spanner, "build_spanner")
+    count(spanner, "shortcut_forest")
+    pts = [HPoint((rng.uniform(-10, 10),), 2.0 ** -rng.uniform(0, 40)) for _ in range(200)]
+    build_hyperbolic_spanner(pts, k)
+    assert calls == {"_preorder": 1, "build_spanner": 1, "shortcut_forest": 1}
+
+
+def test_depth_probe_matches_reference_height(rng):
+    forests = [{}, {0: None}, {v: v + 1 if v < 4999 else None for v in range(5000)}]
+    for n in (2, 10, 60, 300):
+        forests.append({v: rng.randrange(v) if v else None for v in range(n)})
+        forests.append({v: None if v % 7 == 0 else v - 1 for v in range(n)})
+    for parent in forests:
+        height = max(_depths_and_children(parent)[2].values(), default=0)
+        for k in {1, 2, 3, height - 1, height, height + 1} - {0, -1}:
+            assert spanner._deeper_than(parent, k) == (height > k), (len(parent), k)
+    # a cycle ends the probe instead of looping
+    assert spanner._deeper_than({0: 1, 1: 0}, 5)
