@@ -32,7 +32,8 @@ Bellman-Ford that relaxes every reached vertex in every round
 :func:`halfspace.oracle.hop_bounded_distances` must match float for
 float; and the spanner assembly that gathered edges in sets of
 ``(u, v, w)`` triples and copied the d1 spanner's vertices
-(``build_spanner_triples``, ``build_hyperbolic_spanner_triples``) with
+(``build_spanner_triples``, ``build_hyperbolic_spanner_triples``, the
+latter shortcutting with the recursive ``shortcut_forest``) with
 the halfspace distance that tests every range in turn
 (``hyperbolic_distance_general``); and the exact rational membership
 test that :func:`halfspace.tiling.cell_of` must agree with
