@@ -41,9 +41,12 @@ annotation shares), and for a continuous query one :class:`CellId`:
 point, the one method that placed the inputs at build time, and builds
 no moved point.  In the hyperbolic plane (D = 2) every cell has one
 coordinate, and the whole query path takes a scalar branch picked by
-that count: the moved coordinate is floored on its own, each descent
-step and each d2 is a few integer shifts and compares, and no list,
-``zip`` or per-coordinate loop is made.  At D = 3 the descent and the
+that count: the level and the floor of the moved coordinate are taken
+inline, the root-shadow test is one shift, each descent step and each
+d2 is a few integer shifts and compares, and no list, ``zip`` or
+per-coordinate loop is made.  :func:`query_hyperbolic` calls
+``cell_of``, ``region_of`` and ``d2_argmin`` itself, with no
+:func:`query` layer.  At D = 3 the descent and the
 climb take two-axis steps, the two coordinates unpacked and no ``zip``
 made.  Both branches are picked by the coordinate count the code reads
 anyway; D >= 4 keeps the loops.  The answers are the same either way.
@@ -341,11 +344,24 @@ class AvdIndex:
         the lowest node whose box contains ``q``.
 
         Raises ``ValueError`` when ``q`` is not on or below the root
-        cell, inside its shadow: no region holds it.
+        cell, inside its shadow: no region holds it.  That is
+        :meth:`QuadTree.in_root`'s test.  A cell with one coordinate
+        (D = 2) takes it here on the scalar: refused in a tree of
+        another dimension and where ``level > 0 or k >> -level``, as
+        :meth:`QuadTree.smallest_containing` and
+        :func:`~halfspace.metrics.d2_argmin` take their D = 2 branches.
+        Other cells pay one ``len`` compare for it.
         """
-        if not self.tree.in_root(q):
+        tree = self.tree
+        coords = q.coords
+        if len(coords) == 1:
+            level = q.level
+            outside = tree.dim != 2 or level > 0 or coords[0] >> -level
+        else:
+            outside = not tree.in_root(q)
+        if outside:
             raise ValueError(f"{q!r} lies outside the root cell's shadow")
-        return self.tree.smallest_containing(q)
+        return tree.smallest_containing(q)
 
     def to_json(self) -> str:
         """The index as JSON text, written in the tree's one preorder
@@ -481,13 +497,27 @@ def query(ix: AvdIndex, q: CellId) -> int:
 def query_hyperbolic(ix: AvdIndex, q: HPoint) -> int:
     """Approximate nearest neighbor for a continuous query point.
 
-    Takes ``q``'s cell with :meth:`NormalizeTransform.cell_of`, the
-    method that placed the inputs, and answers :func:`query` on it.
-    Raises ``ValueError`` when the index holds no transform, when
-    ``q``'s dimension is not the index's, and when the move takes the
-    height to 0.0 or a coordinate out of the floats.
+    One flat path: :meth:`NormalizeTransform.cell_of`, the method that
+    placed the inputs, builds ``q``'s one :class:`CellId`; one
+    :meth:`AvdIndex.region_of` locates its region, and
+    :func:`~halfspace.metrics.d2_argmin` takes the argmin over the
+    region's representatives.  The answers are :func:`query`'s on that
+    cell, which ``cell_of`` has checked for dimension already: a cell
+    outside the root shadow gets the highest input.  Raises
+    ``ValueError`` when the index holds no transform, when ``q``'s
+    dimension is not the index's, when the move takes the height to
+    0.0 or a value out of the finite floats, and when the region
+    carries no representatives.
     """
     t = ix.transform
     if t is None:
         raise ValueError("index was built from discrete cells; no transform stored")
-    return query(ix, t.cell_of(q))
+    cell = t.cell_of(q)
+    try:
+        node = ix.region_of(cell)
+    except ValueError:
+        return ix.highest_index
+    reps = node.reps
+    if not reps:
+        raise ValueError(f"region {node.cell!r} carries no representatives")
+    return d2_argmin(cell, ix.tree.points, reps)

@@ -21,7 +21,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from math import asinh, hypot, sqrt
+from math import asinh, floor, frexp, hypot, ldexp, sqrt
 from operator import sub
 from typing import Sequence
 
@@ -130,13 +130,16 @@ class NormalizeTransform:
     def apply(self, p: HPoint) -> HPoint:
         """``p`` after the move, a checked :class:`HPoint`.  Raises
         ``ValueError`` naming both dimensions when ``p``'s is not the
-        transform's."""
+        transform's, and, as :class:`HPoint` does, when a moved value
+        leaves the finite floats (an int past them added to a float
+        shift included)."""
         if len(p.x) != len(self.shift):
             raise ValueError(f"point {p!r} has dimension {p.dim}, the transform {len(self.shift) + 1}")
-        return HPoint(
-            tuple(self.scale * x + t for x, t in zip(p.x, self.shift)),
-            self.scale * p.z,
-        )
+        try:
+            x = tuple(self.scale * x + t for x, t in zip(p.x, self.shift))
+        except OverflowError:
+            raise ValueError(f"point {p!r} moves out of the finite floats at scale {self.scale!r}") from None
+        return HPoint(x, self.scale * p.z)
 
     def cell_of(self, p: HPoint) -> CellId:
         """The cell of ``p`` after the move: ``cell_of(self.apply(p))``,
@@ -144,12 +147,22 @@ class NormalizeTransform:
 
         The one path by which a continuous point reaches its cell, at
         build (:func:`normalize_and_embed`) and at query time.  With one
-        coordinate (D = 2) the floor is taken on its own, with no list
-        or ``zip``.  Raises ``ValueError`` when ``p``'s dimension is not
-        the transform's, naming both, and when the move takes the height
-        to 0.0 or a coordinate out of the floats; the messages name a
-        query, as :func:`normalize` rejects such inputs before a build
-        places them.
+        coordinate (D = 2) the placement is inline: the level is
+        ``frexp(z)[1] - 1`` (:func:`~halfspace.tiling.level_of_height`)
+        and a float coordinate at level <= 0 is floored as
+        ``floor(ldexp(v, -level))``, :func:`~halfspace.tiling.floor_scaled`'s
+        fast path; an int coordinate (``ldexp`` would round it past
+        2^53), a level above 0 and an ``ldexp`` overflow go to
+        ``floor_scaled``.  Other dimensions call both helpers.
+
+        Raises ``ValueError`` when ``p``'s dimension is not the
+        transform's, naming both; when the move takes the height to 0.0
+        or out of the finite floats, naming the height and the scale;
+        and when it takes a coordinate out of the finite floats (to inf,
+        or an int past them), naming ``x`` and the scale.  These are the
+        values :meth:`apply`'s :class:`HPoint` refuses.  The messages
+        name a query, as :func:`normalize` rejects such inputs before a
+        build places them.
         """
         x = p.x
         shift = self.shift
@@ -158,17 +171,46 @@ class NormalizeTransform:
             raise ValueError(f"query {p!r} has dimension {p.dim}, the index {len(shift) + 1}")
         scale = self.scale
         z = scale * p.z
-        if z == 0.0:
-            raise ValueError(f"query height {p.z!r} underflows to 0.0 at scale {scale!r}")
-        level = level_of_height(z)
+        if not 0.0 < z < _INF:
+            raise _height_error(p, scale, z)
+        try:
+            level = frexp(z)[1] - 1 if axes == 1 else level_of_height(z)
+        except OverflowError:  # an int product past the floats
+            raise _height_error(p, scale, z) from None
         try:
             if axes == 1:
-                coords = (floor_scaled(scale * x[0] + shift[0], level),)
+                v = scale * x[0] + shift[0]
+                if level <= 0 and type(v) is float:
+                    try:
+                        return CellId.derived(level, (floor(ldexp(v, -level)),))
+                    except OverflowError:  # a finite v too large for ldexp, or inf
+                        pass
+                coords = (_floor_moved(v, level),)
             else:
-                coords = tuple([floor_scaled(scale * v + s, level) for v, s in zip(x, shift)])
+                coords = tuple([_floor_moved(scale * v + s, level) for v, s in zip(x, shift)])
         except OverflowError:
             raise ValueError(f"query x = {p.x!r} moves out of the finite floats at scale {scale!r}") from None
         return CellId.derived(level, coords)
+
+
+def _height_error(p: HPoint, scale: float, z: float) -> ValueError:
+    """The refusal of a query whose height moves to ``z``, 0.0 or past
+    the finite floats."""
+    fate = "underflows to 0.0" if z == 0.0 else "moves out of the finite floats"
+    return ValueError(f"query height {p.z!r} {fate} at scale {scale!r}")
+
+
+def _floor_moved(v: float, level: int) -> int:
+    """:func:`~halfspace.tiling.floor_scaled` of a moved coordinate.
+
+    Raises ``OverflowError`` when ``v`` has left the finite floats: an
+    inf (``floor_scaled`` raises it) or an int past them, which an int
+    scale, coordinate and shift make where float arithmetic would give
+    inf.
+    """
+    if type(v) is int:
+        float(v)  # OverflowError past the floats
+    return floor_scaled(v, level)
 
 
 # Horizontal diameter target: strictly below 1/4 so every mapped cell

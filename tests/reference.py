@@ -24,7 +24,8 @@ carried pass with one boundary test per child
 (``select_representatives_per_child``), which the carried boundary sets
 of :func:`halfspace.avd.select_representatives`, tested once per block
 of children, must match region for region; the AVD queries with one ``d2`` per
-representative and a moved ``HPoint`` per continuous query (``query``,
+representative and a moved ``HPoint`` per continuous query, whose
+refusals name the value at fault in the library's words (``query``,
 ``query_hyperbolic``); the recursive separator shortcutting
 (``shortcut_forest`` with ``solve``); and the hop-bounded
 Bellman-Ford that relaxes every reached vertex in every round
@@ -80,7 +81,7 @@ from halfspace.metrics import D2Path, d2_path, lambda_
 from halfspace.pointfile import CONTINUOUS, DISCRETE, PointFileError, _integer
 from halfspace.quadtree import COMPRESSED, DEEPEST_LEVEL, LEAF, ORDINARY, QuadNode, QuadTree, first_indices, is_index, json_fields, root_cell, shadow_within
 from halfspace.shortcut import ShortcutSet
-from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, horizontal_neighbors, level_of_height, parent
+from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, finite_number, horizontal_neighbors, level_of_height, parent
 
 
 def lift_pair(p: CellId, q: CellId) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -366,11 +367,29 @@ def query(ix, q: CellId) -> int:
 def query_hyperbolic(ix, q: HPoint) -> int:
     """Approximate nearest neighbor for a continuous query point.
 
-    Reference for :func:`halfspace.avd.query_hyperbolic`.
+    Reference for :func:`halfspace.avd.query_hyperbolic`: the cell of
+    the moved point, a checked ``HPoint`` (``NormalizeTransform.apply``).
+    Where the move fails the refusal names, in the library's words, the
+    first value at fault: the dimension, the height (0.0 or past the
+    finite floats), then ``x``.
     """
-    if ix.transform is None:
+    t = ix.transform
+    if t is None:
         raise ValueError("index was built from discrete cells; no transform stored")
-    return query(ix, cell_of(ix.transform.apply(q)))
+    if len(q.x) != len(t.shift):
+        raise ValueError(f"query {q!r} has dimension {q.dim}, the index {len(t.shift) + 1}")
+    try:
+        moved = t.apply(q)
+    except ValueError:
+        z = t.scale * q.z
+        if z == 0.0:
+            fault = f"query height {q.z!r} underflows to 0.0"
+        elif not finite_number(z):
+            fault = f"query height {q.z!r} moves out of the finite floats"
+        else:
+            fault = f"query x = {q.x!r} moves out of the finite floats"
+        raise ValueError(f"{fault} at scale {t.scale!r}") from None
+    return query(ix, cell_of(moved))
 
 
 def touches_boundary(inner_box: CellId, outer_box: CellId) -> bool:

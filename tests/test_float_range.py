@@ -14,16 +14,17 @@ moved point, or raise ``ValueError`` where moving it does.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfspace import hyperbolic
-from halfspace.avd import build_avd
-from halfspace.hyperbolic import distortion_report, hyperbolic_distance, normalize, normalize_and_embed
+from halfspace.avd import AvdIndex, build_avd, query_hyperbolic
+from halfspace.hyperbolic import NormalizeTransform, distortion_report, hyperbolic_distance, normalize, normalize_and_embed
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
-from halfspace.tiling import HPoint, cell_of
+from halfspace.tiling import CellId, HPoint, cell_of
 
 from reference import build_hyperbolic_spanner_triples, build_spanner_triples, hyperbolic_distance_general, hyperbolic_distance_map
 
@@ -166,3 +167,61 @@ def test_transform_cell_of_is_cell_of_the_moved_point(case):
     for q in queries:
         want = _builds_or_rejects(lambda: cell_of(t.apply(q)))
         assert _builds_or_rejects(t.cell_of, q) == want
+
+
+# hand-made transforms, as a loaded index may hold: int or float scale
+# and shift, and int or float coordinates and heights, ints past 2^53
+# and up to 10^308 included
+numbers = st.one_of(coords, st.integers(-(10**308), 10**308), st.sampled_from((2**53 + 1, -(2**60) - 1, 10**308)))
+
+
+@st.composite
+def hand_made_cases(draw):
+    axes = draw(st.sampled_from((1, 2)))
+    scale = draw(st.one_of(st.integers(1, 2**64), st.sampled_from((1, 2, 10**308)), st.floats(1e-300, 1e300)))
+    shift = tuple(draw(numbers) for _ in range(axes))
+    q = HPoint(tuple(draw(numbers) for _ in range(axes)), draw(st.one_of(heights, st.integers(1, 10**308))))
+    return NormalizeTransform(scale, shift), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_made_cases())
+@example((NormalizeTransform(1, (0,)), HPoint((2**53 + 1,), 1)))
+@example((NormalizeTransform(3, (5,)), HPoint((2**60 + 1,), 2.0**-30)))
+@example((NormalizeTransform(3, (5, -7)), HPoint((2**60 + 1, -3), 1)))
+@example((NormalizeTransform(2**64, (-(2**60) - 1,)), HPoint((-3,), 2**40)))
+@example((NormalizeTransform(2, (0,)), HPoint((0.5,), 10**308)))
+@example((NormalizeTransform(2, (0,)), HPoint((10**308,), 2.0**-1000)))
+@example((NormalizeTransform(2, (0.5,)), HPoint((10**308,), 1.0)))
+@example((NormalizeTransform(2, (0, 0)), HPoint((0.5, 10**308), 1.0)))
+def test_hand_made_transform_cell_of_is_cell_of_the_moved_point(case):
+    t, q = case
+    want = _builds_or_rejects(lambda: cell_of(t.apply(q)))
+    assert _builds_or_rejects(t.cell_of, q) == want
+
+
+def test_transform_2_cell_of_int_x_2_pow_53_plus_1_stays_exact():
+    # x moves to 2^54 + 2 at level 1: ldexp would round the int to a
+    # float, and floor_scaled keeps it exact
+    assert NormalizeTransform(2, (0,)).cell_of(HPoint((2**53 + 1,), 1)) == CellId(1, (2**53 + 1,))
+
+
+def test_transform_2_cell_of_height_10_pow_308():
+    # the moved int height 2 * 10^308 is past the floats: frexp overflowed
+    t = NormalizeTransform(2, (0,))
+    q = HPoint((0.5,), 10**308)
+    with pytest.raises(ValueError, match=f"^query height {10**308} moves out of the finite floats at scale 2$"):
+        t.cell_of(q)
+    ix = build_avd([HPoint((0.3,), 1.0), HPoint((0.4,), 0.5)])
+    with pytest.raises(ValueError, match="query height"):
+        query_hyperbolic(AvdIndex(ix.tree, t, ix.highest_index), q)
+
+
+def test_transform_2_cell_of_x_10_pow_308_height_2_pow_minus_1000():
+    # the moved int x 2 * 10^308 is past the floats; it used to give a cell
+    t = NormalizeTransform(2, (0,))
+    q = HPoint((10**308,), 2.0**-1000)
+    with pytest.raises(ValueError, match=re.escape(f"query x = {q.x!r} moves out of the finite floats at scale 2")):
+        t.cell_of(q)
+    with pytest.raises(ValueError):
+        cell_of(t.apply(q))

@@ -6,9 +6,10 @@ continuous query), ``d2_argmin`` against the plain ``min`` over
 ``(d2, index)`` and against the climb on lifted coordinate tuples at
 D = 2..8 (``reference.d2_argmin_general``, the only reference for
 the two-axis climb at D = 3, which ``d2`` shares), and
-``QuadTree.in_root`` against ``shadow_within`` of the root cell; cost
-guards count the cells and points a query builds and the ``zip``
-calls of a D = 3 query.
+``QuadTree.in_root`` against ``shadow_within`` of the root cell, and
+``AvdIndex.region_of`` against ``in_root`` and ``smallest_containing``;
+cost guards count the cells and points a query builds, the helpers a
+D = 2 continuous query calls and the ``zip`` calls of a D = 3 query.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace import metrics, quadtree
+from halfspace import avd, hyperbolic, metrics, quadtree
 from halfspace.avd import AvdIndex, build_avd, query, query_hyperbolic
 from halfspace.hyperbolic import NormalizeTransform
 from halfspace.metrics import d2, d2_argmin
@@ -267,6 +268,57 @@ def test_d2_argmin_ties_to_smallest_index():
         assert d2_argmin(c, cells, indices) == min((d2(c, cells[i]), i) for i in indices)[1]
 
 
+@settings(max_examples=150, deadline=None)
+@given(indexes())
+def test_region_of_refuses_exactly_outside_the_root_shadow(data):
+    """D = 2..4: ``region_of`` raises exactly when ``in_root`` is False,
+    with its one message, and otherwise returns ``smallest_containing``'s
+    node.  The cells are ``query_cells``' (levels above 0, negative
+    coordinates and coordinates of 2^-level and more) and cells of 1-4
+    coordinates, so the D = 2 scalar test meets trees of every dimension."""
+    ix, _, rng = data
+    tree = ix.tree
+    cells = query_cells(rng, ix, 12)
+    for _ in range(12):
+        level = rng.choice([rng.randint(MIN_LEVEL, 0), rng.randint(-8, 2)])
+        cells.append(CellId(level, random_coords(rng, rng.randint(1, 4), level)))
+    for c in cells:
+        if tree.in_root(c):
+            assert ix.region_of(c) is tree.smallest_containing(c), c
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(repr(c))} lies outside the root cell's shadow$"):
+                ix.region_of(c)
+
+
+def failure(fn, *args):
+    """The answer, or ``ValueError`` with its message when ``fn`` raises one."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@pytest.mark.parametrize(
+    "scale, shift, q",
+    [
+        pytest.param(1.0, (1e308,), HPoint((1e308,), 1.0), id="x_1e308_shift_1e308_to_inf"),
+        pytest.param(2, (0,), HPoint((0.5,), 10**308), id="int_height_10_pow_308_scale_2"),
+        pytest.param(2, (0,), HPoint((10**308,), 2.0**-1000), id="int_x_10_pow_308_scale_2"),
+        pytest.param(2, (0.5,), HPoint((10**308,), 1.0), id="int_x_10_pow_308_float_shift"),
+        pytest.param(1e10, (0.0,), HPoint((0.3,), 1e300), id="height_1e300_scale_1e10_to_inf"),
+        pytest.param(1e-300, (0.0,), HPoint((0.3,), 1e-300), id="height_1e-300_to_0"),
+        pytest.param(1.0, (0.0,), HPoint((0.3, 0.3), 1.0), id="dimension_3_on_2"),
+        pytest.param(2, (0,), HPoint((2**53 + 1,), 1), id="int_x_2_pow_53_plus_1_answered"),
+    ],
+)
+def test_query_hyperbolic_errors_match_reference(scale, shift, q):
+    """Hand-made transforms: the same answer, or the same refusal word
+    for word."""
+    base = build_avd([HPoint((0.3,), 1.0), HPoint((0.4,), 0.5)])
+    ix = AvdIndex(base.tree, NormalizeTransform(scale, shift), base.highest_index)
+    assert failure(query_hyperbolic, ix, q) == failure(reference.query_hyperbolic, ix, q)
+
+
 def test_query_hyperbolic_moved_x_beyond_the_floats():
     # a hand-made transform: the moved x overflows to inf
     base = build_avd([HPoint((0.3,), 1.0), HPoint((0.4,), 0.5)])
@@ -324,6 +376,44 @@ def test_query_path_builds_one_cell_and_no_point(monkeypatch):
     # the reference moves an HPoint per query, so the patch is live
     reference.query_hyperbolic(ix, qs[0])
     assert point_builds.n == 1
+
+
+def test_d2_query_hyperbolic_places_and_locates_inline(monkeypatch):
+    """Cost guard: a D = 2 ``query_hyperbolic`` of in-range float
+    queries at level <= 0 takes the level and the floor inline and
+    locates its cell itself, so it calls none of ``level_of_height``,
+    ``floor_scaled`` (as ``hyperbolic`` reaches them) or ``avd.query``.
+    A D = 3 query calls both helpers, so their patches are live, and a
+    discrete query through ``avd.query`` shows that patch live."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in ((hyperbolic, "level_of_height"), (hyperbolic, "floor_scaled"), (avd, "query")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rng = random.Random(36)
+    for dim in (2, 3):
+        point = lambda: HPoint(tuple(rng.uniform(0, 1) for _ in range(dim - 1)), math.ldexp(rng.random() + 0.5, -rng.randint(1, 26)))
+        ix = build_avd([point() for _ in range(64)])
+        qs = [point() for _ in range(200)]
+        cells = [ix.transform.cell_of(q) for q in qs]
+        assert all(c.level <= 0 and ix.tree.in_root(c) for c in cells)
+        calls.clear()
+        for q in qs:
+            query_hyperbolic(ix, q)
+        if dim == 2:
+            assert calls == []
+        else:
+            assert calls.count("level_of_height") == len(qs)
+            assert calls.count("floor_scaled") == 2 * len(qs)
+            assert "query" not in calls
+    avd.query(ix, cells[0])
+    assert calls[-1] == "query"
 
 
 def test_d3_query_makes_no_zip_call(monkeypatch):
