@@ -147,13 +147,16 @@ class NormalizeTransform:
 
         The one path by which a continuous point reaches its cell, at
         build (:func:`normalize_and_embed`) and at query time.  With one
-        coordinate (D = 2) the placement is inline: the level is
-        ``frexp(z)[1] - 1`` (:func:`~halfspace.tiling.level_of_height`)
+        coordinate (D = 2) the placement is inline: the level of a float
+        height is ``frexp(z)[1] - 1`` (:func:`~halfspace.tiling.level_of_height`)
         and a float coordinate at level <= 0 is floored as
         ``floor(ldexp(v, -level))``, :func:`~halfspace.tiling.floor_scaled`'s
         fast path; an int coordinate (``ldexp`` would round it past
         2^53), a level above 0 and an ``ldexp`` overflow go to
-        ``floor_scaled``.  Other dimensions call both helpers.
+        ``floor_scaled``.  Other dimensions call both helpers.  At every
+        dimension the level of an int height (an int scale times an int
+        ``z``) is its bit length less one, as ``level_of_height`` takes
+        it, since ``frexp`` would round it past 2^53.
 
         Raises ``ValueError`` when ``p``'s dimension is not the
         transform's, naming both; when the move takes the height to 0.0
@@ -174,7 +177,11 @@ class NormalizeTransform:
         if not 0.0 < z < _INF:
             raise _height_error(p, scale, z)
         try:
-            level = frexp(z)[1] - 1 if axes == 1 else level_of_height(z)
+            if type(z) is int:
+                float(z)  # OverflowError past the floats
+                level = z.bit_length() - 1  # frexp would round z past 2^53
+            else:
+                level = frexp(z)[1] - 1 if axes == 1 else level_of_height(z)
         except OverflowError:  # an int product past the floats
             raise _height_error(p, scale, z) from None
         try:

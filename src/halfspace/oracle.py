@@ -274,7 +274,8 @@ def hop_bounded_distances(
     every value is the minimum over the same candidates as a full scan
     of all reached vertices, the same floats bit for bit, at a cost of
     the edges out of the frontiers.  The rounds stop early once a round
-    changes nothing.  Raises ``ValueError`` when ``source`` is not an
+    changes nothing.  The last round only lowers values: no later round
+    reads its frontier.  Raises ``ValueError`` when ``source`` is not an
     ``int`` in ``range(n_vertices)``, ``adjacency`` does not have
     ``n_vertices`` rows, or ``max_hops`` is not an ``int`` >= 0.
     """
@@ -284,7 +285,7 @@ def hop_bounded_distances(
     dropped_in = [0] * n_vertices  # the last round in which each value dropped
     frontier = [source]
     starts = [0.0]  # the frontier's values at the start of the round
-    for r in range(1, max_hops + 1):
+    for r in range(1, max_hops):
         if not frontier:
             break
         nxt = []
@@ -298,4 +299,10 @@ def hop_bounded_distances(
                     dist[v] = nd
         frontier = nxt
         starts = [dist[v] for v in nxt]
+    if max_hops:
+        for u, du in zip(frontier, starts):
+            for v, w in adjacency[u]:
+                nd = du + w
+                if nd < dist[v]:
+                    dist[v] = nd
     return dist

@@ -39,15 +39,22 @@ scalar climb of ``d2_argmin``, which stops at the apexes of
 ``(level, lo, hi)`` until the two cells of each kept bridge are built.
 
 Bridges and vertical edges are each unique and never share a pair, so
-:func:`build_spanner` collects them in one list and sorts it once.  The
-hyperbolic spanner (:func:`build_hyperbolic_spanner`) keeps the d1
-spanner's vertices, ids and cell map, moves each vertex to its cell
-center and appends the inputs; its edges are one list of pairs (the d1
-edges, the shortcut extras, each input's edge to its cell's vertex),
-each ``u < v`` held as the integer ``u * n + v`` over ``n`` vertices,
-which orders as the ``(u, v)`` tuple does; the list is sorted once and
-weighed by one :func:`~halfspace.hyperbolic.hyperbolic_distance` per
-pair.  No pair comes twice, so no set is needed: the d1 edges are
+:func:`build_spanner` collects them in one list and sorts it once.
+Past the bridge pass it runs on integers: each cell is its ``(level,
+coords)`` key, whose hash and comparisons run in C, each edge ``u < v``
+the integer ``u * n + v`` over ``n`` vertices, which orders as the
+``(u, v)`` tuple does, weighed from a list of the vertices' levels, and
+at D = 2 each vertex's vertical edge comes from a stack over the int
+intervals of the cells' shadows.  The hyperbolic spanner
+(:func:`build_hyperbolic_spanner`) keeps the d1 spanner's vertices, ids
+and cell map, moves each vertex to its cell center and appends the
+inputs; its edges are one list of such pairs (the d1 edges, the
+shortcut extras, each input's edge to its cell's vertex), sorted once
+and weighed once each by the closed form of
+:func:`~halfspace.hyperbolic.hyperbolic_distance`: at D = 2 its common
+case runs inline on flat lists of the vertices' ``x`` and ``z``, with
+the function's own expressions, and any other pair calls the function.
+No pair comes twice, so no set is needed: the d1 edges are
 unique, as above; an extra joins a vertex to an ancestor at least two
 forest edges up, so it is neither a parent edge nor a bridge (whose
 ends share a level), and the shortcut makes each extra once; an input's
@@ -60,7 +67,10 @@ deeper than ``k``, so the forest's one preorder is the shortcut's own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from math import asinh, hypot, sqrt
 from operator import add
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
@@ -72,6 +82,9 @@ from .tiling import CellId, HPoint, center, collector_paused, is_ancestor_or_sel
 
 INPUT = "input"
 STEINER = "steiner"
+
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -324,57 +337,110 @@ def _one_axis_bridges(tree: QuadTree) -> list[Bridge]:
 
 
 def build_spanner(points: list[CellId]) -> SpannerGraph:
-    """The 2-additive Steiner spanner of the given cells under d1."""
+    """The 2-additive Steiner spanner of the given cells under d1.
+
+    The vertices are the distinct input cells, in input order, then the
+    bridge ends that are no input, in ``(level, coords)`` order.  Past
+    the bridge pass the assembly runs on each cell's ``(level, coords)``
+    key, whose hash and comparisons run in C, and on the vertices' ids
+    and levels; :attr:`SpannerGraph.vertex_of_cell` is built once, at
+    the end.  Each edge ``u < v`` is the integer ``u * n + v`` over the
+    ``n`` vertices until the list is sorted once, and is weighed from
+    the ends' levels: 1 for a bridge (its ends share a level), the level
+    gap for a vertical edge.  Each vertex's vertical edge goes to its
+    nearest strict ancestor among the vertices, found by one stack pass
+    in Z-order, where every cell follows its ancestors and the stack
+    holds the vertices containing the last one.  With one coordinate
+    (D = 2) a cell ``(level, (k,))`` is the interval of ints from
+    ``k << (level - low)`` up to ``(k + 1) << (level - low)`` at the
+    lowest level ``low``, the vertices are sorted by its start, ties to
+    the higher cell, and the stack pops every interval that ends at or
+    before the next start.  Other dimensions sort by
+    :func:`~halfspace.quadtree.zorder_key` and test the stack with
+    :func:`~halfspace.tiling.is_ancestor_or_self`.
+    """
     if not points:
         raise ValueError("cannot build a spanner over an empty point set")
     with collector_paused():
-        tree = build_quadtree(points)
-        bridges = enumerate_bridges(tree)
+        # the tree is dropped once its bridges are out, before the assembly
+        bridges = enumerate_bridges(build_quadtree(points))
 
-        graph = SpannerGraph(metric="d1-weighted")
-        vid = graph.vertex_of_cell
+        index: dict[tuple, int] = {}  # vertex id of each (level, coords) key
+        cells: list[CellId] = []
+        inputs: list[int] = []
         for i, c in enumerate(points):
-            if c not in vid:
-                graph.add_vertex(INPUT, cell=c, input_index=i)
-        steiner_cells = sorted(
-            {c for b in bridges for c in (b.left, b.right)}.difference(vid), key=lambda c: (c.level, c.coords)
-        )
-        for c in steiner_cells:
-            graph.add_vertex(STEINER, cell=c)
+            key = (c.level, c.coords)
+            if key not in index:
+                index[key] = len(cells)
+                cells.append(c)
+                inputs.append(i)
+        m = len(cells)
+        ends = [c for b in bridges for c in (b.left, b.right)]
+        end_keys = [(c.level, c.coords) for c in ends]
+        # in bridge order; at D = 2 a bridge's right end is its left end
+        # plus one, so the ends already come in order and the sort only
+        # checks it
+        cell_of_key = dict(zip(end_keys, ends))
+        steiner = list(filterfalse(index.__contains__, cell_of_key))
+        steiner.sort()
+        index.update(zip(steiner, range(m, m + len(steiner))))
+        cells += [cell_of_key[key] for key in steiner]
+        n = len(cells)
+        levels = [c.level for c in cells]
 
         # bridges (same level) and vertical edges (one per vertex, upward)
         # are each unique and never share a pair: one list, sorted once
-        edges: list[tuple[int, int, float]] = []
-        for b in bridges:
-            u, v = vid[b.left], vid[b.right]
-            edges.append((u, v, 1.0) if u < v else (v, u, 1.0))
-        # each vertex's nearest strict ancestor among the vertices: in Z-order
-        # every cell follows its ancestors, and the stack holds the vertex
-        # cells containing the last one
-        key = zorder_key(min(v.cell.level for v in graph.vertices), tree.dim - 1)
-        stack: list[SpannerVertex] = []
-        for v in sorted(graph.vertices, key=lambda v: key(v.cell)):
-            while stack and not is_ancestor_or_self(stack[-1].cell, v.cell):
-                stack.pop()
-            if stack:
-                up = stack[-1]
-                w = float(up.cell.level - v.cell.level)
-                edges.append((v.id, up.id, w) if v.id < up.id else (up.id, v.id, w))
-            stack.append(v)
-        edges.sort()
-        graph.edges = edges
-        return graph
+        end_ids = list(map(index.__getitem__, end_keys))
+        pairs = [u * n + v if u < v else v * n + u for u, v in zip(end_ids[::2], end_ids[1::2])]
+        if len(cells[0].coords) == 1:
+            low, high = min(levels), max(levels)
+            starts = [c.coords[0] << (c.level - low) for c in cells]
+            stops = [(c.coords[0] + 1) << (c.level - low) for c in cells]
+            # the key (start, high - level) as one int
+            bits = (high - low).bit_length()
+            order = sorted(range(n), key=[(z << bits) + high - lev for z, lev in zip(starts, levels)].__getitem__)
+            stack: list[int] = []
+            for v in order:
+                while stack and stops[stack[-1]] <= starts[v]:
+                    stack.pop()
+                if stack:
+                    up = stack[-1]
+                    pairs.append(v * n + up if v < up else up * n + v)
+                stack.append(v)
+        else:
+            key = zorder_key(min(levels), len(cells[0].coords))
+            stack = []
+            for v in sorted(range(n), key=list(map(key, cells)).__getitem__):
+                while stack and not is_ancestor_or_self(cells[stack[-1]], cells[v]):
+                    stack.pop()
+                if stack:
+                    up = stack[-1]
+                    pairs.append(v * n + up if v < up else up * n + v)
+                stack.append(v)
+        pairs.sort()
+        # the vertices, the edges and the cell map share one int per id;
+        # a bridge's ends share a level, so its level gap 0 weighs 1
+        ids = list(range(n))
+        edges = []
+        for pair in pairs:
+            u, v = divmod(pair, n)
+            edges.append((ids[u], ids[v], float(abs(levels[u] - levels[v])) or 1.0))
+        vertices = [SpannerVertex(ids[v], INPUT, cells[v], None, i) for v, i in enumerate(inputs)]
+        vertices += [SpannerVertex(ids[v], STEINER, cells[v]) for v in range(m, n)]
+        return SpannerGraph("d1-weighted", vertices, edges, dict(zip(cells, ids)))
 
 
 def up_edge_map(graph: SpannerGraph) -> dict[int, int | None]:
-    """Parent map of the upward forest: each vertex's vertical edge target."""
+    """Parent map of the upward forest: each vertex's vertical edge
+    target, read off a list of the vertices' levels."""
     parent: dict[int, int | None] = {v.id: None for v in graph.vertices}
+    levels = [v.cell.level for v in graph.vertices]
     for u, v, _w in graph.edges:
-        cu, cv = graph.vertices[u].cell, graph.vertices[v].cell
-        if cu.level == cv.level:
-            continue  # bridge
-        lo, hi = (u, v) if cu.level < cv.level else (v, u)
-        parent[lo] = hi
+        lu, lv = levels[u], levels[v]
+        if lu < lv:
+            parent[u] = v
+        elif lv < lu:
+            parent[v] = u
     return parent
 
 
@@ -485,9 +551,24 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
         # a smaller graph, and a query touches fewer objects
         ids = [v.id for v in vertices]
         edges = []
-        for pair in pairs:
-            u, v = divmod(pair, n)
-            edges.append((ids[u], ids[v], hyperbolic_distance(at[u], at[v])))
+        if len(at[0].x) == 1:
+            # hyperbolic_distance's common case, its expressions in its
+            # order on flat lists; any other pair goes to it whole
+            xs = [p.x[0] for p in at]
+            zs = [p.z for p in at]
+            for pair in pairs:
+                u, v = divmod(pair, n)
+                zz = zs[u] * zs[v]
+                if _FLOAT_MIN <= zz < _INF:
+                    arg = 0.5 * hypot(xs[u] - xs[v], zs[u] - zs[v]) / sqrt(zz)
+                    if arg < _INF:
+                        edges.append((ids[u], ids[v], 2.0 * asinh(arg)))
+                        continue
+                edges.append((ids[u], ids[v], hyperbolic_distance(at[u], at[v])))
+        else:
+            for pair in pairs:
+                u, v = divmod(pair, n)
+                edges.append((ids[u], ids[v], hyperbolic_distance(at[u], at[v])))
         return SpannerGraph("hyperbolic", vertices, edges, vid)
 
 

@@ -216,9 +216,14 @@ def level_of_height(z: float) -> int:
 
     Uses the exact binary exponent of the float, so heights that are
     powers of two land on the higher level without log2 rounding noise.
+    An int height is read by its bit length: ``frexp`` would first round
+    it to a float, which past 2^53 can carry it up to the next power of
+    two and so one level too high.
     """
     if not 0.0 < z < math.inf:
         raise ValueError(f"height must be a positive finite number, got {z}")
+    if type(z) is int:
+        return z.bit_length() - 1
     mantissa, exponent = math.frexp(z)  # z = mantissa * 2^exponent, mantissa in [0.5, 1)
     return exponent - 1
 

@@ -81,7 +81,7 @@ from halfspace.metrics import D2Path, d2_path, lambda_
 from halfspace.pointfile import CONTINUOUS, DISCRETE, PointFileError, _integer
 from halfspace.quadtree import COMPRESSED, DEEPEST_LEVEL, LEAF, ORDINARY, QuadNode, QuadTree, first_indices, is_index, json_fields, root_cell, shadow_within
 from halfspace.shortcut import ShortcutSet
-from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, finite_number, horizontal_neighbors, level_of_height, parent
+from halfspace.tiling import CellId, HPoint, ancestor_at, cell_of, children, collector_paused, finite_number, horizontal_neighbors, parent
 
 
 def lift_pair(p: CellId, q: CellId) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -1138,10 +1138,21 @@ def hop_bounded_distances_scan(
     return prev
 
 
+def exact_level(z: float) -> int:
+    """The level i with 2^i <= z < 2^(i+1) of a positive int or float,
+    from its exact ratio n / d: with i the difference of their bit
+    lengths, 2^(i-1) < n / d < 2^(i+1).  No float rounding, so an int
+    past 2^53 keeps its level; the reference for
+    :func:`~halfspace.tiling.level_of_height`."""
+    n, d = z.as_integer_ratio()
+    i = n.bit_length() - d.bit_length()
+    return i if Fraction(n, d) >= Fraction(2) ** i else i - 1
+
+
 def contains_point(c: CellId, p: HPoint) -> bool:
     """Half-open geometric membership test, in exact rational arithmetic
     so it holds at every level; the tests check :func:`cell_of` with it."""
-    if level_of_height(p.z) != c.level:
+    if exact_level(p.z) != c.level:
         return False
     w = Fraction(2) ** c.level
     return all(k * w <= Fraction(x) < (k + 1) * w for k, x in zip(c.coords, p.x))

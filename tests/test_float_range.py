@@ -26,7 +26,7 @@ from halfspace.hyperbolic import NormalizeTransform, distortion_report, hyperbol
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
 from halfspace.tiling import CellId, HPoint, cell_of
 
-from reference import build_hyperbolic_spanner_triples, build_spanner_triples, hyperbolic_distance_general, hyperbolic_distance_map
+from reference import build_hyperbolic_spanner_triples, build_spanner_triples, contains_point, hyperbolic_distance_general, hyperbolic_distance_map
 
 heights = st.one_of(st.sampled_from((5e-324, 1e-323, 1e308)), st.floats(5e-324, 1e308))
 coords = st.one_of(st.sampled_from((0.0, 5e-324, 1e-323, 1e308, -1e308)), st.floats(-1e308, 1e308))
@@ -191,6 +191,8 @@ def hand_made_cases(draw):
 @example((NormalizeTransform(3, (5, -7)), HPoint((2**60 + 1, -3), 1)))
 @example((NormalizeTransform(2**64, (-(2**60) - 1,)), HPoint((-3,), 2**40)))
 @example((NormalizeTransform(2, (0,)), HPoint((0.5,), 10**308)))
+@example((NormalizeTransform(1, (0,)), HPoint((0,), 2**60 - 1)))
+@example((NormalizeTransform(3, (0, 0)), HPoint((0, 0), 2**60 - 1)))
 @example((NormalizeTransform(2, (0,)), HPoint((10**308,), 2.0**-1000)))
 @example((NormalizeTransform(2, (0.5,)), HPoint((10**308,), 1.0)))
 @example((NormalizeTransform(2, (0, 0)), HPoint((0.5, 10**308), 1.0)))
@@ -215,6 +217,15 @@ def test_transform_2_cell_of_height_10_pow_308():
     ix = build_avd([HPoint((0.3,), 1.0), HPoint((0.4,), 0.5)])
     with pytest.raises(ValueError, match="query height"):
         query_hyperbolic(AvdIndex(ix.tree, t, ix.highest_index), q)
+
+
+@pytest.mark.parametrize("x", [(0,), (0, 0)])
+def test_transform_1_cell_of_int_height_2_pow_60_minus_1(x):
+    # frexp rounded the int height to the float 2^60, a level too high
+    q = HPoint(x, 2**60 - 1)
+    t = NormalizeTransform(1, (0,) * len(x))
+    assert t.cell_of(q) == CellId(59, (0,) * len(x)) == cell_of(t.apply(q))
+    assert contains_point(t.cell_of(q), q)
 
 
 def test_transform_2_cell_of_x_10_pow_308_height_2_pow_minus_1000():

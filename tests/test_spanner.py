@@ -1,9 +1,12 @@
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace import shortcut, spanner
 from halfspace.hyperbolic import hyperbolic_distance, normalize_and_embed
@@ -310,6 +313,97 @@ def test_spanners_match_triple_set_references_on_deep_sets(rng, dim):
     for k in (1, 2, 3):
         want = build_hyperbolic_spanner_triples(pts, k).to_dict()
         assert json.dumps(build_hyperbolic_spanner(pts, k).to_dict()) == json.dumps(want)
+
+
+@st.composite
+def clustered_cells(draw):
+    """Cells of the root shadow at D = 2-5: some near the top, others deep
+    below or beside an earlier cell, so the tree has compressed gaps of up
+    to 60 levels and the bridges have Steiner ends, then a few duplicates,
+    all in a drawn order."""
+    axes = draw(st.integers(1, 4))
+    cells: list[CellId] = []
+    for _ in range(draw(st.integers(1, 10))):
+        if cells and draw(st.booleans()):
+            base = draw(st.sampled_from(cells))
+            depth = draw(st.sampled_from([0, 1, 2, 3, 20, 60]))
+            span = 1 << (depth - base.level)
+            coords = tuple(
+                min(max((k << depth) + draw(st.integers(-1, (1 << depth))), 0), span - 1) for k in base.coords
+            )
+            cells.append(CellId(base.level - depth, coords))
+        else:
+            level = draw(st.integers(-6, 0))
+            cells.append(CellId(level, tuple(draw(st.integers(0, (1 << -level) - 1)) for _ in range(axes))))
+    cells += draw(st.lists(st.sampled_from(cells), max_size=3))
+    return draw(st.permutations(cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clustered_cells())
+def test_build_spanner_matches_the_triple_set_reference(cells):
+    got, want = build_spanner(cells), build_spanner_triples(cells)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert list(got.vertex_of_cell.items()) == list(want.vertex_of_cell.items())
+
+
+def _heights_near_2_pow_minus_600(rng):
+    # 40 points at heights near 1, 40 near 2^-600: after normalizing, two
+    # deep cell centers have a subnormal height product, so their edge
+    # takes hyperbolic_distance's rescaled path
+    return [HPoint((rng.uniform(-10, 10),), 2.0 ** -rng.uniform(0, 3)) for _ in range(40)] + [
+        HPoint((rng.uniform(-10, 10),), 2.0 ** -rng.uniform(599, 601)) for _ in range(40)
+    ]
+
+
+def test_inline_d2_weights_are_hyperbolic_distance_bit_for_bit(rng):
+    plain = [HPoint((rng.uniform(-10, 10),), 2.0 ** -rng.uniform(0, 40)) for _ in range(200)]
+    deep = _heights_near_2_pow_minus_600(rng)
+    for pts in (plain, deep):
+        g = build_hyperbolic_spanner(pts, 2)
+        at = [v.point for v in g.vertices]
+        assert [w.hex() for _u, _v, w in g.edges] == [hyperbolic_distance(at[u], at[v]).hex() for u, v, _w in g.edges]
+        assert json.dumps(g.to_dict()) == json.dumps(build_hyperbolic_spanner_triples(pts, 2).to_dict())
+    zs = [p.z for p in at]
+    assert any(zs[u] * zs[v] < sys.float_info.min for u, v, _w in g.edges)
+
+
+def _counted(monkeypatch, module, names):
+    calls = Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_d2_build_spanner_tests_no_cell_ancestry(monkeypatch, rng):
+    # at D = 2 the vertical edges come from a stack over int intervals:
+    # no Morton key and no ancestry test on cells; D = 3 shows the
+    # patches are live
+    calls = _counted(monkeypatch, spanner, ["is_ancestor_or_self", "zorder_key"])
+    cells = normalize_and_embed([HPoint((rng.uniform(-10, 10),), 2.0 ** -rng.uniform(0, 40)) for _ in range(200)])[2]
+    build_spanner(cells)
+    assert calls == {}
+    build_spanner(random_set(rng, 3, 60))
+    assert calls["zorder_key"] == 1 and calls["is_ancestor_or_self"] > 0
+
+
+def test_d2_hyperbolic_spanner_weighs_in_range_pairs_inline(monkeypatch, rng):
+    # in-range D = 2 pairs are weighed inline; the pairs of the deep set
+    # and every D = 3 pair call hyperbolic_distance, so the patch is live
+    calls = _counted(monkeypatch, spanner, ["hyperbolic_distance"])
+    g = build_hyperbolic_spanner([HPoint((rng.uniform(-10, 10),), 2.0 ** -rng.uniform(0, 40)) for _ in range(200)], 2)
+    assert calls == {} and g.edges
+    build_hyperbolic_spanner(_heights_near_2_pow_minus_600(rng), 2)
+    deep = calls.pop("hyperbolic_distance")
+    assert deep > 0
+    g = build_hyperbolic_spanner([random_hpoint(rng, 3) for _ in range(30)], 2)
+    assert calls["hyperbolic_distance"] == len(g.edges)
 
 
 def test_point_anchor_edges_below_log_d(rng):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from halfspace.tiling import (
     parent,
 )
 
-from reference import contains_point, floor_scaled_ratio, lift_pair
+from reference import contains_point, exact_level, floor_scaled_ratio, lift_pair
 
 cells = st.builds(
     CellId,
@@ -220,6 +221,25 @@ def test_cell_of_random_points_contained(rng):
             rng.uniform(1e-3, 60.0),
         )
         assert contains_point(cell_of(p), p)
+
+
+def test_cell_of_int_height_2_pow_60_minus_1():
+    # frexp rounded the int to the float 2^60, a level too high: Cell(60;[0])
+    p = HPoint((0,), 2**60 - 1)
+    assert level_of_height(p.z) == 59
+    assert cell_of(p) == CellId(59, (0,))
+    assert contains_point(cell_of(p), p)
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=5e-324, allow_infinity=False),
+        st.integers(min_value=1, max_value=int(sys.float_info.max)),
+        st.integers(min_value=1, max_value=1023).map(lambda e: 2**e - 1),
+    )
+)
+def test_level_of_height_matches_the_exact_level(z):
+    assert level_of_height(z) == exact_level(z)
 
 
 def test_cell_of_subnormal_height():
