@@ -39,17 +39,12 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     and the argument of ``asinh`` is finite.  Anything else goes to
     :func:`_rescaled_distance`, which keeps every bit of subnormal and
     huge inputs.  Both paths are symmetric in ``p`` and ``q`` bit for
-    bit.  At D = 2 the gap is one two-argument ``hypot``, the same call
-    the general form makes with one coordinate, so the floats agree.
+    bit.
     """
     px, qx, pz, qz = p.x, q.x, p.z, q.z
-    axes = len(px)
-    if axes != len(qx):
+    if len(px) != len(qx):
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if axes == 1:
-        gap = hypot(px[0] - qx[0], pz - qz)
-    else:
-        gap = hypot(*map(sub, px, qx), pz - qz)
+    gap = hypot(*map(sub, px, qx), pz - qz)
     zz = pz * qz
     if _FLOAT_MIN <= zz < _INF:
         # an infinite gap gives an infinite argument

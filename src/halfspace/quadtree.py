@@ -25,6 +25,8 @@ comes from one iterative pass over its keys in Z-order, so its shape
 depends on the set of keys alone.  The pass sorts the keys by their
 Morton integers (the linear quadtree of Gargantini, 1982) and reads
 each join off the highest bit in which two neighbors' integers differ.
+That sort, :func:`zorder`, is the one Z-order of the package: the
+spanner's vertical edges come from the same order and integers.
 Nodes (:class:`QuadNode`) are slotted and link only down, to their
 children: a tree holds no reference cycle, so reference counting frees
 it, and passes that need a node's parent carry it on their own stacks.
@@ -95,7 +97,7 @@ COMPRESSED = "compressed"
 LEAF = "leaf"
 
 # The deepest level a tree takes a box at.  A build lifts every key's
-# coordinates to the lowest key's level (zorder_key) and point location
+# coordinates to the lowest key's level (zorder) and point location
 # floors at one level below the lowest node, so a key at level L costs
 # shifts by -L bits: at level -10**30 no such integer can be made.  A
 # tree must also write its keys (QuadTree.to_json writes each int with
@@ -346,37 +348,42 @@ def _bit_spread(axes: int) -> tuple[int, ...]:
     return tuple(sum(((v >> b) & 1) << (b * axes) for b in range(8)) for v in range(256))
 
 
-def zorder_key(low: int, axes: int):
-    """Sort key putting cells of the root shadow at or above level
-    ``low`` in preorder of the dyadic tree, children in :func:`children`
-    order, so every cell follows its ancestors: the Morton interleave of
-    the lower corner lifted to ``low`` (first axis most significant),
-    ties to the higher cell.  With one axis the interleave is the lifted
-    coordinate.
-
-    With more axes the interleave is an integer made from a 256-entry
-    bit-spread table, one byte of each coordinate at a time.  A cell at
-    level ``L`` of the root shadow has coordinates of at most ``-L``
-    bits, so the loop reads that many; lifting to ``low`` multiplies
-    the interleave by ``2^(axes (L - low))``, one shift at the end.
+def zorder(cells: list[CellId], axes: int) -> tuple[list[int], list[int], int]:
+    """The Z-order of distinct root-shadow cells with ``axes``
+    coordinates, ``(order, zs, low)``: their indices in preorder of the
+    dyadic tree, children in :func:`children` order, so every cell
+    follows its ancestors; each cell's Morton integer ``z``, the
+    interleave of its lower corner (first axis most significant) lifted
+    to the lowest level ``low``; and ``low``.  A cell at level ``L``
+    covers the ints from ``z`` up to ``z + 2^(axes (L - low))``, so two
+    cells are nested exactly when their intervals are.  The sort key is
+    the one int ``(z << bits) + high - L``: by ``z``, ties to the higher
+    cell.  With one axis ``z`` is the coordinate shifted once; with more
+    the interleave is built from a 256-entry bit-spread table, one byte
+    of each coordinate at a time (a cell at level ``L`` has coordinates
+    of at most ``-L`` bits), then shifted once.
     """
+    levels = [c.level for c in cells]
+    low, high = min(levels), max(levels)
     if axes == 1:
-        return lambda c: (c.coords[0] << (c.level - low), -c.level)
-    spread = _bit_spread(axes)
-    stride = 8 * axes
-
-    def key(c: CellId):
-        level = c.level
-        m = 0
-        for k in c.coords:
-            s = i = 0
-            for j in range(0, -level, 8):
-                s |= spread[(k >> j) & 255] << i
-                i += stride
-            m = (m << 1) | s
-        return m << (axes * (level - low)), -level
-
-    return key
+        zs = [c.coords[0] << (c.level - low) for c in cells]
+    else:
+        spread = _bit_spread(axes)
+        stride = 8 * axes
+        zs = []
+        for c in cells:
+            level = c.level
+            m = 0
+            for k in c.coords:
+                s = i = 0
+                for j in range(0, -level, 8):
+                    s |= spread[(k >> j) & 255] << i
+                    i += stride
+                m = (m << 1) | s
+            zs.append(m << (axes * (level - low)))
+    bits = (high - low).bit_length()
+    order = sorted(range(len(cells)), key=[(z << bits) + high - lev for z, lev in zip(zs, levels)].__getitem__)
+    return order, zs, low
 
 
 @functools.cache
@@ -473,9 +480,9 @@ class QuadTree:
         """Make ``cells``, the root among them, the key boxes of a fresh
         tree whose inputs' first indices are ``index_of``.
 
-        The keys, sorted by :func:`zorder_key` into preorder of the
-        dyadic tree, pass once through a stack holding the keys above
-        the last one.  Adjacent keys join at their lowest common box:
+        The keys, put by :func:`zorder` into preorder of the dyadic
+        tree, pass once through a stack holding the keys above the last
+        one.  Adjacent keys join at their lowest common box:
         their Morton integers, lifted to the lowest level ``low``, agree
         above the highest differing bit, ``axes = D - 1`` bits per
         level, so the join lies at the higher of the two levels or at
@@ -493,15 +500,15 @@ class QuadTree:
         right at the child level is the child itself.  So a build makes
         one cell per node that is no key.  O(n log n), no recursion.
         """
-        low = min(c.level for c in cells)
-        self._locate_level = low - 1
         axes = self.dim - 1
-        key = zorder_key(low, axes)
-        order = sorted([(*key(c), c) for c in set(cells)])  # distinct cells never tie on the key
+        cells = list(set(cells))
+        order, zs, low = zorder(cells, axes)
+        self._locate_level = low - 1
 
         stack: list[QuadNode] = []
         z = 0  # the lifted Morton integer of stack[-1], the previous key
-        for zc, _, cell in order:
+        for v in order:
+            cell, zc = cells[v], zs[v]
             i = index_of.get(cell)
             node = QuadNode(cell, LEAF, stored_index=i, count=0 if i is None else 1)
             if stack:

@@ -44,8 +44,9 @@ Past the bridge pass it runs on integers: each cell is its ``(level,
 coords)`` key, whose hash and comparisons run in C, each edge ``u < v``
 the integer ``u * n + v`` over ``n`` vertices, which orders as the
 ``(u, v)`` tuple does, weighed from a list of the vertices' levels, and
-at D = 2 each vertex's vertical edge comes from a stack over the int
-intervals of the cells' shadows.  The hyperbolic spanner
+each vertex's vertical edge comes from one stack over int intervals in
+the quadtree's Z-order (:func:`~halfspace.quadtree.zorder`), at every
+dimension.  The hyperbolic spanner
 (:func:`build_hyperbolic_spanner`) keeps the d1 spanner's vertices, ids
 and cell map, moves each vertex to its cell center and appends the
 inputs; its edges are one list of such pairs (the d1 edges, the
@@ -53,7 +54,8 @@ shortcut extras, each input's edge to its cell's vertex), sorted once
 and weighed once each by the closed form of
 :func:`~halfspace.hyperbolic.hyperbolic_distance`: at D = 2 its common
 case runs inline on flat lists of the vertices' ``x`` and ``z``, with
-the function's own expressions, and any other pair calls the function.
+the function's own expressions (its ``hypot`` gets the same two
+differences), and any other pair calls the function.
 No pair comes twice, so no set is needed: the d1 edges are
 unique, as above; an extra joins a vertex to an ancestor at least two
 forest edges up, so it is neither a parent edge nor a bridge (whose
@@ -75,7 +77,7 @@ from operator import add
 
 from .hyperbolic import NormalizeTransform, hyperbolic_distance, normalize_and_embed
 from .metrics import d2_path, lambda_
-from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder_key
+from .quadtree import COMPRESSED, QuadNode, QuadTree, build_quadtree, compressed_on_boundary, zorder
 from .quadtree import box_adjacent  # noqa: F401  (bench/tracer.py wraps spanner.box_adjacent)
 from .shortcut import check_hop_budget, shortcut_forest
 from .tiling import CellId, HPoint, center, collector_paused, is_ancestor_or_self, neighbor_offsets
@@ -349,15 +351,13 @@ def build_spanner(points: list[CellId]) -> SpannerGraph:
     the ends' levels: 1 for a bridge (its ends share a level), the level
     gap for a vertical edge.  Each vertex's vertical edge goes to its
     nearest strict ancestor among the vertices, found by one stack pass
-    in Z-order, where every cell follows its ancestors and the stack
-    holds the vertices containing the last one.  With one coordinate
-    (D = 2) a cell ``(level, (k,))`` is the interval of ints from
-    ``k << (level - low)`` up to ``(k + 1) << (level - low)`` at the
-    lowest level ``low``, the vertices are sorted by its start, ties to
-    the higher cell, and the stack pops every interval that ends at or
-    before the next start.  Other dimensions sort by
-    :func:`~halfspace.quadtree.zorder_key` and test the stack with
-    :func:`~halfspace.tiling.is_ancestor_or_self`.
+    in Z-order (:func:`~halfspace.quadtree.zorder`, the quadtree's own),
+    where every cell follows its ancestors and the stack holds the
+    vertices containing the last one.  A cell at level ``L`` with
+    lifted Morton integer ``z`` is the interval of ints from ``z`` up to
+    ``z + 2^(axes (L - low))`` at the lowest level ``low``, so at every
+    dimension the stack pops each interval that ends at or before the
+    next start, with no ancestry test on cells.
     """
     if not points:
         raise ValueError("cannot build a spanner over an empty point set")
@@ -392,31 +392,17 @@ def build_spanner(points: list[CellId]) -> SpannerGraph:
         # are each unique and never share a pair: one list, sorted once
         end_ids = list(map(index.__getitem__, end_keys))
         pairs = [u * n + v if u < v else v * n + u for u, v in zip(end_ids[::2], end_ids[1::2])]
-        if len(cells[0].coords) == 1:
-            low, high = min(levels), max(levels)
-            starts = [c.coords[0] << (c.level - low) for c in cells]
-            stops = [(c.coords[0] + 1) << (c.level - low) for c in cells]
-            # the key (start, high - level) as one int
-            bits = (high - low).bit_length()
-            order = sorted(range(n), key=[(z << bits) + high - lev for z, lev in zip(starts, levels)].__getitem__)
-            stack: list[int] = []
-            for v in order:
-                while stack and stops[stack[-1]] <= starts[v]:
-                    stack.pop()
-                if stack:
-                    up = stack[-1]
-                    pairs.append(v * n + up if v < up else up * n + v)
-                stack.append(v)
-        else:
-            key = zorder_key(min(levels), len(cells[0].coords))
-            stack = []
-            for v in sorted(range(n), key=list(map(key, cells)).__getitem__):
-                while stack and not is_ancestor_or_self(cells[stack[-1]], cells[v]):
-                    stack.pop()
-                if stack:
-                    up = stack[-1]
-                    pairs.append(v * n + up if v < up else up * n + v)
-                stack.append(v)
+        axes = len(cells[0].coords)
+        order, starts, low = zorder(cells, axes)
+        stops = [z + (1 << (axes * (lev - low))) for z, lev in zip(starts, levels)]
+        stack: list[int] = []
+        for v in order:
+            while stack and stops[stack[-1]] <= starts[v]:
+                stack.pop()
+            if stack:
+                up = stack[-1]
+                pairs.append(v * n + up if v < up else up * n + v)
+            stack.append(v)
         pairs.sort()
         # the vertices, the edges and the cell map share one int per id;
         # a bridge's ends share a level, so its level gap 0 weighs 1
@@ -553,7 +539,8 @@ def build_hyperbolic_spanner(points: list[HPoint], k: int) -> SpannerGraph:
         edges = []
         if len(at[0].x) == 1:
             # hyperbolic_distance's common case, its expressions in its
-            # order on flat lists; any other pair goes to it whole
+            # order on flat lists (hypot gets the same two differences);
+            # any other pair goes to it whole
             xs = [p.x[0] for p in at]
             zs = [p.z for p in at]
             for pair in pairs:

@@ -33,17 +33,16 @@ Bellman-Ford that relaxes every reached vertex in every round
 :func:`halfspace.oracle.hop_bounded_distances` must match float for
 float; and the spanner assembly that gathered edges in sets of
 ``(u, v, w)`` triples and copied the d1 spanner's vertices
-(``build_spanner_triples``, ``build_hyperbolic_spanner_triples``, the
-latter shortcutting with the recursive ``shortcut_forest``) with
+(``build_spanner_triples``, whose vertical edges come from a stack
+sorted by ``zorder_key_format`` and tested for cell ancestry, so it
+shares no Z-order code with the library; ``build_hyperbolic_spanner_triples``,
+shortcutting with the recursive ``shortcut_forest``) with
 the halfspace distance that tests every range in turn
 (``hyperbolic_distance_general``); and the exact rational membership
 test that :func:`halfspace.tiling.cell_of` must agree with
 (``contains_point``); and the floor on the exact integer ratio that
 the ``ldexp`` path of :func:`halfspace.tiling.floor_scaled` must
-match (``floor_scaled_ratio``); and the halfspace distance that takes
-the gap from ``hypot`` over a ``map`` at every dimension, which the
-D = 2 branch of :func:`halfspace.hyperbolic.hyperbolic_distance` must
-match bit for bit (``hyperbolic_distance_map``); and the writers that
+match (``floor_scaled_ratio``); and the writers that
 built a dict per node and annotation for ``json.dumps`` to walk, which
 the one-pass text writers of :meth:`halfspace.quadtree.QuadTree.to_json`
 and :meth:`halfspace.avd.AvdIndex.to_json` must match byte for byte
@@ -70,12 +69,11 @@ import sys
 from collections.abc import Collection, Sequence
 from dataclasses import asdict
 from fractions import Fraction
-from math import asinh, hypot, inf, sqrt
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import TextIO
 
 from halfspace.avd import AvdIndex
-from halfspace.hyperbolic import NormalizeTransform, _rescaled_distance
+from halfspace.hyperbolic import NormalizeTransform
 from halfspace.metrics import d2 as d2_fast
 from halfspace.metrics import D2Path, d2_path, lambda_
 from halfspace.pointfile import CONTINUOUS, DISCRETE, PointFileError, _integer
@@ -195,7 +193,7 @@ def zorder_key_format(low: int, axes: int):
     ties to the higher cell.  With one axis the interleave is the lifted
     coordinate.
 
-    Reference for :func:`halfspace.quadtree.zorder_key`: the interleave
+    Reference for :func:`halfspace.quadtree.zorder`: the interleave
     made by formatting each lifted coordinate as ``-low`` binary digits
     and parsing the zipped digits back.
     """
@@ -876,7 +874,7 @@ def build_spanner_triples(points: list[CellId]):
 
     Reference for :func:`halfspace.spanner.build_spanner`.
     """
-    from halfspace.quadtree import build_quadtree, zorder_key
+    from halfspace.quadtree import build_quadtree
     from halfspace.spanner import INPUT, STEINER, SpannerGraph, SpannerVertex, enumerate_bridges
     from halfspace.tiling import is_ancestor_or_self
 
@@ -904,7 +902,7 @@ def build_spanner_triples(points: list[CellId]):
     # each vertex's nearest strict ancestor among the vertices: in Z-order
     # every cell follows its ancestors, and the stack holds the vertex
     # cells containing the last one
-    key = zorder_key(min(v.cell.level for v in graph.vertices), tree.dim - 1)
+    key = zorder_key_format(min(v.cell.level for v in graph.vertices), tree.dim - 1)
     stack: list[SpannerVertex] = []
     for v in sorted(graph.vertices, key=lambda v: key(v.cell)):
         while stack and not is_ancestor_or_self(stack[-1].cell, v.cell):
@@ -1168,25 +1166,6 @@ def floor_scaled_ratio(x: float, level: int) -> int:
     if level <= 0:
         return (n << -level) // d
     return n // (d << level)
-
-
-def hyperbolic_distance_map(p: HPoint, q: HPoint) -> float:
-    """Closed-form halfspace distance, the gap from ``hypot`` over a
-    ``map`` of the coordinate differences at every dimension.
-
-    Reference for :func:`halfspace.hyperbolic.hyperbolic_distance`.
-    """
-    px, qx, pz, qz = p.x, q.x, p.z, q.z
-    if len(px) != len(qx):
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    gap = hypot(*map(sub, px, qx), pz - qz)
-    zz = pz * qz
-    if sys.float_info.min <= zz < inf:
-        # an infinite gap gives an infinite argument
-        arg = 0.5 * gap / sqrt(zz)
-        if arg < inf:
-            return 2.0 * asinh(arg)
-    return _rescaled_distance(p, q, gap, zz)
 
 
 # -- the writers that built dicts for json.dumps ------------------------

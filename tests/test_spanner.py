@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace import shortcut, spanner
+from halfspace import shortcut, spanner, tiling
 from halfspace.hyperbolic import hyperbolic_distance, normalize_and_embed
 from halfspace.layouts import SPANNER_DEMO_DISTANCE_2_5, SPANNER_DEMO_POINTS
 from halfspace.metrics import d1, d2, d2_path
@@ -381,16 +381,22 @@ def _counted(monkeypatch, module, names):
     return calls
 
 
-def test_d2_build_spanner_tests_no_cell_ancestry(monkeypatch, rng):
-    # at D = 2 the vertical edges come from a stack over int intervals:
-    # no Morton key and no ancestry test on cells; D = 3 shows the
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_build_spanner_tests_no_cell_ancestry(monkeypatch, rng, dim):
+    # at every dimension the vertical edges come from one stack over the
+    # int intervals of one Z-order: no ancestry test on cells; the
+    # triple-set reference, which tests ancestry on its stack, shows the
     # patches are live
-    calls = _counted(monkeypatch, spanner, ["is_ancestor_or_self", "zorder_key"])
-    cells = normalize_and_embed([HPoint((rng.uniform(-10, 10),), 2.0 ** -rng.uniform(0, 40)) for _ in range(200)])[2]
+    calls = _counted(monkeypatch, spanner, ["is_ancestor_or_self", "zorder"])
+    tiling_calls = _counted(monkeypatch, tiling, ["is_ancestor_or_self"])
+    if dim == 2:
+        cells = normalize_and_embed([HPoint((rng.uniform(-10, 10),), 2.0 ** -rng.uniform(0, 40)) for _ in range(200)])[2]
+    else:
+        cells = random_set(rng, dim, 60 if dim < 5 else 20)
     build_spanner(cells)
-    assert calls == {}
-    build_spanner(random_set(rng, 3, 60))
-    assert calls["zorder_key"] == 1 and calls["is_ancestor_or_self"] > 0
+    assert calls == {"zorder": 1} and tiling_calls == {}
+    build_spanner_triples(cells)
+    assert calls == {"zorder": 1} and tiling_calls["is_ancestor_or_self"] > 0
 
 
 def test_d2_hyperbolic_spanner_weighs_in_range_pairs_inline(monkeypatch, rng):

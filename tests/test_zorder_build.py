@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from halfspace.avd import build_avd, query_hyperbolic, refine
 from halfspace.hyperbolic import normalize_and_embed
-from halfspace.quadtree import COMPRESSED, DEEPEST_LEVEL, LEAF, MAX_DIM, ORDINARY, QuadTree, build_quadtree, root_cell, zorder_key
+from halfspace.quadtree import COMPRESSED, DEEPEST_LEVEL, LEAF, MAX_DIM, ORDINARY, QuadTree, build_quadtree, root_cell, zorder
 from halfspace.sampling import sample_margin_cells
 from halfspace.spanner import build_hyperbolic_spanner, build_spanner
 from halfspace.tiling import CellId, HPoint, ancestor_at
@@ -149,7 +149,7 @@ def _check_edges_against_climb(graph):
 
 
 @settings(max_examples=100, deadline=None)
-@given(random_sets())
+@given(random_sets(max_dim=MAX_DIM))
 def test_spanner_vertical_edges_match_climb_on_random_sets(data):
     _dim, cells, _ = data
     if cells:
@@ -157,24 +157,25 @@ def test_spanner_vertical_edges_match_climb_on_random_sets(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 5), st.integers(-1075, 0), st.integers(0, 2**32), st.integers(1, 10))
+@given(st.integers(2, MAX_DIM), st.integers(-1075, 0), st.integers(0, 2**32), st.integers(1, 10))
 def test_zorder_key_matches_format_reference(dim, low, seed, n):
-    """The integer interleave orders root-shadow cells down to level
-    ``low`` as the string-formatted one did, pair by pair; each cell
-    comes with an ancestor (the tie rule) and level ``low`` with both
-    extreme corners."""
+    """The integer interleave orders distinct root-shadow cells down to
+    level ``low`` as the string-formatted one does, and each lifted
+    integer is the formatted key's first component; each cell comes
+    with an ancestor (the tie rule) and level ``low`` with both extreme
+    corners."""
     rng = random.Random(seed)
     top = (1 << -low) - 1
     cells = [C(low, *[0] * (dim - 1)), C(low, *[top] * (dim - 1))]
     for _ in range(n):
         cell = random_cell_in_root(rng, dim, min_level=low)
         cells += [cell, ancestor_at(cell, rng.randint(cell.level, 0))]
-    key, ref = zorder_key(low, dim - 1), zorder_key_format(low, dim - 1)
-    assert sorted(cells, key=key) == sorted(cells, key=ref)
-    keys, refs = [key(c) for c in cells], [ref(c) for c in cells]
-    for a, ra in zip(keys, refs):
-        for b, rb in zip(keys, refs):
-            assert (a < b, a == b) == (ra < rb, ra == rb)
+    cells = list(dict.fromkeys(cells))
+    order, zs, got_low = zorder(cells, dim - 1)
+    ref = zorder_key_format(low, dim - 1)
+    assert got_low == low
+    assert [cells[v] for v in order] == sorted(cells, key=ref)
+    assert zs == [ref(c)[0] for c in cells]
 
 
 def test_stored_box_over_stored_box_is_ordinary():
